@@ -13,6 +13,7 @@
 #include "mor/moments.hpp"
 #include "mor/sympvl.hpp"
 #include "sim/ac.hpp"
+#include "sim/sweep_api.hpp"
 
 namespace {
 
@@ -22,7 +23,7 @@ using namespace sympvl::bench;
 void error_vs_order_table(const char* title, const MnaSystem& sys,
                           double s0, const std::vector<Index>& orders) {
   const Vec freqs = log_frequency_grid(1e7, 1e10, 15);
-  const auto exact = ac_sweep(sys, freqs);
+  const auto exact = sweep(sys, freqs, {.throw_on_failure = true});
   csv_begin(title, {"order", "sympvl_err", "arnoldi_err"});
   for (Index n : orders) {
     SympvlOptions sopt;

@@ -12,6 +12,7 @@
 #include "mor/sympvl.hpp"
 #include "mor/sypvl.hpp"
 #include "sim/ac.hpp"
+#include "sim/sweep_api.hpp"
 
 namespace {
 
@@ -27,7 +28,7 @@ const MnaSystem& system_ref() {
 void print_tables() {
   const MnaSystem& sys = system_ref();
   const Vec freqs = log_frequency_grid(1e5, 1e10, 25);
-  const auto exact = ac_sweep(sys, freqs);
+  const auto exact = sweep(sys, freqs, {.throw_on_failure = true});
 
   csv_begin("awe vs sypvl: max relative error over sweep vs order "
             "(paper: AWE unusable beyond n~10)",

@@ -15,6 +15,7 @@
 #include "mor/balanced.hpp"
 #include "mor/sympvl.hpp"
 #include "sim/ac.hpp"
+#include "sim/sweep_api.hpp"
 
 namespace {
 
@@ -37,7 +38,7 @@ void print_tables() {
   const MnaSystem sys =
       build_mna(random_rc({.nodes = 150, .ports = 2, .seed = 61}));
   const Vec freqs = log_frequency_grid(1e4, 1e12, 30);
-  const auto exact = ac_sweep(sys, freqs);
+  const auto exact = sweep(sys, freqs, {.throw_on_failure = true}).values;
 
   csv_begin("balanced truncation vs sympvl vs arnoldi: worst-case error vs "
             "order (150-node RC, p=2)",

@@ -38,7 +38,7 @@ void print_tables() {
               peec().netlist.mutuals().size());
 
   const Vec freqs = linear_frequency_grid(1e8, 7.5e9, 60);
-  const auto exact = ac_sweep(sys, freqs);
+  const auto exact = sweep(sys, freqs, {.throw_on_failure = true});
 
   const std::vector<Index> orders{30, 50, 56};
   std::vector<ReducedModel> roms;

@@ -8,6 +8,7 @@
 #include "gen/package.hpp"
 #include "mor/sympvl.hpp"
 #include "sim/ac.hpp"
+#include "sim/sweep_api.hpp"
 
 namespace {
 
@@ -33,7 +34,7 @@ void print_tables() {
   std::printf("expansion point s0 = %.4e\n", s0);
 
   const Vec freqs = log_frequency_grid(1e7, 5e9, 40);
-  const auto exact = ac_sweep(sys, freqs);
+  const auto exact = sweep(sys, freqs, {.throw_on_failure = true});
 
   const std::vector<Index> orders{48, 64, 80};
   std::vector<ReducedModel> roms;

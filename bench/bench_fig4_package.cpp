@@ -10,6 +10,7 @@
 #include "gen/package.hpp"
 #include "mor/sympvl.hpp"
 #include "sim/ac.hpp"
+#include "sim/sweep_api.hpp"
 
 namespace {
 
@@ -30,7 +31,7 @@ void print_tables() {
   const MnaSystem& sys = system_ref();
   const double s0 = automatic_shift(sys);
   const Vec freqs = log_frequency_grid(1e7, 5e9, 40);
-  const auto exact = ac_sweep(sys, freqs);
+  const auto exact = sweep(sys, freqs, {.throw_on_failure = true});
 
   const std::vector<Index> orders{48, 64, 80};
   std::vector<ReducedModel> roms;

@@ -14,6 +14,7 @@
 #include "linalg/sparse_ldlt.hpp"
 #include "mor/sympvl.hpp"
 #include "sim/ac.hpp"
+#include "sim/sweep_api.hpp"
 
 namespace {
 
@@ -123,7 +124,7 @@ void print_tables() {
   // ---- (b) reorthogonalization ablation. ----
   const MnaSystem sys = build_mna(bus.netlist, MnaForm::kRC);
   const Vec freqs = log_frequency_grid(1e6, 1e10, 11);
-  const auto exact = ac_sweep(sys, freqs);
+  const auto exact = sweep(sys, freqs, {.throw_on_failure = true});
   csv_begin("reorthogonalization ablation (17-port RC bus)",
             {"order", "err_full_reorth", "err_band_recurrence",
              "t_full_s", "t_band_s"});

@@ -3,7 +3,7 @@
 // analysis" reference curves behind every accuracy experiment).
 //
 // Measures, on a ≥2000-unknown generated package circuit:
-//   1. AcSweepEngine::sweep wall time with 1 thread vs. all threads, and
+//   1. sweep(AcSweepEngine) wall time with 1 thread vs. all threads, and
 //      the max relative deviation between the two results (must be ~0:
 //      the static partition makes the parallel sweep bit-reproducible);
 //   2. one blocked multi-RHS SparseLDLT::solve over all p port columns

@@ -1,5 +1,5 @@
 // Experiment E11 — many-terminal port sharding: clustered per-shard
-// SyMPVL against the monolithic driver on the power-grid family, at
+// SyMPVL against monolithic SyMPVL on the power-grid family, at
 // matched total order. Emits the time-vs-ports and error-vs-ports
 // curves of BENCH_port_shard.json; the "*_s" series are gated
 // element-wise against bench/baselines/ by tools/check_perf.py.
@@ -9,7 +9,6 @@
 #include "bench_util.hpp"
 #include "gen/power_grid.hpp"
 #include "linalg/factor_cache.hpp"
-#include "mor/port_shard.hpp"
 #include "mor/reduce.hpp"
 #include "sim/sweep_api.hpp"
 
@@ -39,7 +38,7 @@ void print_tables() {
     const MnaSystem sys =
         build_mna(make_power_grid(gopt).netlist, MnaForm::kAuto);
 
-    SympvlOptions opt;
+    ReduceOptions opt;
     opt.order = ports;  // matched total order: shard orders sum to this
 
     // Each variant pays its own factorization: the global pencil cache
@@ -47,16 +46,12 @@ void print_tables() {
     // would reuse the first run's factor and the comparison would skew.
     FactorCache::global().clear();
     ReduceResult mono;
-    const double t_mono = timed([&] {
-      ReduceOptions ropt;
-      static_cast<SympvlOptions&>(ropt) = opt;
-      mono = reduce(sys, ropt);
-    });
+    const double t_mono = timed([&] { mono = reduce(sys, opt); });
 
     FactorCache::global().clear();
-    ShardedSympvlResult sharded;
-    const double t_shard =
-        timed([&] { sharded = sharded_sympvl_reduce(sys, opt); });
+    opt.method = ReduceMethod::kShardedSympvl;
+    ReduceResult sharded;
+    const double t_shard = timed([&] { sharded = reduce(sys, opt); });
 
     const Vec freqs = log_frequency_grid(1e6, 1e9, 7);
     const SweepResult exact = sweep(sys, freqs);
@@ -64,7 +59,7 @@ void print_tables() {
         mono.ok() ? max_rel_err_sweep(sweep(mono.value(), freqs), exact)
                   : 1.0;
     const double err_shard =
-        sharded.ok() ? max_rel_err_sweep(sweep(sharded.stitched, freqs), exact)
+        sharded.ok() ? max_rel_err_sweep(sweep(sharded.value(), freqs), exact)
                      : 1.0;
 
     csv_row({static_cast<double>(ports), static_cast<double>(sys.size()),
@@ -97,12 +92,13 @@ void bm_sharded_reduce(benchmark::State& state) {
   const PowerGridOptions gopt{.ports = static_cast<Index>(state.range(0))};
   const MnaSystem sys =
       build_mna(make_power_grid(gopt).netlist, MnaForm::kAuto);
-  SympvlOptions opt;
+  ReduceOptions opt;
+  opt.method = ReduceMethod::kShardedSympvl;
   opt.order = gopt.ports;
   for (auto _ : state) {
     FactorCache::global().clear();
-    const ShardedSympvlResult r = sharded_sympvl_reduce(sys, opt);
-    benchmark::DoNotOptimize(r.order());
+    const ReduceResult r = reduce(sys, opt);
+    benchmark::DoNotOptimize(r.model.order());
   }
   state.SetComplexityN(gopt.ports);
 }

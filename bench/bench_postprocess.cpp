@@ -10,6 +10,7 @@
 #include "mor/postprocess.hpp"
 #include "mor/sympvl.hpp"
 #include "sim/ac.hpp"
+#include "sim/sweep_api.hpp"
 
 namespace {
 
@@ -66,7 +67,7 @@ void print_tables() {
     }
     if (rom.is_stable()) continue;
     const Vec freqs = log_frequency_grid(1e6, 1e9, 9);
-    const auto exact = ac_sweep(sys, freqs);
+    const auto exact = sweep(sys, freqs, {.throw_on_failure = true}).values;
     const ModalModel modal = modal_decompose(rom);
     const ModalModel flip = enforce_stability(modal, StabilizeMode::kFlip);
     const ModalModel drop = enforce_stability(modal, StabilizeMode::kDrop);

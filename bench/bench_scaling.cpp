@@ -49,7 +49,8 @@ void print_tables() {
       rom = sympvl_reduce(sys, opt);
     });
     const Vec freqs = log_frequency_grid(1e6, 1e10, 20);
-    const double t_exact = timed([&] { ac_sweep(sys, freqs); });
+    const double t_exact =
+        timed([&] { sweep(sys, freqs, {.throw_on_failure = true}); });
     const double t_rom = timed([&] { sweep(rom, freqs); });
     csv_row({static_cast<double>(segments), static_cast<double>(sys.size()),
              t_red, t_exact, t_rom});

@@ -11,6 +11,7 @@
 #include "mor/rational.hpp"
 #include "mor/sympvl.hpp"
 #include "sim/ac.hpp"
+#include "sim/sweep_api.hpp"
 
 namespace {
 
@@ -30,7 +31,7 @@ void print_tables() {
               static_cast<long long>(sys.size()),
               static_cast<long long>(sys.port_count()));
   const Vec freqs = log_frequency_grid(1e5, 2e10, 25);
-  const auto exact = ac_sweep(sys, freqs);
+  const auto exact = sweep(sys, freqs, {.throw_on_failure = true});
 
   auto sweep_err = [&](const ArnoldiModel& m) {
     double err = 0.0;

@@ -198,14 +198,6 @@ CMat MultipointSession::eval(Complex s) const {
   return impl_->stitched.eval(s);
 }
 
-SweepResult MultipointSession::sweep(const Vec& frequencies_hz) const {
-  const Index p = impl_->sys.port_count();
-  return detail::run_contained_sweep(frequencies_hz, p, p, [&](Index k) {
-    return impl_->stitched.eval(
-        Complex(0.0, 2.0 * M_PI * frequencies_hz[static_cast<size_t>(k)]));
-  });
-}
-
 Index MultipointSession::point_count() const {
   return static_cast<Index>(impl_->s0s.size());
 }

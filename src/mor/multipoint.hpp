@@ -12,8 +12,8 @@
 // the per-point Krylov spaces (rational_reduce). The union model matches
 // moments at every expansion point simultaneously, so at equal total
 // order it covers the band at least as well as the best single-point
-// model once a single shift can no longer span it — the property
-// eval()/sweep() rely on.
+// model once a single shift can no longer span it — the property eval()
+// and sweep(session.stitched(), grid) rely on.
 //
 // Both layers consume the same factorizations: each expansion point is
 // factored once through the shared FactorCache and reused by its SyMPVL
@@ -29,7 +29,6 @@
 #include "circuit/mna.hpp"
 #include "mor/arnoldi.hpp"
 #include "mor/sympvl.hpp"
-#include "sim/sweep.hpp"
 
 namespace sympvl {
 
@@ -94,10 +93,6 @@ class MultipointSession {
   /// Z(s) of the stitched union-basis wideband model.
   CMat eval(Complex s) const;
 
-  /// Sweep along the jω axis with per-point fault containment, every
-  /// frequency answered by the stitched wideband model.
-  SweepResult sweep(const Vec& frequencies_hz) const;
-
   /// Number of expansion points in use.
   Index point_count() const;
 
@@ -105,7 +100,8 @@ class MultipointSession {
   /// view; each is most accurate near its own expansion point).
   const std::vector<ReducedModel>& models() const;
 
-  /// The stitched union-basis wideband model eval()/sweep() answer with.
+  /// The stitched union-basis wideband model eval() answers with; sweep
+  /// it with sympvl::sweep(session.stitched(), grid).
   const ArnoldiModel& stitched() const;
 
   /// Index of the per-point model covering frequency point s (the

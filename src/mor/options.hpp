@@ -65,9 +65,6 @@ struct CommonReductionOptions {
   double lookahead_tol = 1e-8;
   /// Sparse factorization ordering for the pencil factor.
   Ordering ordering = Ordering::kRCM;
-  /// 0 = silent; >0 makes the run_* drivers print a recovery/diagnosis
-  /// summary to stderr when anything non-nominal happened.
-  int verbosity = 0;
   /// Factorization cache the driver acquires its pencil factors through
   /// (nullptr = the process-global FactorCache).
   FactorCache* factor_cache = nullptr;

@@ -1,4 +1,5 @@
 #include "mor/port_shard.hpp"
+#include "mor/port_shard_stitch.hpp"
 
 #include <algorithm>
 #include <chrono>
@@ -11,13 +12,10 @@
 #include "fault.hpp"
 #include "mor/pencil.hpp"
 #include "mor/rational.hpp"
+#include "mor/reduce.hpp"
 #include "obs/memstat.hpp"
 #include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
-
-// The 1-shard fallback intentionally delegates to the deprecated
-// monolithic driver: it is the primitive the sharded path wraps.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace sympvl {
 
@@ -329,40 +327,17 @@ std::vector<Index> partition_ports(const MnaSystem& sys, Index shards,
   return electrical_partition(sys, shards);
 }
 
-ShardedSympvlResult sharded_sympvl_reduce(const MnaSystem& sys,
-                                          const SympvlOptions& options) {
+namespace detail {
+
+ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
+                                   const SympvlOptions& options, Index shards) {
   const auto t_total = std::chrono::steady_clock::now();
   const Index p = sys.port_count();
-  require(p >= 1, ErrorCode::kInvalidArgument,
-          "sharded_sympvl_reduce: system has no ports");
-  require(options.order >= 1, ErrorCode::kInvalidArgument,
-          "sharded_sympvl_reduce: order must be >= 1");
-
-  ShardedSympvlResult out;
-  // Never more shards than requested Lanczos vectors: every shard must
-  // sustain at least a 1-vector process.
-  const Index shards = std::min<Index>(
-      resolve_shard_count(options.shard, p), std::max<Index>(options.order, 1));
-
-  // ---- 1 shard: the monolithic driver IS the implementation. ----
-  if (shards <= 1) {
-    ReductionResult<ReducedModel> mono = run_sympvl(sys, options);
-    out.used_monolithic = true;
-    out.monolithic = std::move(mono.model);
-    out.report = std::move(mono.report);
-    out.status = mono.status;
-    out.diagnostics = std::move(mono.diagnostics);
-    out.shard.shards = 1;
-    out.shard.clustering = "monolithic";
-    out.shard.port_to_shard.assign(static_cast<size_t>(p), 0);
-    out.shard.shard_ports = {p};
-    out.shard.shard_orders = {out.report.achieved_order};
-    out.shard.stitched_order = out.report.achieved_order;
-    out.shard.factor_cache_hits = out.report.factor_cache_hits;
-    out.shard.factor_cache_misses = out.report.factor_cache_misses;
-    out.shard.total_seconds = seconds_since(t_total);
-    return out;
-  }
+  require(shards >= 2 && shards <= std::min(p, options.order),
+          ErrorCode::kInvalidArgument,
+          "sharded_sympvl_reduce: shard count must be in [2, min(ports, "
+          "order)]");
+  ReduceResult out;
 
   // ---- Partition B's columns. ----
   const auto t_partition = std::chrono::steady_clock::now();
@@ -518,7 +493,6 @@ ShardedSympvlResult sharded_sympvl_reduce(const MnaSystem& sys,
           sopt.s0 = s0_used;        // all shards share one factorization
           sopt.auto_shift = false;  // the priming ladder already settled it
           if (sopt.kernel.rhs_hint == 0) sopt.kernel.rhs_hint = widest;
-          sopt.verbosity = 0;
 
           SympvlSession session(sub, sopt);
           run.rho = session.current().rho();
@@ -679,9 +653,10 @@ ShardedSympvlResult sharded_sympvl_reduce(const MnaSystem& sys,
         for (Index jj = i + 1; jj < n_total; ++jj)
           cw(i, jj) = cw(jj, i) = 0.5 * (cw(i, jj) + cw(jj, i));
       solve_lower_inplace(chol, &br);
-      out.stitched = ArnoldiModel(Mat::identity(n_total), std::move(cw),
-                                  std::move(br), sys.variable, sys.s_prefactor,
-                                  s0_used);
+      out.model = MacroModel(ArnoldiModel(Mat::identity(n_total),
+                                          std::move(cw), std::move(br),
+                                          sys.variable, sys.s_prefactor,
+                                          s0_used));
       out.shard.stitched_order = n_total;
     } else {
       // Robust path (indefinite J, or near-dependent shard spans): map
@@ -713,7 +688,7 @@ ShardedSympvlResult sharded_sympvl_reduce(const MnaSystem& sys,
       out.shard.stitch_dropped =
           n_total - static_cast<Index>(basis.size());
       out.shard.stitched_order = static_cast<Index>(basis.size());
-      out.stitched = congruence_project(sys, basis);
+      out.model = MacroModel(congruence_project(sys, basis));
     }
     out.shard.stitch_bytes = stitch_charge.bytes();
   }
@@ -739,5 +714,7 @@ ShardedSympvlResult sharded_sympvl_reduce(const MnaSystem& sys,
                 obs::arg("status", reduction_status_name(out.status))});
   return out;
 }
+
+}  // namespace detail
 
 }  // namespace sympvl

@@ -36,9 +36,7 @@
 #include <vector>
 
 #include "circuit/mna.hpp"
-#include "mor/arnoldi.hpp"
-#include "mor/driver.hpp"
-#include "mor/sympvl.hpp"
+#include "mor/options.hpp"
 
 namespace sympvl {
 
@@ -70,35 +68,6 @@ struct PortShardReport {
   std::int64_t peak_rss_bytes = 0;
 };
 
-/// Result of a sharded reduction. With 1 shard the layer delegates to the
-/// monolithic SyMPVL driver verbatim (bit-identical model, held in
-/// `monolithic`); with K > 1 the stitched congruence model is in
-/// `stitched`. eval()/order()/port_count() dispatch transparently.
-struct ShardedSympvlResult {
-  ArnoldiModel stitched;
-  ReducedModel monolithic;
-  bool used_monolithic = false;
-
-  SympvlReport report;
-  PortShardReport shard;
-  ReductionStatus status = ReductionStatus::kOk;
-  std::vector<ReductionIssue> diagnostics;
-
-  /// True when a usable model exists (kOk or kTruncated).
-  bool ok() const { return status != ReductionStatus::kFailed; }
-
-  Index order() const {
-    return used_monolithic ? monolithic.order() : stitched.order();
-  }
-  Index port_count() const {
-    return used_monolithic ? monolithic.port_count() : stitched.port_count();
-  }
-  /// Physical p×p Z_r(s) of whichever model the run produced.
-  CMat eval(Complex s) const {
-    return used_monolithic ? monolithic.eval(s) : stitched.eval(s);
-  }
-};
-
 /// Resolves the shard count for `ports` columns: an explicit
 /// options.shard.shards wins, then the SYMPVL_PORT_SHARDS environment
 /// variable, then the heuristic (1 shard below 2·min_ports_per_shard
@@ -112,13 +81,5 @@ Index resolve_shard_count(const PortShardOptions& options, Index ports);
 /// Deterministic for fixed inputs.
 std::vector<Index> partition_ports(const MnaSystem& sys, Index shards,
                                    ShardClustering clustering);
-
-/// Clustered per-shard SyMPVL with a stitched union model. `options` is
-/// the ordinary SyMPVL surface; options.shard selects count/clustering/
-/// stitch tolerance. Never throws for per-shard failures — they land in
-/// diagnostics with status kTruncated; a failed priming factorization or
-/// an all-shards failure reports kFailed.
-ShardedSympvlResult sharded_sympvl_reduce(const MnaSystem& sys,
-                                          const SympvlOptions& options);
 
 }  // namespace sympvl

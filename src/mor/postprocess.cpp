@@ -4,7 +4,6 @@
 
 #include "linalg/dense_factor.hpp"
 #include "linalg/eig.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace sympvl {
 
@@ -40,16 +39,6 @@ CMat ModalModel::eval(Complex s) const {
   for (Index i = 0; i < p; ++i)
     for (Index j = 0; j < p; ++j) z(i, j) *= pref;
   return z;
-}
-
-std::vector<CMat> ModalModel::sweep(const Vec& frequencies_hz) const {
-  const Index count = static_cast<Index>(frequencies_hz.size());
-  std::vector<CMat> out(static_cast<size_t>(count));
-  parallel_for(Index(0), count, [&](Index k) {
-    out[static_cast<size_t>(k)] =
-        eval(Complex(0.0, 2.0 * M_PI * frequencies_hz[static_cast<size_t>(k)]));
-  });
-  return out;
 }
 
 CVec ModalModel::physical_poles() const {

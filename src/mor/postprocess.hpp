@@ -37,14 +37,6 @@ class ModalModel {
   /// Physical Z(s).
   CMat eval(Complex s) const;
 
-  /// Sweep along the jω axis (one p×p matrix per frequency in Hz),
-  /// evaluated in parallel across frequency points.
-  /// \deprecated Prefer the unified sympvl::sweep(model, grid, options)
-  /// of sim/sweep_api.hpp, which adds per-point fault containment and
-  /// returns the same SweepResult as every other sweep target.
-  [[deprecated("use sympvl::sweep(model, grid, options) from sim/sweep_api.hpp")]]
-  std::vector<CMat> sweep(const Vec& frequencies_hz) const;
-
   /// Poles mapped to the physical s-plane (σ for kS; ±√σ for kSSquared).
   CVec physical_poles() const;
   bool is_stable(double tol = 1e-9) const;

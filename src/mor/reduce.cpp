@@ -1,13 +1,14 @@
 #include "mor/reduce.hpp"
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "circuit/topology.hpp"
 #include "mor/pencil.hpp"
-
-// The facade intentionally dispatches to the deprecated per-method
-// run_* drivers: they are the primitives reduce() is built on.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+#include "mor/port_shard_stitch.hpp"
+#include "obs/obs.hpp"
 
 namespace sympvl {
 
@@ -22,13 +23,103 @@ Opt slice_common(const ReduceOptions& options) {
   return out;
 }
 
-template <typename Model>
-ReduceResult from_driver(ReductionResult<Model> r) {
+// Flattens the report's recovery trail into diagnostics: every failed
+// factorization rung becomes an issue, and a Lanczos breakdown post-mortem
+// becomes one kBreakdown issue.
+void harvest_report(const SympvlReport& report,
+                    std::vector<ReductionIssue>* out) {
+  for (const FactorAttemptRecord& rec : report.factor_attempts) {
+    if (rec.success) continue;
+    ReductionIssue issue;
+    issue.code =
+        rec.code == ErrorCode::kUnknown ? ErrorCode::kSingular : rec.code;
+    issue.stage = "factor." + rec.method;
+    issue.message = rec.detail.empty()
+                        ? ("factorization attempt failed (" + rec.method +
+                           ", shift=" + std::to_string(rec.shift) + ")")
+                        : rec.detail;
+    issue.value = rec.shift;
+    issue.condition = rec.condest;
+    out->push_back(std::move(issue));
+  }
+  if (report.breakdown) {
+    ReductionIssue issue;
+    issue.code = ErrorCode::kBreakdown;
+    issue.stage = "lanczos";
+    issue.message = report.lanczos_diagnosis.message;
+    issue.index = report.lanczos_diagnosis.cluster;
+    issue.value = report.lanczos_diagnosis.min_abs_eig;
+    out->push_back(std::move(issue));
+  }
+}
+
+// Uniform status rule: breakdown truncation → kTruncated; stopping short
+// of the request because the Krylov space is exhausted means the model is
+// EXACT, which stays kOk.
+ReductionStatus classify(const SympvlReport& report, Index requested) {
+  if (report.breakdown) return ReductionStatus::kTruncated;
+  if (report.achieved_order < requested && !report.exhausted)
+    return ReductionStatus::kTruncated;
+  return ReductionStatus::kOk;
+}
+
+// Runs one throwing algorithm call, `algo(&report)` → model, and builds the
+// uniform result: on success the model plus the status rule; on a thrown
+// Error, kFailed with that error as the first diagnostic. Either way the
+// report's recovery trail follows in the diagnostics.
+template <typename Algo>
+ReduceResult run_algorithm(const char* name, Index requested, Algo&& algo) {
   ReduceResult out;
-  if (r.ok()) out.model = MacroModel(std::move(r.model));
-  out.report = std::move(r.report);
-  out.status = r.status;
-  out.diagnostics = std::move(r.diagnostics);
+  try {
+    out.model = MacroModel(algo(&out.report));
+    out.status = classify(out.report, requested);
+  } catch (const Error& ex) {
+    out.status = ReductionStatus::kFailed;
+    out.diagnostics.push_back(ReductionIssue::from_error(ex));
+  }
+  harvest_report(out.report, &out.diagnostics);
+  obs::instant("driver.result",
+               {obs::arg("driver", name),
+                obs::arg("status", reduction_status_name(out.status)),
+                obs::arg("achieved_order", out.report.achieved_order),
+                obs::arg("issues", double(out.diagnostics.size())),
+                obs::arg("recovered", out.report.recovered ? 1.0 : 0.0)});
+  return out;
+}
+
+ReduceResult reduce_sympvl(const MnaSystem& sys, const SympvlOptions& options) {
+  return run_algorithm("sympvl", std::min(options.order, sys.size()),
+                       [&](SympvlReport* report) {
+                         return sympvl_reduce(sys, options, report);
+                       });
+}
+
+// kShardedSympvl: K > 1 shards run the stitched path of port_shard.cpp;
+// one shard IS the monolithic kSympvl reduction, reported as one shard.
+ReduceResult reduce_sharded(const MnaSystem& sys,
+                            const SympvlOptions& options) {
+  const auto t_total = std::chrono::steady_clock::now();
+  const Index p = sys.port_count();
+  require(p >= 1, ErrorCode::kInvalidArgument,
+          "sharded_sympvl_reduce: system has no ports");
+  // Never more shards than requested Lanczos vectors: every shard must
+  // sustain at least a 1-vector process.
+  const Index shards =
+      std::min<Index>(resolve_shard_count(options.shard, p), options.order);
+  if (shards > 1) return detail::sharded_sympvl_reduce(sys, options, shards);
+
+  ReduceResult out = reduce_sympvl(sys, options);
+  out.shard.shards = 1;
+  out.shard.clustering = "monolithic";
+  out.shard.port_to_shard.assign(static_cast<size_t>(p), 0);
+  out.shard.shard_ports = {p};
+  out.shard.shard_orders = {out.report.achieved_order};
+  out.shard.stitched_order = out.report.achieved_order;
+  out.shard.factor_cache_hits = out.report.factor_cache_hits;
+  out.shard.factor_cache_misses = out.report.factor_cache_misses;
+  out.shard.total_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_total)
+          .count();
   return out;
 }
 
@@ -131,28 +222,46 @@ void validate(const ReduceOptions& options) {
 
 ReduceResult reduce(const MnaSystem& sys, const ReduceOptions& options) {
   validate(options);
+  const Index requested = std::min(options.order, sys.size());
   switch (options.method) {
     case ReduceMethod::kSympvl:
-      return from_driver(run_sympvl(sys, options));
-    case ReduceMethod::kShardedSympvl: {
-      ShardedSympvlResult r = sharded_sympvl_reduce(sys, options);
-      ReduceResult out;
-      if (r.ok())
-        out.model = r.used_monolithic ? MacroModel(std::move(r.monolithic))
-                                      : MacroModel(std::move(r.stitched));
-      out.report = std::move(r.report);
-      out.shard = std::move(r.shard);
-      out.status = r.status;
-      out.diagnostics = std::move(r.diagnostics);
-      return out;
-    }
+      return reduce_sympvl(sys, options);
+    case ReduceMethod::kShardedSympvl:
+      return reduce_sharded(sys, options);
     case ReduceMethod::kSypvl:
-      return from_driver(run_sypvl(sys, options));
-    case ReduceMethod::kPvl:
-      return from_driver(run_pvl(sys, options.pvl_row, options.pvl_col,
-                                 slice_common<PvlOptions>(options)));
-    case ReduceMethod::kArnoldi:
-      return from_driver(run_arnoldi(sys, slice_common<ArnoldiOptions>(options)));
+      return run_algorithm("sypvl", requested, [&](SympvlReport* report) {
+        return sypvl_reduce(sys, options, report);
+      });
+    case ReduceMethod::kPvl: {
+      const PvlOptions popt = slice_common<PvlOptions>(options);
+      return run_algorithm("pvl", requested, [&](SympvlReport* report) {
+        LanczosDiagnosis diagnosis;
+        PvlModel model = pvl_reduce_entry(sys, options.pvl_row,
+                                          options.pvl_col, popt, &diagnosis);
+        report->s0_used = model.shift();
+        report->achieved_order = model.order();
+        report->lanczos_diagnosis = diagnosis;
+        report->breakdown = diagnosis.breakdown;
+        // PVL stopping short without a breakdown diagnosis means the
+        // Krylov space for this entry is exhausted (the scalar model is
+        // exact).
+        report->exhausted = !diagnosis.breakdown && model.order() < requested;
+        return model;
+      });
+    }
+    case ReduceMethod::kArnoldi: {
+      const ArnoldiOptions aopt = slice_common<ArnoldiOptions>(options);
+      return run_algorithm("arnoldi", requested, [&](SympvlReport* report) {
+        ArnoldiModel model = arnoldi_reduce(sys, aopt);
+        report->s0_used = model.shift();
+        report->achieved_order = model.order();
+        // Arnoldi stops short only when the block Krylov space deflates
+        // to nothing more — the projection then spans the full space
+        // (exact).
+        report->exhausted = model.order() < requested;
+        return model;
+      });
+    }
   }
   throw Error(ErrorCode::kInvalidArgument, "reduce: unknown method",
               {.stage = "reduce"});
@@ -167,9 +276,9 @@ ReduceResult reduce(const Netlist& netlist, const ReduceOptions& options) {
     // Topology check (Section 2 / eq. 26) for the pencil-factoring
     // methods: when some node has no DC path to the datum, G is
     // structurally singular — pick the shift up front rather than
-    // failing a factorization first. (Mirrors sympvl_reduce's netlist
-    // overload.) automatic_shift itself throws on degenerate systems
-    // (empty C diagonal), which is an assembly-stage failure too.
+    // failing a factorization first. automatic_shift itself throws on
+    // degenerate systems (empty C diagonal), which is an assembly-stage
+    // failure too.
     if (opt.s0 == 0.0 && opt.auto_shift &&
         !has_dc_path_to_ground(netlist, MnaForm::kAuto))
       opt.s0 = automatic_shift(sys);

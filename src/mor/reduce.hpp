@@ -5,24 +5,71 @@
 //   CMat z = r.value().eval(s);
 //
 // with the method selected by an enum (SyMPVL, sharded SyMPVL, SyPVL,
-// PVL, block Arnoldi) instead of per-driver free functions. The facade
+// PVL, block Arnoldi) instead of per-method free functions. The facade
 // returns a ReduceResult carrying a method-agnostic MacroModel (every
 // model evaluates to a p×p impedance matrix; PVL wraps its scalar as
 // 1×1), the uniform SympvlReport, the port-sharding telemetry when that
 // path ran, an explicit ReductionStatus and structured diagnostics.
 //
-// The per-method run_* drivers of mor/driver.hpp remain as the
-// underlying primitives; new code should call reduce().
+// reduce() calls the throwing per-method algorithm functions
+// (sympvl_reduce, sypvl_reduce, pvl_reduce_entry, arnoldi_reduce and the
+// internal sharded path of mor/port_shard_stitch.hpp) and turns their
+// reports and errors into that one result type.
 #pragma once
 
+#include <string>
 #include <variant>
+#include <vector>
 
 #include "circuit/mna.hpp"
 #include "circuit/netlist.hpp"
-#include "mor/driver.hpp"
+#include "mor/arnoldi.hpp"
 #include "mor/port_shard.hpp"
+#include "mor/pvl.hpp"
+#include "mor/reduced_model.hpp"
+#include "mor/sympvl.hpp"
+#include "mor/sypvl.hpp"
 
 namespace sympvl {
+
+/// Overall outcome of a reduction run.
+enum class ReductionStatus {
+  kOk,         ///< requested order reached (or Krylov space exhausted —
+               ///< the model is then exact, not degraded)
+  kTruncated,  ///< serious breakdown: model valid but stopped at the last
+               ///< healthy order below the request
+  kFailed,     ///< no usable model; see diagnostics
+};
+
+inline const char* reduction_status_name(ReductionStatus s) {
+  switch (s) {
+    case ReductionStatus::kOk: return "ok";
+    case ReductionStatus::kTruncated: return "truncated";
+    case ReductionStatus::kFailed: return "failed";
+  }
+  return "unknown";
+}
+
+/// One structured diagnostic: a flattened Error / recovery-trail entry.
+struct ReductionIssue {
+  ErrorCode code = ErrorCode::kUnknown;
+  std::string stage;    ///< dot-separated site, e.g. "sympvl.factor"
+  std::string message;
+  Index index = -1;     ///< pivot / iteration / point index when known
+  double value = 0.0;   ///< offending magnitude when known
+  double condition = 0.0;
+
+  static ReductionIssue from_error(const Error& ex) {
+    ReductionIssue issue;
+    issue.code = ex.code();
+    issue.stage = ex.context().stage;
+    issue.message = ex.what();
+    issue.index = ex.context().index;
+    issue.value = ex.context().value;
+    issue.condition = ex.context().condition;
+    return issue;
+  }
+};
 
 /// Which reduction algorithm reduce() dispatches to.
 enum class ReduceMethod {
@@ -87,6 +134,9 @@ class MacroModel {
 };
 
 /// Uniform result of reduce(): dispatch on status, evaluate via model.
+/// Methods without a native report (PVL, Arnoldi) fill the report fields
+/// they can (s0_used, achieved_order, exhausted, breakdown/
+/// lanczos_diagnosis) and leave the rest defaulted.
 struct ReduceResult {
   MacroModel model;
   SympvlReport report;
@@ -108,12 +158,13 @@ struct ReduceResult {
 /// first offending field. Shared by every entry into a reduction — the
 /// reduce() facade calls it up front, and the serving daemon calls it to
 /// reject a bad request with a machine-readable error response instead
-/// of dying inside a driver.
+/// of dying inside an algorithm.
 void validate(const ReduceOptions& options);
 
 /// Reduces an assembled MNA system with the selected method. Never
-/// throws for reduction failures — inspect status/diagnostics (invalid
-/// arguments still throw, matching the run_* drivers).
+/// throws for reduction failures — inspect status/diagnostics. Invalid
+/// options still throw (validate() above), as does kShardedSympvl on a
+/// system without ports.
 ReduceResult reduce(const MnaSystem& sys, const ReduceOptions& options);
 
 /// Convenience: assembles the netlist (kAuto form) first; assembly

@@ -6,8 +6,6 @@
 
 #include "linalg/dense_factor.hpp"
 #include "linalg/eig.hpp"
-#include "obs/obs.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace sympvl {
 
@@ -167,22 +165,6 @@ CMat ReducedModel::eval(Complex s) const {
   for (Index a = 0; a < p; ++a)
     for (Index b = 0; b < p; ++b) z(a, b) *= pref;
   return z;
-}
-
-SweepResult ReducedModel::sweep(const Vec& frequencies_hz) const {
-  const Index count = static_cast<Index>(frequencies_hz.size());
-  obs::ScopedTimer span("model.sweep");
-  span.arg("points", count);
-  span.arg("order", order());
-  span.arg("threads", num_threads());
-  const Index p = port_count();
-  SweepResult res = detail::run_contained_sweep(
-      frequencies_hz, p, p, [&](Index k) {
-        return eval(Complex(
-            0.0, 2.0 * M_PI * frequencies_hz[static_cast<size_t>(k)]));
-      });
-  span.arg("failed_points", res.failed_count());
-  return res;
 }
 
 CVec ReducedModel::poles() const {

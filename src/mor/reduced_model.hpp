@@ -9,7 +9,6 @@
 
 #include "circuit/mna.hpp"
 #include "mor/lanczos.hpp"
-#include "sim/sweep.hpp"
 #include "sim/transient.hpp"
 
 namespace sympvl {
@@ -46,16 +45,6 @@ class ReducedModel {
 
   /// Evaluates the physical Zₙ(s) at a complex frequency point.
   CMat eval(Complex s) const;
-
-  /// Sweep along the jω axis (one p×p matrix per frequency in Hz), with
-  /// the same per-point fault containment as AcSweepEngine::sweep: a
-  /// failed evaluation yields a NaN matrix plus a structured error record
-  /// while the remaining points complete unaffected.
-  /// \deprecated Prefer the unified sympvl::sweep(model, grid, options)
-  /// of sim/sweep_api.hpp; this member spelling is kept for
-  /// compatibility.
-  [[deprecated("use sympvl::sweep(model, grid, options) from sim/sweep_api.hpp")]]
-  SweepResult sweep(const Vec& frequencies_hz) const;
 
   /// Poles of Zₙ in the physical s-plane. In the pencil variable the poles
   /// are σ = s₀ − 1/λ(Tₙ) (Section 5); the LC form maps back through

@@ -6,7 +6,6 @@
 #include <memory>
 #include <utility>
 
-#include "circuit/topology.hpp"
 #include "mor/pencil.hpp"
 #include "obs/memstat.hpp"
 #include "obs/obs.hpp"
@@ -272,26 +271,13 @@ Mat SympvlSession::take_krylov_basis() { return impl_->lanczos->take_basis(); }
 
 const SympvlReport& SympvlSession::report() const { return impl_->report; }
 
-// ---- One-shot drivers ------------------------------------------------------
+// ---- One-shot reduction ---------------------------------------------------
 
 ReducedModel sympvl_reduce(const MnaSystem& sys, const SympvlOptions& options,
                            SympvlReport* report) {
   SympvlSession session(sys, options);
   if (report != nullptr) *report = session.report();
   return session.current();
-}
-
-ReducedModel sympvl_reduce(const Netlist& netlist, const SympvlOptions& options,
-                           SympvlReport* report) {
-  const MnaSystem sys = build_mna(netlist, MnaForm::kAuto);
-  SympvlOptions opt = options;
-  // Topology check (Section 2 / eq. 26): when some node has no DC path to
-  // the datum, G is structurally singular — pick the shift up front rather
-  // than failing a factorization first.
-  if (opt.s0 == 0.0 && opt.auto_shift &&
-      !has_dc_path_to_ground(netlist, MnaForm::kAuto))
-    opt.s0 = automatic_shift(sys);
-  return sympvl_reduce(sys, opt, report);
 }
 
 }  // namespace sympvl

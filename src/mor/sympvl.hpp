@@ -169,11 +169,6 @@ class SympvlSession {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Convenience: assembles `netlist` (kAuto form — the most specific of
-/// RC/RL/LC per Section 2.2, else general RLC) and reduces it.
-ReducedModel sympvl_reduce(const Netlist& netlist, const SympvlOptions& options,
-                           SympvlReport* report = nullptr);
-
 /// Picks the automatic shift used when G is singular: the ratio of the
 /// diagonal scales of G and C (a frequency inside the band where both
 /// terms of the pencil matter).

@@ -101,9 +101,13 @@ struct Global {
   std::atomic<std::int64_t> dropped{0};
 };
 
+// Leaked intentionally, like the histogram registry: a pool worker
+// spawned just before exit can still be registering its buffer (its
+// first act is set_thread_name) while static destructors run, since
+// the pool joins its workers only when its own static is destroyed.
 Global& global() {
-  static Global g;
-  return g;
+  static Global* g = new Global;
+  return *g;
 }
 
 // Captured while the main thread runs this translation unit's static

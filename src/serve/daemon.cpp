@@ -189,15 +189,7 @@ std::string Daemon::handle_sweep(const Request& request) {
   const SweepBatcher::Outcome outcome =
       batcher_.run(entry, request.frequencies_hz);
   const SweepResult& sw = outcome.sweep;
-  if (request.strict && !sw.all_ok()) {
-    const SweepPointError& first = sw.errors.front();
-    throw Error(ErrorCode::kSweepPointFailed,
-                std::to_string(sw.errors.size()) + " of " +
-                    std::to_string(sw.size()) +
-                    " sweep points failed; first: " + first.message,
-                {.stage = "sweep", .index = first.index,
-                 .frequency = Complex(first.frequency_hz, 0.0)});
-  }
+  if (request.strict && !sw.all_ok()) throw sweep_failure(sw);
 
   std::ostringstream out;
   out << "{\"rom\":" << obs::json_string(entry->key_hex)

@@ -158,7 +158,7 @@ Vec parse_grid(const Request& req, const JsonValue& root) {
     }
   }
   // Library-level grid validation (finite, >= 0) with coded errors.
-  validate(SweepOptions{}, out);
+  validate(out);
   (void)req;
   return out;
 }

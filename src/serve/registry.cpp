@@ -42,8 +42,8 @@ RomKey rom_key(const std::string& netlist_text, const ReduceOptions& opt) {
   key.netlist = fnv1a_str(netlist_text);
   // Canonical options encoding: every field that changes the produced
   // model, in a fixed order. Fields that only change HOW it is computed
-  // but not the result (verbosity, cache pointer/behavior) stay out, so
-  // equivalent requests share an entry.
+  // but not the result (the factor-cache pointer and behavior) stay out,
+  // so equivalent requests share an entry.
   std::uint64_t h = kFnvOffset;
   h = fnv1a_index(static_cast<Index>(opt.method), h);
   h = fnv1a_index(opt.order, h);

@@ -8,8 +8,6 @@
 #include "linalg/sparse_ldlt.hpp"
 #include "linalg/sparse_lu.hpp"
 #include "obs/obs.hpp"
-#include "parallel/thread_pool.hpp"
-#include "sim/sweep_api.hpp"
 
 namespace sympvl {
 
@@ -95,13 +93,6 @@ CMat ac_z_matrix(const MnaSystem& sys, Complex s) {
   CMat z = matmul_transA(sys.B, x);
   z *= sys.prefactor(s);
   return z;
-}
-
-std::vector<CMat> ac_sweep(const MnaSystem& sys, const Vec& frequencies_hz) {
-  // The engine amortizes ordering + symbolic analysis over the sweep; the
-  // all-or-nothing contract converts any contained point failure into a
-  // structured kSweepPointFailed.
-  return sympvl::sweep(AcSweepEngine(sys), frequencies_hz).values_or_throw();
 }
 
 Complex voltage_transfer(const CMat& z, Index drive, Index out) {
@@ -201,7 +192,7 @@ CMat AcSweepEngine::z_at(Complex s) const {
   const MnaSystem& sys = impl_->sys;
   // Numeric-only LDLᵀ with the shared symbolic; pivoted LU as fallback.
   // Everything mutable (pencil values, factor, solution block) is local to
-  // this call, which is what makes the sweep below thread-safe: each
+  // this call, which is what makes a parallel sweep thread-safe: each
   // thread refactorizes its own frequency points against the shared
   // read-only symbolic analysis. The factorization itself is acquired
   // through the cache — revisited points (and purely real points already
@@ -219,26 +210,7 @@ CMat AcSweepEngine::z_at(Complex s) const {
   return z;
 }
 
-SweepResult AcSweepEngine::sweep(const Vec& frequencies_hz) const {
-  const Index count = static_cast<Index>(frequencies_hz.size());
-  obs::ScopedTimer span("ac.sweep");
-  span.arg("points", count);
-  span.arg("threads", num_threads());
-  span.arg("mna_size", impl_->sys.size());
-  // Frequency points are independent; a static partition keeps the result
-  // bit-identical to the serial sweep (each point is computed by exactly
-  // the same sequence of operations regardless of thread count), and the
-  // containment harness turns per-point failures into NaN + error records
-  // without disturbing the healthy points.
-  const Index p = impl_->sys.port_count();
-  SweepResult res = detail::run_contained_sweep(
-      frequencies_hz, p, p, [&](Index k) {
-        return z_at(Complex(
-            0.0, 2.0 * M_PI * frequencies_hz[static_cast<size_t>(k)]));
-      });
-  span.arg("failed_points", res.failed_count());
-  return res;
-}
+const MnaSystem& AcSweepEngine::system() const { return impl_->sys; }
 
 Vec linear_frequency_grid(double f_min, double f_max, Index count) {
   require(f_max > f_min && count >= 2, "linear_frequency_grid: invalid range");

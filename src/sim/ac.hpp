@@ -7,11 +7,9 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "circuit/mna.hpp"
 #include "linalg/dense.hpp"
-#include "sim/sweep.hpp"
 
 namespace sympvl {
 
@@ -20,12 +18,6 @@ class FactorCache;
 /// Exact physical Z(s) = s^prefactor · Bᵀ (G + f(s)C)⁻¹ B at one complex
 /// frequency point.
 CMat ac_z_matrix(const MnaSystem& sys, Complex s);
-
-/// Exact sweep over `frequencies_hz` along the jω axis (s = j·2πf).
-/// Returns one p×p matrix per frequency. All-or-nothing contract: throws
-/// Error(kSweepPointFailed) when any point fails; use
-/// AcSweepEngine::sweep for the per-point-contained SweepResult form.
-std::vector<CMat> ac_sweep(const MnaSystem& sys, const Vec& frequencies_hz);
 
 /// Voltage-to-voltage transfer H(s) = V_out / V_in when port `drive` is
 /// driven by a current source and every other port is left open:
@@ -39,7 +31,8 @@ Vec log_frequency_grid(double f_min, double f_max, Index count);
 /// Linearly spaced frequency grid.
 Vec linear_frequency_grid(double f_min, double f_max, Index count);
 
-/// Repeated-factorization AC engine. The union sparsity pattern of
+/// Repeated-factorization AC engine, swept with sympvl::sweep(engine, …)
+/// of sim/sweep_api.hpp. The union sparsity pattern of
 /// G + f(s)C and the LDLᵀ symbolic analysis (ordering, elimination tree,
 /// fill pattern) are computed ONCE; each frequency point then costs only a
 /// numeric refactorization — the standard way production circuit
@@ -61,19 +54,12 @@ class AcSweepEngine {
   AcSweepEngine(const AcSweepEngine&) = delete;
   AcSweepEngine& operator=(const AcSweepEngine&) = delete;
 
-  /// Physical Z(s) at one complex frequency point.
+  /// Physical Z(s) at one complex frequency point. Thread-safe: every
+  /// mutable buffer is local to the call.
   CMat z_at(Complex s) const;
 
-  /// Sweep along the jω axis with the symbolic analysis amortized and
-  /// per-point fault containment: a frequency point whose pencil cannot
-  /// be factored (or that hits an injected fault) yields a NaN matrix and
-  /// a structured error record while every other point completes
-  /// unaffected — and bit-identical to an all-healthy sweep.
-  /// \deprecated Prefer the unified sympvl::sweep(engine, grid, options)
-  /// of sim/sweep_api.hpp; this member spelling is kept for
-  /// compatibility.
-  [[deprecated("use sympvl::sweep(engine, grid, options) from sim/sweep_api.hpp")]]
-  SweepResult sweep(const Vec& frequencies_hz) const;
+  /// The engine's own copy of the swept system.
+  const MnaSystem& system() const;
 
  private:
   struct Impl;

@@ -15,12 +15,11 @@
 
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
-#include "fault.hpp"
 #include "linalg/dense.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace sympvl {
 
@@ -58,83 +57,22 @@ struct SweepResult {
   bool ok(size_t k) const { return point_status[k] == PointStatus::kOk; }
   bool all_ok() const { return errors.empty(); }
   Index failed_count() const { return static_cast<Index>(errors.size()); }
-
-  /// Returns the matrices, throwing Error(kSweepPointFailed) carrying the
-  /// first failed point when the sweep was not fully healthy — the bridge
-  /// for callers that need the old all-or-nothing contract.
-  std::vector<CMat> values_or_throw() && {
-    if (!errors.empty()) {
-      const SweepPointError& first = errors.front();
-      ErrorContext ctx;
-      ctx.stage = "sweep";
-      ctx.index = first.index;
-      ctx.frequency = Complex(first.frequency_hz, 0.0);
-      throw Error(ErrorCode::kSweepPointFailed,
-                  std::to_string(errors.size()) + " of " +
-                      std::to_string(values.size()) +
-                      " sweep points failed; first: " + first.message,
-                  std::move(ctx));
-    }
-    return std::move(values);
-  }
 };
 
-namespace detail {
-
-/// Shared containment harness for frequency sweeps: runs `compute(k)` for
-/// every grid point through parallel_for. A point that throws becomes a
-/// NaN matrix plus a structured error record; a whole-chunk failure
-/// (including an injected "parallel.chunk" fault) marks only the points
-/// that chunk never reached. Healthy points are computed by exactly the
-/// same operation sequence as an all-healthy sweep, so they stay
-/// bit-identical whether or not neighbors fail.
-template <typename Compute>
-SweepResult run_contained_sweep(const Vec& frequencies_hz, Index rows,
-                                Index cols, Compute&& compute) {
-  const Index count = static_cast<Index>(frequencies_hz.size());
-  SweepResult res;
-  res.frequencies = frequencies_hz;
-  res.values.assign(static_cast<size_t>(count), CMat());
-  res.point_status.assign(static_cast<size_t>(count), PointStatus::kFailed);
-  std::vector<ErrorCode> codes(static_cast<size_t>(count), ErrorCode::kUnknown);
-  std::vector<std::string> messages(static_cast<size_t>(count));
-  std::vector<char> done(static_cast<size_t>(count), 0);
-  // Per-point slots only — no shared mutable state, so recording a
-  // failure is race-free under the static partition.
-  auto record = [&](Index k, ErrorCode code, const std::string& message) {
-    codes[static_cast<size_t>(k)] = code;
-    messages[static_cast<size_t>(k)] = message;
-    res.values[static_cast<size_t>(k)] = nan_matrix(rows, cols);
-    done[static_cast<size_t>(k)] = 1;
-  };
-  try {
-    parallel_for(Index(0), count, [&](Index k) {
-      try {
-        fault::check("sweep.point", k);
-        res.values[static_cast<size_t>(k)] = compute(k);
-        res.point_status[static_cast<size_t>(k)] = PointStatus::kOk;
-        done[static_cast<size_t>(k)] = 1;
-      } catch (const Error& err) {
-        record(k, err.code(), err.what());
-      } catch (const std::exception& ex) {
-        record(k, ErrorCode::kUnknown, ex.what());
-      }
-    });
-  } catch (const Error& err) {
-    // A chunk died outside the per-point guard; only the points it never
-    // reached are still pending — flag those with the chunk's error.
-    for (Index k = 0; k < count; ++k)
-      if (!done[static_cast<size_t>(k)]) record(k, err.code(), err.what());
-  }
-  for (Index k = 0; k < count; ++k) {
-    if (res.point_status[static_cast<size_t>(k)] == PointStatus::kOk) continue;
-    res.errors.push_back({k, frequencies_hz[static_cast<size_t>(k)],
-                          codes[static_cast<size_t>(k)],
-                          messages[static_cast<size_t>(k)]});
-  }
-  return res;
+/// The Error(kSweepPointFailed) a strict sweep raises: "N of M sweep points
+/// failed; first: …", with the first failed point's index and frequency
+/// as context. Requires !res.all_ok().
+inline Error sweep_failure(const SweepResult& res) {
+  const SweepPointError& first = res.errors.front();
+  ErrorContext ctx;
+  ctx.stage = "sweep";
+  ctx.index = first.index;
+  ctx.frequency = Complex(first.frequency_hz, 0.0);
+  return Error(ErrorCode::kSweepPointFailed,
+               std::to_string(res.errors.size()) + " of " +
+                   std::to_string(res.values.size()) +
+                   " sweep points failed; first: " + first.message,
+               std::move(ctx));
 }
-
-}  // namespace detail
 
 }  // namespace sympvl

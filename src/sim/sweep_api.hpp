@@ -1,17 +1,10 @@
-// The unified frequency-sweep entry point.
-//
-// Historically each sweepable object spelled its own sweep:
-// AcSweepEngine::sweep and ReducedModel::sweep returned the contained
-// SweepResult while ModalModel::sweep returned a bare std::vector<CMat>
-// with no per-point containment. sympvl::sweep(target, grid, options)
-// is the single spelling over all of them — same argument order, same
-// SweepResult return (ModalModel evaluation gains the containment
-// harness on the way), plus an MnaSystem overload that stands up an
-// exact AcSweepEngine for one-shot sweeps.
-//
-// The member spellings remain for compatibility but are deprecated in
-// favor of these free functions; new code should not grow more
-// per-class sweep members.
+// The frequency-sweep entry point: sympvl::sweep(target, grid, options)
+// over every sweepable object — the exact AcSweepEngine (or an MnaSystem,
+// which stands one up), SyMPVL's ReducedModel, the pole/residue
+// ModalModel, congruence ArnoldiModels, and the facade's MacroModel. All
+// overloads take the same arguments and return the same SweepResult with
+// per-point fault containment: a failed point yields a NaN matrix and a
+// structured error record while the others complete unaffected.
 #pragma once
 
 #include "circuit/mna.hpp"
@@ -29,36 +22,32 @@ struct SweepOptions {
   /// instead of returning a partially-healthy SweepResult (the old
   /// all-or-nothing contract).
   bool throw_on_failure = false;
-  /// Factorization cache for targets that factor pencils per point
-  /// (the MnaSystem overload; nullptr = the process-global cache).
-  FactorCache* factor_cache = nullptr;
 };
 
-/// Validates a sweep request with coded errors: throws
-/// Error(ErrorCode::kInvalidArgument, stage "sweep.validate") when the
-/// grid is empty or carries a non-finite/negative frequency. Shared by
-/// every sweep() overload below and by the serving daemon, which maps
-/// the coded error onto a machine-readable response instead of dying.
-void validate(const SweepOptions& options, const Vec& frequencies_hz);
+/// Validates a sweep grid with coded errors: throws
+/// Error(ErrorCode::kInvalidArgument, stage "sweep.validate") when a
+/// frequency is non-finite or negative. Shared by every sweep() overload
+/// below and by the serving daemon, which maps the coded error onto a
+/// machine-readable response instead of dying.
+void validate(const Vec& frequencies_hz);
 
 /// Exact AC sweep through an existing engine (symbolic analysis already
-/// amortized across calls).
+/// amortized across calls), traced as one "ac.sweep" span.
 SweepResult sweep(const AcSweepEngine& engine, const Vec& frequencies_hz,
                   const SweepOptions& options = {});
 
-/// Reduced-model sweep: evaluates Zₙ(j·2πf) per grid point.
+/// Reduced-model sweep: evaluates Zₙ(j·2πf) per grid point, traced as
+/// one "model.sweep" span.
 SweepResult sweep(const ReducedModel& model, const Vec& frequencies_hz,
                   const SweepOptions& options = {});
 
-/// Modal (pole/residue) sweep. Unlike the deprecated
-/// ModalModel::sweep, failed evaluations are contained per point like
-/// every other target.
+/// Modal (pole/residue) sweep.
 SweepResult sweep(const ModalModel& model, const Vec& frequencies_hz,
                   const SweepOptions& options = {});
 
-/// One-shot exact sweep: builds an AcSweepEngine over `sys` (honoring
-/// options.factor_cache) and sweeps. Amortize the engine yourself when
-/// sweeping the same system repeatedly.
+/// One-shot exact sweep: builds an AcSweepEngine over `sys` and sweeps.
+/// Amortize the engine yourself when sweeping the same system repeatedly
+/// (its constructor also takes a FactorCache).
 SweepResult sweep(const MnaSystem& sys, const Vec& frequencies_hz,
                   const SweepOptions& options = {});
 

@@ -3,13 +3,15 @@
 //   #include "sympvl.hpp"
 //
 // re-exports the library's stable surface: netlist parsing and MNA
-// assembly, the reduction drivers (SyMPVL/SyPVL/PVL/Arnoldi/AWE and the
-// multipoint session), reduced-model evaluation/post-processing/
-// synthesis, the simulation engines (AC, transient, sensitivity), the
-// circuit generators of the paper's Section 7 examples, and the I/O
-// helpers (CSV, Touchstone). Programs against this header — like
-// everything under examples/ — only break when one of these types
-// changes deliberately.
+// assembly, the reduction entry point sympvl::reduce() (SyMPVL, sharded
+// SyMPVL, SyPVL, PVL, block Arnoldi) with the per-method algorithm
+// functions underneath it, AWE and the multipoint session, reduced-model
+// evaluation/post-processing/synthesis, the frequency-sweep entry point
+// sympvl::sweep() over every sweepable object, the simulation engines
+// (AC, transient, sensitivity), the circuit generators of the paper's
+// Section 7 examples, and the I/O helpers (CSV, Touchstone). Programs
+// against this header — like everything under examples/ — only break
+// when one of these types changes deliberately.
 //
 // Module headers ("mor/sympvl.hpp", "sim/ac.hpp", …) remain includable
 // on their own for finer-grained builds; headers NOT reachable from
@@ -28,14 +30,13 @@
 #include "circuit/parser.hpp"
 #include "circuit/topology.hpp"
 
-// Reduction: the public facade (sympvl::reduce — the one entry point new
-// code should call), the per-method drivers underneath it, the
-// many-terminal port-sharding layer, and the shared option/report
-// surface.
+// Reduction: the public facade (sympvl::reduce — the one entry point),
+// the per-method algorithm functions it calls (kept public as reference
+// implementations), the many-terminal port-sharding layer, and the
+// shared option/report surface.
 #include "mor/arnoldi.hpp"
 #include "mor/awe.hpp"
 #include "mor/balanced.hpp"
-#include "mor/driver.hpp"
 #include "mor/moments.hpp"
 #include "mor/multipoint.hpp"
 #include "mor/options.hpp"
@@ -54,8 +55,8 @@
 #include "mor/synthesis.hpp"
 #include "mor/vectorfit.hpp"
 
-// Simulation: exact AC sweeps, transient, adjoint sensitivity, and the
-// unified sweep entry point.
+// Simulation: the exact AC engine, transient, adjoint sensitivity, and
+// the sweep entry point.
 #include "sim/ac.hpp"
 #include "sim/sensitivity.hpp"
 #include "sim/sweep_api.hpp"

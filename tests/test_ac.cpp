@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/sweep_api.hpp"
+
 namespace sympvl {
 namespace {
 
@@ -88,7 +90,7 @@ TEST(Ac, SweepShapes) {
   nl.add_port(1, 0);
   const MnaSystem sys = build_mna(nl);
   const Vec freqs = log_frequency_grid(1e6, 1e10, 13);
-  const auto zs = ac_sweep(sys, freqs);
+  const auto zs = sweep(sys, freqs, {.throw_on_failure = true});
   ASSERT_EQ(zs.size(), 13u);
   // Low-pass: magnitude decreases monotonically.
   for (size_t k = 1; k < zs.size(); ++k)

@@ -6,6 +6,7 @@
 #include "mor/moments.hpp"
 #include "mor/sympvl.hpp"
 #include "sim/ac.hpp"
+#include "sim/sweep_api.hpp"
 
 namespace sympvl {
 namespace {
@@ -113,7 +114,7 @@ TEST(Arnoldi, ConvergesWithOrder) {
   const Netlist nl = random_rc({.nodes = 50, .ports = 2, .seed = 5});
   const MnaSystem sys = build_mna(nl);
   const Vec freqs = log_frequency_grid(1e6, 1e10, 10);
-  const auto exact = ac_sweep(sys, freqs);
+  const auto exact = sweep(sys, freqs, {.throw_on_failure = true});
   double prev = 1e100;
   for (Index order : {4, 8, 16, 32}) {
     ArnoldiOptions opt;

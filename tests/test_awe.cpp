@@ -5,6 +5,7 @@
 #include "gen/random_circuit.hpp"
 #include "mor/sypvl.hpp"
 #include "sim/ac.hpp"
+#include "sim/sweep_api.hpp"
 
 namespace sympvl {
 namespace {
@@ -58,7 +59,7 @@ TEST(Awe, InstabilityAtHighOrder) {
   const Netlist nl = random_rc({.nodes = 120, .ports = 1, .seed = 4});
   const MnaSystem sys = build_mna(nl);
   const Vec freqs = log_frequency_grid(1e6, 1e10, 12);
-  const auto exact = ac_sweep(sys, freqs);
+  const auto exact = sweep(sys, freqs, {.throw_on_failure = true});
 
   auto model_error = [&](Index order) -> double {
     AweModel awe = awe_reduce(sys, order);

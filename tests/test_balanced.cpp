@@ -5,6 +5,7 @@
 #include "gen/random_circuit.hpp"
 #include "mor/sympvl.hpp"
 #include "sim/ac.hpp"
+#include "sim/sweep_api.hpp"
 
 namespace sympvl {
 namespace {
@@ -57,7 +58,7 @@ TEST(Balanced, HInfinityBoundHolds) {
   const Netlist nl = random_rc({.nodes = 30, .ports = 2, .seed = 3});
   const MnaSystem sys = build_mna(nl);
   const Vec freqs = log_frequency_grid(1e4, 1e12, 40);
-  const auto exact = ac_sweep(sys, freqs);
+  const auto exact = sweep(sys, freqs, {.throw_on_failure = true}).values;
   for (Index order : {2, 4, 8, 16}) {
     BalancedOptions opt;
     opt.order = order;
@@ -85,7 +86,7 @@ TEST(Balanced, NearOptimalVsKrylovOnTruncatedTail) {
   const Netlist nl = random_rc({.nodes = 40, .ports = 1, .seed = 5});
   const MnaSystem sys = build_mna(nl);
   const Vec freqs = log_frequency_grid(1e4, 1e12, 30);
-  const auto exact = ac_sweep(sys, freqs);
+  const auto exact = sweep(sys, freqs, {.throw_on_failure = true}).values;
   const Index order = 6;
   BalancedOptions bopt;
   bopt.order = order;

@@ -5,10 +5,6 @@
 //
 // Built as its own binary (sympvl_fault_tests) so the armed fault state
 // can never leak into the main suite; each TEST disarms on exit.
-// This suite deliberately drives the deprecated run_pvl / member
-// sweep() spellings alongside the facade: fault containment must hold
-// on both surfaces.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 #include <gtest/gtest.h>
 
@@ -21,8 +17,7 @@
 #include "linalg/factor_chain.hpp"
 #include "linalg/simd.hpp"
 #include "linalg/sparse_ldlt.hpp"
-#include "mor/driver.hpp"
-#include "mor/port_shard.hpp"
+#include "mor/reduce.hpp"
 #include "mor/sympvl.hpp"
 #include "obs/json.hpp"
 #include "serve/daemon.hpp"
@@ -284,11 +279,14 @@ TEST_F(FaultTest, SypvlBreakdownTruncatesAtLastHealthyOrder) {
 TEST_F(FaultTest, PvlBreakdownTruncatesAndDriverReportsIt) {
   const Netlist nl = random_rc({.nodes = 20, .ports = 2, .seed = 13});
   const MnaSystem sys = build_mna(nl);
-  PvlOptions opt;
+  ReduceOptions opt;
+  opt.method = ReduceMethod::kPvl;
   opt.order = 6;
+  opt.pvl_row = 0;
+  opt.pvl_col = 1;
 
   fault::arm("pvl.delta@3");
-  const auto res = run_pvl(sys, 0, 1, opt);
+  const ReduceResult res = reduce(sys, opt);
   fault::disarm();
 
   ASSERT_TRUE(res.ok());
@@ -298,7 +296,7 @@ TEST_F(FaultTest, PvlBreakdownTruncatesAndDriverReportsIt) {
   EXPECT_EQ(res.diagnostics.front().code, ErrorCode::kBreakdown);
 
   fault::arm("pvl.delta@0");
-  const auto dead = run_pvl(sys, 0, 1, opt);
+  const ReduceResult dead = reduce(sys, opt);
   EXPECT_EQ(dead.status, ReductionStatus::kFailed);
   ASSERT_FALSE(dead.diagnostics.empty());
   EXPECT_EQ(dead.diagnostics.front().code, ErrorCode::kBreakdown);
@@ -312,11 +310,11 @@ TEST_F(FaultTest, ThreeInjectedSweepPointsOthersBitIdentical) {
   const Vec freqs = log_frequency_grid(1e6, 1e9, 16);
   const AcSweepEngine engine(sys);
 
-  const SweepResult clean = engine.sweep(freqs);
+  const SweepResult clean = sweep(engine, freqs);
   ASSERT_TRUE(clean.all_ok());
 
   fault::arm("sweep.point@2,5,9");
-  const SweepResult faulty = engine.sweep(freqs);
+  const SweepResult faulty = sweep(engine, freqs);
   fault::disarm();
 
   ASSERT_EQ(faulty.size(), 16u);
@@ -345,17 +343,20 @@ TEST_F(FaultTest, ThreeInjectedSweepPointsOthersBitIdentical) {
     }
   }
 
-  // The all-or-nothing bridge surfaces the first failure, typed.
+  // The all-or-nothing contract surfaces the first failure, typed.
   fault::arm("sweep.point@2,5,9");
-  SweepResult again = engine.sweep(freqs);
-  fault::disarm();
   try {
-    std::move(again).values_or_throw();
+    sweep(engine, freqs, {.throw_on_failure = true});
     FAIL() << "expected Error";
   } catch (const Error& ex) {
     EXPECT_EQ(ex.code(), ErrorCode::kSweepPointFailed);
     EXPECT_EQ(ex.context().index, 2);
+    EXPECT_EQ(std::string(ex.what()).rfind(
+                  "3 of 16 sweep points failed; first: ", 0),
+              0u)
+        << ex.what();
   }
+  fault::disarm();
 }
 
 TEST_F(FaultTest, ReducedModelSweepContainsPointFaults) {
@@ -367,16 +368,16 @@ TEST_F(FaultTest, ReducedModelSweepContainsPointFaults) {
   const Vec freqs = log_frequency_grid(1e6, 1e9, 8);
 
   fault::arm("sweep.point@1");
-  const SweepResult sweep = rom.sweep(freqs);
+  const SweepResult swept = sweep(rom, freqs);
   fault::disarm();
 
-  EXPECT_EQ(sweep.failed_count(), 1);
-  ASSERT_EQ(sweep.errors.size(), 1u);
-  EXPECT_EQ(sweep.errors[0].index, 1);
-  EXPECT_EQ(sweep.errors[0].code, ErrorCode::kFaultInjected);
-  EXPECT_FALSE(sweep.all_ok());
-  EXPECT_TRUE(sweep.ok(0));
-  EXPECT_TRUE(std::isnan(sweep[1](0, 0).real()));
+  EXPECT_EQ(swept.failed_count(), 1);
+  ASSERT_EQ(swept.errors.size(), 1u);
+  EXPECT_EQ(swept.errors[0].index, 1);
+  EXPECT_EQ(swept.errors[0].code, ErrorCode::kFaultInjected);
+  EXPECT_FALSE(swept.all_ok());
+  EXPECT_TRUE(swept.ok(0));
+  EXPECT_TRUE(std::isnan(swept[1](0, 0).real()));
 }
 
 TEST_F(FaultTest, ChunkFaultMarksUnreachedPointsStructured) {
@@ -388,19 +389,19 @@ TEST_F(FaultTest, ChunkFaultMarksUnreachedPointsStructured) {
   // Kill chunk rank 0 before it touches any point: every point it owned
   // is flagged with the chunk-level error, none is silently dropped.
   fault::arm("parallel.chunk@0");
-  const SweepResult sweep = engine.sweep(freqs);
+  const SweepResult swept = sweep(engine, freqs);
   fault::disarm();
 
-  EXPECT_EQ(sweep.size(), 8u);
-  EXPECT_GE(sweep.failed_count(), 1);
-  ASSERT_FALSE(sweep.errors.empty());
-  for (const SweepPointError& err : sweep.errors) {
+  EXPECT_EQ(swept.size(), 8u);
+  EXPECT_GE(swept.failed_count(), 1);
+  ASSERT_FALSE(swept.errors.empty());
+  for (const SweepPointError& err : swept.errors) {
     EXPECT_EQ(err.code, ErrorCode::kFaultInjected);
     EXPECT_FALSE(err.message.empty());
   }
-  for (size_t k = 0; k < sweep.size(); ++k) {
-    if (!sweep.ok(k)) {
-      EXPECT_TRUE(std::isnan(sweep[k](0, 0).real()));
+  for (size_t k = 0; k < swept.size(); ++k) {
+    if (!swept.ok(k)) {
+      EXPECT_TRUE(std::isnan(swept[k](0, 0).real()));
     }
   }
 }
@@ -419,12 +420,13 @@ TEST_F(FaultTest, ShardFaultContainedToOneShard) {
   const MnaSystem sys =
       build_mna(make_package_circuit(popt).netlist, MnaForm::kAuto);
 
-  SympvlOptions opt;
+  ReduceOptions opt;
+  opt.method = ReduceMethod::kShardedSympvl;
   opt.order = 48;
   opt.shard.shards = 4;
 
   fault::arm("sympvl.delta@1");
-  const ShardedSympvlResult res = sharded_sympvl_reduce(sys, opt);
+  const ReduceResult res = reduce(sys, opt);
   fault::disarm();
 
   ASSERT_TRUE(res.ok());
@@ -436,11 +438,12 @@ TEST_F(FaultTest, ShardFaultContainedToOneShard) {
 
   // Three of four shards still contribute Krylov content.
   EXPECT_GT(res.shard.stitched_order, 0);
-  EXPECT_EQ(res.port_count(), sys.port_count());
+  ASSERT_NE(res.model.as_arnoldi(), nullptr);
+  EXPECT_EQ(res.model.port_count(), sys.port_count());
 
   // The stitched model evaluates finitely everywhere on a probe grid.
   for (double f : {1e7, 1e8, 1e9}) {
-    const CMat z = res.eval(Complex(0.0, 2.0 * M_PI * f));
+    const CMat z = res.model.eval(Complex(0.0, 2.0 * M_PI * f));
     for (Index i = 0; i < z.rows(); ++i)
       for (Index j = 0; j < z.cols(); ++j)
         EXPECT_TRUE(std::isfinite(z(i, j).real()) &&
@@ -449,7 +452,7 @@ TEST_F(FaultTest, ShardFaultContainedToOneShard) {
   }
 
   // And a clean rerun is unaffected (no fault state leaked).
-  const ShardedSympvlResult clean = sharded_sympvl_reduce(sys, opt);
+  const ReduceResult clean = reduce(sys, opt);
   ASSERT_TRUE(clean.ok());
   EXPECT_EQ(clean.status, ReductionStatus::kOk);
   EXPECT_TRUE(clean.shard.failed_shards.empty());

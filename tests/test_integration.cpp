@@ -11,6 +11,7 @@
 #include "mor/sympvl.hpp"
 #include "mor/synthesis.hpp"
 #include "sim/ac.hpp"
+#include "sim/sweep_api.hpp"
 #include "sim/transient.hpp"
 
 namespace sympvl {
@@ -32,7 +33,7 @@ TEST(Integration, PeecTwoPortReduction) {
   // "order 30 rough, order 36 good".
   const PeecCircuit peec = make_peec_circuit({.grid = 6});
   const Vec freqs = log_frequency_grid(1e8, 2e10, 12);
-  const auto exact = ac_sweep(peec.system, freqs);
+  const auto exact = sweep(peec.system, freqs, {.throw_on_failure = true});
 
   auto sweep_err = [&](Index order, SympvlReport* report) {
     SympvlOptions opt;
@@ -63,7 +64,7 @@ TEST(Integration, PackageVoltageTransferConverges) {
       {.pins = 16, .segments = 4, .signal_pins = 4});
   const MnaSystem sys = build_mna(pkg.netlist, MnaForm::kGeneral);
   const Vec freqs = log_frequency_grid(1e7, 5e9, 10);
-  const auto exact = ac_sweep(sys, freqs);
+  const auto exact = sweep(sys, freqs, {.throw_on_failure = true});
 
   double prev_err = 1e100;
   for (Index order : {16, 32, 48}) {
@@ -142,7 +143,7 @@ TEST(Integration, PackageRlcAccurateButStabilityNotGuaranteed) {
   const ReducedModel rom = sympvl_reduce(sys, opt);
 
   const Vec freqs = log_frequency_grid(1e7, 5e9, 9);
-  const auto exact = ac_sweep(sys, freqs);
+  const auto exact = sweep(sys, freqs, {.throw_on_failure = true});
   double err = 0.0;
   for (size_t k = 0; k < freqs.size(); ++k)
     err = std::max(err, max_rel_err(
@@ -167,9 +168,11 @@ C3 n3 0 1p
 .end
 )";
   const Netlist nl = parse_netlist(text);
-  SympvlOptions opt;
+  ReduceOptions opt;
   opt.order = 4;
-  const ReducedModel rom = sympvl_reduce(nl, opt);
+  const ReduceResult res = reduce(nl, opt);
+  ASSERT_TRUE(res.ok());
+  const ReducedModel& rom = *res.model.as_reduced();
   const MnaSystem sys = build_mna(nl);
   for (double f : {1e7, 1e9}) {
     const Complex s(0.0, 2.0 * M_PI * f);

@@ -6,6 +6,7 @@
 
 #include "gen/random_circuit.hpp"
 #include "sim/ac.hpp"
+#include "sim/sweep_api.hpp"
 
 namespace sympvl {
 namespace {
@@ -64,7 +65,7 @@ TEST(Csv, SweepExport) {
   const Netlist nl = random_rc({.nodes = 15, .ports = 2, .seed = 1});
   const MnaSystem sys = build_mna(nl);
   const Vec freqs = log_frequency_grid(1e7, 1e9, 5);
-  const auto z = ac_sweep(sys, freqs);
+  const auto z = sweep(sys, freqs, {.throw_on_failure = true}).values;
   const CsvTable t =
       sweep_to_csv(freqs, z, {{0, 0, "z11"}, {1, 0, "z21"}});
   EXPECT_EQ(t.row_count(), 5);

@@ -105,7 +105,7 @@ TEST(Multipoint, WidebandBeatsBestSinglePointAtEqualTotalOrder) {
   // Equal total order: the stitched union basis must not exceed the
   // budget the single-point models were given.
   EXPECT_LE(mp.report().stitched_order, total_order);
-  const double multi = sweep_error(mp.sweep(grid), ref);
+  const double multi = sweep_error(sweep(mp.stitched(), grid), ref);
 
   // The stitched wideband model must be at least as accurate as the best
   // single expansion point of equal total order (the issue's acceptance
@@ -159,8 +159,8 @@ TEST(Multipoint, CacheReuseAcrossRefinement) {
 
   // And the stitched models agree exactly (cache hits are bit-identical).
   const Vec grid = log_frequency_grid(opt.f_min, opt.f_max, 9);
-  const SweepResult a = first.sweep(grid);
-  const SweepResult b = second.sweep(grid);
+  const SweepResult a = sweep(first.stitched(), grid);
+  const SweepResult b = sweep(second.stitched(), grid);
   for (size_t k = 0; k < grid.size(); ++k)
     EXPECT_EQ(rel_err(a[k], b[k]), 0.0);
 }

@@ -1,6 +1,6 @@
 // Port-sharding parity suite (ctest label "ShardParity"; also the tsan
 // target for the parallel shard fan-out): shard-count invariance
-// (1 shard delegates bit-identically to the monolithic driver; k shards
+// (1 shard runs the monolithic SyMPVL bit for bit; k shards
 // stitch to the same transfer function at exhaustion orders), partition
 // determinism, thread-count determinism of the sharded path, and the
 // SYMPVL_PORT_SHARDS environment fallback.
@@ -113,19 +113,23 @@ TEST(PortShard, ElectricalPartitionGroupsGridNeighbors) {
 TEST(PortShard, OneShardDelegatesBitIdenticalToMonolithic) {
   const MnaSystem sys = small_package();
   ReduceOptions opt;
+  opt.method = ReduceMethod::kShardedSympvl;
   opt.order = 48;
   opt.shard.shards = 1;
-  const ShardedSympvlResult sharded = sharded_sympvl_reduce(sys, opt);
+  const ReduceResult sharded = reduce(sys, opt);
   ASSERT_TRUE(sharded.ok());
-  EXPECT_TRUE(sharded.used_monolithic);
+  EXPECT_NE(sharded.model.as_reduced(), nullptr);
   EXPECT_EQ(sharded.shard.shards, 1);
   EXPECT_EQ(sharded.shard.clustering, "monolithic");
 
+  opt.method = ReduceMethod::kSympvl;
   const auto mono = reduce(sys, opt);
   ASSERT_TRUE(mono.ok());
+  EXPECT_EQ(sharded.status, mono.status);
+  EXPECT_EQ(sharded.diagnostics.size(), mono.diagnostics.size());
   for (double f : log_grid(1e6, 1e10, 5)) {
     const Complex s(0.0, 2.0 * M_PI * f);
-    const CMat za = sharded.eval(s);
+    const CMat za = sharded.value().eval(s);
     const CMat zb = mono.value().eval(s);
     for (Index i = 0; i < za.rows(); ++i)
       for (Index j = 0; j < za.cols(); ++j)
@@ -143,17 +147,18 @@ TEST(PortShard, KShardStitchMatchesMonolithicOnPackage) {
   const auto mono = reduce(sys, opt);
   ASSERT_TRUE(mono.ok());
 
+  opt.method = ReduceMethod::kShardedSympvl;
   opt.shard.shards = 4;
-  const ShardedSympvlResult sharded = sharded_sympvl_reduce(sys, opt);
+  const ReduceResult sharded = reduce(sys, opt);
   ASSERT_TRUE(sharded.ok());
-  EXPECT_FALSE(sharded.used_monolithic);
+  ASSERT_NE(sharded.model.as_arnoldi(), nullptr);
   EXPECT_EQ(sharded.shard.shards, 4);
-  EXPECT_EQ(sharded.port_count(), sys.port_count());
+  EXPECT_EQ(sharded.model.port_count(), sys.port_count());
 
   const Vec freqs = log_grid(1e6, 1e10, 9);
   const SweepResult exact = sweep(sys, freqs);
   const SweepResult zm = sweep(mono.value(), freqs);
-  const SweepResult zs = sweep(sharded.stitched, freqs);
+  const SweepResult zs = sweep(*sharded.model.as_arnoldi(), freqs);
   for (size_t k = 0; k < freqs.size(); ++k) {
     EXPECT_LT(max_rel_err(zs.values[k], exact.values[k]), 1e-6);
     EXPECT_LT(max_rel_err(zs.values[k], zm.values[k]), 1e-6);
@@ -169,15 +174,16 @@ TEST(PortShard, KShardStitchMatchesMonolithicOnPeec) {
   const auto mono = reduce(sys, opt);
   ASSERT_TRUE(mono.ok());
 
+  opt.method = ReduceMethod::kShardedSympvl;
   opt.shard.shards = 2;  // one port per shard
-  const ShardedSympvlResult sharded = sharded_sympvl_reduce(sys, opt);
+  const ReduceResult sharded = reduce(sys, opt);
   ASSERT_TRUE(sharded.ok());
-  EXPECT_FALSE(sharded.used_monolithic);
+  EXPECT_NE(sharded.model.as_arnoldi(), nullptr);
   EXPECT_EQ(sharded.shard.shard_ports, (std::vector<Index>{1, 1}));
 
   for (double f : log_grid(1e7, 5e9, 9)) {
     const Complex s(0.0, 2.0 * M_PI * f);
-    EXPECT_LT(max_rel_err(sharded.eval(s), mono.value().eval(s)), 1e-6)
+    EXPECT_LT(max_rel_err(sharded.value().eval(s), mono.value().eval(s)), 1e-6)
         << "f = " << f;
   }
 }
@@ -187,15 +193,17 @@ TEST(PortShard, StitchedModelAccurateAtPartialOrder) {
   // grid. The stitched model must track the exact sweep.
   const PowerGridOptions gopt{.ports = 64};
   const MnaSystem sys = build_mna(make_power_grid(gopt).netlist, MnaForm::kAuto);
-  SympvlOptions opt;
+  ReduceOptions opt;
+  opt.method = ReduceMethod::kShardedSympvl;
   opt.order = 64;
   opt.shard.shards = 4;
-  const ShardedSympvlResult sharded = sharded_sympvl_reduce(sys, opt);
+  const ReduceResult sharded = reduce(sys, opt);
   ASSERT_TRUE(sharded.ok());
+  ASSERT_NE(sharded.model.as_arnoldi(), nullptr);
 
   const Vec freqs = log_grid(1e6, 1e9, 7);
   const SweepResult exact = sweep(sys, freqs);
-  const SweepResult zs = sweep(sharded.stitched, freqs);
+  const SweepResult zs = sweep(*sharded.model.as_arnoldi(), freqs);
   for (size_t k = 0; k < freqs.size(); ++k)
     EXPECT_LT(max_rel_err(zs.values[k], exact.values[k]), 1e-3)
         << "f = " << freqs[k];
@@ -203,15 +211,16 @@ TEST(PortShard, StitchedModelAccurateAtPartialOrder) {
 
 TEST(PortShard, ShardedRunsAreThreadCountInvariant) {
   const MnaSystem sys = small_package();
-  SympvlOptions opt;
+  ReduceOptions opt;
+  opt.method = ReduceMethod::kShardedSympvl;
   opt.order = 48;
   opt.shard.shards = 4;
 
   const Index saved = num_threads();
   set_num_threads(1);
-  const ShardedSympvlResult serial = sharded_sympvl_reduce(sys, opt);
+  const ReduceResult serial = reduce(sys, opt);
   set_num_threads(4);
-  const ShardedSympvlResult parallel = sharded_sympvl_reduce(sys, opt);
+  const ReduceResult parallel = reduce(sys, opt);
   set_num_threads(saved);
 
   ASSERT_TRUE(serial.ok());
@@ -219,8 +228,8 @@ TEST(PortShard, ShardedRunsAreThreadCountInvariant) {
   EXPECT_EQ(serial.shard.shard_orders, parallel.shard.shard_orders);
   for (double f : log_grid(1e6, 1e10, 5)) {
     const Complex s(0.0, 2.0 * M_PI * f);
-    const CMat za = serial.eval(s);
-    const CMat zb = parallel.eval(s);
+    const CMat za = serial.value().eval(s);
+    const CMat zb = parallel.value().eval(s);
     for (Index i = 0; i < za.rows(); ++i)
       for (Index j = 0; j < za.cols(); ++j)
         EXPECT_EQ(za(i, j), zb(i, j));  // bit-identical across thread counts
@@ -243,10 +252,11 @@ TEST(PortShard, EnvShardCountDrivesFacade) {
 TEST(PortShard, SharedFactorizationServesAllShards) {
   const PowerGridOptions gopt{.ports = 64};
   const MnaSystem sys = build_mna(make_power_grid(gopt).netlist, MnaForm::kAuto);
-  SympvlOptions opt;
+  ReduceOptions opt;
+  opt.method = ReduceMethod::kShardedSympvl;
   opt.order = 64;
   opt.shard.shards = 4;
-  const ShardedSympvlResult sharded = sharded_sympvl_reduce(sys, opt);
+  const ReduceResult sharded = reduce(sys, opt);
   ASSERT_TRUE(sharded.ok());
   // Priming may hit or miss depending on cache history, but every shard
   // session must reuse the primed factor: at most one miss in total.

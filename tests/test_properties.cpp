@@ -14,6 +14,7 @@
 #include "mor/sympvl.hpp"
 #include "mor/synthesis.hpp"
 #include "sim/ac.hpp"
+#include "sim/sweep_api.hpp"
 
 namespace sympvl {
 namespace {
@@ -256,7 +257,7 @@ TEST_P(ConvergenceSweep, HigherOrderNeverMuchWorse) {
   const Netlist nl = make_circuit(kind, 30, 2, 999);
   const MnaSystem sys = build_mna(nl);
   const Vec freqs = log_frequency_grid(1e6, 1e10, 7);
-  const auto exact = ac_sweep(sys, freqs);
+  const auto exact = sweep(sys, freqs, {.throw_on_failure = true});
   double prev = 1e300;
   for (Index order : {4, 8, 16}) {
     SympvlOptions opt;

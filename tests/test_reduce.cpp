@@ -1,11 +1,7 @@
-// The public reduce() facade: method dispatch agrees with the underlying
-// run_* drivers, the MacroModel variant evaluates uniformly, failures
-// surface as status + diagnostics, and the unified sweep accepts the
-// facade's models.
-// This suite deliberately compares reduce() against the deprecated
-// run_* drivers it dispatches to.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
+// The public reduce() facade: method dispatch agrees bit for bit with the
+// per-method algorithm functions it calls, the MacroModel variant
+// evaluates uniformly, failures surface as status + diagnostics, and the
+// unified sweep accepts the facade's models.
 #include "mor/reduce.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +9,8 @@
 #include <cmath>
 
 #include "gen/package.hpp"
-#include "mor/driver.hpp"
+#include "mor/balanced.hpp"
+#include "mor/rational.hpp"
 #include "sim/sweep_api.hpp"
 
 namespace sympvl {
@@ -44,10 +41,13 @@ TEST(Reduce, SympvlDispatchMatchesDriverBitwise) {
   ASSERT_NE(res.model.as_reduced(), nullptr);
   EXPECT_EQ(res.model.order(), 3);
   EXPECT_EQ(res.model.port_count(), 2);
+  EXPECT_EQ(res.report.achieved_order, 3);
+  EXPECT_TRUE(res.diagnostics.empty());
 
-  const auto driver = run_sympvl(sys, static_cast<const SympvlOptions&>(opt));
+  const ReducedModel direct =
+      sympvl_reduce(sys, static_cast<const SympvlOptions&>(opt));
   const CMat za = res.value().eval(kProbe);
-  const CMat zb = driver.value().eval(kProbe);
+  const CMat zb = direct.eval(kProbe);
   for (Index i = 0; i < za.rows(); ++i)
     for (Index j = 0; j < za.cols(); ++j) EXPECT_EQ(za(i, j), zb(i, j));
 }
@@ -111,9 +111,13 @@ TEST(Reduce, SypvlDispatchMatchesDriver) {
   opt.method = ReduceMethod::kSypvl;
   const ReduceResult res = reduce(sys, opt);
   ASSERT_TRUE(res.ok());
-  const auto driver = run_sypvl(sys, static_cast<const SympvlOptions&>(opt));
+  EXPECT_EQ(res.status, ReductionStatus::kOk);
+  EXPECT_EQ(res.report.achieved_order, 2);  // 2 nodes: the full space
+  EXPECT_EQ(res.model.order(), 2);
+  const ReducedModel direct =
+      sypvl_reduce(sys, static_cast<const SympvlOptions&>(opt));
   const CMat za = res.value().eval(kProbe);
-  const CMat zb = driver.value().eval(kProbe);
+  const CMat zb = direct.eval(kProbe);
   for (Index i = 0; i < za.rows(); ++i)
     for (Index j = 0; j < za.cols(); ++j) EXPECT_EQ(za(i, j), zb(i, j));
 }
@@ -133,10 +137,12 @@ TEST(Reduce, PvlDispatchWrapsScalarAsOneByOne) {
   ASSERT_EQ(z.rows(), 1);
   ASSERT_EQ(z.cols(), 1);
 
+  EXPECT_EQ(res.status, ReductionStatus::kOk);
+  EXPECT_EQ(res.report.achieved_order, res.model.order());
+
   PvlOptions popt;
   static_cast<CommonReductionOptions&>(popt) = opt;
-  const auto driver = run_pvl(sys, 1, 0, popt);
-  EXPECT_EQ(z(0, 0), driver.value().eval(kProbe));
+  EXPECT_EQ(z(0, 0), pvl_reduce_entry(sys, 1, 0, popt).eval(kProbe));
 }
 
 TEST(Reduce, ArnoldiDispatchMatchesDriver) {
@@ -148,13 +154,37 @@ TEST(Reduce, ArnoldiDispatchMatchesDriver) {
   ASSERT_TRUE(res.ok());
   ASSERT_NE(res.model.as_arnoldi(), nullptr);
 
+  EXPECT_EQ(res.status, ReductionStatus::kOk);
+  EXPECT_EQ(res.report.achieved_order, res.model.order());
+
   ArnoldiOptions aopt;
   static_cast<CommonReductionOptions&>(aopt) = opt;
-  const auto driver = run_arnoldi(sys, aopt);
   const CMat za = res.value().eval(kProbe);
-  const CMat zb = driver.value().eval(kProbe);
+  const CMat zb = arnoldi_reduce(sys, aopt).eval(kProbe);
   for (Index i = 0; i < za.rows(); ++i)
     for (Index j = 0; j < za.cols(); ++j) EXPECT_EQ(za(i, j), zb(i, j));
+}
+
+TEST(Reduce, SypvlOnMultiPortSystemFailsStructured) {
+  ReduceOptions opt;
+  opt.order = 2;
+  opt.method = ReduceMethod::kSypvl;
+  const ReduceResult res = reduce(build_mna(two_port_rc()), opt);  // p = 2
+  EXPECT_EQ(res.status, ReductionStatus::kFailed);
+  EXPECT_TRUE(res.model.empty());
+  ASSERT_FALSE(res.diagnostics.empty());
+  EXPECT_EQ(res.diagnostics.front().code, ErrorCode::kInvalidArgument);
+}
+
+TEST(Reduce, PvlOutOfRangePortFailsStructured) {
+  ReduceOptions opt;
+  opt.order = 3;
+  opt.method = ReduceMethod::kPvl;
+  opt.pvl_row = 5;  // the system has two ports
+  const ReduceResult res = reduce(build_mna(two_port_rc()), opt);
+  EXPECT_EQ(res.status, ReductionStatus::kFailed);
+  ASSERT_FALSE(res.diagnostics.empty());
+  EXPECT_EQ(res.diagnostics.front().code, ErrorCode::kInvalidArgument);
 }
 
 TEST(Reduce, NetlistOverloadCapturesAssemblyFailure) {
@@ -208,6 +238,53 @@ TEST(Reduce, EmptyMacroModelThrowsOnUse) {
   EXPECT_EQ(empty.port_count(), 0);
   EXPECT_THROW(empty.eval(kProbe), Error);
   EXPECT_THROW(sweep(empty, Vec{1e9}), Error);
+}
+
+// ---- Contracts shared by every reduction algorithm. ----
+
+TEST(Driver, InvalidOrderIsStructuredFailure) {
+  ReduceOptions opt;
+  opt.order = 0;
+  try {
+    reduce(build_mna(two_port_rc()), opt);
+    FAIL() << "expected Error";
+  } catch (const Error& ex) {
+    EXPECT_EQ(ex.code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(ex.context().stage, "reduce.validate");
+  }
+}
+
+TEST(Driver, ConsolidatedOptionsShareBaseFields) {
+  // All option structs expose the CommonReductionOptions surface; a
+  // generic helper can configure any of them.
+  const auto configure = [](CommonReductionOptions& opt) {
+    opt.order = 7;
+    opt.s0 = 2.5;
+    opt.auto_shift = false;
+  };
+  SympvlOptions so;
+  PvlOptions po;
+  ArnoldiOptions ao;
+  RationalOptions ro;
+  BalancedOptions bo;
+  LanczosOptions lo;
+  for (CommonReductionOptions* opt :
+       {static_cast<CommonReductionOptions*>(&so),
+        static_cast<CommonReductionOptions*>(&po),
+        static_cast<CommonReductionOptions*>(&ao),
+        static_cast<CommonReductionOptions*>(&ro),
+        static_cast<CommonReductionOptions*>(&bo),
+        static_cast<CommonReductionOptions*>(&lo)})
+    configure(*opt);
+  EXPECT_EQ(so.order, 7);
+  EXPECT_EQ(bo.order, 7);
+  EXPECT_EQ(po.s0, 2.5);
+  EXPECT_FALSE(lo.auto_shift);
+  // Driver-specific defaults survive the shared base.
+  EXPECT_EQ(ao.deflation_tol, 1e-10);
+  EXPECT_EQ(ro.deflation_tol, 1e-10);
+  EXPECT_EQ(so.deflation_tol, 1e-8);
+  EXPECT_EQ(po.breakdown_tol, 1e-12);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "gen/random_circuit.hpp"
 #include "mor/sympvl.hpp"
 #include "sim/ac.hpp"
+#include "sim/sweep_api.hpp"
 
 namespace sympvl {
 namespace {
@@ -43,7 +44,7 @@ TEST(Session, PaperWorkflowSixMoreIterations) {
   SympvlSession session(peec.system, opt);
 
   const Vec freqs = log_frequency_grid(1e8, 5e9, 8);
-  const auto exact = ac_sweep(peec.system, freqs);
+  const auto exact = sweep(peec.system, freqs, {.throw_on_failure = true});
   auto err_of = [&](const ReducedModel& rom) {
     double err = 0.0;
     for (size_t k = 0; k < freqs.size(); ++k) {

@@ -1,15 +1,13 @@
 // The unified sweep entry point (sim/sweep_api.hpp) and the
 // CacheOptions/KernelOptions plumbing of CommonReductionOptions: the
-// free-function sweeps must match the member spellings bit for bit, and
+// sweep() overloads must agree bit for bit where they share a path, and
 // the option structs must actually reach the factorization layer (cache
 // keys, SympvlReport telemetry, per-reduction bypass).
-// This suite deliberately exercises the deprecated member sweep()
-// spellings to prove free/member parity.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 #include "sim/sweep_api.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "gen/package.hpp"
 #include "gen/random_circuit.hpp"
@@ -36,32 +34,13 @@ void expect_bit_identical(const SweepResult& a, const SweepResult& b) {
   }
 }
 
-TEST(SweepApi, EngineOverloadMatchesMemberSweep) {
-  const MnaSystem sys = small_rc();
-  const Vec freqs = log_frequency_grid(1e6, 1e9, 13);
-  FactorCache cache(8);
-  const AcSweepEngine engine(sys, &cache);
-  expect_bit_identical(sweep(engine, freqs), engine.sweep(freqs));
-}
-
 TEST(SweepApi, SystemOverloadMatchesEngine) {
   const MnaSystem sys = small_rc();
   const Vec freqs = log_frequency_grid(1e6, 1e9, 9);
-  FactorCache cache(8);
-  SweepOptions opt;
-  opt.factor_cache = &cache;
-  const SweepResult via_system = sweep(sys, freqs, opt);
+  const SweepResult via_system = sweep(sys, freqs);
+  FactorCache cache(8);  // a private cache: every point factors afresh
   const AcSweepEngine engine(sys, &cache);
-  expect_bit_identical(via_system, engine.sweep(freqs));
-}
-
-TEST(SweepApi, ReducedModelOverloadMatchesMemberSweep) {
-  const MnaSystem sys = small_rc();
-  SympvlOptions opt;
-  opt.order = 8;
-  const ReducedModel rom = sympvl_reduce(sys, opt);
-  const Vec freqs = log_frequency_grid(1e6, 1e9, 11);
-  expect_bit_identical(sweep(rom, freqs), rom.sweep(freqs));
+  expect_bit_identical(via_system, sweep(engine, freqs));
 }
 
 TEST(SweepApi, ModalOverloadMatchesMemberValuesAndContains) {
@@ -70,16 +49,31 @@ TEST(SweepApi, ModalOverloadMatchesMemberValuesAndContains) {
   opt.order = 8;
   const ModalModel modal = modal_decompose(sympvl_reduce(sys, opt));
   const Vec freqs = log_frequency_grid(1e6, 1e9, 11);
-  const std::vector<CMat> member = modal.sweep(freqs);
-  const SweepResult unified = sweep(modal, freqs);
-  ASSERT_TRUE(unified.all_ok());
-  ASSERT_EQ(unified.size(), member.size());
-  for (size_t k = 0; k < member.size(); ++k)
-    for (Index i = 0; i < member[k].rows(); ++i)
-      for (Index j = 0; j < member[k].cols(); ++j) {
-        ASSERT_EQ(unified[k](i, j).real(), member[k](i, j).real());
-        ASSERT_EQ(unified[k](i, j).imag(), member[k](i, j).imag());
+  const SweepResult swept = sweep(modal, freqs);
+  ASSERT_TRUE(swept.all_ok());
+  ASSERT_EQ(swept.size(), freqs.size());
+  for (size_t k = 0; k < freqs.size(); ++k) {
+    const CMat z = modal.eval(Complex(0.0, 2.0 * M_PI * freqs[k]));
+    for (Index i = 0; i < z.rows(); ++i)
+      for (Index j = 0; j < z.cols(); ++j) {
+        ASSERT_EQ(swept[k](i, j).real(), z(i, j).real());
+        ASSERT_EQ(swept[k](i, j).imag(), z(i, j).imag());
       }
+  }
+
+  // A grid point landing exactly on a pole fails alone: a NaN placeholder
+  // plus a structured record, the other point untouched.
+  CMat residue(1, 1);
+  residue(0, 0) = Complex(1.0, 0.0);
+  const ModalModel pole_at_dc(CVec{Complex(0.0, 0.0)}, {residue}, Mat(1, 1),
+                              SVariable::kS, 0);
+  const SweepResult contained = sweep(pole_at_dc, Vec{0.0, 1e6});
+  ASSERT_EQ(contained.failed_count(), 1);
+  EXPECT_EQ(contained.errors[0].index, 0);
+  EXPECT_TRUE(std::isnan(contained[0](0, 0).real()));
+  ASSERT_TRUE(contained.ok(1));
+  EXPECT_EQ(contained[1](0, 0),
+            pole_at_dc.eval(Complex(0.0, 2.0 * M_PI * 1e6))(0, 0));
 }
 
 // throw_on_failure needs a deterministically failing point, so its test

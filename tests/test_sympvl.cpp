@@ -5,6 +5,7 @@
 #include "gen/random_circuit.hpp"
 #include "mor/moments.hpp"
 #include "sim/ac.hpp"
+#include "sim/sweep_api.hpp"
 
 namespace sympvl {
 namespace {
@@ -108,11 +109,11 @@ TEST(Sympvl, IndefiniteCircuitsReportNegativeJ) {
 
 TEST(Sympvl, DefiniteCircuitsHaveAllPositiveJ) {
   const Netlist nl = random_rc({.nodes = 20, .ports = 2, .seed = 10});
-  SympvlOptions opt;
+  ReduceOptions opt;
   opt.order = 8;
-  SympvlReport report;
-  sympvl_reduce(nl, opt, &report);
-  EXPECT_EQ(report.negative_j, 0);
+  const ReduceResult res = reduce(nl, opt);
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(res.report.negative_j, 0);
 }
 
 TEST(Sympvl, AutoShiftHandlesSingularG) {
@@ -133,7 +134,7 @@ TEST(Sympvl, ConvergesWithOrderOnRc) {
   const Netlist nl = random_rc({.nodes = 60, .ports = 2, .seed = 12});
   const MnaSystem sys = build_mna(nl);
   const Vec freqs = log_frequency_grid(1e6, 1e10, 15);
-  const auto exact = ac_sweep(sys, freqs);
+  const auto exact = sweep(sys, freqs, {.throw_on_failure = true});
   double prev_err = 1e100;
   for (Index order : {4, 8, 16, 32}) {
     SympvlOptions opt;
@@ -168,10 +169,9 @@ TEST(Sympvl, ReportsDeflationForRedundantPorts) {
 
 TEST(Sympvl, ZnIsSymmetric) {
   const Netlist nl = random_rc({.nodes = 30, .ports = 3, .seed = 20});
-  SympvlOptions opt;
+  ReduceOptions opt;
   opt.order = 12;
-  const ReducedModel rom = sympvl_reduce(nl, opt);
-  const CMat z = rom.eval(Complex(0.0, 2.0 * M_PI * 1e9));
+  const CMat z = reduce(nl, opt).value().eval(Complex(0.0, 2.0 * M_PI * 1e9));
   for (Index i = 0; i < 3; ++i)
     for (Index j = i + 1; j < 3; ++j)
       EXPECT_NEAR(std::abs(z(i, j) - z(j, i)), 0.0, 1e-10 * z.max_abs());
@@ -181,7 +181,7 @@ TEST(Sympvl, InvalidOptions) {
   const Netlist nl = random_rc({.nodes = 5, .ports = 1, .seed = 1});
   SympvlOptions opt;
   opt.order = 0;
-  EXPECT_THROW(sympvl_reduce(nl, opt), Error);
+  EXPECT_THROW(sympvl_reduce(build_mna(nl), opt), Error);
 }
 
 }  // namespace

@@ -5,13 +5,14 @@
 #include "circuit/network_params.hpp"
 #include "gen/random_circuit.hpp"
 #include "sim/ac.hpp"
+#include "sim/sweep_api.hpp"
 
 namespace sympvl {
 namespace {
 
 std::vector<CMat> sample_sweep(Index ports, const Vec& freqs, unsigned seed) {
   const Netlist nl = random_rc({.nodes = 20, .ports = ports, .seed = seed});
-  return ac_sweep(build_mna(nl), freqs);
+  return sweep(build_mna(nl), freqs, {.throw_on_failure = true}).values;
 }
 
 TEST(Touchstone, HeaderAndStructure) {

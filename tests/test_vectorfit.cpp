@@ -6,6 +6,7 @@
 #include "gen/random_circuit.hpp"
 #include "io/touchstone.hpp"
 #include "sim/ac.hpp"
+#include "sim/sweep_api.hpp"
 
 namespace sympvl {
 namespace {
@@ -54,7 +55,7 @@ TEST(VectorFit, FitsRcSweepAccurately) {
   const Netlist nl = random_rc({.nodes = 40, .ports = 2, .seed = 71});
   const MnaSystem sys = build_mna(nl);
   const Vec freqs = log_frequency_grid(1e5, 1e10, 50);
-  const auto data = ac_sweep(sys, freqs);
+  const auto data = sweep(sys, freqs, {.throw_on_failure = true}).values;
   VectorFitOptions opt;
   opt.poles = 10;
   opt.iterations = 10;
@@ -71,7 +72,7 @@ TEST(VectorFit, RealRationalOutput) {
   const Netlist nl = random_rc({.nodes = 25, .ports = 1, .seed = 72});
   const MnaSystem sys = build_mna(nl);
   const Vec freqs = log_frequency_grid(1e6, 1e9, 30);
-  const auto data = ac_sweep(sys, freqs);
+  const auto data = sweep(sys, freqs, {.throw_on_failure = true}).values;
   VectorFitOptions opt;
   opt.poles = 6;
   const VectorFitResult fit = vector_fit(freqs, data, opt);
@@ -83,7 +84,7 @@ TEST(VectorFit, StabilityEnforcementFlipsPoles) {
   const Netlist nl = random_rc({.nodes = 20, .ports = 1, .seed = 73});
   const MnaSystem sys = build_mna(nl);
   const Vec freqs = log_frequency_grid(1e6, 1e9, 25);
-  const auto data = ac_sweep(sys, freqs);
+  const auto data = sweep(sys, freqs, {.throw_on_failure = true}).values;
   VectorFitOptions opt;
   opt.poles = 6;
   opt.enforce_stable = true;
@@ -96,7 +97,7 @@ TEST(VectorFit, RmsErrorReported) {
   const Netlist nl = random_rc({.nodes = 15, .ports = 1, .seed = 74});
   const MnaSystem sys = build_mna(nl);
   const Vec freqs = log_frequency_grid(1e6, 1e9, 20);
-  const auto data = ac_sweep(sys, freqs);
+  const auto data = sweep(sys, freqs, {.throw_on_failure = true}).values;
   VectorFitOptions opt;
   opt.poles = 8;
   const VectorFitResult fit = vector_fit(freqs, data, opt);
@@ -111,7 +112,8 @@ TEST(VectorFit, MacromodelsTouchstoneData) {
   const Netlist nl = random_rc({.nodes = 30, .ports = 2, .seed = 75});
   const MnaSystem sys = build_mna(nl);
   const Vec freqs = log_frequency_grid(1e6, 1e10, 40);
-  const std::string text = write_touchstone(freqs, ac_sweep(sys, freqs), 50.0);
+  const std::string text = write_touchstone(
+      freqs, sweep(sys, freqs, {.throw_on_failure = true}).values, 50.0);
 
   Vec freqs_back;
   double z0 = 0.0;
