@@ -51,6 +51,36 @@ std::uint64_t double_bits(double v) {
 // acquire_complex probes when adapting a real hit to an AC point.
 constexpr double kCanonicalZeroPivotTol = 1e-12;
 
+// Identity of a symbolic analysis: the pattern (n, nnz, FNV-1a of colptr
+// and rowind) and the ordering.
+struct SymbolicKey {
+  Index n = 0, nnz = 0;
+  std::uint64_t pattern = 0;
+  int ordering = 0;
+
+  bool operator==(const SymbolicKey& o) const {
+    return n == o.n && nnz == o.nnz && pattern == o.pattern &&
+           ordering == o.ordering;
+  }
+};
+
+struct SymbolicKeyHash {
+  std::size_t operator()(const SymbolicKey& k) const {
+    std::uint64_t h = fnv1a(&k.n, sizeof(k.n), k.pattern);
+    h = fnv1a(&k.nnz, sizeof(k.nnz), h);
+    h = fnv1a(&k.ordering, sizeof(k.ordering), h);
+    return static_cast<std::size_t>(h);
+  }
+};
+
+SymbolicKey symbolic_key(const SMat& pattern, Ordering ordering) {
+  std::uint64_t h = 14695981039346656037ull;
+  h = fnv1a_vec(pattern.colptr(), h);
+  h = fnv1a_vec(pattern.rowind(), h);
+  return SymbolicKey{pattern.rows(), pattern.nnz(), h,
+                     static_cast<int>(ordering)};
+}
+
 struct Key {
   std::uint64_t g = 0, c = 0;
   std::uint64_t shift_re = 0, shift_im = 0;
@@ -202,9 +232,14 @@ struct FactorCache::Impl {
   // Front = most recently used.
   std::list<Entry> lru;
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map;
+  // Shared symbolic analyses, weakly held (expired slots are pruned on
+  // every insert).
+  std::unordered_map<SymbolicKey, std::weak_ptr<const LdltSymbolic>,
+                     SymbolicKeyHash>
+      symbolics;
 
   std::atomic<std::uint64_t> hits{0}, misses{0}, evictions{0},
-      factorizations{0};
+      factorizations{0}, symbolic_hits{0}, symbolic_misses{0};
   std::atomic<std::int64_t> resident_bytes{0}, peak_resident_bytes{0};
 
   static std::int64_t entry_bytes(const Entry& e) {
@@ -242,6 +277,16 @@ struct FactorCache::Impl {
   void note_evict() {
     evictions.fetch_add(1, std::memory_order_relaxed);
     static obs::Counter& c = obs::counter("factor_cache.evict");
+    c.add();
+  }
+  void note_symbolic_hit() {
+    symbolic_hits.fetch_add(1, std::memory_order_relaxed);
+    static obs::Counter& c = obs::counter("factor_cache.symbolic_hit");
+    c.add();
+  }
+  void note_symbolic_miss() {
+    symbolic_misses.fetch_add(1, std::memory_order_relaxed);
+    static obs::Counter& c = obs::counter("factor_cache.symbolic_miss");
     c.add();
   }
 
@@ -350,7 +395,7 @@ std::shared_ptr<const ComplexPencilSolver> FactorCache::acquire_complex(
       for (const bool dense : {false, true}) {
         PencilFactorOptions probe;
         probe.shift = fs.real();
-        probe.ordering = Ordering::kRCM;
+        probe.ordering = kDefaultOrdering;
         probe.zero_pivot_tol = kCanonicalZeroPivotTol;
         probe.dense = dense;
         if (Impl::Entry* e = impl_->find_locked(real_key(fp, probe))) {
@@ -371,6 +416,33 @@ std::shared_ptr<const ComplexPencilSolver> FactorCache::acquire_complex(
   return impl_->insert_locked(std::move(entry))->complex_;
 }
 
+std::shared_ptr<const LdltSymbolic> FactorCache::symbolic(const SMat& pattern,
+                                                          Ordering ordering) {
+  if (fault::active() || !enabled())
+    return std::make_shared<const LdltSymbolic>(pattern, ordering);
+  const SymbolicKey key = symbolic_key(pattern, ordering);
+  {
+    std::lock_guard<std::mutex> lock(impl_->mutex);
+    const auto it = impl_->symbolics.find(key);
+    if (it != impl_->symbolics.end())
+      if (auto live = it->second.lock()) {
+        impl_->note_symbolic_hit();
+        return live;
+      }
+  }
+  impl_->note_symbolic_miss();
+  auto made = std::make_shared<const LdltSymbolic>(pattern, ordering);
+  std::lock_guard<std::mutex> lock(impl_->mutex);
+  std::erase_if(impl_->symbolics,
+                [](const auto& slot) { return slot.second.expired(); });
+  // A racing thread's live analysis of the same pattern wins, so both
+  // callers share one (bit-identical) analysis.
+  std::weak_ptr<const LdltSymbolic>& slot = impl_->symbolics[key];
+  if (auto live = slot.lock()) return live;
+  slot = made;
+  return made;
+}
+
 void FactorCache::clear() {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   // Releases the byte charges but is NOT capacity pressure — the evict
@@ -378,6 +450,7 @@ void FactorCache::clear() {
   for (const Impl::Entry& e : impl_->lru) impl_->charge_bytes(-e.bytes);
   impl_->lru.clear();
   impl_->map.clear();
+  impl_->symbolics.clear();
 }
 
 std::size_t FactorCache::size() const {
@@ -415,6 +488,8 @@ FactorCacheStats FactorCache::stats() const {
   s.misses = impl_->misses.load(std::memory_order_relaxed);
   s.evictions = impl_->evictions.load(std::memory_order_relaxed);
   s.factorizations = impl_->factorizations.load(std::memory_order_relaxed);
+  s.symbolic_hits = impl_->symbolic_hits.load(std::memory_order_relaxed);
+  s.symbolic_misses = impl_->symbolic_misses.load(std::memory_order_relaxed);
   s.resident_bytes = impl_->resident_bytes.load(std::memory_order_relaxed);
   s.peak_resident_bytes =
       impl_->peak_resident_bytes.load(std::memory_order_relaxed);
@@ -426,6 +501,8 @@ void FactorCache::reset_stats() {
   impl_->misses.store(0, std::memory_order_relaxed);
   impl_->evictions.store(0, std::memory_order_relaxed);
   impl_->factorizations.store(0, std::memory_order_relaxed);
+  impl_->symbolic_hits.store(0, std::memory_order_relaxed);
+  impl_->symbolic_misses.store(0, std::memory_order_relaxed);
   impl_->peak_resident_bytes.store(
       impl_->resident_bytes.load(std::memory_order_relaxed),
       std::memory_order_relaxed);

@@ -21,6 +21,13 @@
 // "SyMPVL at s₀ followed by an exact sweep at s₀" cost exactly one
 // factorization.
 //
+// Symbolic analyses: beside the LRU, the cache hands out one LdltSymbolic
+// per (sparsity pattern, ordering), so a reduction, each of its recovery
+// shifts, a reshift and the AC engine of the same system order and
+// analyze the pattern once. They are held WEAKLY: an analysis lives
+// exactly as long as some cached factor, session or engine uses it, and
+// never counts against the LRU's capacity.
+//
 // Concurrency: lookups and insertions take one mutex; the factorization
 // itself (the maker callback) always runs OUTSIDE the lock, so
 // concurrent sweep threads never serialize on each other's numeric
@@ -29,14 +36,16 @@
 // factorization.
 //
 // Fault injection: when any fault spec is armed (fault::active()), the
-// cache is bypassed entirely — never read, never written — so
+// cache is bypassed entirely — never read, never written, symbolic
+// analyses included — so
 // fault-injection drills always exercise the real factorization path
 // and armed state cannot leak cached-clean results into a drill (or
 // poisoned results out of one).
 //
 // Observability: obs counters "factor_cache.hit" / "factor_cache.miss" /
-// "factor_cache.evict" (env-gated like all obs), plus an always-on
-// FactorCacheStats snapshot for benches.
+// "factor_cache.evict" / "factor_cache.symbolic_hit" /
+// "factor_cache.symbolic_miss" (env-gated like all obs), plus an
+// always-on FactorCacheStats snapshot for benches.
 #pragma once
 
 #include <cstdint>
@@ -71,6 +80,10 @@ struct FactorCacheStats {
   std::uint64_t evictions = 0;
   /// Factorizations actually performed (misses plus fault-mode bypasses).
   std::uint64_t factorizations = 0;
+  /// symbolic() requests served by a live shared analysis, and those that
+  /// computed a new one (bypasses count as neither).
+  std::uint64_t symbolic_hits = 0;
+  std::uint64_t symbolic_misses = 0;
   /// Bytes held by resident entries right now, and the high-water mark
   /// since construction (reset_stats() drops the peak to the current
   /// value). Also mirrored into the process-wide
@@ -117,13 +130,21 @@ class FactorCache {
 
   /// Complex acquisition for one AC sweep point at pencil value `fs`.
   /// When fs is purely real, a cached REAL factorization at shift
-  /// fs.real() (canonical driver settings: RCM ordering, 1e-12 zero-pivot
-  /// tolerance, sparse or dense) is adapted instead of refactoring.
+  /// fs.real() (canonical driver settings: kDefaultOrdering, 1e-12
+  /// zero-pivot tolerance, sparse or dense) is adapted instead of
+  /// refactoring.
   std::shared_ptr<const ComplexPencilSolver> acquire_complex(
       const PencilFingerprint& fp, Complex fs, const ComplexMaker& make,
       bool* was_hit = nullptr);
 
-  /// Drops every entry (stats are kept).
+  /// The symbolic analysis of `pattern` (values ignored) under `ordering`:
+  /// the live one keyed by n, nnz, a hash of colptr/rowind and the
+  /// ordering, or a new one computed outside the lock and shared from then
+  /// on. A fault drill or a disabled cache gets a private analysis.
+  std::shared_ptr<const LdltSymbolic> symbolic(const SMat& pattern,
+                                               Ordering ordering);
+
+  /// Drops every entry and forgets every shared analysis (stats are kept).
   void clear();
   std::size_t size() const;
   std::size_t capacity() const;

@@ -53,7 +53,7 @@ struct FactorAttemptRecord {
 };
 
 struct FactorChainOptions {
-  Ordering ordering = Ordering::kRCM;
+  Ordering ordering = kDefaultOrdering;
   /// Relative zero-pivot threshold handed to the LDLᵀ rung (0 accepts any
   /// nonzero pivot — the right setting for per-frequency AC pencils).
   double zero_pivot_tol = 1e-12;

@@ -1,5 +1,7 @@
 #include "linalg/factorized_pencil.hpp"
 
+#include "linalg/factor_cache.hpp"
+
 namespace sympvl {
 
 Mat SymmetricOperator::apply_block(const Mat& v) const {
@@ -13,12 +15,17 @@ SMat assemble_pencil(const SMat& g, const SMat& c, double shift) {
 }
 
 FactorizedPencil::FactorizedPencil(const SMat& g, const SMat& c,
-                                   const PencilFactorOptions& options)
+                                   const PencilFactorOptions& options,
+                                   FactorCache* symbolics)
     : n_(g.rows()), options_(options), c_(c) {
   const SMat a = assemble_pencil(g, c, options.shift);
   if (!options.dense) {
-    ldlt_ = std::make_unique<LDLT>(a, options.ordering, options.zero_pivot_tol,
-                                   options.kernels);
+    LDLT::require_symmetric(a);
+    auto symbolic = symbolics != nullptr
+                        ? symbolics->symbolic(a, options.ordering)
+                        : std::make_shared<const LdltSymbolic>(a, options.ordering);
+    ldlt_ = std::make_unique<LDLT>(a, std::move(symbolic),
+                                   options.zero_pivot_tol, options.kernels);
     j_ = ldlt_->j_signs();
     return;
   }

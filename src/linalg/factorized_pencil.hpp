@@ -16,7 +16,10 @@
 //     FactorAttemptRecord recovery trail of how it was obtained.
 //
 // FactorizedPencil instances are immutable after construction and safe
-// to share across threads — the property FactorCache relies on.
+// to share across threads — the property FactorCache relies on. Given a
+// cache, the sparse backend takes its symbolic analysis from it, so every
+// factor of one pencil pattern (each shift of a recovery ladder, a
+// reshift, the exact AC check of the same system) shares one analysis.
 #pragma once
 
 #include <memory>
@@ -29,6 +32,8 @@
 #include "linalg/sparse_ldlt.hpp"
 
 namespace sympvl {
+
+class FactorCache;
 
 /// Abstract symmetric operator applied by the Lanczos process
 /// (Op = J⁻¹M⁻¹CM⁻ᵀ for the paper's drivers; tests may supply anything
@@ -70,7 +75,7 @@ SMat assemble_pencil(const SMat& g, const SMat& c, double shift);
 /// How to factor a pencil.
 struct PencilFactorOptions {
   double shift = 0.0;                  ///< s₀ of the pencil G + s₀C
-  Ordering ordering = Ordering::kRCM;  ///< sparse pre-ordering
+  Ordering ordering = kDefaultOrdering;  ///< sparse pre-ordering
   /// Relative zero-pivot threshold of the sparse LDLᵀ rung (the canonical
   /// driver setting; AC per-point pencils use 0 through FactorChain
   /// instead of this type).
@@ -96,9 +101,12 @@ struct PencilFactorOptions {
 class FactorizedPencil final : public SymmetricOperator {
  public:
   /// Factors G + shift·C. Throws Error(kSingular) when the backend hits a
-  /// zero pivot (sparse) or a singular M (dense).
+  /// zero pivot (sparse) or a singular M (dense). The sparse backend takes
+  /// its symbolic analysis from `symbolics` (FactorCache::symbolic), or
+  /// computes a private one when it is null.
   FactorizedPencil(const SMat& g, const SMat& c,
-                   const PencilFactorOptions& options);
+                   const PencilFactorOptions& options,
+                   FactorCache* symbolics = nullptr);
 
   Index size() const { return n_; }
   double shift() const { return options_.shift; }

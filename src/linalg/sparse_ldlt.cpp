@@ -25,10 +25,23 @@ constexpr double kSolveGrainEntries = 65536.0;
 
 namespace sympvl {
 
-LdltSymbolic::LdltSymbolic(Index n, const std::vector<Index>& colptr,
-                           const std::vector<Index>& rowind,
-                           std::vector<Index> perm)
-    : n_(n), perm_(std::move(perm)) {
+template <typename T>
+LdltSymbolic::LdltSymbolic(const SparseMatrix<T>& a, Ordering ordering)
+    : n_(a.rows()), ordering_(ordering) {
+  obs::ScopedTimer span("ldlt.symbolic");
+  perm_ = make_ordering(a, ordering);
+  analyze(a.colptr(), a.rowind());
+  mem_charge_ = obs::MemCharge(obs::byte_gauge("mem.factor_bytes"), bytes());
+  span.arg("n", n_);
+  span.arg("nnz_l", l_nnz());
+  span.arg("ordering", ordering_name(ordering_));
+}
+
+template LdltSymbolic::LdltSymbolic(const SMat&, Ordering);
+template LdltSymbolic::LdltSymbolic(const CSMat&, Ordering);
+
+void LdltSymbolic::analyze(const std::vector<Index>& colptr,
+                           const std::vector<Index>& rowind) {
   require(static_cast<Index>(perm_.size()) == n_,
           "LdltSymbolic: permutation size mismatch");
   perm_inv_.resize(static_cast<size_t>(n_));
@@ -140,38 +153,32 @@ std::vector<Index> LdltSymbolic::column_counts() const {
 }
 
 template <typename T>
-SparseLDLT<T>::SparseLDLT(const SparseMatrix<T>& a, Ordering ordering,
-                          double zero_pivot_tol, const KernelOptions& kernels)
-    : kernel_options_(kernels) {
-  obs::ScopedTimer span("ldlt.factor");
+void SparseLDLT<T>::require_symmetric(const SparseMatrix<T>& a) {
   require(a.rows() == a.cols(), "SparseLDLT: matrix not square");
-  n_ = a.rows();
   typename ScalarTraits<T>::Real amax(0);
   for (const auto& v : a.values()) amax = std::max(amax, ScalarTraits<T>::abs(v));
   require(a.asymmetry() <= 1e-10 * (1.0 + amax),
           "SparseLDLT: matrix not symmetric");
-  symbolic_ = std::make_shared<const LdltSymbolic>(a, ordering);
-  factorize(a, zero_pivot_tol);
-  span.arg("n", n_);
-  span.arg("nnz_a", a.nnz());
-  span.arg("nnz_l", l_nnz());
-  span.arg("fill_ratio", fill_ratio_);
-  span.arg("flops", flops_);
-  span.arg("pivot_ratio", pivot_ratio_);
-  span.arg("ordering", ordering_name(ordering));
-  span.arg("kernel", kernel_path_name(path_));
-  span.arg("supernodes", supernode_count());
-  span.arg("max_panel_width", max_panel_width_);
-  span.arg("simd", simd_level_name(simd_));
-  span.arg("threads", threads_used_);
 }
+
+template <typename T>
+std::shared_ptr<const LdltSymbolic> SparseLDLT<T>::analyze(
+    const SparseMatrix<T>& a, Ordering ordering) {
+  require_symmetric(a);
+  return std::make_shared<const LdltSymbolic>(a, ordering);
+}
+
+template <typename T>
+SparseLDLT<T>::SparseLDLT(const SparseMatrix<T>& a, Ordering ordering,
+                          double zero_pivot_tol, const KernelOptions& kernels)
+    : SparseLDLT(a, analyze(a, ordering), zero_pivot_tol, kernels) {}
 
 template <typename T>
 SparseLDLT<T>::SparseLDLT(const SparseMatrix<T>& a,
                           std::shared_ptr<const LdltSymbolic> symbolic,
                           double zero_pivot_tol, const KernelOptions& kernels)
     : symbolic_(std::move(symbolic)), kernel_options_(kernels) {
-  obs::ScopedTimer span("ldlt.refactor");
+  obs::ScopedTimer span("ldlt.factor");
   require(symbolic_ != nullptr, "SparseLDLT: null symbolic analysis");
   require(a.rows() == a.cols() && a.rows() == symbolic_->n_,
           "SparseLDLT: size does not match the symbolic analysis");
@@ -180,10 +187,12 @@ SparseLDLT<T>::SparseLDLT(const SparseMatrix<T>& a,
   n_ = a.rows();
   factorize(a, zero_pivot_tol);
   span.arg("n", n_);
+  span.arg("nnz_a", a.nnz());
   span.arg("nnz_l", l_nnz());
   span.arg("fill_ratio", fill_ratio_);
   span.arg("flops", flops_);
   span.arg("pivot_ratio", pivot_ratio_);
+  span.arg("ordering", ordering_name(symbolic_->ordering_));
   span.arg("kernel", kernel_path_name(path_));
   span.arg("supernodes", supernode_count());
   span.arg("max_panel_width", max_panel_width_);

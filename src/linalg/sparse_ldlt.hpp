@@ -15,10 +15,11 @@
 // fall back to the pivoted SparseLU if required.
 //
 // For repeated factorizations of matrices sharing one sparsity pattern
-// (an AC sweep factors G + sC at hundreds of frequencies), the symbolic
-// analysis — ordering, elimination tree, column counts, and the full L
-// pattern — is computed once as an LdltSymbolic and reused; only the
-// numeric phase runs per point.
+// (an AC sweep factors G + sC at hundreds of frequencies; a reduction and
+// the exact check of its model factor the same pencil pattern), the
+// symbolic analysis — ordering, elimination tree, column counts, and the
+// full L pattern — is computed once as an LdltSymbolic and shared (see
+// FactorCache::symbolic); only the numeric phase runs per factor.
 //
 // Two numeric kernels share that symbolic analysis (see KernelOptions in
 // linalg/kernels.hpp):
@@ -49,16 +50,29 @@ namespace sympvl {
 /// or the scalar type.
 class LdltSymbolic {
  public:
-  /// Analyzes the pattern of a square symmetric matrix.
+  /// Analyzes the pattern of a square symmetric matrix (instantiated for
+  /// SMat and CSMat).
   template <typename T>
   explicit LdltSymbolic(const SparseMatrix<T>& a,
-                        Ordering ordering = Ordering::kRCM)
-      : LdltSymbolic(a.rows(), a.colptr(), a.rowind(),
-                     make_ordering(a, ordering)) {}
+                        Ordering ordering = kDefaultOrdering);
 
   Index size() const { return n_; }
   Index l_nnz() const { return l_colptr_.empty() ? 0 : l_colptr_.back(); }
+  Ordering ordering() const { return ordering_; }
   const std::vector<Index>& permutation() const { return perm_; }
+
+  /// Resident bytes of the analysis (permutations, permuted pattern,
+  /// elimination tree, L pattern) — charged once against the
+  /// "mem.factor_bytes" gauge for this object's lifetime, however many
+  /// numeric factors share it.
+  std::int64_t bytes() const {
+    std::int64_t b = 0;
+    for (const std::vector<Index>* v :
+         {&perm_, &perm_inv_, &p_colptr_, &p_rowind_, &source_, &parent_,
+          &l_colptr_, &l_rowind_})
+      b += static_cast<std::int64_t>(v->size() * sizeof(Index));
+    return b;
+  }
 
   /// Elimination tree over the permuted pattern (-1 marks roots).
   const std::vector<Index>& etree_parent() const { return parent_; }
@@ -67,13 +81,15 @@ class LdltSymbolic {
   std::vector<Index> column_counts() const;
 
  private:
-  LdltSymbolic(Index n, const std::vector<Index>& colptr,
-               const std::vector<Index>& rowind, std::vector<Index> perm);
+  // Everything after the ordering: permuted pattern, etree, L pattern.
+  void analyze(const std::vector<Index>& colptr,
+               const std::vector<Index>& rowind);
 
   template <typename U>
   friend class SparseLDLT;
 
   Index n_ = 0;
+  Ordering ordering_ = kDefaultOrdering;
   std::vector<Index> perm_;      // new -> old
   std::vector<Index> perm_inv_;  // old -> new
   // Permuted pattern and the map from permuted entries to original entry
@@ -88,6 +104,7 @@ class LdltSymbolic {
   std::vector<Index> parent_;
   std::vector<Index> l_colptr_;
   std::vector<Index> l_rowind_;
+  obs::MemCharge mem_charge_;
 };
 
 template <typename T>
@@ -102,16 +119,22 @@ class SparseLDLT {
   /// paper's eq. 26 frequency shift). `kernels` selects the numeric path
   /// (default: auto — supernodal for large systems, SYMPVL_KERNEL env
   /// override honored).
-  explicit SparseLDLT(const SparseMatrix<T>& a, Ordering ordering = Ordering::kRCM,
+  explicit SparseLDLT(const SparseMatrix<T>& a,
+                      Ordering ordering = kDefaultOrdering,
                       double zero_pivot_tol = 0.0,
                       const KernelOptions& kernels = {});
 
   /// Numeric-only factorization reusing a symbolic analysis. `a` must have
   /// exactly the pattern the symbolic was computed from (same colptr and
-  /// rowind).
+  /// rowind); its values are not checked for symmetry.
   SparseLDLT(const SparseMatrix<T>& a,
              std::shared_ptr<const LdltSymbolic> symbolic,
              double zero_pivot_tol = 0.0, const KernelOptions& kernels = {});
+
+  /// The one-shot constructor's input check, for callers that bring a
+  /// shared analysis: throws unless `a` is square and symmetric to 1e-10
+  /// relative to its largest entry.
+  static void require_symmetric(const SparseMatrix<T>& a);
 
   Index size() const { return n_; }
 
@@ -212,6 +235,8 @@ class SparseLDLT {
                                      sizeof(typename V::value_type));
   }
 
+  static std::shared_ptr<const LdltSymbolic> analyze(const SparseMatrix<T>& a,
+                                                     Ordering ordering);
   void factorize(const SparseMatrix<T>& a, double zero_pivot_tol);
   void factorize_simplicial(const std::vector<T>& values, double pivot_floor,
                             double& dmin, double& dmax);

@@ -21,13 +21,15 @@ template <typename T>
 class SparseLU {
  public:
   /// Factors P·A·Qᵀ = L·U where Q is a fill-reducing column pre-ordering
-  /// (RCM of A+Aᵀ by default) and P the partial-pivoting row permutation.
+  /// of A+Aᵀ (kDefaultOrdering unless given) and P the partial-pivoting
+  /// row permutation.
   /// `pivot_threshold` in (0, 1] enables relaxed (threshold) pivoting:
   /// 1.0 is classical partial pivoting; smaller values prefer sparsity.
   /// `zero_pivot_tol` is a relative floor (against the largest |entry| of
   /// `a`) below which the best available pivot is declared zero and the
   /// matrix reported singular; 0 accepts any nonzero pivot.
-  explicit SparseLU(const SparseMatrix<T>& a, Ordering ordering = Ordering::kRCM,
+  explicit SparseLU(const SparseMatrix<T>& a,
+                    Ordering ordering = kDefaultOrdering,
                     double pivot_threshold = 1.0, double zero_pivot_tol = 0.0);
 
   Index size() const { return n_; }

@@ -64,7 +64,7 @@ struct CommonReductionOptions {
   /// serious-breakdown threshold of the unblocked recurrences.
   double lookahead_tol = 1e-8;
   /// Sparse factorization ordering for the pencil factor.
-  Ordering ordering = Ordering::kRCM;
+  Ordering ordering = kDefaultOrdering;
   /// Factorization cache the driver acquires its pencil factors through
   /// (nullptr = the process-global FactorCache).
   FactorCache* factor_cache = nullptr;

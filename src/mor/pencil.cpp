@@ -36,7 +36,9 @@ std::shared_ptr<const FactorizedPencil> attempt_rung(
     if (req.cache_options.enabled) {
       pencil = cache.acquire(
           fp, opt,
-          [&] { return std::make_shared<const FactorizedPencil>(g, c, opt); },
+          [&] {
+            return std::make_shared<const FactorizedPencil>(g, c, opt, &cache);
+          },
           &hit);
     } else {
       pencil = std::make_shared<const FactorizedPencil>(g, c, opt);

@@ -45,7 +45,7 @@ struct PencilFactorRequest {
   /// overload fills this itself; pass explicitly when factoring a raw
   /// (G, C) pair (e.g. SympvlSession::reshift, which disables it).
   double auto_s0 = 0.0;
-  Ordering ordering = Ordering::kRCM;
+  Ordering ordering = kDefaultOrdering;
   /// false: single attempt + one automatic-shift retry (SyPVL/PVL/
   /// Arnoldi/AWE policy). true: the full SyMPVL recovery ladder.
   bool full_ladder = false;

@@ -24,11 +24,11 @@ class ShiftedSolver {
       FactorCache& c = cache != nullptr ? *cache : FactorCache::global();
       const PencilFingerprint fp = fingerprint_pencil(sys.G, sys.C);
       pencil_ = c.acquire(fp, opt, [&] {
-        return std::make_shared<const FactorizedPencil>(sys.G, sys.C, opt);
+        return std::make_shared<const FactorizedPencil>(sys.G, sys.C, opt, &c);
       });
     } catch (const Error&) {
       const SMat gt = assemble_pencil(sys.G, sys.C, shift);
-      lu_ = std::make_unique<LUSparse>(gt, Ordering::kRCM,
+      lu_ = std::make_unique<LUSparse>(gt, kDefaultOrdering,
                                        /*pivot_threshold=*/1.0,
                                        /*zero_pivot_tol=*/1e-12);
     }

@@ -3,8 +3,9 @@
 // Pipeline (Sections 2-4):
 //   1. assemble the symmetric MNA pencil (G, C, B);
 //   2. factor G (or the shifted G + s₀C of eq. 26) as M J Mᵀ with
-//      J = diag(±1) — sparse LDLᵀ on an RCM ordering, dense Bunch-Kaufman
-//      fallback;
+//      J = diag(±1) — sparse LDLᵀ on a nested-dissection ordering
+//      (kDefaultOrdering) unless the options name another, dense
+//      Bunch-Kaufman fallback;
 //   3. run the symmetric block-Lanczos process (Algorithm 1) on the
 //      operator J⁻¹M⁻¹CM⁻ᵀ with starting block J⁻¹M⁻¹B;
 //   4. package (Tₙ, Δₙ, ρₙ) as a ReducedModel evaluating eq. (19).

@@ -178,7 +178,10 @@ AcSweepEngine::AcSweepEngine(const MnaSystem& sys, FactorCache* cache)
   };
   build_slots(sys.G, impl_->g_slot);
   build_slots(sys.C, impl_->c_slot);
-  impl_->symbolic = std::make_shared<const LdltSymbolic>(pattern);
+  // A reduction of this system whose pencil has this pattern (G + s₀C
+  // without cancellation, or G itself when C's pattern lies inside G's)
+  // has analyzed it already: share that analysis.
+  impl_->symbolic = impl_->cache->symbolic(pattern, kDefaultOrdering);
   impl_->b_complex = port_rhs(sys);
 }
 

@@ -32,10 +32,12 @@ Vec log_frequency_grid(double f_min, double f_max, Index count);
 Vec linear_frequency_grid(double f_min, double f_max, Index count);
 
 /// Repeated-factorization AC engine, swept with sympvl::sweep(engine, …)
-/// of sim/sweep_api.hpp. The union sparsity pattern of
-/// G + f(s)C and the LDLᵀ symbolic analysis (ordering, elimination tree,
-/// fill pattern) are computed ONCE; each frequency point then costs only a
-/// numeric refactorization — the standard way production circuit
+/// of sim/sweep_api.hpp. The union sparsity pattern of G + f(s)C is built
+/// once per engine, and its LDLᵀ symbolic analysis (kDefaultOrdering,
+/// elimination tree, fill pattern) once per pattern: the engine takes it
+/// from the FactorCache, so it shares the analysis of a reduction (or of
+/// another engine) of the same pattern. Each frequency point then costs
+/// only a numeric refactorization — the standard way production circuit
 /// simulators run AC sweeps. Falls back to the pivoted sparse LU at points
 /// where the unpivoted path hits a zero pivot.
 ///

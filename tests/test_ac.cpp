@@ -2,10 +2,39 @@
 
 #include <gtest/gtest.h>
 
+#include "gen/random_circuit.hpp"
+#include "linalg/dense_factor.hpp"
 #include "sim/sweep_api.hpp"
 
 namespace sympvl {
 namespace {
+
+// Ordering-free reference: Z(s) from a dense LU solve of (G + f(s)C)X = B.
+CMat dense_z(const MnaSystem& sys, Complex s) {
+  const Complex fs = sys.map_s(s);
+  const Mat g = sys.G.to_dense();
+  const Mat c = sys.C.to_dense();
+  const Index n = sys.size(), p = sys.port_count();
+  CMat a(n, n), b(n, p);
+  for (Index i = 0; i < n; ++i) {
+    for (Index j = 0; j < n; ++j) a(i, j) = g(i, j) + fs * c(i, j);
+    for (Index j = 0; j < p; ++j) b(i, j) = sys.B(i, j);
+  }
+  CMat z = matmul_transA(sys.B, dense_solve(a, b));
+  z *= sys.prefactor(s);
+  return z;
+}
+
+// max |a − b| / max |b|.
+double max_rel_diff(const CMat& a, const CMat& b) {
+  double diff = 0.0, scale = 0.0;
+  for (Index i = 0; i < b.rows(); ++i)
+    for (Index j = 0; j < b.cols(); ++j) {
+      diff = std::max(diff, std::abs(a(i, j) - b(i, j)));
+      scale = std::max(scale, std::abs(b(i, j)));
+    }
+  return diff / scale;
+}
 
 TEST(Ac, RcLowPassAnalytic) {
   // Port impedance of R ∥ C: Z = R/(1+sRC).
@@ -133,6 +162,22 @@ TEST(Ac, SweepEngineMatchesPointwiseFactorization) {
       for (Index j = 0; j < 2; ++j)
         EXPECT_NEAR(std::abs(a(i, j) - b(i, j)), 0.0, 1e-10 * std::abs(b(i, j)) + 1e-15)
             << "f=" << f;
+    EXPECT_LT(max_rel_diff(a, dense_z(sys, s)), 1e-10) << "f=" << f;
+  }
+
+  // The default ordering against the ordering-free dense reference on
+  // random RC and general RLC circuits.
+  for (unsigned seed : {3u, 17u, 42u}) {
+    const RandomCircuitOptions opt{.nodes = 30, .ports = 3, .seed = seed};
+    for (const MnaSystem& rsys :
+         {build_mna(random_rc(opt)), build_mna(random_rlc(opt), MnaForm::kGeneral)}) {
+      const AcSweepEngine rengine(rsys);
+      for (double f : {1e6, 1e8, 1e9}) {
+        const Complex s(0.0, 2.0 * M_PI * f);
+        EXPECT_LT(max_rel_diff(rengine.z_at(s), dense_z(rsys, s)), 1e-10)
+            << "seed=" << seed << " f=" << f;
+      }
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
 
 #include "fault.hpp"
@@ -11,6 +12,7 @@
 #include "linalg/sparse_ldlt.hpp"
 #include "mor/arnoldi.hpp"
 #include "mor/lanczos.hpp"
+#include "mor/multipoint.hpp"
 #include "mor/pencil.hpp"
 #include "mor/pvl.hpp"
 #include "mor/sympvl.hpp"
@@ -184,9 +186,10 @@ TEST(FactorCache, FailedFactorizationIsNotCached) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-// ---- The acceptance check of the issue: SyMPVL at s₀ followed by an
-// exact AC solve at the same point costs exactly ONE factorization. ----
-TEST(FactorCache, CrossDriverReuseSingleFactorization) {
+// ---- SyMPVL at s₀ followed by an exact AC solve at the same point
+// costs exactly ONE factorization, with the ordering left at its default
+// or set explicitly to that default. ----
+void expect_cross_driver_reuse(const std::optional<Ordering>& ordering) {
   const MnaSystem sys = small_rc();
   FactorCache cache(8);
   const double s0 = 1e9;
@@ -198,6 +201,7 @@ TEST(FactorCache, CrossDriverReuseSingleFactorization) {
   opt.order = 6;
   opt.s0 = s0;
   opt.factor_cache = &cache;
+  if (ordering) opt.ordering = *ordering;
   const ReducedModel rom = sympvl_reduce(sys, opt);
   EXPECT_EQ(cache.stats().factorizations, 1u);
 
@@ -220,6 +224,133 @@ TEST(FactorCache, CrossDriverReuseSingleFactorization) {
 
   // And the reduced model is exact for this state-space dimension at s₀.
   EXPECT_EQ(rom.shift(), s0);
+}
+
+TEST(FactorCache, CrossDriverReuseSingleFactorization) {
+  expect_cross_driver_reuse(std::nullopt);
+}
+
+TEST(FactorCache, CrossDriverReuseSingleFactorizationExplicitNd) {
+  expect_cross_driver_reuse(Ordering::kNestedDissection);
+}
+
+// ---- One symbolic analysis per sparsity pattern. ----
+
+TEST(FactorCache, SymbolicChargedOncePerPattern) {
+  const MnaSystem sys = small_rc();
+  const SMat a1 = assemble_pencil(sys.G, sys.C, 1e9);
+  const SMat a2 = assemble_pencil(sys.G, sys.C, 3e9);  // same pattern
+  ASSERT_EQ(a1.colptr(), a2.colptr());
+  ASSERT_EQ(a1.rowind(), a2.rowind());
+  obs::ByteGauge& gauge = obs::byte_gauge("mem.factor_bytes");
+  const std::int64_t base = gauge.value();
+  FactorCache cache(4);
+
+  const auto sym1 = cache.symbolic(a1, kDefaultOrdering);
+  EXPECT_GT(sym1->bytes(), 0);
+  EXPECT_EQ(gauge.value(), base + sym1->bytes());
+  const LDLT f1(a1, sym1);
+  EXPECT_EQ(gauge.value(), base + sym1->bytes() + f1.factor_bytes());
+
+  // The second factor of the pattern shares the analysis: only its
+  // numeric storage is charged.
+  const auto sym2 = cache.symbolic(a2, kDefaultOrdering);
+  EXPECT_EQ(sym2.get(), sym1.get());
+  const LDLT f2(a2, sym2);
+  EXPECT_EQ(gauge.value(),
+            base + sym1->bytes() + f1.factor_bytes() + f2.factor_bytes());
+  EXPECT_EQ(cache.stats().symbolic_misses, 1u);
+  EXPECT_EQ(cache.stats().symbolic_hits, 1u);
+}
+
+TEST(FactorCache, SymbolicIsHeldWeaklyAndKeyedByOrdering) {
+  const MnaSystem sys = small_rc();
+  FactorCache cache(4);
+  const std::weak_ptr<const LdltSymbolic> first =
+      cache.symbolic(sys.G, kDefaultOrdering);
+  EXPECT_TRUE(first.expired()) << "no user left: the cache must not pin it";
+  EXPECT_EQ(cache.size(), 0u) << "symbolics never occupy LRU entries";
+
+  const auto nd = cache.symbolic(sys.G, Ordering::kNestedDissection);
+  const auto rcm = cache.symbolic(sys.G, Ordering::kRCM);
+  EXPECT_NE(nd.get(), rcm.get());
+  EXPECT_EQ(rcm->ordering(), Ordering::kRCM);
+  EXPECT_EQ(cache.symbolic(sys.G, Ordering::kRCM).get(), rcm.get());
+  EXPECT_EQ(cache.stats().symbolic_misses, 3u);
+  EXPECT_EQ(cache.stats().symbolic_hits, 1u);
+}
+
+TEST(FactorCache, EngineAfterReduceSharesSymbolicBitIdentically) {
+  const MnaSystem sys = small_rc();
+  FactorCache cache(8);
+  SympvlOptions opt;
+  opt.order = 6;
+  opt.s0 = 1e9;  // pencil pattern = the engine's G ∪ C pattern
+  opt.factor_cache = &cache;
+  sympvl_reduce(sys, opt);
+  ASSERT_EQ(cache.stats().symbolic_misses, 1u);
+
+  const AcSweepEngine engine(sys, &cache);
+  EXPECT_EQ(cache.stats().symbolic_misses, 1u)
+      << "the engine must reuse the reduction's analysis";
+  EXPECT_EQ(cache.stats().symbolic_hits, 1u);
+
+  FactorCache cold(8);
+  const AcSweepEngine reference(sys, &cold);
+  for (double f : {1e7, 1e9}) {
+    const Complex s(0.0, 2.0 * M_PI * f);
+    EXPECT_EQ(rel_err(engine.z_at(s), reference.z_at(s)), 0.0) << "f=" << f;
+  }
+}
+
+TEST(FactorCache, ReshiftAndMultipointBuildOneSymbolic) {
+  const MnaSystem sys = small_rc();
+  {
+    FactorCache cache(8);
+    SympvlOptions opt;
+    opt.order = 6;
+    opt.s0 = 1e9;
+    opt.factor_cache = &cache;
+    SympvlSession session(sys, opt);
+    ASSERT_EQ(cache.stats().symbolic_misses, 1u);
+    session.reshift(4e9);
+    EXPECT_EQ(cache.stats().factorizations, 2u);
+    EXPECT_EQ(cache.stats().symbolic_misses, 1u)
+        << "reshift to another nonzero shift must share the analysis";
+    EXPECT_GE(cache.stats().symbolic_hits, 1u);
+  }
+  {
+    FactorCache cache(8);
+    MultipointOptions mp;
+    mp.s0_points = {2.0 * M_PI * 1e8, 2.0 * M_PI * 1e9};
+    mp.f_min = 1e7;
+    mp.f_max = 1e10;
+    mp.total_order = 8;
+    mp.cache = &cache;
+    const MultipointSession session(sys, mp);
+    EXPECT_EQ(session.point_count(), 2);
+    EXPECT_GE(cache.stats().factorizations, 2u);
+    EXPECT_EQ(cache.stats().symbolic_misses, 1u)
+        << "both expansion points and the validation engine share one analysis";
+  }
+}
+
+TEST(FactorCache, FaultModeBypassesSymbolics) {
+  const MnaSystem sys = small_rc();
+  FactorCache cache(4);
+  const auto held = cache.symbolic(sys.G, kDefaultOrdering);  // written
+  fault::arm("ldlt.pivot@999999");  // armed but never triggering
+  ASSERT_TRUE(fault::active());
+  const auto during = cache.symbolic(sys.G, kDefaultOrdering);
+  EXPECT_NE(during.get(), held.get()) << "never read while armed";
+  const auto during2 = cache.symbolic(sys.G, Ordering::kRCM);
+  fault::disarm();
+  EXPECT_EQ(cache.stats().symbolic_hits, 0u);
+  EXPECT_EQ(cache.stats().symbolic_misses, 1u);
+  // Never written while armed: the armed-mode RCM analysis is unknown to
+  // the cache, the pre-armed one is still served.
+  EXPECT_NE(cache.symbolic(sys.G, Ordering::kRCM).get(), during2.get());
+  EXPECT_EQ(cache.symbolic(sys.G, kDefaultOrdering).get(), held.get());
 }
 
 TEST(FactorCache, WarmCacheReductionIsBitIdentical) {
@@ -355,8 +486,12 @@ TEST(FactorCache, ConcurrentAcquireIsSafeAndConsistent) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
         PencilFactorOptions opt;
-        opt.shift = (i % 2 == 0) ? 1e9 : 2e9;  // two hot keys
-        const auto pencil = cache.acquire(fp, opt, maker_for(sys, opt));
+        opt.shift = (i % 2 == 0) ? 1e9 : 2e9;  // two hot keys, one pattern
+        // Racing misses also race on the shared symbolic analysis.
+        const auto pencil = cache.acquire(fp, opt, [&sys, opt, &cache] {
+          return std::make_shared<const FactorizedPencil>(sys.G, sys.C, opt,
+                                                          &cache);
+        });
         if (pencil != nullptr && pencil->size() == sys.size()) ++ok[t];
       }
     });
@@ -366,6 +501,8 @@ TEST(FactorCache, ConcurrentAcquireIsSafeAndConsistent) {
   EXPECT_EQ(s.hits + s.misses,
             static_cast<std::uint64_t>(kThreads * kIters));
   EXPECT_LE(cache.size(), 4u);
+  EXPECT_EQ(s.symbolic_hits + s.symbolic_misses, s.misses);
+  EXPECT_GE(s.symbolic_misses, 1u);
 }
 
 TEST(FactorCache, ByteAccountingRisesOnMissFallsOnEvict) {

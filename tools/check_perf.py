@@ -12,17 +12,22 @@ The comparison is meta-aware: wall-clock numbers are only comparable
 between runs of the same machine shape and build. When the "meta"
 blocks differ on any of the identity fields (compiler, build type,
 C++ flags, hardware concurrency, resolved thread count, resolved SIMD
-level) the gate is SKIPPED instead of producing a false verdict — a
-laptop must not fail CI against a CI-host baseline, and an AVX-512
-host must not be judged against scalar-kernel numbers (or vice versa).
-The skip diagnostic lists which identity fields diverged AND every
-gated key that consequently went uncompared, so a silent skip can
-never masquerade as a pass in CI logs. Every outcome ends with a
-one-line "check_perf: PASS/FAIL/SKIP" summary.
+level) the host-dependent keys (times, RSS) are SKIPPED instead of
+producing a false verdict — a laptop must not fail CI against a CI-host
+baseline, and an AVX-512 host must not be judged against scalar-kernel
+numbers (or vice versa). The host-independent keys are compared on
+every host: symbolic fill ("*_fill_bytes"), L nonzeros ("*_nnz_l"),
+elimination-tree height ("*_etree_height"), accounted peak bytes
+("*_peak_bytes", never "*_rss_bytes") and accuracy ("*_err"). The
+diagnostic lists which identity fields diverged AND every gated key that
+consequently went uncompared, so a silent skip can never masquerade as
+a pass in CI logs. Every outcome ends with a one-line
+"check_perf: PASS/FAIL/SKIP" summary; SKIP means no key was compared.
 
 Gated keys: by default every key ending in "_s" or "_ms" (seconds /
-milliseconds) or "_bytes" (peak memory) — smaller is better for all
-three, so one regression rule covers time and space. A gated key may
+milliseconds) or "_bytes" (peak memory), plus the host-independent keys
+above — smaller is better for all of them, so one regression rule
+covers time, space, fill and error. A gated key may
 also hold a numeric list (a series, e.g. a time-vs-ports or
 memory-vs-n curve); it is then compared element-wise against the
 baseline list, and a length mismatch is a failure (the series' shape
@@ -46,6 +51,22 @@ META_IDENTITY_FIELDS = (
     # runs (None != "avx512"), which correctly forces a re-baseline.
     "simd_level",
 )
+
+
+# Suffixes of keys whose values do not depend on the host: counts from
+# the symbolic analysis, bytes the library accounts for itself, and
+# accuracy. "*_rss_bytes" is measured by the OS and stays host-dependent.
+HOST_INDEPENDENT_SUFFIXES = (
+    "_fill_bytes",
+    "_nnz_l",
+    "_etree_height",
+    "_peak_bytes",
+    "_err",
+)
+
+
+def host_independent(key):
+    return key.endswith(HOST_INDEPENDENT_SUFFIXES)
 
 
 def load(path):
@@ -75,7 +96,7 @@ def gated_keys(doc, explicit):
         for k, v in doc.items()
         if k != "meta"
         and (isinstance(v, (int, float)) or is_numeric_list(v))
-        and (k.endswith("_s") or k.endswith("_ms") or k.endswith("_bytes"))
+        and (k.endswith(("_s", "_ms", "_bytes")) or host_independent(k))
     ]
 
 
@@ -111,9 +132,16 @@ def main():
 
     explicit = [k for k in args.keys.split(",") if k]
 
+    keys = gated_keys(baseline, explicit)
+    if not keys:
+        print(f"check_perf: {args.baseline} has no gated timing keys")
+        return 2
+
     mismatches = meta_mismatches(current, baseline)
+    skipped = []
     if mismatches:
-        skipped = gated_keys(baseline, explicit)
+        skipped = [k for k in keys if not host_independent(k)]
+        keys = [k for k in keys if host_independent(k)]
         print(f"check_perf: meta mismatch — wall-clock numbers from "
               f"different machine shapes/builds are not comparable:")
         for field, cur, base in mismatches:
@@ -124,14 +152,12 @@ def main():
             print(f"  {key} (baseline {baseline.get(key)!r}, "
                   f"current {current.get(key)!r})")
         fields = ", ".join(field for field, _, _ in mismatches)
-        print(f"check_perf: SKIP {args.current} — {len(skipped)} key(s) "
-              f"skipped (meta mismatch on: {fields})")
-        return 0
-
-    keys = gated_keys(baseline, explicit)
-    if not keys:
-        print(f"check_perf: {args.baseline} has no gated timing keys")
-        return 2
+        if not keys:
+            print(f"check_perf: SKIP {args.current} — {len(skipped)} key(s) "
+                  f"skipped (meta mismatch on: {fields})")
+            return 0
+        print(f"check_perf: comparing the {len(keys)} host-independent "
+              "key(s) on this host:")
 
     failures = []
     for key in keys:
@@ -167,7 +193,9 @@ def main():
         for f in failures:
             print(f"  {f}")
         return 1
-    print(f"check_perf: PASS {args.current} ({len(keys)} keys gated)")
+    note = (f"; {len(skipped)} host-dependent key(s) skipped"
+            if skipped else "")
+    print(f"check_perf: PASS {args.current} ({len(keys)} keys gated{note})")
     return 0
 
 
