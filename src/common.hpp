@@ -17,14 +17,13 @@ using Complex = std::complex<double>;
 /// identifiers for programmatic dispatch; error_code_name() gives the
 /// log/wire spelling. The split mirrors where the reduction pipeline can
 /// actually fail: caller mistakes, factorization trouble (zero pivot,
-/// outright singularity, condition-estimate rejection), Lanczos breakdown,
-/// per-frequency sweep failures, I/O, and deliberately injected faults.
+/// outright singularity), Lanczos breakdown, per-frequency sweep
+/// failures, I/O, and deliberately injected faults.
 enum class ErrorCode {
   kUnknown = 0,       ///< legacy string-only errors (no taxonomy info)
   kInvalidArgument,   ///< malformed caller input (validation failures)
   kZeroPivot,         ///< unpivoted LDLᵀ hit an exact/relative zero pivot
   kSingular,          ///< matrix or pencil singular after all pivoting options
-  kIllConditioned,    ///< condition estimate beyond the acceptance gate
   kBreakdown,         ///< Lanczos recurrence could not continue (δ ≈ 0 /
                       ///< look-ahead cluster failed to close)
   kSweepPointFailed,  ///< one frequency point of a sweep failed
@@ -38,7 +37,6 @@ inline const char* error_code_name(ErrorCode code) {
     case ErrorCode::kInvalidArgument: return "invalid_argument";
     case ErrorCode::kZeroPivot: return "zero_pivot";
     case ErrorCode::kSingular: return "singular";
-    case ErrorCode::kIllConditioned: return "ill_conditioned";
     case ErrorCode::kBreakdown: return "breakdown";
     case ErrorCode::kSweepPointFailed: return "sweep_point_failed";
     case ErrorCode::kIo: return "io";
@@ -48,14 +46,13 @@ inline const char* error_code_name(ErrorCode code) {
 }
 
 /// Context payload attached to structured errors: which pipeline stage
-/// failed, which pivot/iteration/frequency-point index, the offending
-/// magnitude and the condition estimate when one was available. Every
-/// field defaults to "absent" so call sites only fill what they know.
+/// failed, which pivot/iteration/frequency-point index and the offending
+/// magnitude. Every field defaults to "absent" so call sites only fill
+/// what they know.
 struct ErrorContext {
   std::string stage;      ///< dot-separated site, e.g. "ldlt.factor"
   Index index = -1;       ///< pivot column / Lanczos iteration / sweep point
   double value = 0.0;     ///< offending magnitude (pivot, min |λ(Δ)|, …)
-  double condition = 0.0; ///< condition estimate (0 = not measured)
   /// Frequency point (pencil variable) for sweep failures; NaN = absent.
   Complex frequency{std::numeric_limits<double>::quiet_NaN(), 0.0};
   bool has_frequency() const { return !std::isnan(frequency.real()); }
@@ -77,7 +74,7 @@ class Error : public std::runtime_error {
   const ErrorContext& context() const noexcept { return context_; }
 
   /// One-line structured rendering:
-  /// "[zero_pivot @ ldlt.factor #17] message (value=…, cond=…)".
+  /// "[zero_pivot @ ldlt.factor #17] message (value=…, s=(…))".
   std::string describe() const {
     std::string out = "[";
     out += error_code_name(code_);
@@ -88,9 +85,6 @@ class Error : public std::runtime_error {
     std::string detail;
     if (context_.value != 0.0)
       detail += "value=" + std::to_string(context_.value);
-    if (context_.condition != 0.0)
-      detail += (detail.empty() ? "" : ", ") +
-                std::string("cond=") + std::to_string(context_.condition);
     if (context_.has_frequency())
       detail += (detail.empty() ? "" : ", ") + std::string("s=(") +
                 std::to_string(context_.frequency.real()) + "," +

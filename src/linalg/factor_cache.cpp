@@ -163,26 +163,12 @@ Key complex_key(const PencilFingerprint& fp, Complex fs) {
 
 // Adapts a real M J Mᵀ factorization of G + σC to complex right-hand
 // sides at the purely real pencil value fs = σ: A is real, so
-// A⁻¹(bʳ + i·bⁱ) = A⁻¹bʳ + i·A⁻¹bⁱ — two real solves (blocked for
-// matrices) per complex solve.
+// A⁻¹(Bʳ + i·Bⁱ) = A⁻¹Bʳ + i·A⁻¹Bⁱ — two real blocked solves per complex
+// solve.
 class RealPencilAdapter final : public ComplexPencilSolver {
  public:
   explicit RealPencilAdapter(std::shared_ptr<const FactorizedPencil> pencil)
       : pencil_(std::move(pencil)) {}
-
-  CVec solve(const CVec& b) const override {
-    const size_t n = b.size();
-    Vec br(n), bi(n);
-    for (size_t i = 0; i < n; ++i) {
-      br[i] = b[i].real();
-      bi[i] = b[i].imag();
-    }
-    const Vec xr = pencil_->solve(br);
-    const Vec xi = pencil_->solve(bi);
-    CVec x(n);
-    for (size_t i = 0; i < n; ++i) x[i] = Complex(xr[i], xi[i]);
-    return x;
-  }
 
   CMat solve(const CMat& b) const override {
     Mat br(b.rows(), b.cols()), bi(b.rows(), b.cols());
@@ -391,19 +377,28 @@ std::shared_ptr<const ComplexPencilSolver> FactorCache::acquire_complex(
     }
     if (fs.imag() == 0.0) {
       // A purely real pencil value: adapt a cached real factorization at
-      // the canonical driver settings instead of refactoring.
-      for (const bool dense : {false, true}) {
-        PencilFactorOptions probe;
-        probe.shift = fs.real();
-        probe.ordering = kDefaultOrdering;
-        probe.zero_pivot_tol = kCanonicalZeroPivotTol;
-        probe.dense = dense;
-        if (Impl::Entry* e = impl_->find_locked(real_key(fp, probe))) {
-          impl_->note_hit();
-          if (was_hit != nullptr) *was_hit = true;
-          return std::make_shared<RealPencilAdapter>(e->real);
+      // the reductions' canonical settings instead of refactoring. The
+      // reduction keyed it with its RHS-width hint, which may have resolved
+      // either kernel path: probe the hint-free resolution first, then the
+      // other.
+      const KernelPath usual = resolve_kernel_path(KernelOptions{}, fp.n);
+      const KernelPath other = usual == KernelPath::kSimplicial
+                                   ? KernelPath::kSupernodal
+                                   : KernelPath::kSimplicial;
+      for (const bool dense : {false, true})
+        for (const KernelPath path : {usual, other}) {
+          PencilFactorOptions probe;
+          probe.shift = fs.real();
+          probe.ordering = kDefaultOrdering;
+          probe.zero_pivot_tol = kCanonicalZeroPivotTol;
+          probe.dense = dense;
+          probe.kernels.path = path;
+          if (Impl::Entry* e = impl_->find_locked(real_key(fp, probe))) {
+            impl_->note_hit();
+            if (was_hit != nullptr) *was_hit = true;
+            return std::make_shared<RealPencilAdapter>(e->real);
+          }
         }
-      }
     }
   }
   impl_->note_miss();

@@ -93,11 +93,10 @@ struct FactorCacheStats {
 };
 
 /// Opaque complex pencil solver cached for AC sweep points (backed by the
-/// FactorChainZ hot path, or by a real-factorization adapter).
+/// two-rung FactorChainZ, or by a real-factorization adapter).
 class ComplexPencilSolver {
  public:
   virtual ~ComplexPencilSolver() = default;
-  virtual CVec solve(const CVec& b) const = 0;
   virtual CMat solve(const CMat& b) const = 0;
   /// Resident bytes this solver pins while cached (0 for adapters that
   /// merely reference another entry's factorization).
@@ -131,8 +130,8 @@ class FactorCache {
   /// Complex acquisition for one AC sweep point at pencil value `fs`.
   /// When fs is purely real, a cached REAL factorization at shift
   /// fs.real() (canonical driver settings: kDefaultOrdering, 1e-12
-  /// zero-pivot tolerance, sparse or dense) is adapted instead of
-  /// refactoring.
+  /// zero-pivot tolerance, sparse or dense, either kernel path) is
+  /// adapted instead of refactoring.
   std::shared_ptr<const ComplexPencilSolver> acquire_complex(
       const PencilFingerprint& fp, Complex fs, const ComplexMaker& make,
       bool* was_hit = nullptr);

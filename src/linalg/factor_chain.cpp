@@ -1,7 +1,6 @@
 #include "linalg/factor_chain.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <string>
 
 #include "fault.hpp"
 #include "obs/obs.hpp"
@@ -10,322 +9,64 @@ namespace sympvl {
 
 namespace {
 
-template <typename T>
-double to_shift_double(T s) {
-  return ScalarTraits<T>::abs(s);
-}
-template <>
-double to_shift_double<double>(double s) {
-  return s;
-}
-
-template <typename T>
-double inf_norm(const std::vector<T>& x) {
-  double m = 0.0;
-  for (const T& v : x) m = std::max(m, ScalarTraits<T>::abs(v));
-  return m;
+// Runs one rung's `factor` under its fault site and records the attempt.
+// Returns false, with the reason in `failure`, when the rung threw.
+template <typename F>
+bool try_rung(Index attempt, bool ldlt, std::string* failure, F&& factor) {
+  bool ok = true;
+  try {
+    fault::check(ldlt ? "factor.ldlt" : "factor.lu", attempt);
+    factor();
+  } catch (const Error& e) {
+    ok = false;
+    *failure = e.what();
+  }
+  obs::instant("factor_chain.attempt",
+               {obs::arg("attempt", attempt), obs::arg("ldlt", ldlt ? 1.0 : 0.0),
+                obs::arg("success", ok ? 1.0 : 0.0)});
+  return ok;
 }
 
 }  // namespace
 
-std::vector<double> shift_ladder(double base, Index count) {
-  require(base > 0.0, ErrorCode::kInvalidArgument,
-          "shift_ladder: base shift must be positive");
-  std::vector<double> out;
-  out.reserve(static_cast<size_t>(std::max<Index>(count, 0)));
-  // Alternate up/down by factors of e with a deterministic ~10% jitter so
-  // retries sample ~3 decades around the base without ever repeating it.
-  for (Index k = 0; k < count; ++k) {
-    const double decade = static_cast<double>(k / 2 + 1);
-    const double dir = (k % 2 == 0) ? 1.0 : -1.0;
-    const double jitter = 1.0 + 0.1 * static_cast<double>(k + 1);
-    out.push_back(base * std::exp(dir * decade) * jitter);
-  }
-  return out;
-}
-
-template <typename T>
-double sparse_onenorm(const SparseMatrix<T>& a) {
-  double norm = 0.0;
-  for (Index j = 0; j < a.cols(); ++j) {
-    double col = 0.0;
-    for (Index k = a.colptr()[static_cast<size_t>(j)];
-         k < a.colptr()[static_cast<size_t>(j) + 1]; ++k)
-      col += ScalarTraits<T>::abs(a.values()[static_cast<size_t>(k)]);
-    norm = std::max(norm, col);
-  }
-  return norm;
-}
-
-template <typename T>
-double inverse_onenorm_estimate(
-    Index n, const std::function<std::vector<T>(const std::vector<T>&)>& solve,
-    Index max_iter) {
-  if (n <= 0) return 0.0;
-  // Hager's method: maximize ‖A⁻¹x‖₁ over the unit 1-ball. Each iteration
-  // needs one solve with A and one with Aᵀ; the matrices this library
-  // factors are (complex-)symmetric, so both are `solve`.
-  std::vector<T> x(static_cast<size_t>(n), T(1.0 / static_cast<double>(n)));
-  double est = 0.0;
-  Index prev_j = -1;
-  for (Index iter = 0; iter < max_iter; ++iter) {
-    const std::vector<T> y = solve(x);
-    double e = 0.0;
-    for (const T& v : y) e += ScalarTraits<T>::abs(v);
-    if (iter > 0 && e <= est * (1.0 + 1e-12)) break;  // stalled
-    est = std::max(est, e);
-    std::vector<T> xi(static_cast<size_t>(n));
-    for (size_t i = 0; i < xi.size(); ++i) {
-      const double m = ScalarTraits<T>::abs(y[i]);
-      xi[i] = (m == 0.0) ? T(1) : y[i] / T(m);
-    }
-    const std::vector<T> z = solve(xi);
-    double zmax = 0.0;
-    Index j = 0;
-    for (Index i = 0; i < n; ++i) {
-      const double m = ScalarTraits<T>::abs(z[static_cast<size_t>(i)]);
-      if (m > zmax) {
-        zmax = m;
-        j = i;
-      }
-    }
-    if (j == prev_j) break;
-    prev_j = j;
-    x.assign(static_cast<size_t>(n), T(0));
-    x[static_cast<size_t>(j)] = T(1);
-  }
-  return est;
-}
-
-// ---- FactorChain -----------------------------------------------------------
-
-template <typename T>
-FactorChain<T>::FactorChain(const SparseMatrix<T>& g, const SparseMatrix<T>& c,
-                            T shift, const std::vector<T>& retry_shifts,
-                            const FactorChainOptions& options)
-    : options_(options) {
-  run_chain(&g, &c, shift, retry_shifts, nullptr);
-}
-
 template <typename T>
 FactorChain<T>::FactorChain(const SparseMatrix<T>& a,
-                            const FactorChainOptions& options)
-    : options_(options) {
-  run_chain(&a, nullptr, T(0), {}, nullptr);
-}
-
-template <typename T>
-FactorChain<T>::FactorChain(const SparseMatrix<T>& a,
-                            std::shared_ptr<const LdltSymbolic> symbolic,
-                            const FactorChainOptions& options)
-    : options_(options) {
-  run_chain(&a, nullptr, T(0), {}, std::move(symbolic));
-}
-
-template <typename T>
-void FactorChain<T>::run_chain(const SparseMatrix<T>* g,
-                               const SparseMatrix<T>* c, T shift,
-                               const std::vector<T>& retry_shifts,
-                               std::shared_ptr<const LdltSymbolic> symbolic) {
-  require(g != nullptr && g->rows() == g->cols(), ErrorCode::kInvalidArgument,
+                            std::shared_ptr<const LdltSymbolic> symbolic) {
+  require(a.rows() == a.cols(), ErrorCode::kInvalidArgument,
           "FactorChain: matrix must be square");
-  auto assemble = [&](T s) -> SparseMatrix<T> {
-    if (c == nullptr || s == T(0)) return *g;
-    return SparseMatrix<T>::add(*g, T(1), *c, s);
-  };
-
-  std::vector<T> shifts{shift};
-  if (c != nullptr)
-    for (T s : retry_shifts)
-      if (s != shift) shifts.push_back(s);
-
-  for (size_t si = 0; si < shifts.size(); ++si) {
-    const T s = shifts[si];
-    const SparseMatrix<T> a = assemble(s);
-    // The shared symbolic analysis only matches the pattern of the
-    // original assembly; shift retries reorder from scratch.
-    const auto sym = (si == 0) ? symbolic : nullptr;
-    if (try_rung(a, s, /*use_ldlt=*/true, sym)) return;
-    if (options_.allow_lu && try_rung(a, s, /*use_ldlt=*/false, nullptr))
-      return;
-  }
-
-  std::string history;
-  for (const FactorAttemptRecord& rec : attempts_) {
-    if (!history.empty()) history += "; ";
-    history += rec.method + "(s0=" + std::to_string(rec.shift) +
-               "): " + (rec.detail.empty() ? "rejected" : rec.detail);
-  }
-  ErrorContext ctx;
-  ctx.stage = "factor_chain";
-  ctx.index = static_cast<Index>(attempts_.size());
-  ctx.condition = attempts_.empty() ? 0.0 : attempts_.back().condest;
+  std::string ldlt_failure, lu_failure;
+  if (try_rung(0, /*ldlt=*/true, &ldlt_failure, [&] {
+        if (symbolic != nullptr)
+          ldlt_.emplace(a, std::move(symbolic), /*zero_pivot_tol=*/0.0);
+        else
+          ldlt_.emplace(a, kDefaultOrdering, /*zero_pivot_tol=*/0.0);
+      }))
+    return;
+  if (try_rung(1, /*ldlt=*/false, &lu_failure, [&] {
+        lu_.emplace(a, kDefaultOrdering, /*pivot_threshold=*/1.0,
+                    /*zero_pivot_tol=*/0.0);
+      }))
+    return;
   throw Error(ErrorCode::kSingular,
-              "FactorChain: every factorization rung failed [" + history + "]",
-              std::move(ctx));
-}
-
-template <typename T>
-bool FactorChain<T>::try_rung(const SparseMatrix<T>& a, T shift, bool use_ldlt,
-                              const std::shared_ptr<const LdltSymbolic>& symbolic) {
-  FactorAttemptRecord rec;
-  rec.method = use_ldlt ? "ldlt" : "lu";
-  rec.shift = to_shift_double(shift);
-  const Index attempt_index = static_cast<Index>(attempts_.size());
-  bool accepted = false;
-  try {
-    fault::check(use_ldlt ? "factor.ldlt" : "factor.lu", attempt_index);
-    if (use_ldlt) {
-      if (symbolic != nullptr)
-        ldlt_.emplace(a, symbolic, options_.zero_pivot_tol, options_.kernels);
-      else
-        ldlt_.emplace(a, options_.ordering, options_.zero_pivot_tol,
-                      options_.kernels);
-    } else {
-      lu_.emplace(a, options_.ordering, /*pivot_threshold=*/1.0,
-                  options_.zero_pivot_tol);
-    }
-    a_ = a;
-    shift_used_ = shift;
-    accepted = accept_rung(a_, rec);
-  } catch (const Error& e) {
-    rec.code = e.code();
-    rec.detail = e.what();
-  }
-  if (!accepted) {
-    if (use_ldlt)
-      ldlt_.reset();
-    else
-      lu_.reset();
-  }
-  rec.success = accepted;
-  obs::instant("factor_chain.attempt",
-               {obs::arg("attempt", attempt_index),
-                obs::arg("ldlt", use_ldlt ? 1.0 : 0.0),
-                obs::arg("shift", rec.shift),
-                obs::arg("condest", rec.condest),
-                obs::arg("success", accepted ? 1.0 : 0.0)});
-  attempts_.push_back(std::move(rec));
-  return accepted;
-}
-
-template <typename T>
-bool FactorChain<T>::accept_rung(const SparseMatrix<T>& a,
-                                 FactorAttemptRecord& rec) {
-  const Index n = a.rows();
-  a_norm1_ = sparse_onenorm(a);
-  condest_ = 0.0;
-
-  // Gate 1: condition estimate, run only when the cheap pivot-ratio
-  // indicator is suspicious (the estimate costs ~2·max_iter extra solves).
-  const double pr = ldlt_ ? ldlt_->pivot_ratio() : lu_->pivot_ratio();
-  if (options_.max_condition > 0.0 && options_.min_pivot_ratio > 0.0 &&
-      pr < options_.min_pivot_ratio) {
-    const auto solver = [this](const std::vector<T>& b) {
-      return raw_solve(b);
-    };
-    condest_ =
-        a_norm1_ *
-        inverse_onenorm_estimate<T>(
-            n, std::function<std::vector<T>(const std::vector<T>&)>(solver));
-    rec.condest = condest_;
-    if (condest_ > options_.max_condition) {
-      rec.code = ErrorCode::kIllConditioned;
-      rec.detail = "condition estimate " + std::to_string(condest_) +
-                   " exceeds gate " + std::to_string(options_.max_condition);
-      return false;
-    }
-  }
-
-  // Gate 2: residual probe with iterative refinement — solve against the
-  // known-answer RHS A·1 and insist the refined residual is small.
-  if (options_.probe_refine_iters > 0 && options_.probe_tol > 0.0) {
-    const std::vector<T> e(static_cast<size_t>(n), T(1));
-    const std::vector<T> b = a.multiply(e);
-    const double bnorm = inf_norm(b);
-    std::vector<T> x = raw_solve(b);
-    double rnorm = 0.0;
-    for (Index iter = 0; iter <= options_.probe_refine_iters; ++iter) {
-      std::vector<T> r = b;
-      const std::vector<T> ax = a.multiply(x);
-      for (size_t i = 0; i < r.size(); ++i) r[i] -= ax[i];
-      rnorm = inf_norm(r);
-      const double scale =
-          std::max(bnorm, a_norm1_ * inf_norm(x)) + 1e-300;
-      if (rnorm <= options_.probe_tol * scale) return true;
-      if (iter == options_.probe_refine_iters) break;
-      const std::vector<T> dx = raw_solve(r);
-      for (size_t i = 0; i < x.size(); ++i) x[i] += dx[i];
-    }
-    rec.code = ErrorCode::kIllConditioned;
-    rec.detail = "residual probe failed (|r|=" + std::to_string(rnorm) + ")";
-    return false;
-  }
-  return true;
-}
-
-template <typename T>
-std::vector<T> FactorChain<T>::raw_solve(const std::vector<T>& b) const {
-  return ldlt_ ? ldlt_->solve(b) : lu_->solve(b);
+              "FactorChain: every factorization rung failed [ldlt: " +
+                  ldlt_failure + "; lu: " + lu_failure + "]",
+              {.stage = "factor_chain"});
 }
 
 template <typename T>
 std::vector<T> FactorChain<T>::solve(const std::vector<T>& b) const {
-  std::vector<T> x = raw_solve(b);
-  if (options_.solve_refine_iters <= 0) return x;
-  const double bnorm = inf_norm(b);
-  for (Index iter = 0; iter < options_.solve_refine_iters; ++iter) {
-    std::vector<T> r = b;
-    const std::vector<T> ax = a_.multiply(x);
-    for (size_t i = 0; i < r.size(); ++i) r[i] -= ax[i];
-    const double scale = a_norm1_ * inf_norm(x) + bnorm + 1e-300;
-    if (inf_norm(r) <= options_.refine_tol * scale) break;
-    const std::vector<T> dx = raw_solve(r);
-    for (size_t i = 0; i < x.size(); ++i) x[i] += dx[i];
-  }
-  return x;
+  return ldlt_ ? ldlt_->solve(b) : lu_->solve(b);
 }
 
 template <typename T>
 Matrix<T> FactorChain<T>::solve(const Matrix<T>& b) const {
+  if (ldlt_) return ldlt_->solve(b);
   Matrix<T> x(b.rows(), b.cols());
-  if (ldlt_) {
-    x = ldlt_->solve(b);  // blocked multi-RHS fast path
-  } else {
-    for (Index j = 0; j < b.cols(); ++j) x.set_col(j, lu_->solve(b.col(j)));
-  }
-  if (options_.solve_refine_iters <= 0) return x;
-  // Refine only the columns whose residual exceeds the target.
-  for (Index j = 0; j < b.cols(); ++j) {
-    const std::vector<T> bj = b.col(j);
-    std::vector<T> xj = x.col(j);
-    const double bnorm = inf_norm(bj);
-    bool changed = false;
-    for (Index iter = 0; iter < options_.solve_refine_iters; ++iter) {
-      std::vector<T> r = bj;
-      const std::vector<T> ax = a_.multiply(xj);
-      for (size_t i = 0; i < r.size(); ++i) r[i] -= ax[i];
-      const double scale = a_norm1_ * inf_norm(xj) + bnorm + 1e-300;
-      if (inf_norm(r) <= options_.refine_tol * scale) break;
-      const std::vector<T> dx = raw_solve(r);
-      for (size_t i = 0; i < xj.size(); ++i) xj[i] += dx[i];
-      changed = true;
-    }
-    if (changed) x.set_col(j, xj);
-  }
+  for (Index j = 0; j < b.cols(); ++j) x.set_col(j, lu_->solve(b.col(j)));
   return x;
 }
 
 template class FactorChain<double>;
 template class FactorChain<Complex>;
-template double sparse_onenorm<double>(const SparseMatrix<double>&);
-template double sparse_onenorm<Complex>(const SparseMatrix<Complex>&);
-template double inverse_onenorm_estimate<double>(
-    Index, const std::function<std::vector<double>(const std::vector<double>&)>&,
-    Index);
-template double inverse_onenorm_estimate<Complex>(
-    Index,
-    const std::function<std::vector<Complex>(const std::vector<Complex>&)>&,
-    Index);
 
 }  // namespace sympvl

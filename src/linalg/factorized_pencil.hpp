@@ -12,8 +12,7 @@
 //     backend (sparse unpivoted LDLᵀ, or the dense Bunch-Kaufman
 //     fallback), exposes the split M/J interface, plain and blocked
 //     A-solves (the blocked path routes through SparseLDLT's one-pass
-//     multi-RHS solve), the Krylov operator J⁻¹M⁻¹CM⁻ᵀ, and carries the
-//     FactorAttemptRecord recovery trail of how it was obtained.
+//     multi-RHS solve), and the Krylov operator J⁻¹M⁻¹CM⁻ᵀ.
 //
 // FactorizedPencil instances are immutable after construction and safe
 // to share across threads — the property FactorCache relies on. Given a
@@ -27,7 +26,6 @@
 
 #include "linalg/dense.hpp"
 #include "linalg/dense_factor.hpp"
-#include "linalg/factor_chain.hpp"
 #include "linalg/sparse.hpp"
 #include "linalg/sparse_ldlt.hpp"
 
@@ -77,8 +75,8 @@ struct PencilFactorOptions {
   double shift = 0.0;                  ///< s₀ of the pencil G + s₀C
   Ordering ordering = kDefaultOrdering;  ///< sparse pre-ordering
   /// Relative zero-pivot threshold of the sparse LDLᵀ rung (the canonical
-  /// driver setting; AC per-point pencils use 0 through FactorChain
-  /// instead of this type).
+  /// reduction setting; the exact AC, transient and sensitivity solves use
+  /// 0 through FactorChain instead of this type).
   double zero_pivot_tol = 1e-12;
   /// Use the dense Bunch-Kaufman backend instead of the sparse LDLᵀ
   /// (the last rung of the SyMPVL recovery ladder).
@@ -133,16 +131,7 @@ class FactorizedPencil final : public SymmetricOperator {
   // ---- The Krylov operator Op = J⁻¹M⁻¹CM⁻ᵀ. ----
   Vec apply(const Vec& v) const override;
 
-  // ---- Recovery trail & telemetry. ----
-  /// The rungs attempted to obtain this factorization (filled by the
-  /// creating ladder; empty when constructed directly).
-  const std::vector<FactorAttemptRecord>& attempts() const {
-    return attempts_;
-  }
-  void set_attempts(std::vector<FactorAttemptRecord> attempts) {
-    attempts_ = std::move(attempts);
-  }
-
+  // ---- Telemetry. ----
   /// Sparse-factor telemetry (zeros on the dense backend).
   Index l_nnz() const { return ldlt_ ? ldlt_->l_nnz() : 0; }
   double fill_ratio() const { return ldlt_ ? ldlt_->fill_ratio() : 0.0; }
@@ -192,7 +181,6 @@ class FactorizedPencil final : public SymmetricOperator {
   // Dense backend: M from Bunch-Kaufman, LU factors of M and Mᵀ.
   std::unique_ptr<LU> m_lu_, mt_lu_;
   Vec j_;
-  std::vector<FactorAttemptRecord> attempts_;
 };
 
 }  // namespace sympvl

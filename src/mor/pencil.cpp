@@ -1,5 +1,6 @@
 #include "mor/pencil.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -115,12 +116,15 @@ PencilFactorResult full_ladder(const SMat& g, const SMat& c,
 }
 
 // Single attempt at s₀ with one automatic-shift retry — the historical
-// SyPVL/PVL/Arnoldi policy. `auto_s0` of 0 disables the retry.
+// SyPVL/PVL/Arnoldi policy. The retry shift is automatic_shift(*sys) when
+// a system is given, resolved LAZILY (it throws on resistor-only
+// circuits, and those factor fine at s₀ = 0); without one it is
+// req.auto_s0, and 0 disables the retry.
 PencilFactorResult single_attempt(const SMat& g, const SMat& c,
                                   const PencilFingerprint& fp,
                                   FactorCache& cache,
                                   const PencilFactorRequest& req,
-                                  double auto_s0) {
+                                  const MnaSystem* sys) {
   PencilFactorResult res;
   if (auto pencil = attempt_rung(g, c, fp, cache, req, req.s0,
                                  /*dense=*/false, &res.attempts)) {
@@ -128,14 +132,16 @@ PencilFactorResult single_attempt(const SMat& g, const SMat& c,
     res.s0_used = req.s0;
     return res;
   }
-  const FactorAttemptRecord& failed = res.attempts.back();
-  if (!(req.auto_shift && req.s0 == 0.0) || auto_s0 == 0.0)
+  if (!(req.auto_shift && req.s0 == 0.0) ||
+      (sys == nullptr && req.auto_s0 == 0.0))
     throw Error(ErrorCode::kSingular,
                 std::string(req.driver) +
                     ": factorization of G + s0*C failed and auto_shift "
                     "cannot help: " +
-                    failed.detail,
+                    res.attempts.back().detail,
                 {.stage = req.stage, .value = req.s0});
+  const double auto_s0 =
+      sys != nullptr ? automatic_shift(*sys) : req.auto_s0;  // may throw
   if (auto pencil = attempt_rung(g, c, fp, cache, req, auto_s0,
                                  /*dense=*/false, &res.attempts)) {
     res.pencil = std::move(pencil);
@@ -148,7 +154,31 @@ PencilFactorResult single_attempt(const SMat& g, const SMat& c,
   throw Error(retry.code, retry.detail, {.stage = req.stage, .value = auto_s0});
 }
 
+// The request's cache, resized first when the request asks for it.
+FactorCache& request_cache(const PencilFactorRequest& req) {
+  FactorCache& cache = req.cache != nullptr ? *req.cache : FactorCache::global();
+  if (req.cache_options.capacity > 0)
+    cache.set_capacity(req.cache_options.capacity);
+  return cache;
+}
+
 }  // namespace
+
+std::vector<double> shift_ladder(double base, Index count) {
+  require(base > 0.0, ErrorCode::kInvalidArgument,
+          "shift_ladder: base shift must be positive");
+  std::vector<double> out;
+  out.reserve(static_cast<size_t>(std::max<Index>(count, 0)));
+  // Alternate up/down by factors of e with a deterministic ~10% jitter so
+  // retries sample ~3 decades around the base without ever repeating it.
+  for (Index k = 0; k < count; ++k) {
+    const double decade = static_cast<double>(k / 2 + 1);
+    const double dir = (k % 2 == 0) ? 1.0 : -1.0;
+    const double jitter = 1.0 + 0.1 * static_cast<double>(k + 1);
+    out.push_back(base * std::exp(dir * decade) * jitter);
+  }
+  return out;
+}
 
 double automatic_shift(const MnaSystem& sys) {
   // Scale ratio of the pencil terms: s₀ ≈ Σ|diag G| / Σ|diag C| lands in
@@ -168,59 +198,28 @@ double automatic_shift(const MnaSystem& sys) {
 
 PencilFactorResult factor_pencil(const SMat& g, const SMat& c,
                                  const PencilFactorRequest& req) {
-  FactorCache& cache = req.cache != nullptr ? *req.cache : FactorCache::global();
-  if (req.cache_options.capacity > 0)
-    cache.set_capacity(req.cache_options.capacity);
+  FactorCache& cache = request_cache(req);
   const PencilFingerprint fp = fingerprint_pencil(g, c);
   if (req.full_ladder) return full_ladder(g, c, fp, cache, req);
-  return single_attempt(g, c, fp, cache, req, req.auto_s0);
+  return single_attempt(g, c, fp, cache, req, nullptr);
 }
 
 PencilFactorResult factor_pencil(const MnaSystem& sys,
                                  const PencilFactorRequest& req) {
-  FactorCache& cache = req.cache != nullptr ? *req.cache : FactorCache::global();
-  if (req.cache_options.capacity > 0)
-    cache.set_capacity(req.cache_options.capacity);
+  FactorCache& cache = request_cache(req);
   const PencilFingerprint fp = fingerprint_pencil(sys.G, sys.C);
-  if (req.full_ladder) {
-    PencilFactorRequest r = req;
-    if (r.auto_shift && r.auto_s0 == 0.0) {
-      try {
-        r.auto_s0 = automatic_shift(sys);
-      } catch (const Error&) {
-        // C has an empty diagonal — no automatic shift available; the
-        // ladder degrades to the requested shift plus the dense rung.
-      }
+  if (!req.full_ladder)
+    return single_attempt(sys.G, sys.C, fp, cache, req, &sys);
+  PencilFactorRequest r = req;
+  if (r.auto_shift && r.auto_s0 == 0.0) {
+    try {
+      r.auto_s0 = automatic_shift(sys);
+    } catch (const Error&) {
+      // C has an empty diagonal — no automatic shift available; the
+      // ladder degrades to the requested shift plus the dense rung.
     }
-    return full_ladder(sys.G, sys.C, fp, cache, r);
   }
-  // Single-attempt policy: resolve the automatic shift LAZILY, only when
-  // the first attempt failed and a retry is allowed — automatic_shift
-  // throws on resistor-only circuits, and those factor fine at s₀ = 0.
-  PencilFactorResult res;
-  if (auto pencil = attempt_rung(sys.G, sys.C, fp, cache, req, req.s0,
-                                 /*dense=*/false, &res.attempts)) {
-    res.pencil = std::move(pencil);
-    res.s0_used = req.s0;
-    return res;
-  }
-  const FactorAttemptRecord failed = res.attempts.back();
-  if (!(req.auto_shift && req.s0 == 0.0))
-    throw Error(ErrorCode::kSingular,
-                std::string(req.driver) +
-                    ": factorization of G + s0*C failed and auto_shift "
-                    "cannot help: " +
-                    failed.detail,
-                {.stage = req.stage, .value = req.s0});
-  const double auto_s0 = automatic_shift(sys);  // may throw; propagates
-  if (auto pencil = attempt_rung(sys.G, sys.C, fp, cache, req, auto_s0,
-                                 /*dense=*/false, &res.attempts)) {
-    res.pencil = std::move(pencil);
-    res.s0_used = auto_s0;
-    return res;
-  }
-  const FactorAttemptRecord& retry = res.attempts.back();
-  throw Error(retry.code, retry.detail, {.stage = req.stage, .value = auto_s0});
+  return full_ladder(sys.G, sys.C, fp, cache, r);
 }
 
 Mat starting_block(const FactorizedPencil& pencil, const Mat& b) {

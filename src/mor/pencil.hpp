@@ -23,6 +23,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "circuit/mna.hpp"
@@ -30,6 +31,21 @@
 #include "linalg/factorized_pencil.hpp"
 
 namespace sympvl {
+
+/// One rung of the reduction ladder, as attempted: which backend, at which
+/// shift, whether it was accepted, and why not when it wasn't.
+struct FactorAttemptRecord {
+  std::string method;      ///< "ldlt" or "dense_bk"
+  double shift = 0.0;      ///< s₀ the pencil was assembled at
+  bool success = false;    ///< accepted as the active factorization
+  ErrorCode code = ErrorCode::kUnknown;  ///< failure taxonomy when !success
+  std::string detail;      ///< failure message, or "cache hit"
+};
+
+/// Jittered shifts of the full ladder's eq. 26 retries: deterministic
+/// multiples of `base` spread over ~3 decades so a retry lands away from
+/// whatever made the previous shift singular.
+std::vector<double> shift_ladder(double base, Index count);
 
 /// Picks the automatic shift used when G is singular: the ratio of the
 /// diagonal scales of G and C (a frequency inside the band where both

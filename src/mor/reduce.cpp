@@ -39,7 +39,6 @@ void harvest_report(const SympvlReport& report,
                            ", shift=" + std::to_string(rec.shift) + ")")
                         : rec.detail;
     issue.value = rec.shift;
-    issue.condition = rec.condest;
     out->push_back(std::move(issue));
   }
   if (report.breakdown) {
@@ -157,7 +156,7 @@ const MacroModel& ReduceResult::value() const {
       const ReductionIssue& first = diagnostics.front();
       throw Error(first.code, first.message,
                   {.stage = first.stage, .index = first.index,
-                   .value = first.value, .condition = first.condition});
+                   .value = first.value});
     }
     throw Error(ErrorCode::kUnknown, "reduce: failed (no diagnostics)");
   }

@@ -57,7 +57,6 @@ struct ReductionIssue {
   std::string message;
   Index index = -1;     ///< pivot / iteration / point index when known
   double value = 0.0;   ///< offending magnitude when known
-  double condition = 0.0;
 
   static ReductionIssue from_error(const Error& ex) {
     ReductionIssue issue;
@@ -66,7 +65,6 @@ struct ReductionIssue {
     issue.message = ex.what();
     issue.index = ex.context().index;
     issue.value = ex.context().value;
-    issue.condition = ex.context().condition;
     return issue;
   }
 };

@@ -39,6 +39,7 @@ struct SympvlSession::Impl {
   std::unique_ptr<BandLanczos> lanczos;
   Mat exact_moment0;  // p×p exact 0th moment Bᵀ(G+s₀C)⁻¹B = startᵀJ·start
   SympvlReport report;
+  bool factor_cache_hit = false;  // the accepted rung came from the cache
 
   void absorb_factor_result(PencilFactorResult outcome) {
     pencil = std::move(outcome.pencil);
@@ -46,9 +47,11 @@ struct SympvlSession::Impl {
     report.s0_used = outcome.s0_used;
     report.used_dense_fallback = outcome.dense;
     for (FactorAttemptRecord& rec : outcome.attempts) {
-      if (rec.success)
-        ++(rec.detail == "cache hit" ? report.factor_cache_hits
-                                     : report.factor_cache_misses);
+      if (rec.success) {
+        factor_cache_hit = rec.detail == "cache hit";
+        ++(factor_cache_hit ? report.factor_cache_hits
+                            : report.factor_cache_misses);
+      }
       report.factor_attempts.push_back(std::move(rec));
     }
     report.factor_nnz_l = pencil->l_nnz();
@@ -65,10 +68,10 @@ struct SympvlSession::Impl {
 
   // Flop rate of the numeric factorization; call after factor_seconds is
   // settled (it includes ladder retries, so this is a floor on the kernel
-  // rate).
+  // rate). A cache hit factored nothing: its rate is 0.
   void refresh_factor_gflops() {
     report.factor_gflops =
-        report.factor_seconds > 0.0
+        report.factor_seconds > 0.0 && !factor_cache_hit
             ? report.factor_flops / report.factor_seconds * 1e-9
             : 0.0;
   }

@@ -15,9 +15,9 @@
 #include <memory>
 
 #include "circuit/mna.hpp"
-#include "linalg/factor_chain.hpp"
 #include "linalg/sparse_ldlt.hpp"
 #include "mor/options.hpp"
+#include "mor/pencil.hpp"
 #include "mor/reduced_model.hpp"
 #include "obs/histogram.hpp"
 
@@ -95,7 +95,7 @@ struct SympvlReport {
   std::string simd_level = "scalar";  ///< resolved SIMD dispatch level
   Index kernel_threads = 1;    ///< threads the numeric phase spanned
   /// Numeric-factorization flop rate (GFLOP/s over factor_seconds; 0 when
-  /// unmeasurable).
+  /// unmeasurable or when the accepted factor was a cache hit).
   double factor_gflops = 0.0;
 
   // -- FactorCache outcome for this reduction's successful rungs (failed

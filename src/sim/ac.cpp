@@ -5,68 +5,31 @@
 
 #include "linalg/factor_cache.hpp"
 #include "linalg/factor_chain.hpp"
-#include "linalg/sparse_ldlt.hpp"
-#include "linalg/sparse_lu.hpp"
 #include "obs/obs.hpp"
 
 namespace sympvl {
 
 namespace {
 
-// Solver for one pencil G + f(s)C, backed by the factorization fallback
-// chain: the unpivoted complex-symmetric sparse LDLᵀ is the fast path;
-// MNA pencils can hit exact structural zero pivots (e.g. a series R-L
-// chain cancels the node conductance during elimination), in which case
-// the partial-pivoting sparse LU rung takes over. The chain's acceptance
-// gates are disabled here — tiny pivots near resonances are legitimate,
-// and a per-point condition estimate would double the sweep cost.
-class PencilSolver {
- public:
-  explicit PencilSolver(const CSMat& pencil)
-      : chain_(pencil, hot_path_options()) {
-    note_fallback(pencil.rows());
-  }
-  PencilSolver(const CSMat& pencil,
-               const std::shared_ptr<const LdltSymbolic>& symbolic)
-      : chain_(pencil, symbolic, hot_path_options()) {
-    note_fallback(pencil.rows());
-  }
-  CVec solve(const CVec& b) const { return chain_.solve(b); }
-  // Multi-RHS solve: one blocked pass over the LDLᵀ factor for all
-  // columns; the LU fallback solves column by column.
-  CMat solve(const CMat& b) const { return chain_.solve(b); }
-  std::int64_t bytes() const { return chain_.bytes(); }
-
- private:
-  static FactorChainOptions hot_path_options() {
-    FactorChainOptions opt;
-    opt.zero_pivot_tol = 0.0;   // accept tiny pivots (resonances)
-    opt.min_pivot_ratio = 0.0;  // no condition estimate per point
-    opt.probe_refine_iters = 0; // no residual probe per point
-    return opt;
-  }
-  void note_fallback(Index n) {
-    if (chain_.used_fallback())
-      obs::instant("ac.lu_fallback", {obs::arg("n", n)});
-  }
-  FactorChainZ chain_;
-};
-
-// Cacheable wrapper: the per-point PencilSolver behind the FactorCache's
-// opaque complex-solver interface. Solves are const with call-local
-// workspaces, so one cached instance may serve concurrent sweep threads.
+// One cached AC point: the two-rung FactorChain (unpivoted complex-
+// symmetric LDLᵀ, then the pivoted sparse LU at a structural zero pivot,
+// e.g. where a series R-L chain cancels the node conductance during
+// elimination) behind the FactorCache's complex-solver interface. Solves
+// are const with call-local workspaces, so one cached instance may serve
+// concurrent sweep threads.
 class AcPointSolver final : public ComplexPencilSolver {
  public:
-  explicit AcPointSolver(const CSMat& pencil) : solver_(pencil) {}
-  AcPointSolver(const CSMat& pencil,
-                const std::shared_ptr<const LdltSymbolic>& symbolic)
-      : solver_(pencil, symbolic) {}
-  CVec solve(const CVec& b) const override { return solver_.solve(b); }
-  CMat solve(const CMat& b) const override { return solver_.solve(b); }
-  std::int64_t bytes() const override { return solver_.bytes(); }
+  explicit AcPointSolver(const CSMat& pencil,
+                         std::shared_ptr<const LdltSymbolic> symbolic = nullptr)
+      : chain_(pencil, std::move(symbolic)) {
+    if (chain_.used_fallback())
+      obs::instant("ac.lu_fallback", {obs::arg("n", pencil.rows())});
+  }
+  CMat solve(const CMat& b) const override { return chain_.solve(b); }
+  std::int64_t bytes() const override { return chain_.bytes(); }
 
  private:
-  PencilSolver solver_;
+  FactorChainZ chain_;
 };
 
 // Complex copy of the real port incidence B (the multi-RHS block).

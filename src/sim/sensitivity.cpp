@@ -1,10 +1,8 @@
 #include "sim/sensitivity.hpp"
 
 #include <cmath>
-#include <optional>
 
-#include "linalg/sparse_ldlt.hpp"
-#include "linalg/sparse_lu.hpp"
+#include "linalg/factor_chain.hpp"
 
 namespace sympvl {
 
@@ -19,18 +17,11 @@ SensitivityResult z_sensitivities(const Netlist& netlist, Complex s,
 
   // Factor the pencil once; solve for the two port columns (identical
   // when row == col — the reciprocity that makes the adjoint free).
-  const CSMat pencil = pencil_combine(sys.G, sys.C, s);
-  std::optional<CLDLT> ldlt;
-  std::optional<CLUSparse> lu;
-  try {
-    ldlt.emplace(pencil);
-  } catch (const Error&) {
-    lu.emplace(pencil);
-  }
+  const FactorChainZ fact(pencil_combine(sys.G, sys.C, s));
   auto solve = [&](const Vec& b) {
     CVec bc(static_cast<size_t>(n));
     for (Index i = 0; i < n; ++i) bc[static_cast<size_t>(i)] = Complex(b[static_cast<size_t>(i)], 0.0);
-    return ldlt ? ldlt->solve(bc) : lu->solve(bc);
+    return fact.solve(bc);
   };
   const CVec xi = solve(sys.B.col(port_row));
   const CVec xj = (port_row == port_col) ? xi : solve(sys.B.col(port_col));

@@ -1,10 +1,8 @@
 #include "sim/transient.hpp"
 
 #include <cmath>
-#include <optional>
 
-#include "linalg/sparse_ldlt.hpp"
-#include "linalg/sparse_lu.hpp"
+#include "linalg/factor_chain.hpp"
 
 namespace sympvl {
 
@@ -28,20 +26,10 @@ TransientResult simulate_transient(const MnaSystem& sys, const Mat& input_map,
   const Index n_out = output_map.cols();
   const bool trap = options.method == IntegrationMethod::kTrapezoidal;
 
-  // System matrix: (C/h + G/2) for trapezoidal, (C/h + G) for BE.
-  // Sparse unpivoted LDLᵀ with a partial-pivoting sparse LU fallback (the
-  // general-RLC matrix is indefinite and can defeat the unpivoted path).
-  const SMat lhs = SMat::add(sys.C, 1.0 / h, sys.G, trap ? 0.5 : 1.0);
-  std::optional<LDLT> ldlt_fact;
-  std::optional<LUSparse> lu_fact;
-  try {
-    ldlt_fact.emplace(lhs);
-  } catch (const Error&) {
-    lu_fact.emplace(lhs);
-  }
-  auto solve_step = [&](const Vec& b) {
-    return ldlt_fact ? ldlt_fact->solve(b) : lu_fact->solve(b);
-  };
+  // System matrix: (C/h + G/2) for trapezoidal, (C/h + G) for BE, through
+  // the LDLᵀ → LU chain (the general-RLC matrix is indefinite and can
+  // defeat the unpivoted path).
+  const FactorChainD lhs(SMat::add(sys.C, 1.0 / h, sys.G, trap ? 0.5 : 1.0));
   // History matrix: (C/h − G/2) for trapezoidal, C/h for BE.
   const SMat rhs_mat = SMat::add(sys.C, 1.0 / h, sys.G, trap ? -0.5 : 0.0);
 
@@ -91,7 +79,7 @@ TransientResult simulate_transient(const MnaSystem& sys, const Mat& input_map,
       const Vec bi = apply_input_map(u_now);
       for (Index i = 0; i < n; ++i) b[static_cast<size_t>(i)] += bi[static_cast<size_t>(i)];
     }
-    x = solve_step(b);
+    x = lhs.solve(b);
     u_prev = u_now;
     record(k, t);
   }

@@ -4,6 +4,7 @@
 
 #include <optional>
 #include <thread>
+#include <utility>
 
 #include "fault.hpp"
 #include "gen/package.hpp"
@@ -189,8 +190,8 @@ TEST(FactorCache, FailedFactorizationIsNotCached) {
 // ---- SyMPVL at s₀ followed by an exact AC solve at the same point
 // costs exactly ONE factorization, with the ordering left at its default
 // or set explicitly to that default. ----
-void expect_cross_driver_reuse(const std::optional<Ordering>& ordering) {
-  const MnaSystem sys = small_rc();
+void expect_cross_driver_reuse(const MnaSystem& sys,
+                               const std::optional<Ordering>& ordering) {
   FactorCache cache(8);
   const double s0 = 1e9;
 
@@ -227,11 +228,44 @@ void expect_cross_driver_reuse(const std::optional<Ordering>& ordering) {
 }
 
 TEST(FactorCache, CrossDriverReuseSingleFactorization) {
-  expect_cross_driver_reuse(std::nullopt);
+  expect_cross_driver_reuse(small_rc(), std::nullopt);
 }
 
 TEST(FactorCache, CrossDriverReuseSingleFactorizationExplicitNd) {
-  expect_cross_driver_reuse(Ordering::kNestedDissection);
+  expect_cross_driver_reuse(small_rc(), Ordering::kNestedDissection);
+}
+
+TEST(FactorCache, CrossDriverReuseSingleFactorizationWideRhs) {
+  // 48 <= n < 4p: the reduction's p-wide RHS hint resolves the simplicial
+  // kernel where a hint-free resolution picks the supernodal one; the AC
+  // probe must find the reduction's factor either way.
+  for (const auto& [nodes, ports] : {std::pair{60, 16}, std::pair{100, 26}}) {
+    SCOPED_TRACE(::testing::Message() << nodes << " nodes, " << ports
+                                      << " ports");
+    expect_cross_driver_reuse(
+        build_mna(random_rc({.nodes = nodes, .ports = ports, .seed = 11})),
+        std::nullopt);
+  }
+}
+
+TEST(FactorCache, CacheHitReportsNoFactorRate) {
+  // A reduction served from the cache factored nothing, so it reports no
+  // flop rate (not the cached factor's flops over the lookup time).
+  const MnaSystem sys =
+      build_mna(random_rc({.nodes = 400, .ports = 4, .seed = 11}));
+  FactorCache cache(4);
+  SympvlOptions opt;
+  opt.order = 8;
+  opt.factor_cache = &cache;
+  SympvlReport first, second;
+  sympvl_reduce(sys, opt, &first);
+  sympvl_reduce(sys, opt, &second);
+  EXPECT_EQ(first.factor_cache_misses, 1);
+  EXPECT_GT(first.factor_gflops, 0.0);
+  EXPECT_EQ(second.factor_cache_hits, 1);
+  EXPECT_GT(second.factor_flops, 0.0);
+  EXPECT_EQ(second.factor_gflops, 0.0);
+  EXPECT_EQ(cache.stats().factorizations, 1u);
 }
 
 // ---- One symbolic analysis per sparsity pattern. ----

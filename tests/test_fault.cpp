@@ -14,7 +14,6 @@
 #include "fault.hpp"
 #include "gen/package.hpp"
 #include "gen/random_circuit.hpp"
-#include "linalg/factor_chain.hpp"
 #include "linalg/simd.hpp"
 #include "linalg/sparse_ldlt.hpp"
 #include "mor/reduce.hpp"
@@ -22,7 +21,9 @@
 #include "obs/json.hpp"
 #include "serve/daemon.hpp"
 #include "sim/ac.hpp"
+#include "sim/sensitivity.hpp"
 #include "sim/sweep_api.hpp"
+#include "sim/transient.hpp"
 
 namespace sympvl {
 namespace {
@@ -81,37 +82,54 @@ TEST_F(FaultTest, InjectedPivotFailsIdenticallyAcrossSimdLevels) {
   }
 }
 
-// ---- Acceptance: forced pivot failure walks the whole fallback chain. ----
+// ---- The exact solves' LDLᵀ → LU fallback, through its callers. ----
 
-TEST_F(FaultTest, ForcedPivotFailureWalksLdltLuShiftedRetry) {
-  const Index n = 30;
-  const SMat g = laplacian_spd(n);
-  const SMat c = laplacian_spd(n);
+TEST_F(FaultTest, ForcedLdltFailureWalksToLuInTransientAndSensitivity) {
+  // Killing the LDLᵀ rung forces the pivoted LU on the transient step
+  // matrix and on the sensitivity pencil; both runs must agree with the
+  // clean (LDLᵀ) ones to factorization accuracy.
+  const Netlist nl = random_rlc({.nodes = 15, .ports = 2, .seed = 91});
+  const MnaSystem sys = build_mna(nl, MnaForm::kGeneral);
+  const auto drive = pulse_waveform(1e-3, 0.0, 2e-11, 1e-10, 2e-11);
+  const Complex s(0.0, 2.0 * M_PI * 5e8);
+  for (const IntegrationMethod method :
+       {IntegrationMethod::kTrapezoidal, IntegrationMethod::kBackwardEuler}) {
+    const TransientOptions topt{.dt = 1e-12, .t_end = 5e-10, .method = method};
+    const TransientResult clean =
+        simulate_ports_transient(sys, {drive, drive}, topt);
+    fault::arm("factor.ldlt@*");
+    const TransientResult lu =
+        simulate_ports_transient(sys, {drive, drive}, topt);
+    EXPECT_EQ(fault::fire_count("factor.ldlt"), 1);
+    fault::disarm();
+    double num = 0.0, den = 0.0;
+    for (Index k = 0; k < clean.outputs.rows(); ++k)
+      for (Index j = 0; j < clean.outputs.cols(); ++j) {
+        num = std::max(num, std::abs(lu.outputs(k, j) - clean.outputs(k, j)));
+        den = std::max(den, std::abs(clean.outputs(k, j)));
+      }
+    EXPECT_GT(den, 0.0);
+    EXPECT_LT(num, 1e-10 * den);
+  }
 
-  // LDLᵀ is killed everywhere; LU is killed on its first attempt only —
-  // the chain must walk LDLᵀ(s₀) → LU(s₀) → LDLᵀ(s₁) → LU(s₁) and accept
-  // the fourth rung, at the first retry shift.
-  fault::arm("factor.ldlt@*;factor.lu@1");
-  const FactorChainD chain(g, c, 0.0, shift_ladder(1.0, 4));
+  const SensitivityResult clean = z_sensitivities(nl, s, 0, 1);
+  fault::arm("factor.ldlt@*");
+  const SensitivityResult lu = z_sensitivities(nl, s, 0, 1);
+  EXPECT_EQ(fault::fire_count("factor.ldlt"), 1);
   fault::disarm();
-
-  ASSERT_EQ(chain.attempts().size(), 4u);
-  EXPECT_EQ(chain.attempts()[0].method, "ldlt");
-  EXPECT_EQ(chain.attempts()[0].code, ErrorCode::kFaultInjected);
-  EXPECT_EQ(chain.attempts()[1].method, "lu");
-  EXPECT_EQ(chain.attempts()[1].code, ErrorCode::kFaultInjected);
-  EXPECT_EQ(chain.attempts()[2].method, "ldlt");
-  EXPECT_TRUE(chain.attempts()[3].success);
-  EXPECT_EQ(chain.method(), std::string("lu"));
-  EXPECT_TRUE(chain.used_fallback());
-  EXPECT_NE(chain.shift_used(), 0.0);
-
-  // The accepted rung really solves its shifted pencil.
-  Vec b(static_cast<size_t>(n), 1.0);
-  const Vec x = chain.solve(b);
-  const SMat shifted = SMat::add(g, 1.0, c, chain.shift_used());
-  const Vec r = shifted.multiply(x);
-  for (size_t i = 0; i < r.size(); ++i) EXPECT_NEAR(r[i], b[i], 1e-8);
+  const auto expect_close = [](const std::vector<Complex>& got,
+                               const std::vector<Complex>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    double num = 0.0, den = 0.0;
+    for (size_t i = 0; i < want.size(); ++i) {
+      num = std::max(num, std::abs(got[i] - want[i]));
+      den = std::max(den, std::abs(want[i]));
+    }
+    EXPECT_LE(num, 1e-10 * den);
+  };
+  expect_close(lu.d_resistance, clean.d_resistance);
+  expect_close(lu.d_capacitance, clean.d_capacitance);
+  expect_close(lu.d_inductance, clean.d_inductance);
 }
 
 TEST_F(FaultTest, ForcedPivotFailureModelMatchesCleanRun) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "mor/pencil.hpp"
 #include "mor/reduce.hpp"
 #include "mor/sympvl.hpp"
 
@@ -133,6 +134,22 @@ TEST(Robustness, ResistorOnlyCircuitHasNoAutomaticShift) {
   } catch (const Error& ex) {
     EXPECT_EQ(ex.code(), ErrorCode::kInvalidArgument);
     EXPECT_EQ(ex.context().stage, "sympvl.auto_shift");
+  }
+}
+
+TEST(Robustness, ShiftLadderDeterministicAndValidated) {
+  // The jittered eq. 26 retry shifts of the full SyMPVL ladder.
+  const std::vector<double> a = shift_ladder(2.5, 6);
+  const std::vector<double> b = shift_ladder(2.5, 6);
+  ASSERT_EQ(a.size(), 6u);
+  EXPECT_EQ(a, b);  // bitwise deterministic
+  for (double s : a) EXPECT_GT(s, 0.0);
+  for (size_t i = 0; i + 1 < a.size(); ++i) EXPECT_NE(a[i], a[i + 1]);
+  try {
+    shift_ladder(0.0, 3);
+    FAIL() << "expected Error";
+  } catch (const Error& ex) {
+    EXPECT_EQ(ex.code(), ErrorCode::kInvalidArgument);
   }
 }
 
