@@ -89,26 +89,21 @@ struct Key {
   bool dense = false;
   bool complex_pencil = false;
   // Kernel selection changes the factorization's rounding, so it is part
-  // of the identity of a cached factor (defaults for complex entries).
-  // Both fields are stored RESOLVED: kernel_path through the n/rhs_hint
-  // heuristic and the SYMPVL_KERNEL env, simd through SYMPVL_SIMD and the
-  // CPU probe. Requests that differ only in hints resolving to the same
-  // kernels share one entry; hints that flip the resolution get distinct
-  // keys, so a hit always returns the rounding the caller would have
-  // produced fresh.
+  // of the identity of a cached factor. Both fields are stored RESOLVED:
+  // kernel_path through the n/rhs_hint heuristic, simd through
+  // SYMPVL_SIMD and the CPU probe. Requests that differ only in hints
+  // resolving to the same kernels share one entry; hints that flip the
+  // resolution get distinct keys, so a hit always returns the rounding the
+  // caller would have produced fresh. Complex entries leave kernel_path
+  // at 0: their default-option path is a function of n alone.
   int kernel_path = 0;
   int simd = 0;
-  Index relax_zeros = 0;
-  std::uint64_t relax_ratio = 0;
-  Index max_panel_width = 0;
 
   bool operator==(const Key& o) const {
     return g == o.g && c == o.c && shift_re == o.shift_re &&
            shift_im == o.shift_im && tol == o.tol && ordering == o.ordering &&
            dense == o.dense && complex_pencil == o.complex_pencil &&
-           kernel_path == o.kernel_path && simd == o.simd &&
-           relax_zeros == o.relax_zeros && relax_ratio == o.relax_ratio &&
-           max_panel_width == o.max_panel_width;
+           kernel_path == o.kernel_path && simd == o.simd;
   }
 };
 
@@ -127,9 +122,6 @@ struct KeyHash {
     h = fnv1a(&flags, sizeof(flags), h);
     h = fnv1a(&k.kernel_path, sizeof(k.kernel_path), h);
     h = fnv1a(&k.simd, sizeof(k.simd), h);
-    h = fnv1a(&k.relax_zeros, sizeof(k.relax_zeros), h);
-    h = fnv1a(&k.relax_ratio, sizeof(k.relax_ratio), h);
-    h = fnv1a(&k.max_panel_width, sizeof(k.max_panel_width), h);
     return static_cast<std::size_t>(h);
   }
 };
@@ -145,9 +137,6 @@ Key real_key(const PencilFingerprint& fp, const PencilFactorOptions& opt) {
   k.kernel_path = static_cast<int>(
       resolve_kernel_path(opt.kernels, fp.n, opt.kernels.rhs_hint));
   k.simd = static_cast<int>(resolve_simd_level(opt.kernels.simd));
-  k.relax_zeros = opt.kernels.relax_zeros;
-  k.relax_ratio = double_bits(opt.kernels.relax_ratio);
-  k.max_panel_width = opt.kernels.max_panel_width;
   return k;
 }
 
@@ -158,6 +147,9 @@ Key complex_key(const PencilFingerprint& fp, Complex fs) {
   k.shift_re = double_bits(fs.real());
   k.shift_im = double_bits(fs.imag());
   k.complex_pencil = true;
+  // The AC point factor runs default KernelOptions, so its SIMD level
+  // resolves through SYMPVL_SIMD at every factorization.
+  k.simd = static_cast<int>(resolve_simd_level(SimdLevel::kAuto));
   return k;
 }
 

@@ -8,7 +8,8 @@
 //
 // Keys: a value fingerprint of (G, C) — FNV-1a over dimensions, sparsity
 // pattern and values — plus the expansion point, ordering, zero-pivot
-// tolerance and backend (sparse/dense/complex). Two calls with equal
+// tolerance, backend (sparse/dense/complex) and the resolved kernel path
+// and SIMD level. Two calls with equal
 // keys would factor bit-identical pencils, so a hit returns numerically
 // identical solves and determinism (1-thread vs N-thread bit-equality)
 // is preserved.

@@ -153,8 +153,6 @@ class FactorizedPencil final : public SymmetricOperator {
   SimdLevel simd_level() const {
     return ldlt_ ? ldlt_->simd_level() : SimdLevel::kScalar;
   }
-  /// Threads the supernodal numeric factorization spanned (1 = serial).
-  Index kernel_threads() const { return ldlt_ ? ldlt_->kernel_threads() : 1; }
 
   /// Resident bytes of this pencil: the retained C matrix, J, and the
   /// backend factor storage (exact for the sparse LDLᵀ backend; the

@@ -1,8 +1,6 @@
 #include "linalg/kernels.hpp"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <type_traits>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -26,11 +24,6 @@ namespace sympvl {
 KernelPath resolve_kernel_path(const KernelOptions& options, Index n,
                                Index rhs_width) {
   if (options.path != KernelPath::kAuto) return options.path;
-  if (const char* env = std::getenv("SYMPVL_KERNEL")) {
-    if (std::strcmp(env, "simplicial") == 0) return KernelPath::kSimplicial;
-    if (std::strcmp(env, "supernodal") == 0) return KernelPath::kSupernodal;
-    // anything else (including "auto") falls through to the heuristic
-  }
   if (n < 48) return KernelPath::kSimplicial;
   // Very wide RHS blocks relative to n: the panel solve's per-supernode
   // scatter bookkeeping scales with nrhs while the simplicial sweep
@@ -42,7 +35,7 @@ KernelPath resolve_kernel_path(const KernelOptions& options, Index n,
 
 SupernodePartition detect_supernodes(const std::vector<Index>& parent,
                                      const std::vector<Index>& lnz,
-                                     const KernelOptions& options) {
+                                     Index relax_zeros, double relax_ratio) {
   const Index n = static_cast<Index>(parent.size());
   SupernodePartition part;
   part.start.reserve(static_cast<size_t>(n) + 1);
@@ -50,9 +43,6 @@ SupernodePartition detect_supernodes(const std::vector<Index>& parent,
     part.start.push_back(0);
     return part;
   }
-  const Index max_w =
-      options.max_panel_width > 0 ? options.max_panel_width : n;
-
   // Greedy left-to-right scan. For the candidate panel [a, j] the dense
   // entry count is w(w+1)/2 + w·lnz(j) (triangle + below rectangle, with
   // the below rows being struct(col j) by the chain-containment
@@ -69,18 +59,16 @@ SupernodePartition detect_supernodes(const std::vector<Index>& parent,
   };
   for (Index j = 1; j < n; ++j) {
     const Index w = j - a + 1;
-    bool merge = parent[static_cast<size_t>(j - 1)] == j && w <= max_w;
-    if (merge) {
+    if (parent[static_cast<size_t>(j - 1)] == j) {
       const Index cand_actual = actual + 1 + lnz[static_cast<size_t>(j)];
       const Index dense =
           w * (w + 1) / 2 + w * lnz[static_cast<size_t>(j)];
       const Index zeros = dense - cand_actual;
       const bool fundamental =
           lnz[static_cast<size_t>(j - 1)] == lnz[static_cast<size_t>(j)] + 1;
-      if (fundamental || (zeros <= options.relax_zeros &&
+      if (fundamental || (zeros <= relax_zeros &&
                           static_cast<double>(zeros) <=
-                              options.relax_ratio *
-                                  static_cast<double>(dense))) {
+                              relax_ratio * static_cast<double>(dense))) {
         actual = cand_actual;
         continue;
       }

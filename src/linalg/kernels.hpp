@@ -10,12 +10,12 @@
 // stride inner loops instead of index-gathered AXPYs. This header holds
 //
 //   * KernelPath / KernelOptions — the public selector between the
-//     simplicial and supernodal paths (env fallback: SYMPVL_KERNEL) and
-//     the SIMD dispatch level (env fallback: SYMPVL_SIMD — see
-//     linalg/simd.hpp);
+//     simplicial and supernodal paths and the SIMD dispatch level (env
+//     fallback: SYMPVL_SIMD — see linalg/simd.hpp);
 //   * detect_supernodes — fundamental supernode detection with relaxed
-//     amalgamation up to a fill slack, from the elimination tree and the
-//     per-column factor counts alone (O(n));
+//     amalgamation up to a fixed fill slack (kRelaxZeros, kRelaxRatio),
+//     from the elimination tree and the per-column factor counts alone
+//     (O(n));
 //   * PanelKernels — the per-SIMD-level table of dense panel primitives
 //     (rank-k panel update, D-scaled column copy, in-panel triangular
 //     multi-RHS solves, scattered below-panel updates, diagonal solve)
@@ -43,7 +43,6 @@ namespace sympvl {
 /// Which numeric LDLᵀ kernel factors and solves.
 enum class KernelPath {
   kAuto,        ///< supernodal for large systems, simplicial for tiny ones
-                ///< (env SYMPVL_KERNEL=simplicial|supernodal overrides)
   kSimplicial,  ///< the up-looking column-at-a-time path
   kSupernodal,  ///< blocked panel path
 };
@@ -57,51 +56,31 @@ inline const char* kernel_path_name(KernelPath p) {
   return "unknown";
 }
 
-/// Kernel-path selection and supernode amalgamation knobs. The defaults
-/// are the canonical settings every driver uses; passing a non-default
-/// KernelOptions to a reduction changes the factorization's rounding at
-/// the 1e-15 level, so the FactorCache keys on these fields (plus the
-/// RESOLVED SIMD level — kAuto resolves through the environment, and two
-/// resolutions may differ).
+/// Kernel-path and SIMD-level selection. The defaults are the canonical
+/// settings every reduction uses; the path and the SIMD level change the
+/// factorization's rounding at the 1e-15 level, so the FactorCache keys on
+/// both RESOLVED (kAuto resolves through n, rhs_hint and the environment,
+/// and two resolutions may differ).
 struct KernelOptions {
   KernelPath path = KernelPath::kAuto;
   /// SIMD dispatch level of the dense panel kernels. kAuto resolves via
   /// SYMPVL_SIMD, then a CPUID probe; explicit levels are clamped to what
   /// the host supports (see linalg/simd.hpp).
   SimdLevel simd = SimdLevel::kAuto;
-  /// Relaxed amalgamation: a column may join the current panel even when
-  /// the merge stores explicit zeros, as long as the panel keeps at most
-  /// `relax_zeros` of them AND they stay under `relax_ratio` of the
-  /// panel's dense entry count. 0/0 admits only fundamental supernodes.
-  /// Defaults retuned for the SIMD panel kernels (wider panels amortize
-  /// the vector microkernels better; measured on the package mesh by
-  /// bench_kernels — 64/0.25 was the scalar-era optimum).
-  Index relax_zeros = 128;
-  double relax_ratio = 0.5;
-  /// Maximum panel width (0 = unlimited). Wide panels amortize more; the
-  /// rank-k update blocks internally, so no cache-motivated cap is needed.
-  Index max_panel_width = 0;
   /// Expected right-hand-side block width of the solves this
   /// factorization will serve (the port count p for the drivers;
   /// 0 = unknown). Only a kAuto path heuristic hint — wide-RHS solves on
   /// small systems favor the simplicial path (see resolve_kernel_path).
   Index rhs_hint = 0;
-
-  bool operator==(const KernelOptions& o) const {
-    return path == o.path && simd == o.simd &&
-           relax_zeros == o.relax_zeros && relax_ratio == o.relax_ratio &&
-           max_panel_width == o.max_panel_width && rhs_hint == o.rhs_hint;
-  }
 };
 
-/// Resolves kAuto: an explicit path wins; else the SYMPVL_KERNEL
-/// environment variable ("simplicial" | "supernodal" | "auto"); else a
-/// size heuristic: supernodal for n >= 48 (panel bookkeeping does not pay
-/// for itself on tiny systems) — unless the expected RHS block is nearly
-/// as wide as the system itself (`rhs_width > n/4`), where the blocked
-/// panel solve's scatter bookkeeping loses to the simplicial one-pass
-/// sweep (crossover measured by bench_kernels; see DESIGN.md §5.6).
-/// `rhs_width <= 0` means unknown and leaves the n-only heuristic.
+/// Resolves kAuto: an explicit path wins; else a size heuristic:
+/// supernodal for n >= 48 (panel bookkeeping does not pay for itself on
+/// tiny systems) — unless the expected RHS block is nearly as wide as the
+/// system itself (`rhs_width > n/4`), where the blocked panel solve's
+/// scatter bookkeeping loses to the simplicial one-pass sweep (crossover
+/// measured by bench_kernels; see DESIGN.md §5.6). `rhs_width <= 0` means
+/// unknown and leaves the n-only heuristic.
 KernelPath resolve_kernel_path(const KernelOptions& options, Index n,
                                Index rhs_width = 0);
 
@@ -118,10 +97,6 @@ struct CacheOptions {
   /// Resizes the cache used by this reduction before the first acquire
   /// (0 = leave the cache's current capacity alone).
   std::size_t capacity = 0;
-
-  bool operator==(const CacheOptions& o) const {
-    return enabled == o.enabled && capacity == o.capacity;
-  }
 };
 
 /// Supernode partition of the factor's columns: `start` holds the first
@@ -143,16 +118,29 @@ struct SupernodePartition {
   }
 };
 
+/// Relaxed-amalgamation slack of the supernodal factor: a column may join
+/// the current panel even when the merge stores explicit zeros, as long as
+/// the panel keeps at most kRelaxZeros of them AND they stay under
+/// kRelaxRatio of the panel's dense entry count. Tuned for the SIMD panel
+/// kernels (wider panels amortize the vector microkernels better; measured
+/// on the package mesh by bench_kernels — 64/0.25 was the scalar-era
+/// optimum). Panel width is uncapped: the rank-k update blocks internally.
+inline constexpr Index kRelaxZeros = 128;
+inline constexpr double kRelaxRatio = 0.5;
+
 /// Detects supernodes from the elimination tree `parent` and the
 /// per-column off-diagonal factor counts `lnz` (both over the permuted
 /// pattern). Columns j-1 and j share a supernode only when
 /// parent[j-1] == j (an elimination-tree chain, which guarantees the
 /// merged panel's below-rows are exactly struct(last column)); the merge
 /// is accepted when it introduces no explicit zeros (fundamental) or
-/// stays within the relaxed-amalgamation slack of `options`.
+/// keeps at most `relax_zeros` explicit zeros that stay under
+/// `relax_ratio` of the panel's dense entries. 0/0 admits only
+/// fundamental supernodes.
 SupernodePartition detect_supernodes(const std::vector<Index>& parent,
                                      const std::vector<Index>& lnz,
-                                     const KernelOptions& options);
+                                     Index relax_zeros = kRelaxZeros,
+                                     double relax_ratio = kRelaxRatio);
 
 namespace kernels {
 

@@ -12,12 +12,11 @@
 namespace sympvl {
 namespace {
 
-// Parallel grain gates: an elimination-tree level fans out across the
-// thread pool only when it holds at least two supernodes AND enough dense
-// work to amortize the dispatch. Work is measured in dense panel entries
-// (times the RHS block width for solves) — a deterministic function of the
-// symbolic analysis, so the schedule never depends on timing.
-constexpr double kFactorGrainEntries = 16384.0;
+// Parallel grain gate of the panel solves: an elimination-tree level fans
+// out across the thread pool only when it holds at least two supernodes
+// AND enough dense work to amortize the dispatch. Work is measured in
+// dense panel entries times the RHS block width — a deterministic function
+// of the symbolic analysis, so the schedule never depends on timing.
 constexpr double kSolveGrainEntries = 65536.0;
 
 }  // namespace
@@ -197,7 +196,6 @@ SparseLDLT<T>::SparseLDLT(const SparseMatrix<T>& a,
   span.arg("supernodes", supernode_count());
   span.arg("max_panel_width", max_panel_width_);
   span.arg("simd", simd_level_name(simd_));
-  span.arg("threads", threads_used_);
 }
 
 template <typename T>
@@ -328,8 +326,7 @@ void SparseLDLT<T>::factorize_supernodal(const std::vector<T>& values,
   const auto& rowind = sym.p_rowind_;
   const auto lnz = sym.column_counts();
 
-  const SupernodePartition part =
-      detect_supernodes(sym.parent_, lnz, kernel_options_);
+  const SupernodePartition part = detect_supernodes(sym.parent_, lnz);
   super_start_ = part.start;
   panel_zeros_ = part.zeros;
   max_panel_width_ = part.max_width();
@@ -406,9 +403,9 @@ void SparseLDLT<T>::factorize_supernodal(const std::vector<T>& values,
   // is the supernode owning s's first below row — always a later
   // supernode, and (because each supernode is an elimination-tree chain)
   // every below row of s lives on s's supernodal ancestor path. A level
-  // is therefore an antichain: its supernodes share no rows, their update
-  // sources all sit at strictly lower levels, and they factor — and
-  // solve — concurrently. ----
+  // is therefore an antichain: its supernodes share no rows and their
+  // update sources all sit at strictly lower levels, so the panel solves
+  // run a level's supernodes concurrently. ----
   std::vector<Index> slevel(static_cast<size_t>(nsuper), 0);
   Index nlevels = nsuper > 0 ? 1 : 0;
   for (Index s = 0; s < nsuper; ++s) {
@@ -441,41 +438,21 @@ void SparseLDLT<T>::factorize_supernodal(const std::vector<T>& values,
     }
   }
 
-  // ---- Numeric phase. One workspace per worker; dmin/dmax merge by
-  // min/max (commutative) and the flop counts are exact integer-valued
-  // sums, so the reduction is independent of the schedule. Per-supernode
-  // arithmetic is fully determined by the panel contents and the
-  // d-ascending segment order, so 1-thread and N-thread factorizations
-  // produce bit-identical factors. ----
+  // ---- Numeric phase: one ascending serial sweep — every descendant
+  // precedes its ancestors — with one workspace. Each panel's arithmetic
+  // is fully determined by its contents and the d-ascending segment
+  // order. (Fanning elimination-tree levels out across the pool measured
+  // no reliable gain at 2 threads and 1.15–1.34× at 4; DESIGN.md §5.6.)
   const auto& K = kernels::panel_kernels<T>(simd_);
+  std::vector<T> wbuf(static_cast<size_t>(max_w) * static_cast<size_t>(max_w));
+  std::vector<T> cbuf(static_cast<size_t>(std::max<Index>(max_r + max_w, 1)) *
+                      static_cast<size_t>(std::max<Index>(max_w, 1)));
+  std::vector<Index> local(static_cast<size_t>(n_), -1);
+  Index* row_local = local.data();
+  double flops = 0.0;
 
-  struct Workspace {
-    std::vector<T> wbuf, cbuf;
-    std::vector<Index> row_local;
-    double dmin = std::numeric_limits<double>::infinity();
-    double dmax = 0.0;
-    double flops = 0.0;
-  };
-
-  const bool can_parallel = num_threads() > 1 && !in_parallel_region();
-  bool any_parallel_level = false;
-  if (can_parallel)
-    for (Index l = 0; l < nlevels; ++l)
-      if (level_ptr_[static_cast<size_t>(l) + 1] -
-                  level_ptr_[static_cast<size_t>(l)] >= 2 &&
-          level_work_[static_cast<size_t>(l)] >= kFactorGrainEntries)
-        any_parallel_level = true;
-
-  const Index nws = any_parallel_level ? num_threads() : 1;
-  std::vector<Workspace> ws(static_cast<size_t>(nws));
-  for (auto& w : ws) {
-    w.wbuf.resize(static_cast<size_t>(max_w) * static_cast<size_t>(max_w));
-    w.cbuf.resize(static_cast<size_t>(std::max<Index>(max_r + max_w, 1)) *
-                  static_cast<size_t>(std::max<Index>(max_w, 1)));
-    w.row_local.assign(static_cast<size_t>(n_), -1);
-  }
-
-  auto process = [&](Index s, Workspace& wk) {
+  obs::ScopedTimer span("kernel.panel_update");
+  for (Index s = 0; s < nsuper; ++s) {
     const Index a = super_start_[static_cast<size_t>(s)];
     const Index e = super_start_[static_cast<size_t>(s) + 1];
     const Index w = e - a;
@@ -484,7 +461,6 @@ void SparseLDLT<T>::factorize_supernodal(const std::vector<T>& values,
     const Index* rows =
         sym.l_rowind_.data() + sym.l_colptr_[static_cast<size_t>(e - 1)];
     T* panel = panel_data_.data() + panel_offset_[static_cast<size_t>(s)];
-    Index* row_local = wk.row_local.data();
 
     for (Index jj = 0; jj < w; ++jj) row_local[a + jj] = jj;
     for (Index i = 0; i < r; ++i) row_local[rows[i]] = w + i;
@@ -503,7 +479,7 @@ void SparseLDLT<T>::factorize_supernodal(const std::vector<T>& values,
     // Pull every incoming descendant segment: the extended update
     // C = L_d[p1:,:]·D_d·L_d[p1:p2,:]ᵀ lands entirely in this panel
     // (rows of d beyond the target's columns are a subset of the
-    // target's below rows), so concurrent targets never collide.
+    // target's below rows).
     for (Index u = upd_ptr_[static_cast<size_t>(s)];
          u < upd_ptr_[static_cast<size_t>(s) + 1]; ++u) {
       const Index d = upd_src_[static_cast<size_t>(u)];
@@ -521,21 +497,21 @@ void SparseLDLT<T>::factorize_supernodal(const std::vector<T>& values,
       const Index m = rd - p1;
       const Index q = p2 - p1;
       // W(i,j) = L_d(p1+i, j) · d_j  — the D-scaled middle segment.
-      K.scale_cols(q, wd, dpanel + wd + p1, hd, d_.data() + da,
-                   wk.wbuf.data(), q);
-      std::fill(wk.cbuf.begin(),
-                wk.cbuf.begin() + static_cast<size_t>(m) * static_cast<size_t>(q),
+      K.scale_cols(q, wd, dpanel + wd + p1, hd, d_.data() + da, wbuf.data(),
+                   q);
+      std::fill(cbuf.begin(),
+                cbuf.begin() + static_cast<size_t>(m) * static_cast<size_t>(q),
                 T(0));
-      K.gemm_nt_acc(m, q, wd, dpanel + wd + p1, hd, wk.wbuf.data(), q,
-                    wk.cbuf.data(), m);
-      wk.flops += 2.0 * static_cast<double>(m) * static_cast<double>(q) *
-                      static_cast<double>(wd) +
-                  static_cast<double>(q) * static_cast<double>(wd);
+      K.gemm_nt_acc(m, q, wd, dpanel + wd + p1, hd, wbuf.data(), q, cbuf.data(),
+                    m);
+      flops += 2.0 * static_cast<double>(m) * static_cast<double>(q) *
+                   static_cast<double>(wd) +
+               static_cast<double>(q) * static_cast<double>(wd);
       // Scatter-subtract the lower triangle (rows_d ascending, so rr >= c
       // is exactly the lower part).
       for (Index c = 0; c < q; ++c) {
         T* colt = panel + row_local[rowsd[p1 + c]] * h;
-        const T* csrc = wk.cbuf.data() + c * m;
+        const T* csrc = cbuf.data() + c * m;
         for (Index rr = c; rr < m; ++rr)
           colt[row_local[rowsd[p1 + rr]]] -= csrc[rr];
       }
@@ -544,72 +520,19 @@ void SparseLDLT<T>::factorize_supernodal(const std::vector<T>& values,
     // Dense in-panel factorization; pivots accepted per global column in
     // ascending order — the same fault::check sites and zero-pivot Error
     // as the simplicial path.
-    wk.flops += kernels::panel_ldlt(K, h, w, panel, [&](Index jj, const T& dj) {
+    flops += kernels::panel_ldlt(K, h, w, panel, [&](Index jj, const T& dj) {
       const Index k = a + jj;
       d_[static_cast<size_t>(k)] = dj;
-      accept_pivot(k, dj, pivot_floor, wk.dmin, wk.dmax);
+      accept_pivot(k, dj, pivot_floor, dmin, dmax);
     });
 
     for (Index jj = 0; jj < w; ++jj) row_local[a + jj] = -1;
     for (Index i = 0; i < r; ++i) row_local[rows[i]] = -1;
-  };
-
-  // One "kernel.panel_update" span per serial sweep, or per executed
-  // chunk when a level fans out — chunk spans are recorded on the
-  // executing pool worker's lane (trace lanes show the fan-out) and
-  // carry that chunk's own flop count, while the shared span name keeps
-  // the latency histogram aggregating the whole family.
-  threads_used_ = 1;
-  if (!any_parallel_level) {
-    // Plain ascending sweep — every descendant precedes its ancestors.
-    // Deliberately NOT routed through parallel_for_chunks: its serial
-    // fallback still visits the parallel.chunk fault site, which belongs
-    // to genuinely fanned-out work only.
-    obs::ScopedTimer span("kernel.panel_update");
-    for (Index s = 0; s < nsuper; ++s) process(s, ws[0]);
-    span.arg("supernodes", nsuper);
-    span.arg("levels", nlevels);
-    span.arg("threads", threads_used_);
-    span.arg("simd", simd_level_name(simd_));
-    span.arg("flops", ws[0].flops);
-  } else {
-    for (Index l = 0; l < nlevels; ++l) {
-      const Index lb = level_ptr_[static_cast<size_t>(l)];
-      const Index le = level_ptr_[static_cast<size_t>(l) + 1];
-      if (le - lb >= 2 && level_work_[static_cast<size_t>(l)] >= kFactorGrainEntries) {
-        threads_used_ = num_threads();
-        parallel_for_chunks(lb, le, [&](Index rank, Index b, Index e2) {
-          obs::ScopedTimer cspan("kernel.panel_update");
-          Workspace& wk = ws[static_cast<size_t>(rank)];
-          const double f0 = wk.flops;
-          for (Index k = b; k < e2; ++k)
-            process(level_order_[static_cast<size_t>(k)], wk);
-          cspan.arg("supernodes", e2 - b);
-          cspan.arg("level", l);
-          cspan.arg("threads", num_threads());
-          cspan.arg("simd", simd_level_name(simd_));
-          cspan.arg("flops", wk.flops - f0);
-        });
-      } else {
-        obs::ScopedTimer cspan("kernel.panel_update");
-        const double f0 = ws[0].flops;
-        for (Index k = lb; k < le; ++k)
-          process(level_order_[static_cast<size_t>(k)], ws[0]);
-        cspan.arg("supernodes", le - lb);
-        cspan.arg("level", l);
-        cspan.arg("threads", Index{1});
-        cspan.arg("simd", simd_level_name(simd_));
-        cspan.arg("flops", ws[0].flops - f0);
-      }
-    }
   }
-
-  double flops = 0.0;
-  for (const auto& w : ws) {
-    dmin = std::min(dmin, w.dmin);
-    dmax = std::max(dmax, w.dmax);
-    flops += w.flops;
-  }
+  span.arg("supernodes", nsuper);
+  span.arg("levels", nlevels);
+  span.arg("simd", simd_level_name(simd_));
+  span.arg("flops", flops);
   flops_ = flops;
 }
 

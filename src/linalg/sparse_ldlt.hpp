@@ -117,8 +117,7 @@ class SparseLDLT {
   /// legitimately produce tiny pivots), or ~1e-12 to detect structurally
   /// singular matrices such as an ungrounded G (the trigger for the
   /// paper's eq. 26 frequency shift). `kernels` selects the numeric path
-  /// (default: auto — supernodal for large systems, SYMPVL_KERNEL env
-  /// override honored).
+  /// (default: auto — supernodal for large systems).
   explicit SparseLDLT(const SparseMatrix<T>& a,
                       Ordering ordering = kDefaultOrdering,
                       double zero_pivot_tol = 0.0,
@@ -183,9 +182,6 @@ class SparseLDLT {
   bool supernodal() const { return path_ == KernelPath::kSupernodal; }
   /// The resolved SIMD dispatch level of the panel kernels (never kAuto).
   SimdLevel simd_level() const { return simd_; }
-  /// Threads the supernodal numeric factorization actually spanned (1 when
-  /// every elimination-tree level ran serially).
-  Index kernel_threads() const { return threads_used_; }
   /// Number of supernodes (0 on the simplicial path).
   Index supernode_count() const {
     return super_start_.empty() ? 0
@@ -194,7 +190,7 @@ class SparseLDLT {
   /// Widest amalgamated panel (0 on the simplicial path).
   Index max_panel_width() const { return max_panel_width_; }
   /// Explicit zeros stored by relaxed amalgamation (0 on the simplicial
-  /// path or with relaxation off).
+  /// path).
   Index panel_zeros() const { return panel_zeros_; }
 
   /// Resident bytes of the numeric factor: value + index storage of
@@ -274,10 +270,11 @@ class SparseLDLT {
   // Elimination-tree level schedule over supernodes: level_order_ holds
   // supernode indices grouped by tree level (ascending within a level),
   // level_ptr_ delimits the groups. Supernodes within one level have no
-  // ancestor/descendant relation, so they factor — and solve — in
-  // parallel without ordering constraints. level_work_ is the dense-entry
-  // count per level, the grain gate deciding whether fanning a level out
-  // across the thread pool beats running it inline.
+  // ancestor/descendant relation, so the panel solves run them in
+  // parallel without ordering constraints (the factorization itself is
+  // one serial sweep). level_work_ is the dense-entry count per level,
+  // the grain gate deciding whether fanning a level out across the thread
+  // pool beats running it inline.
   std::vector<Index> level_ptr_;
   std::vector<Index> level_order_;
   std::vector<double> level_work_;
@@ -292,7 +289,6 @@ class SparseLDLT {
   std::vector<Index> upd_p1_;
   std::vector<Index> upd_p2_;
   SimdLevel simd_ = SimdLevel::kScalar;
-  Index threads_used_ = 1;
   std::vector<T> d_;
   std::vector<typename ScalarTraits<T>::Real> sqrt_abs_d_;
   double pivot_ratio_ = 0.0;

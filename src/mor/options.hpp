@@ -73,9 +73,8 @@ struct CommonReductionOptions {
   /// Environment fallbacks (SYMPVL_FACTOR_CACHE, SYMPVL_FACTOR_CACHE_CAP)
   /// configure the global cache when these stay at their defaults.
   CacheOptions cache;
-  /// Numeric LDLᵀ kernel selection (simplicial vs supernodal panels) and
-  /// amalgamation slack; kAuto resolves per system size with the
-  /// SYMPVL_KERNEL environment variable as fallback.
+  /// Numeric LDLᵀ kernel selection (simplicial vs supernodal panels, SIMD
+  /// level); kAuto resolves per system size and RHS width.
   KernelOptions kernel;
   /// Port-sharding behavior (only consulted by the sharded SyMPVL path;
   /// shards=0 defers to SYMPVL_PORT_SHARDS, then the heuristic).

@@ -203,16 +203,6 @@ void validate(const ReduceOptions& options) {
   if (options.shard.min_ports_per_shard < 1)
     bad("shard.min_ports_per_shard", "must be >= 1",
         static_cast<double>(options.shard.min_ports_per_shard));
-  if (options.kernel.relax_zeros < 0)
-    bad("kernel.relax_zeros", "must be >= 0",
-        static_cast<double>(options.kernel.relax_zeros));
-  if (!(options.kernel.relax_ratio >= 0.0) ||
-      !std::isfinite(options.kernel.relax_ratio))
-    bad("kernel.relax_ratio", "must be finite and >= 0",
-        options.kernel.relax_ratio);
-  if (options.kernel.max_panel_width < 0)
-    bad("kernel.max_panel_width", "must be >= 0 (0 = unlimited)",
-        static_cast<double>(options.kernel.max_panel_width));
   if (options.pvl_row < 0 || options.pvl_col < 0)
     bad(options.pvl_row < 0 ? "pvl_row" : "pvl_col", "must be >= 0",
         static_cast<double>(options.pvl_row < 0 ? options.pvl_row

@@ -62,7 +62,6 @@ struct SympvlSession::Impl {
     report.max_panel_width = pencil->max_panel_width();
     report.panel_zeros = pencil->panel_zeros();
     report.simd_level = simd_level_name(pencil->simd_level());
-    report.kernel_threads = pencil->kernel_threads();
     report.factor_bytes = pencil->bytes();
   }
 

@@ -93,7 +93,6 @@ struct SympvlReport {
   Index max_panel_width = 0;   ///< widest amalgamated panel
   Index panel_zeros = 0;       ///< explicit zeros stored by relaxation
   std::string simd_level = "scalar";  ///< resolved SIMD dispatch level
-  Index kernel_threads = 1;    ///< threads the numeric phase spanned
   /// Numeric-factorization flop rate (GFLOP/s over factor_seconds; 0 when
   /// unmeasurable or when the accepted factor was a cache hit).
   double factor_gflops = 0.0;

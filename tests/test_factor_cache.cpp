@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -335,6 +337,36 @@ TEST(FactorCache, EngineAfterReduceSharesSymbolicBitIdentically) {
     const Complex s(0.0, 2.0 * M_PI * f);
     EXPECT_EQ(rel_err(engine.z_at(s), reference.z_at(s)), 0.0) << "f=" << f;
   }
+}
+
+TEST(FactorCache, ComplexEntriesKeyOnResolvedSimdLevel) {
+  // The AC point factor resolves its SIMD level from SYMPVL_SIMD at every
+  // factorization, so a point revisited after the variable changed must
+  // refactor rather than return the other level's rounding.
+  if (detect_simd_level() == SimdLevel::kScalar)
+    GTEST_SKIP() << "host runs only the scalar kernels";
+  const MnaSystem sys =
+      build_mna(random_rc({.nodes = 80, .ports = 2, .seed = 11}));
+  ASSERT_GE(sys.size(), 48);  // supernodal: the SIMD level sets the rounding
+  const Complex s(0.0, 2.0 * M_PI * 1e8);
+  const char* env = std::getenv("SYMPVL_SIMD");
+  const std::optional<std::string> saved =
+      env != nullptr ? std::optional<std::string>(env) : std::nullopt;
+
+  FactorCache cache(8);
+  const AcSweepEngine engine(sys, &cache);
+  setenv("SYMPVL_SIMD", "scalar", 1);
+  engine.z_at(s);
+  unsetenv("SYMPVL_SIMD");
+  const CMat z = engine.z_at(s);
+  EXPECT_EQ(cache.stats().factorizations, 2u);
+
+  FactorCache fresh(8);
+  const CMat z_fresh = AcSweepEngine(sys, &fresh).z_at(s);
+  if (saved) setenv("SYMPVL_SIMD", saved->c_str(), 1);
+  for (Index i = 0; i < z.rows(); ++i)
+    for (Index j = 0; j < z.cols(); ++j)
+      EXPECT_EQ(z(i, j), z_fresh(i, j)) << "Z(" << i << "," << j << ")";
 }
 
 TEST(FactorCache, ReshiftAndMultipointBuildOneSymbolic) {

@@ -1,15 +1,18 @@
-// Supernodal kernel layer: supernode detection edge cases, and the
+// Supernodal kernel layer: supernode detection edge cases, the
 // simplicial-vs-supernodal equivalence contract (same L pattern, values
-// to rounding, bit-identical single/multi-RHS solves within a path).
+// to rounding, bit-identical single/multi-RHS solves within a path), and
+// the serial numeric factor's trace.
 #include "linalg/kernels.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstring>
 #include <random>
 
 #include "circuit/mna.hpp"
 #include "linalg/sparse_ldlt.hpp"
+#include "obs/obs.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace sympvl {
 namespace {
@@ -47,6 +50,20 @@ SMat tridiagonal_spd(Index n) {
   TripletBuilder<double> t(n, n);
   for (Index i = 0; i < n; ++i) t.add(i, i, 4.0);
   for (Index i = 0; i + 1 < n; ++i) t.add_symmetric(i, i + 1, -1.0);
+  return t.compress();
+}
+
+// 5-point Laplacian of a g×g grid plus a diagonal shift (SPD).
+SMat grid_laplacian(Index g) {
+  const Index n = g * g;
+  TripletBuilder<double> t(n, n);
+  for (Index r = 0; r < g; ++r)
+    for (Index c = 0; c < g; ++c) {
+      const Index i = r * g + c;
+      t.add(i, i, 4.5);
+      if (c + 1 < g) t.add_symmetric(i, i + 1, -1.0);
+      if (r + 1 < g) t.add_symmetric(i, i + g, -1.0);
+    }
   return t.compress();
 }
 
@@ -88,10 +105,7 @@ TEST(DetectSupernodes, FullyDenseMatrixIsOneSupernode) {
     parent[static_cast<size_t>(j)] = j + 1 < n ? j + 1 : -1;
     lnz[static_cast<size_t>(j)] = n - 1 - j;
   }
-  KernelOptions strict;
-  strict.relax_zeros = 0;
-  strict.relax_ratio = 0.0;
-  const auto part = detect_supernodes(parent, lnz, strict);
+  const auto part = detect_supernodes(parent, lnz, 0, 0.0);
   EXPECT_EQ(part.count(), 1);
   EXPECT_EQ(part.max_width(), n);
   EXPECT_EQ(part.zeros, 0);
@@ -106,10 +120,7 @@ TEST(DetectSupernodes, TridiagonalStrictGivesOneColumnSupernodes) {
   for (Index j = 0; j < n; ++j)
     parent[static_cast<size_t>(j)] = j + 1 < n ? j + 1 : -1;
   lnz[static_cast<size_t>(n - 1)] = 0;
-  KernelOptions strict;
-  strict.relax_zeros = 0;
-  strict.relax_ratio = 0.0;
-  const auto part = detect_supernodes(parent, lnz, strict);
+  const auto part = detect_supernodes(parent, lnz, 0, 0.0);
   EXPECT_EQ(part.count(), n - 1);
   EXPECT_EQ(part.max_width(), 2);
   EXPECT_EQ(part.zeros, 0);
@@ -121,10 +132,9 @@ TEST(DetectSupernodes, RelaxationMergesTridiagonalUpToSlack) {
   for (Index j = 0; j < n; ++j)
     parent[static_cast<size_t>(j)] = j + 1 < n ? j + 1 : -1;
   lnz[static_cast<size_t>(n - 1)] = 0;
-  KernelOptions relaxed;
-  relaxed.relax_zeros = 6;
-  relaxed.relax_ratio = 1.0;  // only the absolute slack binds
-  const auto part = detect_supernodes(parent, lnz, relaxed);
+  const Index relax_zeros = 6;
+  // Ratio 1.0: only the absolute slack binds.
+  const auto part = detect_supernodes(parent, lnz, relax_zeros, 1.0);
   EXPECT_LT(part.count(), n - 1);  // something merged...
   EXPECT_GT(part.count(), 1);      // ...but not everything
   EXPECT_GT(part.zeros, 0);
@@ -135,22 +145,8 @@ TEST(DetectSupernodes, RelaxationMergesTridiagonalUpToSlack) {
     const Index dense = w * (w + 1) / 2 + w * lnz[static_cast<size_t>(e - 1)];
     Index actual = 0;
     for (Index j = a; j < e; ++j) actual += 1 + lnz[static_cast<size_t>(j)];
-    EXPECT_LE(dense - actual, relaxed.relax_zeros);
+    EXPECT_LE(dense - actual, relax_zeros);
   }
-}
-
-TEST(DetectSupernodes, MaxPanelWidthCapsAmalgamation) {
-  const Index n = 12;
-  std::vector<Index> parent(n), lnz(n);
-  for (Index j = 0; j < n; ++j) {
-    parent[static_cast<size_t>(j)] = j + 1 < n ? j + 1 : -1;
-    lnz[static_cast<size_t>(j)] = n - 1 - j;
-  }
-  KernelOptions capped;
-  capped.max_panel_width = 4;
-  const auto part = detect_supernodes(parent, lnz, capped);
-  EXPECT_EQ(part.count(), 3);
-  EXPECT_EQ(part.max_width(), 4);
 }
 
 TEST(DetectSupernodes, BrokenChainNeverMerges) {
@@ -158,7 +154,7 @@ TEST(DetectSupernodes, BrokenChainNeverMerges) {
   // though the lnz counts line up.
   std::vector<Index> parent = {2, 2, -1};
   std::vector<Index> lnz = {1, 1, 0};
-  const auto part = detect_supernodes(parent, lnz, KernelOptions{});
+  const auto part = detect_supernodes(parent, lnz);
   ASSERT_GE(part.count(), 2);
   EXPECT_EQ(part.start[0], 0);
   EXPECT_EQ(part.start[1], 1);
@@ -178,15 +174,16 @@ TEST(Kernels, DenseTrailingBlockBecomesOnePanel) {
 }
 
 TEST(Kernels, TridiagonalStrictSupernodalMatchesSymbolicNnz) {
+  // The fixed amalgamation slack merges the tridiagonal's columns into
+  // panels that store explicit zeros; nnz(L) still reports the symbolic
+  // count, and the gathered L drops the stored zeros.
   const Index n = 100;
   const SMat a = tridiagonal_spd(n);
-  KernelOptions strict = supernodal_opt();
-  strict.relax_zeros = 0;
-  strict.relax_ratio = 0.0;
-  const LDLT f(a, Ordering::kNatural, 0.0, strict);
+  const LDLT f(a, Ordering::kNatural, 0.0, supernodal_opt());
+  ASSERT_TRUE(f.supernodal());
+  EXPECT_GT(f.panel_zeros(), 0);
   EXPECT_EQ(f.l_nnz(), n - 1);  // symbolic count, not panel entries
-  EXPECT_EQ(f.panel_zeros(), 0);
-  EXPECT_EQ(f.supernode_count(), n - 1);  // 1-col panels + one pair
+  EXPECT_EQ(f.l_matrix().nnz(), n - 1);
 }
 
 // ---- simplicial vs supernodal equivalence ----------------------------------
@@ -336,6 +333,44 @@ TEST(Kernels, MOperatorMatchesSimplicial) {
   }
 }
 
+// ---- the serial numeric factor ---------------------------------------------
+
+TEST(Kernels, SerialFactorTracesOnePanelSpanOnCallerLane) {
+  // Min-degree on a 110×110 grid gives a bushy elimination tree with wide
+  // levels; with a 4-thread pool the numeric factor must still run as one
+  // sweep on the calling thread, with the bits of a 1-thread factor.
+  const SMat a = grid_laplacian(110);
+  const Index previous = num_threads();
+  set_num_threads(1);
+  const LDLT serial(a, Ordering::kMinDegree, 0.0, supernodal_opt());
+
+  set_num_threads(4);
+  obs::enable(true);
+  obs::reset();
+  { obs::ScopedTimer marker("test.caller_lane"); }
+  const LDLT pooled(a, Ordering::kMinDegree, 0.0, supernodal_opt());
+  const std::vector<obs::Event> events = obs::snapshot_events();
+  obs::enable(false);
+  obs::reset();
+  set_num_threads(previous);
+
+  ASSERT_TRUE(pooled.supernodal());
+  int caller_tid = -1;
+  std::vector<const obs::Event*> panel_spans;
+  for (const obs::Event& e : events) {
+    if (std::strcmp(e.name, "test.caller_lane") == 0) caller_tid = e.tid;
+    if (e.phase == 'X' && std::strcmp(e.name, "kernel.panel_update") == 0)
+      panel_spans.push_back(&e);
+  }
+  ASSERT_GE(caller_tid, 0);
+  ASSERT_EQ(panel_spans.size(), 1u);
+  EXPECT_EQ(panel_spans[0]->tid, caller_tid);
+
+  ASSERT_EQ(serial.d().size(), pooled.d().size());
+  for (size_t i = 0; i < serial.d().size(); ++i)
+    ASSERT_EQ(serial.d()[i], pooled.d()[i]) << "d[" << i << "]";
+}
+
 // ---- path resolution --------------------------------------------------------
 
 TEST(Kernels, ResolveHonorsExplicitPathAndHeuristic) {
@@ -343,20 +378,8 @@ TEST(Kernels, ResolveHonorsExplicitPathAndHeuristic) {
   EXPECT_EQ(resolve_kernel_path(simplicial_opt(), 5000),
             KernelPath::kSimplicial);
   EXPECT_EQ(resolve_kernel_path(supernodal_opt(), 4), KernelPath::kSupernodal);
-  unsetenv("SYMPVL_KERNEL");
   EXPECT_EQ(resolve_kernel_path(o, 8), KernelPath::kSimplicial);
   EXPECT_EQ(resolve_kernel_path(o, 4096), KernelPath::kSupernodal);
-}
-
-TEST(Kernels, ResolveHonorsEnvFallback) {
-  KernelOptions o;
-  setenv("SYMPVL_KERNEL", "simplicial", 1);
-  EXPECT_EQ(resolve_kernel_path(o, 4096), KernelPath::kSimplicial);
-  setenv("SYMPVL_KERNEL", "supernodal", 1);
-  EXPECT_EQ(resolve_kernel_path(o, 8), KernelPath::kSupernodal);
-  // Explicit option still wins over the environment.
-  EXPECT_EQ(resolve_kernel_path(simplicial_opt(), 8), KernelPath::kSimplicial);
-  unsetenv("SYMPVL_KERNEL");
 }
 
 TEST(Kernels, ZeroPivotErrorIdenticalAcrossPaths) {

@@ -253,7 +253,6 @@ TEST(SimdResolve, ExplicitRequestClampsToHost) {
 // ---- Path resolution: the RHS-width term of the heuristic ------------------
 
 TEST(KernelPathResolve, WideRhsBlocksFavorSimplicial) {
-  unsetenv("SYMPVL_KERNEL");
   KernelOptions o;  // path = kAuto
   // n = 100: blocks wider than n/4 tip the heuristic to simplicial.
   EXPECT_EQ(resolve_kernel_path(o, 100, 26), KernelPath::kSimplicial);
