@@ -10,7 +10,8 @@
 //      since Metrics v2 this path also feeds the per-span latency
 //      histograms, so enabled_ms covers histogram recording too);
 //   3. microbenchmark one disabled instrumentation point (ScopedTimer
-//      construct+destruct: a relaxed atomic load and a branch);
+//      construct+destruct: a relaxed atomic load, a branch and the two
+//      steady-clock reads of its stopwatch);
 //   overhead_pct = events_per_sweep * per_op_ns / sweep_ns * 100.
 // The enabled sweep time is also reported for reference (no contract).
 //

@@ -39,7 +39,7 @@ int main() {
               static_cast<long long>(rep.stitched_order));
   std::printf("  partition %.3fs  reduce %.3fs  stitch %.3fs  total %.3fs\n",
               rep.partition_seconds, rep.reduce_seconds, rep.stitch_seconds,
-              rep.total_seconds);
+              res.report.total_seconds);
   std::printf("  factor cache: %lld hits, %lld misses (one factorization "
               "serves every shard)\n",
               static_cast<long long>(rep.factor_cache_hits),

@@ -154,9 +154,9 @@ class FactorCache {
   /// A disabled cache never reads or writes entries: every acquire
   /// factors fresh (factorizations still counted, hits/misses not).
   /// global() starts disabled when SYMPVL_FACTOR_CACHE=0|off and sized by
-  /// SYMPVL_FACTOR_CACHE_CAP. Per-reduction disabling goes through
-  /// CacheOptions::enabled instead (the drivers bypass acquire), so one
-  /// reduction's options never flip the shared instance.
+  /// SYMPVL_FACTOR_CACHE_CAP. A reduction that should not cache passes
+  /// its own disabled instance as CommonReductionOptions::factor_cache
+  /// rather than flipping the shared one.
   bool enabled() const;
   void set_enabled(bool enabled);
   FactorCacheStats stats() const;

@@ -84,21 +84,6 @@ struct KernelOptions {
 KernelPath resolve_kernel_path(const KernelOptions& options, Index n,
                                Index rhs_width = 0);
 
-/// FactorCache behavior for one reduction/sweep. Lives here (rather than
-/// factor_cache.hpp) so CommonReductionOptions can hold it by value
-/// without pulling the whole factorization stack into every driver
-/// header. Environment fallbacks, applied to the process-global cache on
-/// first use: SYMPVL_FACTOR_CACHE=0|off disables it,
-/// SYMPVL_FACTOR_CACHE_CAP=<n> sets its capacity.
-struct CacheOptions {
-  /// false bypasses the cache for this reduction (every factorization
-  /// runs fresh); it never re-enables a cache disabled via environment.
-  bool enabled = true;
-  /// Resizes the cache used by this reduction before the first acquire
-  /// (0 = leave the cache's current capacity alone).
-  std::size_t capacity = 0;
-};
-
 /// Supernode partition of the factor's columns: `start` holds the first
 /// column of each supernode plus a terminating n, so supernode s spans
 /// [start[s], start[s+1]).

@@ -87,7 +87,6 @@ ArnoldiModel arnoldi_reduce(const MnaSystem& sys, const ArnoldiOptions& options)
   req.driver = "arnoldi_reduce";
   req.stage = "arnoldi.factor";
   req.cache = options.factor_cache;
-  req.cache_options = options.cache;
   req.kernels = options.kernel;
   req.rhs_width = sys.port_count();
   PencilFactorResult outcome = factor_pencil(sys, req);

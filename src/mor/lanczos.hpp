@@ -139,8 +139,8 @@ class BandLanczos {
   std::int64_t krylov_bytes() const;
   /// High-water mark of krylov_bytes() over the process lifetime.
   std::int64_t krylov_peak_bytes() const { return krylov_peak_bytes_; }
-  /// Always-on per-step wall-time histogram (independent of the obs
-  /// sinks; the SympvlReport latency digest is computed from this).
+  /// Durations of the lanczos.step spans, whether or not obs records
+  /// (the SympvlReport latency digest is computed from this).
   const obs::HistogramBins& step_bins() const { return step_bins_; }
 
  private:

@@ -27,8 +27,8 @@ enum class ShardClustering {
 };
 
 /// Port-sharding knobs (see mor/port_shard.hpp). Folded into the common
-/// surface — mirroring CacheOptions/KernelOptions — so every driver
-/// accepts them uniformly and the facade can dispatch on them.
+/// surface, like KernelOptions, so every driver accepts them uniformly
+/// and the facade can dispatch on them.
 struct PortShardOptions {
   /// Number of shards. 0 = resolve from the SYMPVL_PORT_SHARDS
   /// environment variable, else the automatic heuristic (1 shard below
@@ -66,13 +66,10 @@ struct CommonReductionOptions {
   /// Sparse factorization ordering for the pencil factor.
   Ordering ordering = kDefaultOrdering;
   /// Factorization cache the driver acquires its pencil factors through
-  /// (nullptr = the process-global FactorCache).
+  /// (nullptr = the process-global FactorCache, which
+  /// SYMPVL_FACTOR_CACHE=0|off disables and SYMPVL_FACTOR_CACHE_CAP
+  /// sizes). Pass a disabled FactorCache to factor fresh every time.
   FactorCache* factor_cache = nullptr;
-  /// Cache behavior for this reduction: enabled=false factors fresh
-  /// without touching the cache, capacity>0 resizes it up front.
-  /// Environment fallbacks (SYMPVL_FACTOR_CACHE, SYMPVL_FACTOR_CACHE_CAP)
-  /// configure the global cache when these stay at their defaults.
-  CacheOptions cache;
   /// Numeric LDLᵀ kernel selection (simplicial vs supernodal panels, SIMD
   /// level); kAuto resolves per system size and RHS width.
   KernelOptions kernel;

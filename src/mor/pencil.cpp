@@ -33,17 +33,12 @@ std::shared_ptr<const FactorizedPencil> attempt_rung(
     opt.kernels.rhs_hint = req.rhs_width;
   try {
     bool hit = false;
-    std::shared_ptr<const FactorizedPencil> pencil;
-    if (req.cache_options.enabled) {
-      pencil = cache.acquire(
-          fp, opt,
-          [&] {
-            return std::make_shared<const FactorizedPencil>(g, c, opt, &cache);
-          },
-          &hit);
-    } else {
-      pencil = std::make_shared<const FactorizedPencil>(g, c, opt);
-    }
+    std::shared_ptr<const FactorizedPencil> pencil = cache.acquire(
+        fp, opt,
+        [&] {
+          return std::make_shared<const FactorizedPencil>(g, c, opt, &cache);
+        },
+        &hit);
     rec.success = true;
     if (hit) rec.detail = "cache hit";
     attempts->push_back(std::move(rec));
@@ -154,12 +149,8 @@ PencilFactorResult single_attempt(const SMat& g, const SMat& c,
   throw Error(retry.code, retry.detail, {.stage = req.stage, .value = auto_s0});
 }
 
-// The request's cache, resized first when the request asks for it.
 FactorCache& request_cache(const PencilFactorRequest& req) {
-  FactorCache& cache = req.cache != nullptr ? *req.cache : FactorCache::global();
-  if (req.cache_options.capacity > 0)
-    cache.set_capacity(req.cache_options.capacity);
-  return cache;
+  return req.cache != nullptr ? *req.cache : FactorCache::global();
 }
 
 }  // namespace

@@ -74,9 +74,6 @@ struct PencilFactorRequest {
   const char* stage = "pencil.factor";
   /// Cache to acquire through (nullptr = FactorCache::global()).
   FactorCache* cache = nullptr;
-  /// Per-reduction cache behavior (enabled=false bypasses the cache for
-  /// every rung; capacity>0 resizes the cache before the first acquire).
-  CacheOptions cache_options;
   /// Numeric-kernel selection forwarded to every sparse LDLᵀ rung.
   KernelOptions kernels;
   /// Width of the blocked solves this factorization will serve (the

@@ -2,7 +2,6 @@
 #include "mor/port_shard_stitch.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -20,11 +19,6 @@
 namespace sympvl {
 
 namespace {
-
-double seconds_since(const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 // ---- Partitioning ----------------------------------------------------------
 
@@ -297,8 +291,8 @@ struct ShardRun {
 Index resolve_shard_count(const PortShardOptions& options, Index ports) {
   Index k = options.shards;
   if (k <= 0) {
-    // Mirrors the CacheOptions/KernelOptions pattern: the environment
-    // backstops an unset option, read per call so tests can setenv.
+    // The environment backstops an unset option, read per call so tests
+    // can setenv.
     if (const char* env = std::getenv("SYMPVL_PORT_SHARDS"))
       if (*env != '\0') k = static_cast<Index>(std::atol(env));
   }
@@ -331,7 +325,6 @@ namespace detail {
 
 ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
                                    const SympvlOptions& options, Index shards) {
-  const auto t_total = std::chrono::steady_clock::now();
   const Index p = sys.port_count();
   require(shards >= 2 && shards <= std::min(p, options.order),
           ErrorCode::kInvalidArgument,
@@ -339,15 +332,12 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
           "order)]");
   ReduceResult out;
 
-  // ---- Partition B's columns. ----
-  const auto t_partition = std::chrono::steady_clock::now();
-  std::vector<Index> assign;
-  {
-    obs::ScopedTimer span("shard.partition");
-    span.arg("ports", p);
-    span.arg("shards", shards);
-    assign = partition_ports(sys, shards, options.shard.clustering);
-  }
+  // ---- Partition B's columns and budget the shard orders. ----
+  obs::ScopedTimer partition_span("shard.partition");
+  partition_span.arg("ports", p);
+  partition_span.arg("shards", shards);
+  std::vector<Index> assign =
+      partition_ports(sys, shards, options.shard.clustering);
   out.shard.shards = shards;
   out.shard.clustering =
       options.shard.clustering == ShardClustering::kRoundRobin ? "round_robin"
@@ -407,11 +397,12 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
       ++assigned;
     }
   }
-  out.shard.partition_seconds = seconds_since(t_partition);
+  out.shard.partition_seconds = partition_span.close();
 
   // ---- Prime the shared factorization once (full SyMPVL ladder). Every
   //      shard then factors at the settled shift and hits the cache. ----
-  const auto t_factor = std::chrono::steady_clock::now();
+  obs::ScopedTimer factor_span("shard.factor");
+  factor_span.arg("n", sys.size());
   PencilFactorRequest req;
   req.s0 = options.s0;
   req.auto_shift = options.auto_shift;
@@ -421,7 +412,6 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
   req.driver = "sharded_sympvl";
   req.stage = "shard.factor";
   req.cache = options.factor_cache;
-  req.cache_options = options.cache;
   req.kernels = options.kernel;
   // Uniform kernel resolution across priming and every shard session:
   // the widest shard width drives the rhs heuristic, and the sessions
@@ -429,32 +419,16 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
   req.rhs_width = widest;
   PencilFactorResult primed;
   try {
-    obs::ScopedTimer span("shard.factor");
-    span.arg("n", sys.size());
     primed = factor_pencil(sys, req);
   } catch (const Error& e) {
     out.status = ReductionStatus::kFailed;
     out.diagnostics.push_back(ReductionIssue::from_error(e));
-    out.shard.total_seconds = seconds_since(t_total);
     return out;
   }
+  record_factor_result(primed, factor_span.close(), &out.report);
   const double s0_used = primed.s0_used;
-  out.report.s0_used = s0_used;
-  out.report.used_dense_fallback = primed.dense;
-  for (const FactorAttemptRecord& rec : primed.attempts) {
-    if (rec.success)
-      ++(rec.detail == "cache hit" ? out.report.factor_cache_hits
-                                   : out.report.factor_cache_misses);
-    out.report.factor_attempts.push_back(rec);
-  }
-  out.report.factor_seconds = seconds_since(t_factor);
-  out.report.negative_j = primed.pencil->negative_j();
-  out.report.factor_nnz_l = primed.pencil->l_nnz();
-  out.report.kernel_path = kernel_path_name(primed.pencil->kernel_path());
-  out.report.factor_bytes = primed.pencil->bytes();
 
   // ---- Per-shard SyMPVL over the thread pool. ----
-  const auto t_reduce = std::chrono::steady_clock::now();
   std::vector<ShardRun> runs(static_cast<size_t>(shards));
   {
     obs::ScopedTimer span("shard.reduce");
@@ -524,8 +498,8 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
         }
       }
     });
+    out.shard.reduce_seconds = span.close();
   }
-  out.shard.reduce_seconds = seconds_since(t_reduce);
   obs::counter("shard.runs").add(static_cast<double>(shards));
 
   out.shard.shard_orders.assign(static_cast<size_t>(shards), 0);
@@ -555,16 +529,13 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
 
   if (n_total == 0) {
     out.status = ReductionStatus::kFailed;
-    out.shard.total_seconds = seconds_since(t_total);
     return out;
   }
 
   // ---- Stitch: union congruence model in M-transformed coordinates. ----
-  const auto t_stitch = std::chrono::steady_clock::now();
+  obs::ScopedTimer stitch_span("shard.stitch");
+  stitch_span.arg("order", n_total);
   {
-    obs::ScopedTimer span("shard.stitch");
-    span.arg("order", n_total);
-
     const Index big_n = sys.size();
     const Vec& j = primed.pencil->j_signs();
     Mat v(big_n, n_total);
@@ -682,7 +653,6 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
         issue.message =
             "sharded_sympvl_reduce: union basis deflated to nothing";
         out.diagnostics.push_back(issue);
-        out.shard.total_seconds = seconds_since(t_total);
         return out;
       }
       out.shard.stitch_dropped =
@@ -692,7 +662,7 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
     }
     out.shard.stitch_bytes = stitch_charge.bytes();
   }
-  out.shard.stitch_seconds = seconds_since(t_stitch);
+  out.shard.stitch_seconds = stitch_span.close();
 
   out.report.achieved_order = out.shard.stitched_order;
   out.report.breakdown = any_breakdown;
@@ -705,7 +675,6 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
                    : ReductionStatus::kOk;
   out.shard.peak_rss_bytes = obs::peak_rss_bytes();
   out.report.peak_rss_bytes = out.shard.peak_rss_bytes;
-  out.shard.total_seconds = seconds_since(t_total);
   obs::instant("shard.result",
                {obs::arg("shards", shards),
                 obs::arg("failed",

@@ -52,10 +52,12 @@ struct PortShardReport {
   Index stitch_dropped = 0;          ///< union-basis vectors deflated away
   bool used_fallback_stitch = false; ///< MGS-union path instead of CholQR
 
-  double partition_seconds = 0.0;
-  double reduce_seconds = 0.0;  ///< all shard sessions (wall, not CPU-sum)
-  double stitch_seconds = 0.0;
-  double total_seconds = 0.0;
+  // Stage wall times (seconds), each the duration of its obs span; the
+  // run's total is the SympvlReport total in ReduceResult::report.
+  double partition_seconds = 0.0;  ///< shard.partition (+ order budget)
+  double reduce_seconds = 0.0;     ///< shard.reduce: all shard sessions
+                                   ///< (wall, not CPU-sum)
+  double stitch_seconds = 0.0;     ///< shard.stitch
 
   /// FactorCache outcome across priming + every shard session.
   Index factor_cache_hits = 0;

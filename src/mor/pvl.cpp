@@ -63,7 +63,6 @@ PvlModel pvl_reduce_entry(const MnaSystem& sys, Index row, Index col,
   req.driver = "pvl_reduce_entry";
   req.stage = "pvl.factor";
   req.cache = options.factor_cache;
-  req.cache_options = options.cache;
   req.kernels = options.kernel;
   req.rhs_width = sys.port_count();
   PencilFactorResult outcome = factor_pencil(sys, req);

@@ -1,7 +1,6 @@
 #include "mor/reduce.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <utility>
 
@@ -23,11 +22,9 @@ Opt slice_common(const ReduceOptions& options) {
   return out;
 }
 
-// Flattens the report's recovery trail into diagnostics: every failed
-// factorization rung becomes an issue, and a Lanczos breakdown post-mortem
-// becomes one kBreakdown issue.
-void harvest_report(const SympvlReport& report,
-                    std::vector<ReductionIssue>* out) {
+// Every failed factorization rung of the report's trail becomes an issue.
+void harvest_factor_attempts(const SympvlReport& report,
+                             std::vector<ReductionIssue>* out) {
   for (const FactorAttemptRecord& rec : report.factor_attempts) {
     if (rec.success) continue;
     ReductionIssue issue;
@@ -41,6 +38,14 @@ void harvest_report(const SympvlReport& report,
     issue.value = rec.shift;
     out->push_back(std::move(issue));
   }
+}
+
+// Flattens the report's recovery trail into diagnostics: the failed
+// factorization rungs, then a Lanczos breakdown post-mortem as one
+// kBreakdown issue.
+void harvest_report(const SympvlReport& report,
+                    std::vector<ReductionIssue>* out) {
+  harvest_factor_attempts(report, out);
   if (report.breakdown) {
     ReductionIssue issue;
     issue.code = ErrorCode::kBreakdown;
@@ -93,11 +98,11 @@ ReduceResult reduce_sympvl(const MnaSystem& sys, const SympvlOptions& options) {
                        });
 }
 
-// kShardedSympvl: K > 1 shards run the stitched path of port_shard.cpp;
-// one shard IS the monolithic kSympvl reduction, reported as one shard.
+// kShardedSympvl: K > 1 shards run the stitched path of port_shard.cpp,
+// whose failed priming rungs become diagnostics as kSympvl's do; one
+// shard IS the monolithic kSympvl reduction, reported as one shard.
 ReduceResult reduce_sharded(const MnaSystem& sys,
                             const SympvlOptions& options) {
-  const auto t_total = std::chrono::steady_clock::now();
   const Index p = sys.port_count();
   require(p >= 1, ErrorCode::kInvalidArgument,
           "sharded_sympvl_reduce: system has no ports");
@@ -105,7 +110,11 @@ ReduceResult reduce_sharded(const MnaSystem& sys,
   // sustain at least a 1-vector process.
   const Index shards =
       std::min<Index>(resolve_shard_count(options.shard, p), options.order);
-  if (shards > 1) return detail::sharded_sympvl_reduce(sys, options, shards);
+  if (shards > 1) {
+    ReduceResult out = detail::sharded_sympvl_reduce(sys, options, shards);
+    harvest_factor_attempts(out.report, &out.diagnostics);
+    return out;
+  }
 
   ReduceResult out = reduce_sympvl(sys, options);
   out.shard.shards = 1;
@@ -116,9 +125,6 @@ ReduceResult reduce_sharded(const MnaSystem& sys,
   out.shard.stitched_order = out.report.achieved_order;
   out.shard.factor_cache_hits = out.report.factor_cache_hits;
   out.shard.factor_cache_misses = out.report.factor_cache_misses;
-  out.shard.total_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_total)
-          .count();
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "mor/sympvl.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -12,14 +11,38 @@
 
 namespace sympvl {
 
-namespace {
-
-double seconds_since(const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
+void record_factor_result(const PencilFactorResult& outcome, double seconds,
+                          SympvlReport* report) {
+  bool cache_hit = false;  // the accepted rung came from the cache
+  for (const FactorAttemptRecord& rec : outcome.attempts) {
+    if (rec.success) {
+      cache_hit = rec.detail == "cache hit";
+      ++(cache_hit ? report->factor_cache_hits : report->factor_cache_misses);
+    }
+    report->factor_attempts.push_back(rec);
+  }
+  report->recovered = report->factor_attempts.size() > 1;
+  report->s0_used = outcome.s0_used;
+  report->used_dense_fallback = outcome.dense;
+  const FactorizedPencil& pencil = *outcome.pencil;
+  report->negative_j = pencil.negative_j();
+  report->factor_nnz_l = pencil.l_nnz();
+  report->factor_fill_ratio = pencil.fill_ratio();
+  report->factor_flops = pencil.flops();
+  report->kernel_path = kernel_path_name(pencil.kernel_path());
+  report->supernode_count = pencil.supernode_count();
+  report->max_panel_width = pencil.max_panel_width();
+  report->panel_zeros = pencil.panel_zeros();
+  report->simd_level = simd_level_name(pencil.simd_level());
+  report->factor_bytes = pencil.bytes();
+  report->factor_seconds += seconds;
+  // factor_seconds includes ladder retries, so this is a floor on the
+  // kernel rate. A cache hit factored nothing: its rate is 0.
+  report->factor_gflops =
+      report->factor_seconds > 0.0 && !cache_hit
+          ? report->factor_flops / report->factor_seconds * 1e-9
+          : 0.0;
 }
-
-}  // namespace
 
 // ---- SympvlSession ---------------------------------------------------------
 
@@ -39,67 +62,33 @@ struct SympvlSession::Impl {
   std::unique_ptr<BandLanczos> lanczos;
   Mat exact_moment0;  // p×p exact 0th moment Bᵀ(G+s₀C)⁻¹B = startᵀJ·start
   SympvlReport report;
-  bool factor_cache_hit = false;  // the accepted rung came from the cache
 
-  void absorb_factor_result(PencilFactorResult outcome) {
+  void absorb_factor_result(PencilFactorResult outcome, double seconds) {
+    record_factor_result(outcome, seconds, &report);
     pencil = std::move(outcome.pencil);
     s0 = outcome.s0_used;
-    report.s0_used = outcome.s0_used;
-    report.used_dense_fallback = outcome.dense;
-    for (FactorAttemptRecord& rec : outcome.attempts) {
-      if (rec.success) {
-        factor_cache_hit = rec.detail == "cache hit";
-        ++(factor_cache_hit ? report.factor_cache_hits
-                            : report.factor_cache_misses);
-      }
-      report.factor_attempts.push_back(std::move(rec));
-    }
-    report.factor_nnz_l = pencil->l_nnz();
-    report.factor_fill_ratio = pencil->fill_ratio();
-    report.factor_flops = pencil->flops();
-    report.kernel_path = kernel_path_name(pencil->kernel_path());
-    report.supernode_count = pencil->supernode_count();
-    report.max_panel_width = pencil->max_panel_width();
-    report.panel_zeros = pencil->panel_zeros();
-    report.simd_level = simd_level_name(pencil->simd_level());
-    report.factor_bytes = pencil->bytes();
-  }
-
-  // Flop rate of the numeric factorization; call after factor_seconds is
-  // settled (it includes ladder retries, so this is a floor on the kernel
-  // rate). A cache hit factored nothing: its rate is 0.
-  void refresh_factor_gflops() {
-    report.factor_gflops =
-        report.factor_seconds > 0.0 && !factor_cache_hit
-            ? report.factor_flops / report.factor_seconds * 1e-9
-            : 0.0;
   }
 
   // Builds the starting block J⁻¹M⁻¹B, the exact 0th moment and a fresh
   // Lanczos process from the current factorization. Used at construction
   // and again by reshift().
   void build_process() {
-    const auto t_start = std::chrono::steady_clock::now();
     const Vec& j = pencil->j_signs();
-    report.negative_j = pencil->negative_j();
-
     const Index n_full = g_matrix.rows();
     Mat start;
     {
       obs::ScopedTimer span("sympvl.start_block");
       span.arg("ports", b_matrix.cols());
       start = starting_block(*pencil, b_matrix);
-    }
-    // Exact 0th moment about s₀: startᵀJ·start = Bᵀ(G+s₀C)⁻¹B (J² = I),
-    // the reference for the report's moment-match residual.
-    {
+      // Exact 0th moment about s₀: startᵀJ·start = Bᵀ(G+s₀C)⁻¹B (J² = I),
+      // the reference for the report's moment-match residual.
       Mat jstart = start;
       for (Index i = 0; i < n_full; ++i)
         for (Index col = 0; col < jstart.cols(); ++col)
           jstart(i, col) *= j[static_cast<size_t>(i)];
       exact_moment0 = matmul_transA(start, jstart);
+      report.start_block_seconds += span.close();
     }
-    report.start_block_seconds += seconds_since(t_start);
 
     LanczosOptions lopt;
     lopt.max_order = target_order;
@@ -112,14 +101,10 @@ struct SympvlSession::Impl {
   }
 
   void run_lanczos_to(Index target) {
-    const auto t_lanczos = std::chrono::steady_clock::now();
-    {
-      obs::ScopedTimer span("sympvl.lanczos");
-      span.arg("target_order", target);
-      lanczos->run_to(std::max<Index>(target, 1));
-    }
-    const double dt = seconds_since(t_lanczos);
-    report.lanczos_seconds += dt;
+    obs::ScopedTimer span("sympvl.lanczos");
+    span.arg("target_order", target);
+    lanczos->run_to(std::max<Index>(target, 1));
+    report.lanczos_seconds += span.close();
     report.total_seconds = report.factor_seconds +
                            report.start_block_seconds + report.lanczos_seconds;
   }
@@ -170,7 +155,8 @@ SympvlSession::SympvlSession(const MnaSystem& sys, const SympvlOptions& options)
 
   // ---- Factor G + s₀C = M J Mᵀ (eq. 15 / eq. 26) through the shared
   //      ladder and cache. ----
-  const auto t_factor = std::chrono::steady_clock::now();
+  obs::ScopedTimer factor_span("sympvl.factor");
+  factor_span.arg("n", sys.size());
   PencilFactorRequest req;
   req.s0 = options.s0;
   req.auto_shift = options.auto_shift;
@@ -180,24 +166,15 @@ SympvlSession::SympvlSession(const MnaSystem& sys, const SympvlOptions& options)
   req.driver = "sympvl";
   req.stage = "sympvl.factor";
   req.cache = options.factor_cache;
-  req.cache_options = options.cache;
   req.kernels = options.kernel;
   // The blocked solves of this reduction are p-wide (the port count);
   // let the kAuto path heuristic know unless the caller already did.
   req.rhs_width = sys.port_count();
-  PencilFactorResult outcome;
-  {
-    obs::ScopedTimer span("sympvl.factor");
-    span.arg("n", sys.size());
-    outcome = factor_pencil(sys, req);
-    span.arg("dense_fallback", outcome.dense ? 1.0 : 0.0);
-    span.arg("s0", outcome.s0_used);
-    span.arg("attempts", static_cast<Index>(outcome.attempts.size()));
-  }
-  impl_->absorb_factor_result(std::move(outcome));
-  impl_->report.recovered = impl_->report.factor_attempts.size() > 1;
-  impl_->report.factor_seconds = seconds_since(t_factor);
-  impl_->refresh_factor_gflops();
+  PencilFactorResult outcome = factor_pencil(sys, req);
+  factor_span.arg("dense_fallback", outcome.dense ? 1.0 : 0.0);
+  factor_span.arg("s0", outcome.s0_used);
+  factor_span.arg("attempts", static_cast<Index>(outcome.attempts.size()));
+  impl_->absorb_factor_result(std::move(outcome), factor_span.close());
 
   // ---- Starting block, operator and the Lanczos run (steps 0-3). ----
   impl_->build_process();
@@ -221,7 +198,9 @@ ReducedModel SympvlSession::extend(Index additional) {
 
 ReducedModel SympvlSession::reshift(double new_s0) {
   Impl* impl = impl_.get();
-  const auto t_factor = std::chrono::steady_clock::now();
+  obs::ScopedTimer span("sympvl.reshift");
+  span.arg("s0", new_s0);
+  span.arg("previous_s0", impl->s0);
   PencilFactorRequest req;
   req.s0 = new_s0;
   // The caller chose the shift: no automatic ladder, but the dense rung
@@ -233,21 +212,14 @@ ReducedModel SympvlSession::reshift(double new_s0) {
   req.driver = "sympvl";
   req.stage = "sympvl.factor";
   req.cache = impl->options.factor_cache;
-  req.cache_options = impl->options.cache;
   req.kernels = impl->options.kernel;
   req.rhs_width = impl->b_matrix.cols();
-  PencilFactorResult outcome;
-  {
-    obs::ScopedTimer span("sympvl.reshift");
-    span.arg("s0", new_s0);
-    span.arg("previous_s0", impl->s0);
-    outcome = factor_pencil(impl->g_matrix, impl->c_matrix, req);
-  }
-  impl->absorb_factor_result(std::move(outcome));
-  impl->report.factor_seconds += seconds_since(t_factor);
-  impl->refresh_factor_gflops();
+  PencilFactorResult outcome =
+      factor_pencil(impl->g_matrix, impl->c_matrix, req);
+  // The trail now holds the constructor's rung(s) and this one, so the
+  // report reads recovered.
+  impl->absorb_factor_result(std::move(outcome), span.close());
   ++impl->report.shift_retries;
-  impl->report.recovered = true;
 
   // Restart the process about the new expansion point and run it back to
   // the last requested order. The Padé model changes (different s₀) but

@@ -58,11 +58,13 @@ struct SympvlReport {
   LanczosDiagnosis lanczos_diagnosis;
   bool breakdown = false;
 
-  // -- Per-stage wall times (seconds; always measured, independent of the
-  //    obs trace sink). lanczos/total accumulate across extend() calls. --
-  double factor_seconds = 0.0;       ///< G + s₀C = M J Mᵀ (incl. shift retry)
-  double start_block_seconds = 0.0;  ///< J⁻¹M⁻¹B construction
-  double lanczos_seconds = 0.0;      ///< Algorithm 1 iterations
+  // -- Per-stage wall times (seconds): each is the duration its obs span
+  //    measured, recorded or not. lanczos/total accumulate across
+  //    extend() calls. --
+  double factor_seconds = 0.0;       ///< sympvl.factor (+ sympvl.reshift)
+  double start_block_seconds = 0.0;  ///< sympvl.start_block: J⁻¹M⁻¹B and
+                                     ///< the exact 0th moment
+  double lanczos_seconds = 0.0;      ///< sympvl.lanczos: Algorithm 1
   double total_seconds = 0.0;
 
   // -- Memory accounting (bytes; always measured, see DESIGN.md §5.7). --
@@ -76,8 +78,8 @@ struct SympvlReport {
   /// platform cannot report it.
   std::int64_t peak_rss_bytes = 0;
 
-  // -- Per-step Lanczos latency digest (always measured from the
-  //    session's own step clock, independent of the obs sinks). --
+  // -- Per-step Lanczos latency digest: the durations of the
+  //    lanczos.step spans, recorded or not. --
   obs::LatencyStats lanczos_step_stats;
 
   // -- Sparse-factorization telemetry (zeros on the dense fallback). --
@@ -108,6 +110,14 @@ struct SympvlReport {
   //    the starting block was captured (matrix-Padé property, eq. 20). --
   double moment0_residual = 0.0;
 };
+
+/// Records one factor_pencil() outcome that took `seconds` into `report`:
+/// the attempt trail with its cache hit/miss counts and `recovered`, the
+/// shift and dense flag, the factor and kernel telemetry, and
+/// factor_seconds with the factor_gflops rule. Shared by SympvlSession
+/// and the sharded path's priming factorization.
+void record_factor_result(const PencilFactorResult& outcome, double seconds,
+                          SympvlReport* report);
 
 /// Runs SyMPVL on an assembled MNA system.
 ReducedModel sympvl_reduce(const MnaSystem& sys, const SympvlOptions& options,

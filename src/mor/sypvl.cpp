@@ -27,7 +27,6 @@ ReducedModel sypvl_reduce(const MnaSystem& sys, const SympvlOptions& options,
   req.driver = "sypvl_reduce";
   req.stage = "sypvl.factor";
   req.cache = options.factor_cache;
-  req.cache_options = options.cache;
   req.kernels = options.kernel;
   req.rhs_width = sys.port_count();
   PencilFactorResult outcome = factor_pencil(sys, req);

@@ -6,8 +6,9 @@
 //    bucket counts plus count/sum/min/max moments. It is the mergeable
 //    snapshot/accumulator form: cheap to copy, trivially serialisable,
 //    and the thing quantiles are computed from. Internal subsystems
-//    that want always-on, zero-contention local timing (e.g. the
-//    Lanczos step clock feeding SympvlReport) use it directly.
+//    that keep an always-on, zero-contention local digest of span
+//    durations (e.g. the Lanczos step digest feeding SympvlReport) use
+//    it directly.
 //
 //  * Histogram — the concurrent recorder behind obs::histogram(name).
 //    Recording is lock-free: each thread hashes to one of a fixed set

@@ -32,15 +32,20 @@ namespace detail {
 std::atomic<int> g_enabled{-1};
 }  // namespace detail
 
-std::int64_t now_us() {
-  static const std::chrono::steady_clock::time_point t0 =
-      std::chrono::steady_clock::now();
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
+namespace {
+
+// The process trace epoch. init_enabled_slow() touches it before
+// recording can start, so every recorded span starts after it.
+detail::Clock::time_point trace_epoch() {
+  static const detail::Clock::time_point t0 = detail::Clock::now();
+  return t0;
 }
 
-namespace {
+std::int64_t us_since_epoch(detail::Clock::time_point t) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(t -
+                                                               trace_epoch())
+      .count();
+}
 
 constexpr int kSegCap = 1024;        // events per segment
 constexpr size_t kMaxSegments = 512;  // per-thread cap (memory backstop)
@@ -91,7 +96,6 @@ struct Global {
   std::mutex m;  // guards everything below
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;
   std::map<std::string, std::unique_ptr<Counter>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges;
   std::string trace_path;
   std::string stats_sink;
   std::string metrics_path;
@@ -132,10 +136,13 @@ ThreadBuffer& local_buffer() {
 
 }  // namespace
 
+std::int64_t now_us() { return us_since_epoch(detail::Clock::now()); }
+
 namespace detail {
 
 bool init_enabled_slow() {
   static const int resolved = [] {
+    trace_epoch();
     Global& g = global();
     bool sink = false;
     {
@@ -169,6 +176,20 @@ void record(const Event& e) {
   buf.push(copy, g.epoch.load(std::memory_order_relaxed), g.dropped);
 }
 
+void record_span(const char* name, Clock::time_point start,
+                 Clock::time_point end, const Arg* args, int nargs) {
+  Event e;
+  e.name = name;
+  e.phase = 'X';
+  // Both ends on the epoch's microsecond grid, so nested spans stay
+  // nested in the trace.
+  e.ts_us = us_since_epoch(start);
+  e.dur_us = us_since_epoch(end) - e.ts_us;
+  for (int k = 0; k < nargs; ++k) e.args[k] = args[k];
+  e.nargs = nargs;
+  record(e);
+}
+
 }  // namespace detail
 
 void enable(bool on) {
@@ -176,41 +197,11 @@ void enable(bool on) {
   detail::g_enabled.store(on ? 1 : 0, std::memory_order_release);
 }
 
-void set_trace_path(const std::string& path) {
-  detail::init_enabled_slow();
-  {
-    Global& g = global();
-    std::lock_guard<std::mutex> lock(g.m);
-    g.trace_path = path;
-  }
-  if (!path.empty())
-    detail::g_enabled.store(1, std::memory_order_release);
-}
-
-void set_metrics_path(const std::string& path) {
-  detail::init_enabled_slow();
-  {
-    Global& g = global();
-    std::lock_guard<std::mutex> lock(g.m);
-    g.metrics_path = path;
-  }
-  if (!path.empty())
-    detail::g_enabled.store(1, std::memory_order_release);
-}
-
 Counter& counter(const char* name) {
   Global& g = global();
   std::lock_guard<std::mutex> lock(g.m);
   auto& slot = g.counters[name];
   if (slot == nullptr) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& gauge(const char* name) {
-  Global& g = global();
-  std::lock_guard<std::mutex> lock(g.m);
-  auto& slot = g.gauges[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
   return *slot;
 }
 
@@ -276,15 +267,6 @@ std::vector<std::pair<std::string, double>> snapshot_counters() {
   return out;
 }
 
-std::vector<std::pair<std::string, double>> snapshot_gauges() {
-  Global& g = global();
-  std::lock_guard<std::mutex> lock(g.m);
-  std::vector<std::pair<std::string, double>> out;
-  out.reserve(g.gauges.size());
-  for (const auto& [name, v] : g.gauges) out.emplace_back(name, v->value());
-  return out;
-}
-
 std::string stats_summary() {
   // Span rows come from the latency histograms (fed by every completed
   // span, never subject to the event-buffer cap); instants still come
@@ -296,10 +278,9 @@ std::string stats_summary() {
   for (const Event& e : snapshot_events())
     if (e.phase != 'X') ++instants[e.name];
   const auto counters = snapshot_counters();
-  const auto gauges = snapshot_gauges();
   const auto byte_gauges = snapshot_byte_gauges();
   if (spans.empty() && instants.empty() && counters.empty() &&
-      gauges.empty() && byte_gauges.empty())
+      byte_gauges.empty())
     return {};
 
   std::string out = "== sympvl obs stats ==\n";
@@ -327,10 +308,6 @@ std::string stats_summary() {
   }
   for (const auto& [name, v] : counters) {
     std::snprintf(line, sizeof(line), "counter %-28s %.17g\n", name.c_str(), v);
-    out += line;
-  }
-  for (const auto& [name, v] : gauges) {
-    std::snprintf(line, sizeof(line), "gauge   %-28s %.17g\n", name.c_str(), v);
     out += line;
   }
   for (const ByteGaugeSnapshot& g : byte_gauges) {

@@ -1,12 +1,18 @@
 // Lightweight, env-gated observability: a process-global registry of
-// counters/gauges, RAII ScopedTimer spans and instant events recorded into
+// counters, RAII ScopedTimer spans and instant events recorded into
 // per-thread buffers, a Chrome trace-event JSON exporter, and run
 // metadata shared by every BENCH_*.json.
 //
+// ScopedTimer is also the library's one stage stopwatch: its close()
+// returns the span's duration in seconds whether or not obs records, and
+// every stage time a report carries (SympvlReport, PortShardReport, the
+// Lanczos step digest) is that return value.
+//
 // Cost model (the overhead contract, verified by bench_obs_overhead):
 //   * disabled (no SYMPVL_TRACE / SYMPVL_STATS, no obs::enable(true)):
-//     every instrumentation point is a relaxed load of one cached atomic
-//     plus a predictable branch — no allocation, no clock read, no lock;
+//     an instant or counter point is a relaxed load of one cached atomic
+//     plus a predictable branch; a span adds two steady-clock reads (its
+//     stopwatch). No allocation, no lock;
 //   * enabled: events append into per-thread segmented buffers. The hot
 //     path is lock-free — a segment slot store followed by a release store
 //     of the segment count; a per-thread mutex is taken only when a new
@@ -22,7 +28,7 @@
 //     summary printed at flush (to stderr, or appended to <path>),
 //     including min/mean/max and p50/p95/p99 per span family.
 //   * SYMPVL_METRICS=<path> — Prometheus text-exposition document
-//     (counters, gauges, byte gauges, latency histograms; see
+//     (counters, byte gauges, latency histograms; see
 //     obs/prom_export.hpp for the naming convention).
 //
 // Metrics v2 companions (same namespace, separate headers):
@@ -38,6 +44,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -73,10 +80,6 @@ inline bool enabled() {
 /// recorded events are kept until reset().
 void enable(bool on);
 
-/// Sets (or clears, with "") the Chrome trace output path. Implies
-/// enable(true) for a nonempty path.
-void set_trace_path(const std::string& path);
-
 // ---- Event model ----------------------------------------------------------
 
 /// One key/value event argument. `str == nullptr` means numeric.
@@ -109,7 +112,12 @@ struct Event {
 std::int64_t now_us();
 
 namespace detail {
+using Clock = std::chrono::steady_clock;
 void record(const Event& e);
+/// Records the completed span [start, end] as an 'X' event (microsecond
+/// fields on the trace epoch) and feeds its latency histogram.
+void record_span(const char* name, Clock::time_point start,
+                 Clock::time_point end, const Arg* args, int nargs);
 }  // namespace detail
 
 /// Records an instant event (a vertical tick in the trace lane).
@@ -124,21 +132,18 @@ inline void instant(const char* name, std::initializer_list<Arg> args = {}) {
   detail::record(e);
 }
 
-/// RAII span: records a complete ('X') trace event covering its lifetime.
-/// Arguments may be attached any time before destruction. When
-/// instrumentation is disabled construction/destruction are branch-only.
+/// RAII span and stage stopwatch. Construction stamps the start with one
+/// steady-clock read whether or not obs records; close() takes one more
+/// and returns the elapsed seconds. When obs was enabled at construction,
+/// close() also records a complete ('X') trace event and feeds the span's
+/// latency histogram. Arguments may be attached any time before close().
 class ScopedTimer {
  public:
-  explicit ScopedTimer(const char* name) {
-    if (enabled()) {
-      name_ = name;
-      start_ = now_us();
-    }
-  }
+  explicit ScopedTimer(const char* name)
+      : name_(enabled() ? name : nullptr), start_(detail::Clock::now()) {}
   ScopedTimer(const char* name, std::initializer_list<Arg> args)
       : ScopedTimer(name) {
-    if (name_ != nullptr)
-      for (const Arg& a : args) arg(a);
+    for (const Arg& a : args) arg(a);
   }
   ~ScopedTimer() { close(); }
   ScopedTimer(const ScopedTimer&) = delete;
@@ -151,28 +156,30 @@ class ScopedTimer {
   void arg(const char* key, Index v) { arg(obs::arg(key, v)); }
   void arg(const char* key, const char* s) { arg(obs::arg(key, s)); }
 
-  /// Ends the span early (idempotent; the destructor becomes a no-op).
-  void close() {
-    if (name_ == nullptr) return;
-    Event e;
-    e.name = name_;
-    e.phase = 'X';
-    e.ts_us = start_;
-    e.dur_us = now_us() - start_;
-    for (int k = 0; k < nargs_; ++k) e.args[k] = args_[k];
-    e.nargs = nargs_;
-    detail::record(e);
-    name_ = nullptr;
+  /// Ends the span and returns its duration in seconds at the steady
+  /// clock's full resolution. Idempotent: later calls (the destructor's
+  /// included) return the same value and record nothing more.
+  double close() {
+    if (open_) {
+      const detail::Clock::time_point end = detail::Clock::now();
+      open_ = false;
+      seconds_ = std::chrono::duration<double>(end - start_).count();
+      if (name_ != nullptr)
+        detail::record_span(name_, start_, end, args_, nargs_);
+    }
+    return seconds_;
   }
 
  private:
-  const char* name_ = nullptr;
-  std::int64_t start_ = 0;
+  const char* name_;  // nullptr: obs was off at construction, record nothing
+  detail::Clock::time_point start_;
+  bool open_ = true;
+  double seconds_ = 0.0;
   Arg args_[kMaxArgs];
   int nargs_ = 0;
 };
 
-// ---- Counters and gauges --------------------------------------------------
+// ---- Counters -------------------------------------------------------------
 
 /// Monotonic counter. add() is a relaxed atomic fetch-add, gated on
 /// enabled(). Look up once (e.g. a function-local static reference) —
@@ -189,22 +196,9 @@ class Counter {
   std::atomic<double> v_{0.0};
 };
 
-/// Last-value gauge.
-class Gauge {
- public:
-  void set(double v) {
-    if (enabled()) v_.store(v, std::memory_order_relaxed);
-  }
-  double value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> v_{0.0};
-};
-
-/// Process-global counter/gauge interned by name (stable reference for the
+/// Process-global counter interned by name (stable reference for the
 /// process lifetime).
 Counter& counter(const char* name);
-Gauge& gauge(const char* name);
 
 /// Names the calling thread's trace lane (e.g. "pool-worker-3").
 void set_thread_name(const std::string& name);
@@ -216,12 +210,11 @@ void set_thread_name(const std::string& name);
 /// record (events published after the snapshot began may be missed).
 std::vector<Event> snapshot_events();
 
-/// All registered counters/gauges with their current values.
+/// All registered counters with their current values.
 std::vector<std::pair<std::string, double>> snapshot_counters();
-std::vector<std::pair<std::string, double>> snapshot_gauges();
 
 /// Human-readable summary: per-span count/total/mean/min/max/p50/p99
-/// (from the latency histograms) plus counters, gauges and byte gauges.
+/// (from the latency histograms) plus counters and byte gauges.
 /// Empty string when nothing was recorded.
 std::string stats_summary();
 

@@ -104,13 +104,6 @@ void export_prometheus(std::ostream& out) {
     out << name << " " << prom_value(v) << "\n";
   }
 
-  // Last-value gauges.
-  for (const auto& [raw, v] : snapshot_gauges()) {
-    const std::string name = prometheus_metric_name(raw);
-    help_type(out, name, "gauge", "obs gauge \"" + raw + "\".");
-    out << name << " " << prom_value(v) << "\n";
-  }
-
   // Byte gauges: current + high-water companion.
   for (const ByteGaugeSnapshot& g : snapshot_byte_gauges()) {
     const std::string name = prometheus_metric_name(g.name);

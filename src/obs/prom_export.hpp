@@ -1,7 +1,7 @@
 // Prometheus text-exposition exporter (Metrics v2).
 //
-// Serialises the obs registries — counters, gauges, byte gauges,
-// latency histograms, process stats — in Prometheus exposition format
+// Serialises the obs registries — counters, byte gauges, latency
+// histograms, process stats — in Prometheus exposition format
 // v0.0.4, the exact payload a future reduction-as-a-service daemon
 // serves verbatim from /metrics. Enabled as a third environment sink:
 // SYMPVL_METRICS=<path> turns instrumentation on (like SYMPVL_TRACE /
@@ -12,7 +12,6 @@
 //   * every metric is prefixed "sympvl_"; dots in obs names become
 //     underscores ("factor_cache.hit" → sympvl_factor_cache_hit_total)
 //   * obs::Counter  → TYPE counter, "_total" suffix
-//   * obs::Gauge    → TYPE gauge, name as-is
 //   * obs::ByteGauge→ two gauges: current value under the obs name and
 //     the high-water mark with a "_peak" suffix
 //   * span latency  → two families shared by every span, keyed by a
@@ -40,10 +39,5 @@ void export_prometheus(std::ostream& out);
 
 /// export_prometheus into `path` (truncating).
 void write_prometheus(const std::string& path);
-
-/// Sets (or clears, with "") the Prometheus output path written by
-/// flush(). Implies enable(true) for a nonempty path — the programmatic
-/// equivalent of SYMPVL_METRICS.
-void set_metrics_path(const std::string& path);
 
 }  // namespace sympvl::obs

@@ -222,7 +222,6 @@ TEST(PromExport, MetricNameSanitization) {
 TEST(PromExport, ExpositionFormatBasics) {
   ObsGuard guard(true);
   obs::counter("test.prom_counter").add(7.0);
-  obs::gauge("test.prom_gauge").set(2.5);
   {
     obs::ScopedTimer span("test.prom_span");
   }
@@ -236,7 +235,6 @@ TEST(PromExport, ExpositionFormatBasics) {
   EXPECT_NE(doc.find("# TYPE sympvl_test_prom_counter_total counter"),
             std::string::npos);
   EXPECT_NE(doc.find("sympvl_test_prom_counter_total 7"), std::string::npos);
-  EXPECT_NE(doc.find("sympvl_test_prom_gauge 2.5"), std::string::npos);
 
   // Span histogram family with cumulative buckets ending at +Inf.
   EXPECT_NE(doc.find("# TYPE sympvl_span_duration_seconds histogram"),

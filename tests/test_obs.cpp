@@ -1,13 +1,17 @@
 // Tests for the observability layer: event recording, counters, JSON
-// hardening, run metadata, and the SyMPVL diagnostic telemetry
-// (deflation / look-ahead reporting consistency).
+// hardening, run metadata, the SyMPVL diagnostic telemetry (deflation /
+// look-ahead reporting consistency), and the one clock per stage: every
+// stage time a report carries is its span's duration.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "gen/random_circuit.hpp"
+#include "mor/reduce.hpp"
 #include "mor/sympvl.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
@@ -42,6 +46,15 @@ const obs::Arg* find_arg(const obs::Event& e, const char* key) {
   return nullptr;
 }
 
+// Duration in seconds of the first recorded span named `name` (the trace
+// keeps whole microseconds); NaN when there is none.
+double span_seconds(const std::vector<obs::Event>& events, const char* name) {
+  for (const auto& e : events)
+    if (e.phase == 'X' && std::strcmp(e.name, name) == 0)
+      return static_cast<double>(e.dur_us) * 1e-6;
+  return std::nan("");
+}
+
 TEST(Obs, SpansInstantsAndCounters) {
   ObsGuard guard(true);
   {
@@ -51,7 +64,6 @@ TEST(Obs, SpansInstantsAndCounters) {
   }
   obs::instant("test.instant", {obs::arg("k", Index(7))});
   obs::counter("test.counter").add(2.0);
-  obs::gauge("test.gauge").set(5.5);
 
   const auto events = obs::snapshot_events();
   ASSERT_EQ(count_events(events, "test.span", 'X'), 1);
@@ -73,19 +85,13 @@ TEST(Obs, SpansInstantsAndCounters) {
     }
   }
 
-  bool counter_seen = false, gauge_seen = false;
+  bool counter_seen = false;
   for (const auto& [name, value] : obs::snapshot_counters())
     if (name == "test.counter") {
       counter_seen = true;
       EXPECT_EQ(value, 2.0);
     }
-  for (const auto& [name, value] : obs::snapshot_gauges())
-    if (name == "test.gauge") {
-      gauge_seen = true;
-      EXPECT_EQ(value, 5.5);
-    }
   EXPECT_TRUE(counter_seen);
-  EXPECT_TRUE(gauge_seen);
 
   const std::string summary = obs::stats_summary();
   EXPECT_NE(summary.find("test.span"), std::string::npos);
@@ -97,6 +103,11 @@ TEST(Obs, DisabledRecordsNothing) {
   {
     obs::ScopedTimer span("test.disabled_span");
     span.arg("x", 1.0);
+    // The stopwatch runs with obs off; close() is idempotent.
+    const double seconds = span.close();
+    EXPECT_TRUE(std::isfinite(seconds));
+    EXPECT_GE(seconds, 0.0);
+    EXPECT_EQ(span.close(), seconds);
   }
   obs::instant("test.disabled_instant");
   obs::counter("test.disabled_counter").add(3.0);
@@ -252,6 +263,17 @@ TEST(Obs, EventStreamAgreesWithReportCounters) {
   EXPECT_EQ(count_events(events, "sympvl.start_block", 'X'), 1);
   EXPECT_EQ(count_events(events, "sympvl.lanczos", 'X'), 1);
   EXPECT_EQ(count_events(events, "ldlt.factor", 'X'), 1);
+  // One clock per stage: the report's stage times are those spans'
+  // durations, and the step digest counts the lanczos.step spans.
+  EXPECT_NEAR(report.factor_seconds, span_seconds(events, "sympvl.factor"),
+              1e-6);
+  EXPECT_NEAR(report.start_block_seconds,
+              span_seconds(events, "sympvl.start_block"), 1e-6);
+  EXPECT_NEAR(report.lanczos_seconds, span_seconds(events, "sympvl.lanczos"),
+              1e-6);
+  EXPECT_EQ(report.lanczos_step_stats.count,
+            static_cast<std::uint64_t>(
+                count_events(events, "lanczos.step", 'X')));
   // Interned counters match the event stream.
   EXPECT_EQ(obs::counter("lanczos.deflations").value(),
             static_cast<double>(report.deflations));
@@ -284,6 +306,32 @@ TEST(Obs, WriteChromeTraceProducesParseableJson) {
             std::count(doc.begin(), doc.end(), '}'));
   EXPECT_EQ(std::count(doc.begin(), doc.end(), '['),
             std::count(doc.begin(), doc.end(), ']'));
+}
+
+TEST(Obs, ShardStageSecondsAreSpanDurations) {
+  ObsGuard guard(true);
+  const MnaSystem sys =
+      build_mna(random_rc({.nodes = 60, .ports = 4, .seed = 11}));
+  ReduceOptions opt;
+  opt.method = ReduceMethod::kShardedSympvl;
+  opt.order = 8;
+  opt.shard.shards = 2;
+  const ReduceResult r = reduce(sys, opt);
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r.shard.shards, 2);
+
+  const auto events = obs::snapshot_events();
+  for (const char* name :
+       {"shard.partition", "shard.factor", "shard.reduce", "shard.stitch"})
+    EXPECT_EQ(count_events(events, name, 'X'), 1) << name;
+  EXPECT_NEAR(r.shard.partition_seconds,
+              span_seconds(events, "shard.partition"), 1e-6);
+  EXPECT_NEAR(r.report.factor_seconds, span_seconds(events, "shard.factor"),
+              1e-6);
+  EXPECT_NEAR(r.shard.reduce_seconds, span_seconds(events, "shard.reduce"),
+              1e-6);
+  EXPECT_NEAR(r.shard.stitch_seconds, span_seconds(events, "shard.stitch"),
+              1e-6);
 }
 
 }  // namespace

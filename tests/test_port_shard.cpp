@@ -186,6 +186,21 @@ TEST(PortShard, KShardStitchMatchesMonolithicOnPeec) {
     EXPECT_LT(max_rel_err(sharded.value().eval(s), mono.value().eval(s)), 1e-6)
         << "f = " << f;
   }
+
+  // G is singular at s₀ = 0, so both paths recover through the automatic
+  // shift; the sharded priming factorization reports like kSympvl's.
+  EXPECT_TRUE(mono.report.recovered);
+  EXPECT_EQ(sharded.report.recovered, mono.report.recovered);
+  EXPECT_EQ(sharded.report.factor_attempts.size(),
+            mono.report.factor_attempts.size());
+  EXPECT_EQ(sharded.report.factor_flops, mono.report.factor_flops);
+  EXPECT_EQ(sharded.report.factor_fill_ratio, mono.report.factor_fill_ratio);
+  EXPECT_EQ(sharded.report.kernel_path, mono.report.kernel_path);
+  EXPECT_EQ(sharded.report.simd_level, mono.report.simd_level);
+  bool failed_rung = false;
+  for (const ReductionIssue& issue : sharded.diagnostics)
+    failed_rung = failed_rung || issue.stage == "factor.ldlt";
+  EXPECT_TRUE(failed_rung);
 }
 
 TEST(PortShard, StitchedModelAccurateAtPartialOrder) {

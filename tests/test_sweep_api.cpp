@@ -1,8 +1,8 @@
 // The unified sweep entry point (sim/sweep_api.hpp) and the
-// CacheOptions/KernelOptions plumbing of CommonReductionOptions: the
-// sweep() overloads must agree bit for bit where they share a path, and
-// the option structs must actually reach the factorization layer (cache
-// keys, SympvlReport telemetry, per-reduction bypass).
+// factor_cache/kernel plumbing of CommonReductionOptions: the sweep()
+// overloads must agree bit for bit where they share a path, and the
+// options must actually reach the factorization layer (cache keys,
+// SympvlReport telemetry, a disabled cache instance).
 #include "sim/sweep_api.hpp"
 
 #include <gtest/gtest.h>
@@ -80,7 +80,7 @@ TEST(SweepApi, ModalOverloadMatchesMemberValuesAndContains) {
 // lives in the fault-injection suite (test_fault.cpp,
 // UnifiedSweepThrowOnFailure) where "sweep.point" can be armed.
 
-// ---- Option plumbing: CommonReductionOptions::{cache, kernel}. ----
+// ---- Option plumbing: CommonReductionOptions::{factor_cache, kernel}. ----
 
 TEST(OptionPlumbing, KernelTelemetryReachesSympvlReport) {
   PackageOptions popt;
@@ -119,35 +119,6 @@ TEST(OptionPlumbing, KernelTelemetryReachesSympvlReport) {
   EXPECT_EQ(simp_report.kernel_path, "simplicial");
   EXPECT_EQ(simp_report.supernode_count, 0);
   EXPECT_EQ(simp_report.factor_cache_hits, 0);
-}
-
-TEST(OptionPlumbing, CacheDisabledBypassesWithoutTouchingEntries) {
-  const MnaSystem sys = small_rc();
-  FactorCache cache(4);
-  SympvlOptions opt;
-  opt.order = 6;
-  opt.factor_cache = &cache;
-  opt.cache.enabled = false;
-
-  SympvlReport first, second;
-  sympvl_reduce(sys, opt, &first);
-  sympvl_reduce(sys, opt, &second);
-  EXPECT_EQ(cache.size(), 0u);  // nothing written
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(first.factor_cache_hits, 0);
-  EXPECT_EQ(second.factor_cache_hits, 0);
-  EXPECT_GE(second.factor_cache_misses, 1);
-}
-
-TEST(OptionPlumbing, CacheCapacityOptionResizes) {
-  const MnaSystem sys = small_rc();
-  FactorCache cache(32);
-  SympvlOptions opt;
-  opt.order = 6;
-  opt.factor_cache = &cache;
-  opt.cache.capacity = 2;
-  sympvl_reduce(sys, opt);
-  EXPECT_EQ(cache.capacity(), 2u);
 }
 
 TEST(OptionPlumbing, DisabledFactorCacheInstanceFactorsFresh) {
