@@ -23,7 +23,7 @@ int main() {
   ReduceOptions opt;
   opt.method = ReduceMethod::kShardedSympvl;
   opt.order = sys.port_count();  // total order, split across the shards
-  opt.shard.shards = 0;          // 0 = auto (heuristic / SYMPVL_PORT_SHARDS)
+  opt.shard.shards = 0;          // 0 = auto (the shard-count heuristic)
   const ReduceResult res = reduce(sys, opt);
   if (!res.ok()) {
     std::printf("reduction failed: %s\n",
@@ -42,8 +42,8 @@ int main() {
               res.report.total_seconds);
   std::printf("  factor cache: %lld hits, %lld misses (one factorization "
               "serves every shard)\n",
-              static_cast<long long>(rep.factor_cache_hits),
-              static_cast<long long>(rep.factor_cache_misses));
+              static_cast<long long>(res.report.factor_cache_hits),
+              static_cast<long long>(res.report.factor_cache_misses));
 
   // Validate the stitched model against exact AC analysis.
   const Vec freqs = log_frequency_grid(1e6, 1e9, 5);

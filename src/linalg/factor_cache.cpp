@@ -47,10 +47,6 @@ std::uint64_t double_bits(double v) {
   return b;
 }
 
-// Canonical factor settings every real-pencil driver uses — the settings
-// acquire_complex probes when adapting a real hit to an AC point.
-constexpr double kCanonicalZeroPivotTol = 1e-12;
-
 // Identity of a symbolic analysis: the pattern (n, nnz, FNV-1a of colptr
 // and rowind) and the ordering.
 struct SymbolicKey {
@@ -83,26 +79,23 @@ SymbolicKey symbolic_key(const SMat& pattern, Ordering ordering) {
 
 struct Key {
   std::uint64_t g = 0, c = 0;
-  std::uint64_t shift_re = 0, shift_im = 0;
+  std::uint64_t shift = 0;
   std::uint64_t tol = 0;
   int ordering = 0;
   bool dense = false;
-  bool complex_pencil = false;
   // Kernel selection changes the factorization's rounding, so it is part
   // of the identity of a cached factor. Both fields are stored RESOLVED:
   // kernel_path through the n/rhs_hint heuristic, simd through
   // SYMPVL_SIMD and the CPU probe. Requests that differ only in hints
   // resolving to the same kernels share one entry; hints that flip the
   // resolution get distinct keys, so a hit always returns the rounding the
-  // caller would have produced fresh. Complex entries leave kernel_path
-  // at 0: their default-option path is a function of n alone.
+  // caller would have produced fresh.
   int kernel_path = 0;
   int simd = 0;
 
   bool operator==(const Key& o) const {
-    return g == o.g && c == o.c && shift_re == o.shift_re &&
-           shift_im == o.shift_im && tol == o.tol && ordering == o.ordering &&
-           dense == o.dense && complex_pencil == o.complex_pencil &&
+    return g == o.g && c == o.c && shift == o.shift && tol == o.tol &&
+           ordering == o.ordering && dense == o.dense &&
            kernel_path == o.kernel_path && simd == o.simd;
   }
 };
@@ -112,14 +105,11 @@ struct KeyHash {
     std::uint64_t h = 14695981039346656037ull;
     h = fnv1a(&k.g, sizeof(k.g), h);
     h = fnv1a(&k.c, sizeof(k.c), h);
-    h = fnv1a(&k.shift_re, sizeof(k.shift_re), h);
-    h = fnv1a(&k.shift_im, sizeof(k.shift_im), h);
+    h = fnv1a(&k.shift, sizeof(k.shift), h);
     h = fnv1a(&k.tol, sizeof(k.tol), h);
     h = fnv1a(&k.ordering, sizeof(k.ordering), h);
-    const unsigned char flags =
-        static_cast<unsigned char>((k.dense ? 1 : 0) |
-                                   (k.complex_pencil ? 2 : 0));
-    h = fnv1a(&flags, sizeof(flags), h);
+    const unsigned char dense = k.dense ? 1 : 0;
+    h = fnv1a(&dense, sizeof(dense), h);
     h = fnv1a(&k.kernel_path, sizeof(k.kernel_path), h);
     h = fnv1a(&k.simd, sizeof(k.simd), h);
     return static_cast<std::size_t>(h);
@@ -130,7 +120,7 @@ Key real_key(const PencilFingerprint& fp, const PencilFactorOptions& opt) {
   Key k;
   k.g = fp.g;
   k.c = fp.c;
-  k.shift_re = double_bits(opt.shift);
+  k.shift = double_bits(opt.shift);
   k.tol = double_bits(opt.zero_pivot_tol);
   k.ordering = static_cast<int>(opt.ordering);
   k.dense = opt.dense;
@@ -139,47 +129,6 @@ Key real_key(const PencilFingerprint& fp, const PencilFactorOptions& opt) {
   k.simd = static_cast<int>(resolve_simd_level(opt.kernels.simd));
   return k;
 }
-
-Key complex_key(const PencilFingerprint& fp, Complex fs) {
-  Key k;
-  k.g = fp.g;
-  k.c = fp.c;
-  k.shift_re = double_bits(fs.real());
-  k.shift_im = double_bits(fs.imag());
-  k.complex_pencil = true;
-  // The AC point factor runs default KernelOptions, so its SIMD level
-  // resolves through SYMPVL_SIMD at every factorization.
-  k.simd = static_cast<int>(resolve_simd_level(SimdLevel::kAuto));
-  return k;
-}
-
-// Adapts a real M J Mᵀ factorization of G + σC to complex right-hand
-// sides at the purely real pencil value fs = σ: A is real, so
-// A⁻¹(Bʳ + i·Bⁱ) = A⁻¹Bʳ + i·A⁻¹Bⁱ — two real blocked solves per complex
-// solve.
-class RealPencilAdapter final : public ComplexPencilSolver {
- public:
-  explicit RealPencilAdapter(std::shared_ptr<const FactorizedPencil> pencil)
-      : pencil_(std::move(pencil)) {}
-
-  CMat solve(const CMat& b) const override {
-    Mat br(b.rows(), b.cols()), bi(b.rows(), b.cols());
-    for (Index i = 0; i < b.rows(); ++i)
-      for (Index j = 0; j < b.cols(); ++j) {
-        br(i, j) = b(i, j).real();
-        bi(i, j) = b(i, j).imag();
-      }
-    const Mat xr = pencil_->solve(br);
-    const Mat xi = pencil_->solve(bi);
-    CMat x(b.rows(), b.cols());
-    for (Index i = 0; i < b.rows(); ++i)
-      for (Index j = 0; j < b.cols(); ++j) x(i, j) = Complex(xr(i, j), xi(i, j));
-    return x;
-  }
-
- private:
-  std::shared_ptr<const FactorizedPencil> pencil_;
-};
 
 }  // namespace
 
@@ -192,7 +141,6 @@ struct FactorCache::Impl {
   struct Entry {
     Key key;
     std::shared_ptr<const FactorizedPencil> real;
-    std::shared_ptr<const ComplexPencilSolver> complex_;
     std::int64_t bytes = 0;  // resident cost, charged while cached
   };
 
@@ -219,12 +167,6 @@ struct FactorCache::Impl {
   std::atomic<std::uint64_t> hits{0}, misses{0}, evictions{0},
       factorizations{0}, symbolic_hits{0}, symbolic_misses{0};
   std::atomic<std::int64_t> resident_bytes{0}, peak_resident_bytes{0};
-
-  static std::int64_t entry_bytes(const Entry& e) {
-    if (e.real) return e.real->bytes();
-    if (e.complex_) return e.complex_->bytes();
-    return 0;
-  }
 
   // Per-cache resident/peak accounting plus the process-wide gauge (the
   // gauge aggregates across instances — the number the million-unknown
@@ -282,7 +224,7 @@ struct FactorCache::Impl {
   // past capacity.
   Entry* insert_locked(Entry entry) {
     if (Entry* existing = find_locked(entry.key)) return existing;
-    entry.bytes = entry_bytes(entry);
+    entry.bytes = entry.real->bytes();
     charge_bytes(entry.bytes);
     lru.push_front(std::move(entry));
     map.emplace(lru.front().key, lru.begin());
@@ -349,58 +291,6 @@ std::shared_ptr<const FactorizedPencil> FactorCache::acquire(
   entry.key = key;
   entry.real = std::move(pencil);
   return impl_->insert_locked(std::move(entry))->real;
-}
-
-std::shared_ptr<const ComplexPencilSolver> FactorCache::acquire_complex(
-    const PencilFingerprint& fp, Complex fs, const ComplexMaker& make,
-    bool* was_hit) {
-  if (was_hit != nullptr) *was_hit = false;
-  if (fault::active() || !enabled()) {
-    impl_->factorizations.fetch_add(1, std::memory_order_relaxed);
-    return make();
-  }
-  const Key ckey = complex_key(fp, fs);
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    if (Impl::Entry* e = impl_->find_locked(ckey)) {
-      impl_->note_hit();
-      if (was_hit != nullptr) *was_hit = true;
-      return e->complex_;
-    }
-    if (fs.imag() == 0.0) {
-      // A purely real pencil value: adapt a cached real factorization at
-      // the reductions' canonical settings instead of refactoring. The
-      // reduction keyed it with its RHS-width hint, which may have resolved
-      // either kernel path: probe the hint-free resolution first, then the
-      // other.
-      const KernelPath usual = resolve_kernel_path(KernelOptions{}, fp.n);
-      const KernelPath other = usual == KernelPath::kSimplicial
-                                   ? KernelPath::kSupernodal
-                                   : KernelPath::kSimplicial;
-      for (const bool dense : {false, true})
-        for (const KernelPath path : {usual, other}) {
-          PencilFactorOptions probe;
-          probe.shift = fs.real();
-          probe.ordering = kDefaultOrdering;
-          probe.zero_pivot_tol = kCanonicalZeroPivotTol;
-          probe.dense = dense;
-          probe.kernels.path = path;
-          if (Impl::Entry* e = impl_->find_locked(real_key(fp, probe))) {
-            impl_->note_hit();
-            if (was_hit != nullptr) *was_hit = true;
-            return std::make_shared<RealPencilAdapter>(e->real);
-          }
-        }
-    }
-  }
-  impl_->note_miss();
-  std::shared_ptr<const ComplexPencilSolver> solver = make();
-  impl_->factorizations.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  Impl::Entry entry;
-  entry.key = ckey;
-  entry.complex_ = std::move(solver);
-  return impl_->insert_locked(std::move(entry))->complex_;
 }
 
 std::shared_ptr<const LdltSymbolic> FactorCache::symbolic(const SMat& pattern,

@@ -1,26 +1,21 @@
-// Bounded, thread-safe LRU cache of factorized pencils, shared by every
-// reduction driver, both sweep engines and the multipoint session.
+// Bounded, thread-safe LRU cache of real factorized pencils, shared by
+// every reduction driver and the multipoint session.
 //
-// Motivation: a SyMPVL reduction, a follow-up exact AC validation, a
-// PVL p×p entry scan and a multipoint refinement loop all factor the
-// SAME pencil G + s₀C over and over. Factorization is the dominant cost
-// for large circuits; the cache turns the repeats into lookups.
+// Motivation: a SyMPVL reduction, its reshifts, a PVL p×p entry scan, a
+// multipoint refinement loop and a repeat reduction of the same netlist
+// all factor the SAME pencil G + s₀C over and over. Factorization is the
+// dominant cost for large circuits; the cache turns the repeats into
+// lookups.
 //
 // Keys: a value fingerprint of (G, C) — FNV-1a over dimensions, sparsity
 // pattern and values — plus the expansion point, ordering, zero-pivot
-// tolerance, backend (sparse/dense/complex) and the resolved kernel path
-// and SIMD level. Two calls with equal
-// keys would factor bit-identical pencils, so a hit returns numerically
-// identical solves and determinism (1-thread vs N-thread bit-equality)
-// is preserved.
+// tolerance, backend (sparse/dense) and the resolved kernel path and SIMD
+// level. Two calls with equal keys would factor bit-identical pencils, so
+// a hit returns numerically identical solves and determinism (1-thread vs
+// N-thread bit-equality) is preserved.
 //
-// Entries: real pencils cache the shared FactorizedPencil; complex AC
-// per-point pencils cache an opaque ComplexPencilSolver. A complex
-// request whose frequency point is purely real first probes the real
-// side and, on a hit, adapts the real M J Mᵀ factorization to complex
-// right-hand sides (two real blocked solves) — this is what makes
-// "SyMPVL at s₀ followed by an exact sweep at s₀" cost exactly one
-// factorization.
+// Exact AC points are not cached: AcSweepEngine factors each point in a
+// call-local FactorChainZ and frees it when the call returns.
 //
 // Symbolic analyses: beside the LRU, the cache hands out one LdltSymbolic
 // per (sparsity pattern, ordering), so a reduction, each of its recovery
@@ -31,10 +26,9 @@
 //
 // Concurrency: lookups and insertions take one mutex; the factorization
 // itself (the maker callback) always runs OUTSIDE the lock, so
-// concurrent sweep threads never serialize on each other's numeric
-// work. Two threads racing on the same missing key both factor; one
-// result is inserted, and both receive a valid (identical-valued)
-// factorization.
+// concurrent threads never serialize on each other's numeric work. Two
+// threads racing on the same missing key both factor; one result is
+// inserted, and both receive a valid (identical-valued) factorization.
 //
 // Fault injection: when any fault spec is armed (fault::active()), the
 // cache is bypassed entirely — never read, never written, symbolic
@@ -59,8 +53,7 @@ namespace sympvl {
 
 /// Value fingerprint of a (G, C) pencil pair: 64-bit FNV-1a over rows,
 /// colptr, rowind and values of each matrix. Compute once per system and
-/// reuse across acquisitions (an AC sweep fingerprints once, not per
-/// point).
+/// reuse across acquisitions.
 struct PencilFingerprint {
   std::uint64_t g = 0;
   std::uint64_t c = 0;
@@ -93,17 +86,6 @@ struct FactorCacheStats {
   std::int64_t peak_resident_bytes = 0;
 };
 
-/// Opaque complex pencil solver cached for AC sweep points (backed by the
-/// two-rung FactorChainZ, or by a real-factorization adapter).
-class ComplexPencilSolver {
- public:
-  virtual ~ComplexPencilSolver() = default;
-  virtual CMat solve(const CMat& b) const = 0;
-  /// Resident bytes this solver pins while cached (0 for adapters that
-  /// merely reference another entry's factorization).
-  virtual std::int64_t bytes() const { return 0; }
-};
-
 class FactorCache {
  public:
   explicit FactorCache(std::size_t capacity = 32);
@@ -116,8 +98,6 @@ class FactorCache {
   static FactorCache& global();
 
   using RealMaker = std::function<std::shared_ptr<const FactorizedPencil>()>;
-  using ComplexMaker =
-      std::function<std::shared_ptr<const ComplexPencilSolver>()>;
 
   /// Returns the cached factorization of the pencil identified by
   /// (fingerprint, options), invoking `make` outside the lock on a miss.
@@ -127,15 +107,6 @@ class FactorCache {
   std::shared_ptr<const FactorizedPencil> acquire(
       const PencilFingerprint& fp, const PencilFactorOptions& options,
       const RealMaker& make, bool* was_hit = nullptr);
-
-  /// Complex acquisition for one AC sweep point at pencil value `fs`.
-  /// When fs is purely real, a cached REAL factorization at shift
-  /// fs.real() (canonical driver settings: kDefaultOrdering, 1e-12
-  /// zero-pivot tolerance, sparse or dense, either kernel path) is
-  /// adapted instead of refactoring.
-  std::shared_ptr<const ComplexPencilSolver> acquire_complex(
-      const PencilFingerprint& fp, Complex fs, const ComplexMaker& make,
-      bool* was_hit = nullptr);
 
   /// The symbolic analysis of `pattern` (values ignored) under `ordering`:
   /// the live one keyed by n, nnz, a hash of colptr/rowind and the

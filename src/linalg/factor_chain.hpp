@@ -16,7 +16,6 @@
 // "factor_chain") carrying both rungs' reasons.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -44,11 +43,6 @@ class FactorChain {
 
   /// True when the LU rung holds the factorization.
   bool used_fallback() const { return !ldlt_; }
-
-  /// Bytes of the accepted factor — what one FactorCache entry costs.
-  std::int64_t bytes() const {
-    return ldlt_ ? ldlt_->factor_bytes() : lu_->factor_bytes();
-  }
 
  private:
   std::optional<SparseLDLT<T>> ldlt_;

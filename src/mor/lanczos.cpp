@@ -362,16 +362,6 @@ LanczosResult BandLanczos::result() const {
   return result;
 }
 
-Mat BandLanczos::basis() const {
-  const Index n = healthy_order();
-  Mat v(big_n_, n);
-  for (Index col = 0; col < n; ++col) {
-    const Vec& w = vs_[static_cast<size_t>(col)];
-    for (Index i = 0; i < big_n_; ++i) v(i, col) = w[static_cast<size_t>(i)];
-  }
-  return v;
-}
-
 Mat BandLanczos::take_basis() {
   const Index n = healthy_order();
   Mat v(big_n_, n);

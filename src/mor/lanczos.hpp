@@ -119,18 +119,14 @@ class BandLanczos {
   /// it throws Error(kBreakdown) only when not even one cluster closed.
   LanczosResult result() const;
 
-  /// The accepted Lanczos vectors as an N×healthy_order() matrix (columns
-  /// v₁ … vₙ, truncated at the last closed cluster, matching result()).
-  /// These span the Krylov space in M-transformed coordinates; the
-  /// physical congruence basis is M⁻ᵀ·basis(). Used by the port-sharding
-  /// stitch, which J-orthogonalizes shard bases against each other.
-  Mat basis() const;
-
-  /// Destructive basis(): moves the Lanczos vectors into the returned
-  /// matrix, freeing each source vector as its column is written, so peak
-  /// memory is ~one basis instead of two (basis() + live Lanczos state).
-  /// The process is exhausted afterwards — no further steps possible —
-  /// and the "mem.krylov_bytes" charge is re-stated to what remains.
+  /// Moves the accepted Lanczos vectors into an N×healthy_order() matrix
+  /// (columns v₁ … vₙ, truncated at the last closed cluster, matching
+  /// result()), freeing each source vector as its column is written, so
+  /// peak memory is ~one basis instead of two. The columns span the
+  /// Krylov space in M-transformed coordinates; the physical congruence
+  /// basis is M⁻ᵀ·V. Used by the port-sharding stitch. The process is
+  /// exhausted afterwards — no further steps possible — and the
+  /// "mem.krylov_bytes" charge is re-stated to what remains.
   Mat take_basis();
 
   /// Bytes of Krylov state resident right now: basis vectors, queued

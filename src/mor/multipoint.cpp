@@ -96,11 +96,10 @@ struct MultipointSession::Impl {
     report.stitched_order = stitched.order();
   }
 
-  // Validates the stitched model against the exact engine on a log grid
-  // over the band; returns the max relative error and fills `worst_f`.
-  double validate(const AcSweepEngine& exact, const Vec& grid,
+  // Validates the stitched model against the exact sweep `ref` of `grid`;
+  // returns the max relative error and fills `worst_f`.
+  double validate(const SweepResult& ref, const Vec& grid,
                   double* worst_f) const {
-    const SweepResult ref = sympvl::sweep(exact, grid);
     double worst = 0.0;
     if (worst_f != nullptr) *worst_f = grid[0];
     for (size_t k = 0; k < grid.size(); ++k) {
@@ -155,9 +154,12 @@ MultipointSession::MultipointSession(const MnaSystem& sys,
 
   const Vec grid = log_frequency_grid(options.f_min, options.f_max,
                                       options.validation_points);
-  const AcSweepEngine exact(sys, impl->cache);
+  const AcSweepEngine engine(sys, impl->cache);
 
   impl->build_models();
+  // The exact reference is swept once and shared by every refinement
+  // pass: only the stitched model changes between passes.
+  const SweepResult exact = sympvl::sweep(engine, grid);
   double worst_f = 0.0;
   double err = impl->validate(exact, grid, &worst_f);
   span.arg("initial_error", err);

@@ -17,9 +17,11 @@
 //
 // Both layers consume the same factorizations: each expansion point is
 // factored once through the shared FactorCache and reused by its SyMPVL
-// session, the union-basis projection, any adaptive rebuild revisiting
-// the point, and the exact AcSweepEngine validation sweeps (the report
-// counts both factorizations and hits).
+// session, the union-basis projection and any adaptive rebuild revisiting
+// the point (the report counts these pencil factorizations and hits).
+// The exact validation grid is swept once per session, before the first
+// pass, and every refinement pass compares against that one sweep; its
+// per-point factors are never cached.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +57,9 @@ struct MultipointOptions {
   double target_error = 1e-3;
   /// Per-session SyMPVL options (order/s0 are overridden per point).
   SympvlOptions base;
-  /// Factorization cache shared across the sessions and the validation
-  /// sweeps (nullptr = the process-global FactorCache).
+  /// Factorization cache shared across the sessions, the union-basis
+  /// projection and the validation engine's symbolic analysis (nullptr =
+  /// the process-global FactorCache).
   FactorCache* cache = nullptr;
 };
 
@@ -68,10 +71,11 @@ struct MultipointReport {
   /// Order of the stitched union-basis wideband model (≤ total_order
   /// whenever total_order ≥ points · ports; deflation only shrinks it).
   Index stitched_order = 0;
-  /// Factorizations performed while building (cache-stats delta).
+  /// Pencil factorizations performed while building (cache-stats delta;
+  /// the validation sweep's AC point factors are not counted).
   std::uint64_t factorizations = 0;
-  /// Cache hits observed while building (refinement passes and the
-  /// real-point reuse of the validation sweeps land here).
+  /// Pencil-factor cache hits observed while building (the union-basis
+  /// projection and refinement passes revisiting a point land here).
   std::uint64_t cache_hits = 0;
   /// Max relative error on the final validation grid (0 when the band was
   /// never validated).

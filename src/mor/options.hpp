@@ -15,13 +15,12 @@ class FactorCache;
 
 /// How the port-sharding layer assigns B's columns to shards.
 enum class ShardClustering {
-  /// Electrical clustering when the topology supports it, round-robin
-  /// otherwise (the default).
+  /// Electrical clustering (the default): a multi-source BFS on the
+  /// pattern of G + s₀C seeded at farthest-point port anchors, so ports
+  /// that are electrically close land in the same shard and each shard's
+  /// Krylov space stays coherent. Ports whose anchor no seed reaches go
+  /// round-robin.
   kAuto,
-  /// Multi-source BFS on the pattern of G + s₀C seeded at farthest-point
-  /// port anchors: ports that are electrically close land in the same
-  /// shard, so each shard's Krylov space stays coherent.
-  kElectrical,
   /// Column j goes to shard j mod K. Deterministic and topology-free.
   kRoundRobin,
 };
@@ -30,9 +29,8 @@ enum class ShardClustering {
 /// surface, like KernelOptions, so every driver accepts them uniformly
 /// and the facade can dispatch on them.
 struct PortShardOptions {
-  /// Number of shards. 0 = resolve from the SYMPVL_PORT_SHARDS
-  /// environment variable, else the automatic heuristic (1 shard below
-  /// 2·min_ports_per_shard ports; ~32 ports per shard beyond).
+  /// Number of shards. 0 = the automatic heuristic (1 shard below 16
+  /// ports; ~32 ports per shard beyond, at least 8 per shard).
   Index shards = 0;
   /// Column-to-shard assignment strategy.
   ShardClustering clustering = ShardClustering::kAuto;
@@ -40,8 +38,6 @@ struct PortShardOptions {
   /// Gram Cholesky (fast path) and the deflation threshold of the
   /// MGS-union fallback.
   double stitch_tol = 1e-10;
-  /// Floor used by the automatic shard-count heuristic.
-  Index min_ports_per_shard = 8;
 };
 
 /// Options shared by all reduction drivers. Field names are stable API:
@@ -68,13 +64,14 @@ struct CommonReductionOptions {
   /// Factorization cache the driver acquires its pencil factors through
   /// (nullptr = the process-global FactorCache, which
   /// SYMPVL_FACTOR_CACHE=0|off disables and SYMPVL_FACTOR_CACHE_CAP
-  /// sizes). Pass a disabled FactorCache to factor fresh every time.
+  /// sizes). It holds real pencil factors only. Pass a disabled
+  /// FactorCache to factor fresh every time.
   FactorCache* factor_cache = nullptr;
   /// Numeric LDLᵀ kernel selection (simplicial vs supernodal panels, SIMD
   /// level); kAuto resolves per system size and RHS width.
   KernelOptions kernel;
   /// Port-sharding behavior (only consulted by the sharded SyMPVL path;
-  /// shards=0 defers to SYMPVL_PORT_SHARDS, then the heuristic).
+  /// shards=0 defers to the heuristic).
   PortShardOptions shard;
 };
 

@@ -3,12 +3,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <queue>
 #include <utility>
 
 #include "fault.hpp"
+#include "mor/lanczos.hpp"
 #include "mor/pencil.hpp"
 #include "mor/rational.hpp"
 #include "mor/reduce.hpp"
@@ -19,6 +19,9 @@
 namespace sympvl {
 
 namespace {
+
+// Floor of the automatic shard-count heuristic: no shard gets fewer ports.
+constexpr Index kMinPortsPerShard = 8;
 
 // ---- Partitioning ----------------------------------------------------------
 
@@ -272,6 +275,15 @@ void solve_lower_inplace(const Mat& l, Mat* x) {
   }
 }
 
+// The columns `cols` of `b`, in order.
+Mat gather_columns(const Mat& b, const std::vector<Index>& cols) {
+  Mat out(b.rows(), static_cast<Index>(cols.size()));
+  for (size_t c = 0; c < cols.size(); ++c)
+    for (Index i = 0; i < b.rows(); ++i)
+      out(i, static_cast<Index>(c)) = b(i, cols[c]);
+  return out;
+}
+
 // Per-shard outcome collected under the parallel region; slot k is only
 // ever written by the chunk that owns shard k.
 struct ShardRun {
@@ -281,7 +293,12 @@ struct ShardRun {
                       // which `order` keeps the column count
   Index order = 0;    // n_k, outlives the released basis
   Mat rho;            // n_k×p_k starting-block coefficients
-  SympvlReport report;
+  // Lanczos telemetry the run's report sums (or maxes) over the shards.
+  double start_block_seconds = 0.0;
+  double lanczos_seconds = 0.0;
+  Index deflations = 0;
+  std::int64_t krylov_peak_bytes = 0;
+  bool breakdown = false;
   ReductionIssue issue;  // valid when !ok
   bool failed = false;
 };
@@ -290,20 +307,10 @@ struct ShardRun {
 
 Index resolve_shard_count(const PortShardOptions& options, Index ports) {
   Index k = options.shards;
-  if (k <= 0) {
-    // The environment backstops an unset option, read per call so tests
-    // can setenv.
-    if (const char* env = std::getenv("SYMPVL_PORT_SHARDS"))
-      if (*env != '\0') k = static_cast<Index>(std::atol(env));
-  }
-  if (k <= 0) {
-    const Index floor_ports = std::max<Index>(options.min_ports_per_shard, 1);
-    if (ports < 2 * floor_ports) {
-      k = 1;
-    } else {
-      k = std::clamp<Index>(ports / 32, 2, ports / floor_ports);
-    }
-  }
+  if (k <= 0)
+    k = ports < 2 * kMinPortsPerShard
+            ? 1
+            : std::clamp<Index>(ports / 32, 2, ports / kMinPortsPerShard);
   return std::clamp<Index>(k, 1, std::max<Index>(ports, 1));
 }
 
@@ -399,8 +406,8 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
   }
   out.shard.partition_seconds = partition_span.close();
 
-  // ---- Prime the shared factorization once (full SyMPVL ladder). Every
-  //      shard then factors at the settled shift and hits the cache. ----
+  // ---- Factor the pencil once (full SyMPVL ladder). Every shard runs
+  //      its Lanczos process on this one factorization. ----
   obs::ScopedTimer factor_span("shard.factor");
   factor_span.arg("n", sys.size());
   PencilFactorRequest req;
@@ -413,9 +420,7 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
   req.stage = "shard.factor";
   req.cache = options.factor_cache;
   req.kernels = options.kernel;
-  // Uniform kernel resolution across priming and every shard session:
-  // the widest shard width drives the rhs heuristic, and the sessions
-  // below pin the same value, so all cache keys agree.
+  // The shards' blocked solves are at most `widest` columns wide.
   req.rhs_width = widest;
   PencilFactorResult primed;
   try {
@@ -445,35 +450,37 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
           // kTruncated with this shard in diagnostics.
           fault::check("sympvl.delta", k);
 
-          MnaSystem sub;
-          sub.G = sys.G;
-          sub.C = sys.C;
-          sub.B = Mat(sys.size(), static_cast<Index>(cols.size()));
-          for (size_t c = 0; c < cols.size(); ++c) {
-            for (Index i = 0; i < sys.size(); ++i)
-              sub.B(i, static_cast<Index>(c)) = sys.B(i, cols[c]);
-            if (cols[c] < static_cast<Index>(sys.port_names.size()))
-              sub.port_names.push_back(
-                  sys.port_names[static_cast<size_t>(cols[c])]);
+          Mat start;
+          {
+            obs::ScopedTimer span("sympvl.start_block");
+            span.arg("ports", static_cast<Index>(cols.size()));
+            start = starting_block(*primed.pencil, gather_columns(sys.B, cols));
+            run.start_block_seconds = span.close();
           }
-          sub.variable = sys.variable;
-          sub.s_prefactor = sys.s_prefactor;
-          sub.definite = sys.definite;
-          sub.node_unknowns = sys.node_unknowns;
-          sub.inductor_unknowns = sys.inductor_unknowns;
 
-          SympvlOptions sopt = options;
-          sopt.order = shard_order[static_cast<size_t>(k)];
-          sopt.s0 = s0_used;        // all shards share one factorization
-          sopt.auto_shift = false;  // the priming ladder already settled it
-          if (sopt.kernel.rhs_hint == 0) sopt.kernel.rhs_hint = widest;
-
-          SympvlSession session(sub, sopt);
-          run.rho = session.current().rho();
-          run.report = session.report();
-          // Destructive grab: the session's Lanczos vectors are freed as
-          // they stream into run.basis, so a shard never holds two copies.
-          run.basis = session.take_krylov_basis();
+          const Index order = shard_order[static_cast<size_t>(k)];
+          LanczosOptions lopt;
+          lopt.max_order = order;
+          lopt.deflation_tol = options.deflation_tol;
+          lopt.lookahead_tol = options.lookahead_tol;
+          lopt.full_reorthogonalization = options.full_reorthogonalization;
+          lopt.max_cluster_size = options.max_cluster_size;
+          BandLanczos lanczos(*primed.pencil, start,
+                              primed.pencil->j_signs(), lopt);
+          {
+            obs::ScopedTimer span("sympvl.lanczos");
+            span.arg("target_order", order);
+            lanczos.run_to(order);
+            run.lanczos_seconds = span.close();
+          }
+          LanczosResult snap = lanczos.result();
+          run.rho = std::move(snap.rho);
+          run.deflations = snap.deflations;
+          run.breakdown = snap.diagnosis.breakdown;
+          run.krylov_peak_bytes = lanczos.krylov_peak_bytes();
+          // Destructive grab: the Lanczos vectors are freed as they stream
+          // into run.basis, so a shard never holds two copies.
+          run.basis = lanczos.take_basis();
           run.order = run.basis.cols();
           run.ok = run.order > 0;
           if (!run.ok) {
@@ -510,22 +517,18 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
     if (run.ok) {
       out.shard.shard_orders[static_cast<size_t>(k)] = run.order;
       n_total += run.order;
-      out.report.lanczos_seconds += run.report.lanczos_seconds;
-      out.report.start_block_seconds += run.report.start_block_seconds;
-      out.report.factor_cache_hits += run.report.factor_cache_hits;
-      out.report.factor_cache_misses += run.report.factor_cache_misses;
-      out.report.deflations += run.report.deflations;
+      out.report.lanczos_seconds += run.lanczos_seconds;
+      out.report.start_block_seconds += run.start_block_seconds;
+      out.report.deflations += run.deflations;
       out.report.krylov_peak_bytes =
-          std::max(out.report.krylov_peak_bytes, run.report.krylov_peak_bytes);
-      if (run.report.breakdown) any_breakdown = true;
+          std::max(out.report.krylov_peak_bytes, run.krylov_peak_bytes);
+      if (run.breakdown) any_breakdown = true;
     } else if (run.failed) {
       out.shard.failed_shards.push_back(k);
       out.diagnostics.push_back(run.issue);
       obs::counter("shard.failures").add();
     }
   }
-  out.shard.factor_cache_hits = out.report.factor_cache_hits;
-  out.shard.factor_cache_misses = out.report.factor_cache_misses;
 
   if (n_total == 0) {
     out.status = ReductionStatus::kFailed;
@@ -590,11 +593,8 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
         const Index off = offset[static_cast<size_t>(k)];
         block = ar.block(0, n_total, off, off + run.order) * run.rho;
       } else {
-        Mat bk(big_n, static_cast<Index>(cols.size()));
-        for (size_t c = 0; c < cols.size(); ++c)
-          for (Index i = 0; i < big_n; ++i)
-            bk(i, static_cast<Index>(c)) = sys.B(i, cols[c]);
-        Mat jstart = starting_block(*primed.pencil, bk);
+        Mat jstart =
+            starting_block(*primed.pencil, gather_columns(sys.B, cols));
         for (Index i = 0; i < big_n; ++i) {
           double* row = jstart.data() + i * jstart.cols();
           for (Index c = 0; c < jstart.cols(); ++c)
@@ -673,8 +673,7 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
   out.status = (!out.shard.failed_shards.empty() || any_breakdown)
                    ? ReductionStatus::kTruncated
                    : ReductionStatus::kOk;
-  out.shard.peak_rss_bytes = obs::peak_rss_bytes();
-  out.report.peak_rss_bytes = out.shard.peak_rss_bytes;
+  out.report.peak_rss_bytes = obs::peak_rss_bytes();
   obs::instant("shard.result",
                {obs::arg("shards", shards),
                 obs::arg("failed",

@@ -11,9 +11,10 @@
 // the cross-shard coupling blocks the per-shard models individually lack.
 //
 // Key economies:
-//   * One factorization serves all shards: the pencil G + s₀C is primed
-//     once through the shared FactorCache at a common shift, and every
-//     shard session acquires the identical factor (cache hit).
+//   * One factorization serves all shards: the pencil G + s₀C is factored
+//     once (the full SyMPVL ladder, through the FactorCache), and every
+//     shard runs its starting block and Lanczos process on that one
+//     factor by reference.
 //   * The stitch works in M-transformed coordinates. With Q = M⁻ᵀV the
 //     congruence projections collapse to small dense kernels on the
 //     Lanczos vectors themselves — Ar = VᵀJV, Cr = VᵀJ(OpV), and
@@ -55,31 +56,25 @@ struct PortShardReport {
   // Stage wall times (seconds), each the duration of its obs span; the
   // run's total is the SympvlReport total in ReduceResult::report.
   double partition_seconds = 0.0;  ///< shard.partition (+ order budget)
-  double reduce_seconds = 0.0;     ///< shard.reduce: all shard sessions
-                                   ///< (wall, not CPU-sum)
+  double reduce_seconds = 0.0;     ///< shard.reduce: all shard Lanczos
+                                   ///< runs (wall, not CPU-sum)
   double stitch_seconds = 0.0;     ///< shard.stitch
-
-  /// FactorCache outcome across priming + every shard session.
-  Index factor_cache_hits = 0;
-  Index factor_cache_misses = 0;
 
   /// Bytes of the stitch working set (union basis + streamed Gram panel;
   /// charged to the "mem.stitch_bytes" gauge while resident).
   std::int64_t stitch_bytes = 0;
-  /// Process high-water RSS after the run (getrusage ru_maxrss), bytes.
-  std::int64_t peak_rss_bytes = 0;
 };
 
 /// Resolves the shard count for `ports` columns: an explicit
-/// options.shard.shards wins, then the SYMPVL_PORT_SHARDS environment
-/// variable, then the heuristic (1 shard below 2·min_ports_per_shard
-/// ports, ~32 ports per shard beyond). Always clamped to [1, ports].
+/// options.shards, else the heuristic (1 shard below 16 ports, ~32 ports
+/// per shard beyond, never fewer than 8 ports per shard). Always clamped
+/// to [1, ports].
 Index resolve_shard_count(const PortShardOptions& options, Index ports);
 
 /// Assigns each of sys.B's columns to one of `shards` shards.
-/// kElectrical: multi-source BFS on the pattern of G and C seeded at
-/// farthest-point port anchors (ports sharing mesh neighborhoods land
-/// together); kRoundRobin: column j → shard j mod K; kAuto: electrical.
+/// kAuto: electrical clustering, a multi-source BFS on the pattern of G
+/// and C seeded at farthest-point port anchors (ports sharing mesh
+/// neighborhoods land together); kRoundRobin: column j → shard j mod K.
 /// Deterministic for fixed inputs.
 std::vector<Index> partition_ports(const MnaSystem& sys, Index shards,
                                    ShardClustering clustering);

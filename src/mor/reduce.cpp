@@ -123,8 +123,6 @@ ReduceResult reduce_sharded(const MnaSystem& sys,
   out.shard.shard_ports = {p};
   out.shard.shard_orders = {out.report.achieved_order};
   out.shard.stitched_order = out.report.achieved_order;
-  out.shard.factor_cache_hits = out.report.factor_cache_hits;
-  out.shard.factor_cache_misses = out.report.factor_cache_misses;
   return out;
 }
 
@@ -206,9 +204,6 @@ void validate(const ReduceOptions& options) {
       !std::isfinite(options.shard.stitch_tol))
     bad("shard.stitch_tol", "must be finite and > 0",
         options.shard.stitch_tol);
-  if (options.shard.min_ports_per_shard < 1)
-    bad("shard.min_ports_per_shard", "must be >= 1",
-        static_cast<double>(options.shard.min_ports_per_shard));
   if (options.pvl_row < 0 || options.pvl_col < 0)
     bad(options.pvl_row < 0 ? "pvl_row" : "pvl_col", "must be >= 0",
         static_cast<double>(options.pvl_row < 0 ? options.pvl_row

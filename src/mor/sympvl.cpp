@@ -239,10 +239,6 @@ ReducedModel SympvlSession::current() const {
 
 Index SympvlSession::order() const { return impl_->lanczos->order(); }
 
-Mat SympvlSession::krylov_basis() const { return impl_->lanczos->basis(); }
-
-Mat SympvlSession::take_krylov_basis() { return impl_->lanczos->take_basis(); }
-
 const SympvlReport& SympvlSession::report() const { return impl_->report; }
 
 // ---- One-shot reduction ---------------------------------------------------

@@ -160,17 +160,6 @@ class SympvlSession {
   /// Accepted Lanczos vectors so far.
   Index order() const;
 
-  /// The accepted Lanczos vectors as an N×order matrix (truncated at the
-  /// last closed look-ahead cluster, matching current()). Columns live in
-  /// M-transformed coordinates: the physical Krylov basis is M⁻ᵀ·V.
-  /// Consumed by the port-sharding stitch (mor/port_shard.hpp).
-  Mat krylov_basis() const;
-
-  /// Destructive krylov_basis(): frees each Lanczos vector as its column
-  /// is written, so peak memory stays ~one basis instead of two. The
-  /// session cannot extend() afterwards (current()/report() stay valid).
-  Mat take_krylov_basis();
-
   /// Diagnostics, refreshed after every extend().
   const SympvlReport& report() const;
 

@@ -58,8 +58,9 @@ Ordering parse_ordering(const std::string& s) {
 }
 
 ShardClustering parse_clustering(const std::string& s) {
-  if (s == "auto") return ShardClustering::kAuto;
-  if (s == "electrical") return ShardClustering::kElectrical;
+  // "electrical" names what kAuto runs, so both spellings share a
+  // registry key.
+  if (s == "auto" || s == "electrical") return ShardClustering::kAuto;
   if (s == "round_robin") return ShardClustering::kRoundRobin;
   bad_request("options.clustering: unknown clustering \"" + s +
               "\" (auto|electrical|round_robin)");

@@ -56,7 +56,6 @@ RomKey rom_key(const std::string& netlist_text, const ReduceOptions& opt) {
   h = fnv1a_index(opt.shard.shards, h);
   h = fnv1a_index(static_cast<Index>(opt.shard.clustering), h);
   h = fnv1a_double(opt.shard.stitch_tol, h);
-  h = fnv1a_index(opt.shard.min_ports_per_shard, h);
   h = fnv1a_index(opt.pvl_row, h);
   h = fnv1a_index(opt.pvl_col, h);
   key.options = h;

@@ -11,26 +11,20 @@ namespace sympvl {
 
 namespace {
 
-// One cached AC point: the two-rung FactorChain (unpivoted complex-
-// symmetric LDLᵀ, then the pivoted sparse LU at a structural zero pivot,
-// e.g. where a series R-L chain cancels the node conductance during
-// elimination) behind the FactorCache's complex-solver interface. Solves
-// are const with call-local workspaces, so one cached instance may serve
-// concurrent sweep threads.
-class AcPointSolver final : public ComplexPencilSolver {
- public:
-  explicit AcPointSolver(const CSMat& pencil,
-                         std::shared_ptr<const LdltSymbolic> symbolic = nullptr)
-      : chain_(pencil, std::move(symbolic)) {
-    if (chain_.used_fallback())
-      obs::instant("ac.lu_fallback", {obs::arg("n", pencil.rows())});
-  }
-  CMat solve(const CMat& b) const override { return chain_.solve(b); }
-  std::int64_t bytes() const override { return chain_.bytes(); }
-
- private:
-  FactorChainZ chain_;
-};
+// Z(s) = s^prefactor · Bᵀ·pencil⁻¹·b for the pencil value G + f(s)C at
+// one AC point (b is B as a complex block), factored for this call only
+// by the two-rung FactorChain: unpivoted complex-symmetric LDLᵀ, then the
+// pivoted sparse LU at a structural zero pivot, e.g. where a series R-L
+// chain cancels the node conductance during elimination.
+CMat exact_z(const MnaSystem& sys, Complex s, const CSMat& pencil,
+             std::shared_ptr<const LdltSymbolic> symbolic, const CMat& b) {
+  const FactorChainZ chain(pencil, std::move(symbolic));
+  if (chain.used_fallback())
+    obs::instant("ac.lu_fallback", {obs::arg("n", pencil.rows())});
+  CMat z = matmul_transA(sys.B, chain.solve(b));
+  z *= sys.prefactor(s);
+  return z;
+}
 
 // Complex copy of the real port incidence B (the multi-RHS block).
 CMat port_rhs(const MnaSystem& sys) {
@@ -46,16 +40,8 @@ CMat port_rhs(const MnaSystem& sys) {
 
 CMat ac_z_matrix(const MnaSystem& sys, Complex s) {
   require(sys.port_count() > 0, "ac_z_matrix: system has no ports");
-  const Complex fs = sys.map_s(s);
-  const auto fact = FactorCache::global().acquire_complex(
-      fingerprint_pencil(sys.G, sys.C), fs, [&] {
-        return std::make_shared<const AcPointSolver>(
-            pencil_combine(sys.G, sys.C, fs));
-      });
-  const CMat x = fact->solve(port_rhs(sys));
-  CMat z = matmul_transA(sys.B, x);
-  z *= sys.prefactor(s);
-  return z;
+  return exact_z(sys, s, pencil_combine(sys.G, sys.C, sys.map_s(s)), nullptr,
+                 port_rhs(sys));
 }
 
 Complex voltage_transfer(const CMat& z, Index drive, Index out) {
@@ -89,8 +75,6 @@ struct AcSweepEngine::Impl {
   std::vector<Index> g_slot, c_slot;
   std::shared_ptr<const LdltSymbolic> symbolic;
   CMat b_complex;  // complex copy of B, the shared multi-RHS block
-  FactorCache* cache = nullptr;   // never null after construction
-  PencilFingerprint fingerprint;  // of (G, C), computed once
 
   CSMat assemble(Complex fs) const {
     CVec values(pat_rowind.size(), Complex(0.0, 0.0));
@@ -110,8 +94,6 @@ AcSweepEngine::AcSweepEngine(const MnaSystem& sys, FactorCache* cache)
     : impl_(std::make_unique<Impl>()) {
   require(sys.port_count() > 0, "AcSweepEngine: system has no ports");
   impl_->sys = sys;
-  impl_->cache = cache != nullptr ? cache : &FactorCache::global();
-  impl_->fingerprint = fingerprint_pencil(sys.G, sys.C);
   // Union pattern: all G entries plus all C entries (unit weights so no
   // accidental cancellation drops an entry).
   const Index n = sys.size();
@@ -144,7 +126,8 @@ AcSweepEngine::AcSweepEngine(const MnaSystem& sys, FactorCache* cache)
   // A reduction of this system whose pencil has this pattern (G + s₀C
   // without cancellation, or G itself when C's pattern lies inside G's)
   // has analyzed it already: share that analysis.
-  impl_->symbolic = impl_->cache->symbolic(pattern, kDefaultOrdering);
+  impl_->symbolic = (cache != nullptr ? *cache : FactorCache::global())
+                        .symbolic(pattern, kDefaultOrdering);
   impl_->b_complex = port_rhs(sys);
 }
 
@@ -160,20 +143,9 @@ CMat AcSweepEngine::z_at(Complex s) const {
   // Everything mutable (pencil values, factor, solution block) is local to
   // this call, which is what makes a parallel sweep thread-safe: each
   // thread refactorizes its own frequency points against the shared
-  // read-only symbolic analysis. The factorization itself is acquired
-  // through the cache — revisited points (and purely real points already
-  // factored by a reduction driver) skip the refactorization; cached
-  // solvers are immutable, so sharing them across threads is safe.
-  const Complex fs = sys.map_s(s);
-  const auto fact = impl_->cache->acquire_complex(
-      impl_->fingerprint, fs, [&] {
-        return std::make_shared<const AcPointSolver>(impl_->assemble(fs),
-                                                     impl_->symbolic);
-      });
-  const CMat x = fact->solve(impl_->b_complex);
-  CMat z = matmul_transA(sys.B, x);
-  z *= sys.prefactor(s);
-  return z;
+  // read-only symbolic analysis, and the factor is freed on return.
+  return exact_z(sys, s, impl_->assemble(sys.map_s(s)), impl_->symbolic,
+                 impl_->b_complex);
 }
 
 const MnaSystem& AcSweepEngine::system() const { return impl_->sys; }

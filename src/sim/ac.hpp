@@ -41,12 +41,10 @@ Vec linear_frequency_grid(double f_min, double f_max, Index count);
 /// simulators run AC sweeps. Falls back to the pivoted sparse LU at points
 /// where the unpivoted path hits a zero pivot.
 ///
-/// Every per-point factorization is acquired through the FactorCache
-/// (`cache`; nullptr = the process-global instance): revisiting a
-/// frequency point is a lookup, and a purely real point whose pencil a
-/// reduction driver already factored (same s₀) reuses that real M J Mᵀ
-/// factorization instead of refactoring — zero extra factorizations for
-/// "reduce at s₀, then validate exactly at s₀".
+/// `cache` (nullptr = the process-global FactorCache) is consulted once,
+/// in the constructor, for the shared symbolic analysis. Point factors
+/// are never cached: each z_at() factors its point and frees the factor
+/// when it returns, so an engine keeps no factor resident.
 class AcSweepEngine {
  public:
   explicit AcSweepEngine(const MnaSystem& sys, FactorCache* cache = nullptr);

@@ -46,8 +46,10 @@ SweepResult sweep(const ModalModel& model, const Vec& frequencies_hz,
                   const SweepOptions& options = {});
 
 /// One-shot exact sweep: builds an AcSweepEngine over `sys` and sweeps.
-/// Amortize the engine yourself when sweeping the same system repeatedly
-/// (its constructor also takes a FactorCache).
+/// Keep an engine yourself when sweeping the same system repeatedly: it
+/// builds the pencil pattern and fetches the symbolic analysis once (from
+/// the FactorCache its constructor takes). Every point is factored per
+/// call either way.
 SweepResult sweep(const MnaSystem& sys, const Vec& frequencies_hz,
                   const SweepOptions& options = {});
 

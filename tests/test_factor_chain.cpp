@@ -52,7 +52,6 @@ TEST(FactorChain, SpdTakesLdltFirstRung) {
   const SMat a = random_spd_sparse(40, 3);
   const FactorChainD chain(a);
   EXPECT_FALSE(chain.used_fallback());
-  EXPECT_EQ(chain.bytes(), LDLT(a).factor_bytes());
 
   const Vec b = test_rhs(40);
   const Vec x = chain.solve(b);
@@ -72,7 +71,6 @@ TEST(FactorChain, ForcedLdltFailureFallsBackToLuAndMatches) {
   fault::disarm();
 
   EXPECT_TRUE(chain.used_fallback());
-  EXPECT_EQ(chain.bytes(), LUSparse(a).factor_bytes());
 
   // Same matrix, different factorization: answers agree to solver tol.
   const Vec x = chain.solve(b);

@@ -142,8 +142,8 @@ TEST(Multipoint, CacheReuseAcrossRefinement) {
   opt.f_min = 1e6;
   opt.f_max = 1e10;
   opt.s0_points = rational_shifts_for_band(sys, opt.f_min, opt.f_max, 2);
-  // Large enough for both real factorizations plus every complex
-  // validation point — nothing gets evicted between the two sessions.
+  // Large enough for every pencil factorization of both sessions —
+  // nothing gets evicted between them.
   FactorCache cache(64);
   opt.cache = &cache;
 
@@ -152,7 +152,8 @@ TEST(Multipoint, CacheReuseAcrossRefinement) {
   EXPECT_GE(cold_factorizations, 2u);  // one per expansion point
 
   // A second session over the same system and points is fully warm: zero
-  // new real factorizations (validation sweep points are cached too).
+  // new pencil factorizations (the validation sweep factors its AC points
+  // per call, outside the cache and its counts).
   const MultipointSession second(sys, opt);
   EXPECT_EQ(second.report().factorizations, 0u);
   EXPECT_GT(second.report().cache_hits, 0u);

@@ -2,21 +2,18 @@
 // target for the parallel shard fan-out): shard-count invariance
 // (1 shard runs the monolithic SyMPVL bit for bit; k shards
 // stitch to the same transfer function at exhaustion orders), partition
-// determinism, thread-count determinism of the sharded path, and the
-// SYMPVL_PORT_SHARDS environment fallback.
-//
-// Built as its own binary so the env-var tests can setenv without
-// leaking into the main suite.
+// determinism, thread-count determinism of the sharded path, and the one
+// factorization every shard runs on.
 #include "mor/port_shard.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 
 #include "gen/package.hpp"
 #include "gen/peec.hpp"
 #include "gen/power_grid.hpp"
+#include "linalg/factor_cache.hpp"
 #include "mor/reduce.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/sweep_api.hpp"
@@ -64,21 +61,13 @@ TEST(PortShard, ResolveShardCountPrecedence) {
   EXPECT_EQ(resolve_shard_count(opt, 512), 3);
   // Clamped to the port count.
   EXPECT_EQ(resolve_shard_count(opt, 2), 2);
-
-  // Environment fallback fills in only when the option is unset.
-  ASSERT_EQ(setenv("SYMPVL_PORT_SHARDS", "5", 1), 0);
-  EXPECT_EQ(resolve_shard_count(opt, 512), 3);  // explicit still wins
-  opt.shards = 0;
-  EXPECT_EQ(resolve_shard_count(opt, 512), 5);
-  ASSERT_EQ(unsetenv("SYMPVL_PORT_SHARDS"), 0);
-  EXPECT_NE(resolve_shard_count(opt, 512), 5);
 }
 
 TEST(PortShard, PartitionCoversAllPortsDeterministically) {
   const PowerGridOptions gopt{.ports = 64};
   const MnaSystem sys = build_mna(make_power_grid(gopt).netlist, MnaForm::kAuto);
   for (const ShardClustering strategy :
-       {ShardClustering::kElectrical, ShardClustering::kRoundRobin}) {
+       {ShardClustering::kAuto, ShardClustering::kRoundRobin}) {
     const auto a = partition_ports(sys, 4, strategy);
     const auto b = partition_ports(sys, 4, strategy);
     EXPECT_EQ(a, b);  // deterministic
@@ -102,7 +91,7 @@ TEST(PortShard, ElectricalPartitionGroupsGridNeighbors) {
   // the round-robin worst case (which splits EVERY adjacent pair).
   const PowerGridOptions gopt{.ports = 64};
   const MnaSystem sys = build_mna(make_power_grid(gopt).netlist, MnaForm::kAuto);
-  const auto assign = partition_ports(sys, 4, ShardClustering::kElectrical);
+  const auto assign = partition_ports(sys, 4, ShardClustering::kAuto);
   Index split = 0;
   for (Index j = 0; j + 1 < sys.port_count(); ++j)
     if (assign[static_cast<size_t>(j)] != assign[static_cast<size_t>(j) + 1])
@@ -251,19 +240,6 @@ TEST(PortShard, ShardedRunsAreThreadCountInvariant) {
   }
 }
 
-TEST(PortShard, EnvShardCountDrivesFacade) {
-  const MnaSystem sys = small_package();
-  ReduceOptions opt;
-  opt.method = ReduceMethod::kShardedSympvl;
-  opt.order = 32;
-  ASSERT_EQ(setenv("SYMPVL_PORT_SHARDS", "4", 1), 0);
-  const ReduceResult res = reduce(sys, opt);
-  ASSERT_EQ(unsetenv("SYMPVL_PORT_SHARDS"), 0);
-  ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res.shard.shards, 4);
-  EXPECT_EQ(static_cast<Index>(res.shard.shard_ports.size()), 4);
-}
-
 TEST(PortShard, SharedFactorizationServesAllShards) {
   const PowerGridOptions gopt{.ports = 64};
   const MnaSystem sys = build_mna(make_power_grid(gopt).netlist, MnaForm::kAuto);
@@ -271,12 +247,26 @@ TEST(PortShard, SharedFactorizationServesAllShards) {
   opt.method = ReduceMethod::kShardedSympvl;
   opt.order = 64;
   opt.shard.shards = 4;
+
+  // Every shard runs on the one factorization made before the shards
+  // start, so even with no cache to fall back on the run factors once.
+  FactorCache uncached;
+  uncached.set_enabled(false);
+  opt.factor_cache = &uncached;
   const ReduceResult sharded = reduce(sys, opt);
   ASSERT_TRUE(sharded.ok());
-  // Priming may hit or miss depending on cache history, but every shard
-  // session must reuse the primed factor: at most one miss in total.
-  EXPECT_LE(sharded.shard.factor_cache_misses, 1);
-  EXPECT_GE(sharded.shard.factor_cache_hits, 4);
+  ASSERT_EQ(sharded.shard.shards, 4);
+  EXPECT_EQ(uncached.stats().factorizations, 1u);
+
+  // With the default cache the run's attempt trail holds one successful
+  // rung: the shards add none.
+  opt.factor_cache = nullptr;
+  const ReduceResult cached = reduce(sys, opt);
+  ASSERT_TRUE(cached.ok());
+  Index accepted = 0;
+  for (const FactorAttemptRecord& rec : cached.report.factor_attempts)
+    if (rec.success) ++accepted;
+  EXPECT_EQ(accepted, 1);
 }
 
 }  // namespace

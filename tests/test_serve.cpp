@@ -55,6 +55,14 @@ TEST(ServeProtocol, ParsesReduceRequest) {
   EXPECT_EQ(r.options.method, ReduceMethod::kSympvl);
   EXPECT_DOUBLE_EQ(r.options.s0, 1e9);
   EXPECT_NE(r.netlist.find(".port"), std::string::npos);
+
+  // "electrical" spells the default clustering, so it shares the key.
+  const Request e = parse_request(
+      "{\"v\":1,\"op\":\"reduce\",\"netlist\":\"R1 a 0 1\\n"
+      ".port p a\\n\",\"options\":{\"method\":\"sympvl\",\"order\":8,"
+      "\"s0\":1e9,\"clustering\":\"electrical\"}}");
+  EXPECT_EQ(e.options.shard.clustering, ShardClustering::kAuto);
+  EXPECT_TRUE(rom_key(e.netlist, e.options) == rom_key(r.netlist, r.options));
 }
 
 TEST(ServeProtocol, ParsesSweepGridForms) {

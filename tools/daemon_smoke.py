@@ -99,6 +99,16 @@ def main():
         check(st["registry"]["entries"] == 1 and st["registry"]["hits"] >= 1,
               "registry holds the warm ROM")
 
+        # ---- registry dedupe: "electrical" spells the default clustering,
+        #      so the same request written with it shares the warm ROM ----
+        status, r = api(conn, {"v": 1, "op": "reduce",
+                               "netlist": NETLIST,
+                               "options": {"order": 8,
+                                           "clustering": "electrical"}})
+        check(r["ok"] and r["result"]["cached"]
+              and r["result"]["rom"] == rom,
+              "clustering \"electrical\" shares the default's registry key")
+
         # ---- failure paths: coded errors, daemon keeps serving ----
         status, body = post(conn, "{not json")
         err = json.loads(body)
