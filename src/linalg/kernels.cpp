@@ -447,9 +447,31 @@ void d2_gemm(Index m, Index q, Index k, const double* a, Index lda,
   }
 }
 
+// nrhs = 1 in-panel forward solve, shared by the AVX2 and AVX-512 tables:
+// for each column j, x[j+1..w) -= L(j+1..w, j)·x[j] vectorized down the
+// column, each element the one fused x[i] − L(i,j)·x[j] of the general
+// kernel.
+SYMPVL_TGT_AVX2
+void d2_trsm_forward_1(Index w, const double* panel, Index ld, double* x) {
+  for (Index j = 0; j < w; ++j) {
+    const double* SYMPVL_RESTRICT lcol = panel + j * ld;
+    const double xj = x[j];
+    const __m256d vx = _mm256_set1_pd(xj);
+    Index i = j + 1;
+    for (; i + 4 <= w; i += 4)
+      _mm256_storeu_pd(x + i, _mm256_fnmadd_pd(_mm256_loadu_pd(lcol + i), vx,
+                                               _mm256_loadu_pd(x + i)));
+    for (; i < w; ++i) x[i] = std::fma(-lcol[i], xj, x[i]);
+  }
+}
+
 SYMPVL_TGT_AVX2
 void d2_trsm_forward(Index w, const double* panel, Index ld, Index nrhs,
                      double* x) {
+  if (nrhs == 1) {
+    d2_trsm_forward_1(w, panel, ld, x);
+    return;
+  }
   for (Index j = 0; j < w; ++j) {
     const double* lcol = panel + j * ld;
     const double* xj = x + j * nrhs;
@@ -491,10 +513,94 @@ void d2_trsm_backward(Index w, const double* panel, Index ld, Index nrhs,
   }
 }
 
+// nrhs = 1 below-panel updates, shared by the AVX2 and AVX-512 tables.
+// Every row's (forward) or column's (backward) FMA chain is the one the
+// general kernels run on their single RHS lane: acc starts at zero, takes
+// fma(L, x, acc) in ascending order, and is subtracted once.
+
+// Forward, 4 below rows per vector: unit-stride loads down each panel
+// column, x gathered and written back lane by lane. A supernode's below
+// rows are distinct, so the write-back never collides.
+SYMPVL_TGT_AVX2
+void d2_below_forward_1(Index r, Index w, const double* lbelow, Index ld,
+                        const Index* rows, const double* xtop, double* x) {
+  Index i = 0;
+  for (; i + 4 <= r; i += 4) {
+    __m256d acc = _mm256_setzero_pd();
+    for (Index j = 0; j < w; ++j)
+      acc = _mm256_fmadd_pd(_mm256_loadu_pd(lbelow + j * ld + i),
+                            _mm256_set1_pd(xtop[j]), acc);
+    const __m256i idx =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + i));
+    const __m256d upd =
+        _mm256_sub_pd(_mm256_i64gather_pd(x, idx, 8), acc);
+    const __m128d lo = _mm256_castpd256_pd128(upd);
+    const __m128d hi = _mm256_extractf128_pd(upd, 1);
+    _mm_storel_pd(x + rows[i], lo);
+    _mm_storeh_pd(x + rows[i + 1], lo);
+    _mm_storel_pd(x + rows[i + 2], hi);
+    _mm_storeh_pd(x + rows[i + 3], hi);
+  }
+  for (; i < r; ++i) {
+    double acc = 0.0;
+    for (Index j = 0; j < w; ++j) acc = std::fma(lbelow[j * ld + i], xtop[j], acc);
+    x[rows[i]] -= acc;
+  }
+}
+
+// Backward: 4, then 2, then 1 independent column chains, each x[rows[i]]
+// loaded once for all of them.
+SYMPVL_TGT_AVX2
+void d2_below_backward_1(Index r, Index w, const double* lbelow, Index ld,
+                         const Index* rows, const double* x, double* xtop) {
+  Index j = 0;
+  for (; j + 4 <= w; j += 4) {
+    const double* SYMPVL_RESTRICT l0 = lbelow + j * ld;
+    const double* SYMPVL_RESTRICT l1 = l0 + ld;
+    const double* SYMPVL_RESTRICT l2 = l1 + ld;
+    const double* SYMPVL_RESTRICT l3 = l2 + ld;
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    for (Index i = 0; i < r; ++i) {
+      const double xi = x[rows[i]];
+      a0 = std::fma(l0[i], xi, a0);
+      a1 = std::fma(l1[i], xi, a1);
+      a2 = std::fma(l2[i], xi, a2);
+      a3 = std::fma(l3[i], xi, a3);
+    }
+    xtop[j] -= a0;
+    xtop[j + 1] -= a1;
+    xtop[j + 2] -= a2;
+    xtop[j + 3] -= a3;
+  }
+  if (j + 2 <= w) {
+    const double* SYMPVL_RESTRICT l0 = lbelow + j * ld;
+    const double* SYMPVL_RESTRICT l1 = l0 + ld;
+    double a0 = 0.0, a1 = 0.0;
+    for (Index i = 0; i < r; ++i) {
+      const double xi = x[rows[i]];
+      a0 = std::fma(l0[i], xi, a0);
+      a1 = std::fma(l1[i], xi, a1);
+    }
+    xtop[j] -= a0;
+    xtop[j + 1] -= a1;
+    j += 2;
+  }
+  if (j < w) {
+    const double* SYMPVL_RESTRICT l0 = lbelow + j * ld;
+    double a0 = 0.0;
+    for (Index i = 0; i < r; ++i) a0 = std::fma(l0[i], x[rows[i]], a0);
+    xtop[j] -= a0;
+  }
+}
+
 SYMPVL_TGT_AVX2
 void d2_below_forward(Index r, Index w, Index nrhs, const double* lbelow,
                       Index ld, const Index* rows, const double* xtop,
                       double* x) {
+  if (nrhs == 1) {
+    d2_below_forward_1(r, w, lbelow, ld, rows, xtop, x);
+    return;
+  }
   for (Index i = 0; i < r; ++i) {
     double* xi = x + rows[i] * nrhs;
     const double* li = lbelow + i;
@@ -520,6 +626,10 @@ SYMPVL_TGT_AVX2
 void d2_below_backward(Index r, Index w, Index nrhs, const double* lbelow,
                        Index ld, const Index* rows, const double* x,
                        double* xtop) {
+  if (nrhs == 1) {
+    d2_below_backward_1(r, w, lbelow, ld, rows, x, xtop);
+    return;
+  }
   for (Index j = 0; j < w; ++j) {
     const double* SYMPVL_RESTRICT lcol = lbelow + j * ld;
     double* xj = xtop + j * nrhs;
@@ -713,6 +823,10 @@ void d5_gemm(Index m, Index q, Index k, const double* a, Index lda,
 SYMPVL_TGT_AVX512
 void d5_trsm_forward(Index w, const double* panel, Index ld, Index nrhs,
                      double* x) {
+  if (nrhs == 1) {
+    d2_trsm_forward_1(w, panel, ld, x);
+    return;
+  }
   const Index tail = nrhs & 7;
   const __mmask8 mk =
       tail ? static_cast<__mmask8>((1u << tail) - 1u) : __mmask8(0);
@@ -739,6 +853,10 @@ void d5_trsm_forward(Index w, const double* panel, Index ld, Index nrhs,
 SYMPVL_TGT_AVX512
 void d5_trsm_backward(Index w, const double* panel, Index ld, Index nrhs,
                       double* x) {
+  if (nrhs == 1) {  // one serial chain per column: the AVX2 scalar lane
+    d2_trsm_backward(w, panel, ld, 1, x);
+    return;
+  }
   const Index tail = nrhs & 7;
   const __mmask8 mk =
       tail ? static_cast<__mmask8>((1u << tail) - 1u) : __mmask8(0);
@@ -771,6 +889,10 @@ SYMPVL_TGT_AVX512
 void d5_below_forward(Index r, Index w, Index nrhs, const double* lbelow,
                       Index ld, const Index* rows, const double* xtop,
                       double* x) {
+  if (nrhs == 1) {
+    d2_below_forward_1(r, w, lbelow, ld, rows, xtop, x);
+    return;
+  }
   const Index tail = nrhs & 7;
   const __mmask8 mk =
       tail ? static_cast<__mmask8>((1u << tail) - 1u) : __mmask8(0);
@@ -803,6 +925,10 @@ SYMPVL_TGT_AVX512
 void d5_below_backward(Index r, Index w, Index nrhs, const double* lbelow,
                        Index ld, const Index* rows, const double* x,
                        double* xtop) {
+  if (nrhs == 1) {
+    d2_below_backward_1(r, w, lbelow, ld, rows, x, xtop);
+    return;
+  }
   const Index tail = nrhs & 7;
   const __mmask8 mk =
       tail ? static_cast<__mmask8>((1u << tail) - 1u) : __mmask8(0);

@@ -31,6 +31,22 @@
 // funnel through the same kernels, whose remainder lanes use the same
 // fused operations as the full vectors, with an independent accumulator
 // chain per right-hand side.
+//
+// At nrhs = 1 a vector across the right-hand sides would hold one live
+// lane, so the AVX2 and AVX-512 double kernels switch layout there and
+// keep every chain:
+//   * below_forward vectorizes over the below rows, 4 per AVX2 vector:
+//     unit-stride loads down each panel column, x gathered and written
+//     back (a supernode's below rows are distinct). Each row's chain is
+//     still acc = 0, acc = fma(L(i,j), xtop[j], acc) for j ascending,
+//     then x[row] -= acc.
+//   * below_backward runs 4, then 2, then 1 independent column chains
+//     sharing each x[rows[i]] load; column j's chain is still i-ascending
+//     from zero, subtracted once.
+//   * trsm_forward vectorizes down each column j of the triangle, each
+//     element the one fused x[i] − L(i,j)·x[j]; trsm_backward is the
+//     scalar lane of the general kernel.
+// The scalar and complex tables have no separate nrhs = 1 code.
 #pragma once
 
 #include <vector>

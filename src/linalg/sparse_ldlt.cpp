@@ -583,10 +583,12 @@ void SparseLDLT<T>::panel_forward(T* x, Index nrhs) const {
   const Index nlevels = static_cast<Index>(level_ptr_.size()) - 1;
   const auto& K = kernels::panel_kernels<T>(simd_);
 
-  // Left-looking pull: a target first drains its incoming descendant
+  // Level-parallel pull: a target first drains its incoming descendant
   // segments (updating its own top rows from descendant solutions
   // finalized at lower levels), then runs the in-panel triangular solve.
-  auto process = [&](Index s) {
+  // Siblings of one level write the same ancestor rows, so only the
+  // target may write them.
+  auto pull = [&](Index s) {
     const Index a = super_start_[static_cast<size_t>(s)];
     const Index e = super_start_[static_cast<size_t>(s) + 1];
     const Index w = e - a;
@@ -615,7 +617,11 @@ void SparseLDLT<T>::panel_forward(T* x, Index nrhs) const {
     K.trsm_forward(w, panel, h, nrhs, x + a * nrhs);
   };
 
-  const bool can_parallel = num_threads() > 1 && !in_parallel_region();
+  // A single-vector forward sweep never fans out: the pull's one kernel
+  // call per descendant segment lost to the serial push at 2 and 4
+  // threads on grid_147k's pencil (DESIGN §5.6).
+  const bool can_parallel =
+      nrhs > 1 && num_threads() > 1 && !in_parallel_region();
   const double rhs_scale = static_cast<double>(std::max<Index>(nrhs, 1));
   bool any_parallel_level = false;
   if (can_parallel)
@@ -637,7 +643,26 @@ void SparseLDLT<T>::panel_forward(T* x, Index nrhs) const {
     span.arg("levels", nlevels);
     span.arg("simd", simd_level_name(simd_));
     span.arg("threads", Index{1});
-    for (Index s = 0; s < nsuper; ++s) process(s);
+    span.arg("flops", 2.0 * static_cast<double>(panel_data_.size()) *
+                          static_cast<double>(nrhs));
+    // Serial push: one below_forward over all of s's below rows right
+    // after its in-panel solve. Supernodes run in ascending order, so
+    // every target row still takes its updates in ascending source order,
+    // each row computed exactly as the pull computes it: same bits.
+    for (Index s = 0; s < nsuper; ++s) {
+      const Index a = super_start_[static_cast<size_t>(s)];
+      const Index e = super_start_[static_cast<size_t>(s) + 1];
+      const Index w = e - a;
+      const Index h = (panel_offset_[static_cast<size_t>(s) + 1] -
+                       panel_offset_[static_cast<size_t>(s)]) / w;
+      const T* panel = panel_data_.data() + panel_offset_[static_cast<size_t>(s)];
+      K.trsm_forward(w, panel, h, nrhs, x + a * nrhs);
+      if (h > w)
+        K.below_forward(
+            h - w, w, nrhs, panel + w, h,
+            sym.l_rowind_.data() + sym.l_colptr_[static_cast<size_t>(e - 1)],
+            x + a * nrhs, x);
+    }
     return;
   }
   for (Index l = 0; l < nlevels; ++l) {
@@ -653,7 +678,7 @@ void SparseLDLT<T>::panel_forward(T* x, Index nrhs) const {
           entries += static_cast<double>(
               panel_offset_[static_cast<size_t>(s) + 1] -
               panel_offset_[static_cast<size_t>(s)]);
-          process(s);
+          pull(s);
         }
         cspan.arg("phase", "forward");
         cspan.arg("nrhs", nrhs);
@@ -663,7 +688,7 @@ void SparseLDLT<T>::panel_forward(T* x, Index nrhs) const {
       });
     } else {
       for (Index k = lb; k < le; ++k)
-        process(level_order_[static_cast<size_t>(k)]);
+        pull(level_order_[static_cast<size_t>(k)]);
     }
   }
 }
@@ -713,6 +738,8 @@ void SparseLDLT<T>::panel_backward(T* x, Index nrhs) const {
     span.arg("levels", nlevels);
     span.arg("simd", simd_level_name(simd_));
     span.arg("threads", Index{1});
+    span.arg("flops", 2.0 * static_cast<double>(panel_data_.size()) *
+                          static_cast<double>(nrhs));
     for (Index s = nsuper - 1; s >= 0; --s) process(s);
     return;
   }

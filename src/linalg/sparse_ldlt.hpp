@@ -283,7 +283,9 @@ class SparseLDLT {
   // [upd_p1_[k], upd_p2_[k]) of descendant upd_src_[k]'s below-panel block
   // land in s's columns. Built once per factorization, d-ascending within
   // each target — the left-looking pull order is deterministic and
-  // independent of thread count.
+  // independent of thread count. Only the numeric factor and the
+  // level-parallel forward solve read it; the serial forward solve pushes
+  // each supernode's whole below block instead.
   std::vector<Index> upd_ptr_;
   std::vector<Index> upd_src_;
   std::vector<Index> upd_p1_;

@@ -12,10 +12,13 @@ namespace sympvl {
 
 namespace {
 
-Vec apply_j(const Vec& j, const Vec& x) {
-  Vec y(x);
-  for (size_t i = 0; i < y.size(); ++i) y[i] *= j[i];
-  return y;
+// vᵀJw = Σ v[i]·(w[i]·j[i]) in dot()'s sequential order, without forming
+// Jw. Each j[i] is ±1, so w[i]·j[i] is exact and the sum carries the bits
+// of dot(v, Jw).
+double dot_j(const Vec& v, const Vec& w, const Vec& j) {
+  double s = 0.0;
+  for (size_t i = 0; i < v.size(); ++i) s += v[i] * (w[i] * j[i]);
+  return s;
 }
 
 }  // namespace
@@ -94,10 +97,9 @@ void BandLanczos::write_t(Index row, Index src, double value) {
 void BandLanczos::orthogonalize_against(Vec& w, Index src, const Cluster& cl) {
   const Index m = static_cast<Index>(cl.members.size());
   Vec proj(static_cast<size_t>(m));
-  const Vec jw = apply_j(j_signs_, w);
   for (Index a = 0; a < m; ++a)
-    proj[static_cast<size_t>(a)] =
-        dot(vs_[static_cast<size_t>(cl.members[static_cast<size_t>(a)])], jw);
+    proj[static_cast<size_t>(a)] = dot_j(
+        vs_[static_cast<size_t>(cl.members[static_cast<size_t>(a)])], w, j_signs_);
   const Vec coeff = cl.delta_inv * proj;
   for (Index a = 0; a < m; ++a) {
     const Index j = cl.members[static_cast<size_t>(a)];
@@ -179,11 +181,11 @@ bool BandLanczos::step() {
     const Index m = static_cast<Index>(open.members.size());
     open.delta.resize(m, m);
     for (Index a = 0; a < m; ++a) {
-      const Vec jv =
-          apply_j(j_signs_, vs_[static_cast<size_t>(open.members[static_cast<size_t>(a)])]);
+      const Vec& va = vs_[static_cast<size_t>(open.members[static_cast<size_t>(a)])];
       for (Index b = 0; b < m; ++b)
-        open.delta(a, b) =
-            dot(vs_[static_cast<size_t>(open.members[static_cast<size_t>(b)])], jv);
+        open.delta(a, b) = dot_j(
+            vs_[static_cast<size_t>(open.members[static_cast<size_t>(b)])], va,
+            j_signs_);
     }
     // Symmetrize rounding noise.
     for (Index a = 0; a < m; ++a)

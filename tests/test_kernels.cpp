@@ -371,6 +371,54 @@ TEST(Kernels, SerialFactorTracesOnePanelSpanOnCallerLane) {
     ASSERT_EQ(serial.d()[i], pooled.d()[i]) << "d[" << i << "]";
 }
 
+TEST(Kernels, SerialSolveSpansCarrySimdThreadsFlops) {
+  // A 1-thread solve never fans out: each sweep is one kernel.trsm span on
+  // the caller, and it carries the same kernel args as a fanned-out chunk,
+  // with flops = 2 × panel entries × nrhs.
+  const SMat a = grid_laplacian(40);
+  const Index previous = num_threads();
+  set_num_threads(1);
+  const LDLT f(a, Ordering::kMinDegree, 0.0, supernodal_opt());
+  Vec b(static_cast<size_t>(a.rows()), 1.0);
+  Mat b4(a.rows(), 4);
+  for (Index i = 0; i < a.rows(); ++i)
+    for (Index j = 0; j < 4; ++j) b4(i, j) = 1.0 + static_cast<double>(j);
+  obs::enable(true);
+  obs::reset();
+  (void)f.solve(b);
+  (void)f.solve(b4);
+  const std::vector<obs::Event> events = obs::snapshot_events();
+  obs::enable(false);
+  obs::reset();
+  set_num_threads(previous);
+
+  auto find = [](const obs::Event& e, const char* key) -> const obs::Arg* {
+    for (int k = 0; k < e.nargs; ++k)
+      if (std::strcmp(e.args[k].key, key) == 0) return &e.args[k];
+    return nullptr;
+  };
+  std::vector<double> flops_1, flops_4;
+  for (const obs::Event& e : events) {
+    if (e.phase != 'X' || std::strcmp(e.name, "kernel.trsm") != 0) continue;
+    const obs::Arg* simd = find(e, "simd");
+    const obs::Arg* threads = find(e, "threads");
+    const obs::Arg* flops = find(e, "flops");
+    const obs::Arg* nrhs = find(e, "nrhs");
+    ASSERT_NE(simd, nullptr);
+    ASSERT_NE(threads, nullptr);
+    ASSERT_NE(flops, nullptr);
+    ASSERT_NE(nrhs, nullptr);
+    EXPECT_STREQ(simd->str, simd_level_name(f.simd_level()));
+    EXPECT_EQ(threads->num, 1.0);
+    EXPECT_GT(flops->num, 0.0);
+    (nrhs->num == 1.0 ? flops_1 : flops_4).push_back(flops->num);
+  }
+  // Forward and backward per solve.
+  ASSERT_EQ(flops_1.size(), 2u);
+  ASSERT_EQ(flops_4.size(), 2u);
+  for (size_t k = 0; k < 2; ++k) EXPECT_EQ(flops_4[k], 4.0 * flops_1[k]);
+}
+
 // ---- path resolution --------------------------------------------------------
 
 TEST(Kernels, ResolveHonorsExplicitPathAndHeuristic) {

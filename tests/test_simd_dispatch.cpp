@@ -2,14 +2,21 @@
 // where the host supports it) must produce the same factorization and
 // solves to rounding on the paper's meshes and on pathological shapes,
 // must fail identically under injected pivot faults, and the elimination-
-// tree parallel schedule must be bit-identical to the serial one.
+// tree parallel schedule must be bit-identical to the serial one. Each
+// level's panel kernels keep the per-column contract: a wide call's
+// columns carry the bits of the nrhs = 1 call.
 #include "linalg/simd.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <random>
+#include <utility>
 
 #include "circuit/mna.hpp"
 #include "gen/package.hpp"
@@ -17,6 +24,7 @@
 #include "linalg/kernels.hpp"
 #include "linalg/sparse_ldlt.hpp"
 #include "mor/sympvl.hpp"
+#include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace sympvl {
@@ -214,6 +222,156 @@ TEST(SimdDispatch, ThreadCountDoesNotChangeBits) {
     for (Index j = 0; j < b.cols(); ++j)
       EXPECT_EQ(x_serial(i, j), x_parallel(i, j))
           << "X(" << i << "," << j << ")";
+}
+
+TEST(SimdDispatch, SerialPushEqualsParallelPull) {
+  // A serial forward solve pushes each supernode's below-row update; a
+  // level-parallel one pulls descendant segments. A single-vector forward
+  // solve always pushes, so the pull runs for blocks only: on a 220×220
+  // grid with nested dissection a 4-RHS solve fans its forward sweep out
+  // at 4 threads, and each column must carry the bits of the pushed
+  // single-vector solve. The 1-RHS backward sweep fans out there too (at
+  // g <= 160 it never does).
+  const Index g = 220;
+  TripletBuilder<double> t(g * g, g * g);
+  for (Index r = 0; r < g; ++r)
+    for (Index c = 0; c < g; ++c) {
+      const Index i = r * g + c;
+      t.add(i, i, 4.5);
+      if (c + 1 < g) t.add_symmetric(i, i + 1, -1.0);
+      if (r + 1 < g) t.add_symmetric(i, i + g, -1.0);
+    }
+  const LDLT f(t.compress(), Ordering::kNestedDissection, 0.0,
+               supernodal_at(SimdLevel::kAuto));
+  const Index n = f.size();
+  const Index p = 4;
+  Mat bm(n, p);
+  for (Index i = 0; i < n; ++i)
+    for (Index j = 0; j < p; ++j)
+      bm(i, j) = std::sin(0.37 * static_cast<double>(i) + static_cast<double>(j)) + 0.2;
+  std::vector<std::vector<double>> cols(static_cast<size_t>(p));
+  for (Index j = 0; j < p; ++j)
+    for (Index i = 0; i < n; ++i) cols[static_cast<size_t>(j)].push_back(bm(i, j));
+  const std::vector<double>& b = cols[0];
+  const Index previous = num_threads();
+
+  set_num_threads(1);
+  std::vector<std::vector<double>> pushed;
+  for (const std::vector<double>& c : cols) pushed.push_back(f.solve(c));
+  const std::vector<double> m1 = f.solve_m(b);
+  const std::vector<double> mt1 = f.solve_mt(b);
+  const Mat xb1 = f.solve(bm);
+
+  set_num_threads(4);
+  obs::enable(true);
+  obs::reset();
+  const std::vector<double> x4 = f.solve(b);
+  const std::vector<double> m4 = f.solve_m(b);
+  const std::vector<double> mt4 = f.solve_mt(b);
+  const Mat xb4 = f.solve(bm);
+  const std::vector<obs::Event> events = obs::snapshot_events();
+  obs::enable(false);
+  obs::reset();
+  set_num_threads(previous);
+
+  // Fanned-out chunk spans by phase and width. The span's threads
+  // argument is num_threads(), not the lane that ran the chunk, so the
+  // counts are deterministic.
+  int forward_1 = 0, forward_p = 0, backward_1 = 0;
+  for (const obs::Event& e : events) {
+    if (e.phase != 'X' || std::strcmp(e.name, "kernel.trsm") != 0) continue;
+    const char* phase = "";
+    double nrhs = 0.0, threads = 0.0;
+    for (int k = 0; k < e.nargs; ++k) {
+      if (std::strcmp(e.args[k].key, "phase") == 0) phase = e.args[k].str;
+      if (std::strcmp(e.args[k].key, "nrhs") == 0) nrhs = e.args[k].num;
+      if (std::strcmp(e.args[k].key, "threads") == 0) threads = e.args[k].num;
+    }
+    if (threads <= 1.0) continue;
+    const bool forward = std::strcmp(phase, "forward") == 0;
+    if (forward && nrhs == 1.0) ++forward_1;
+    if (forward && nrhs == static_cast<double>(p)) ++forward_p;
+    if (!forward && nrhs == 1.0) ++backward_1;
+  }
+  EXPECT_EQ(forward_1, 0) << "a 1-RHS forward solve fanned out";
+  EXPECT_GE(forward_p, 1) << "the 4-RHS forward solve did not fan out";
+  EXPECT_GE(backward_1, 1) << "no 1-RHS backward level fanned out";
+  EXPECT_TRUE(pushed[0] == x4) << "solve(Vec)";
+  EXPECT_TRUE(m1 == m4) << "solve_m";
+  EXPECT_TRUE(mt1 == mt4) << "solve_mt";
+  for (Index j = 0; j < p; ++j)
+    for (Index i = 0; i < n; ++i) {
+      ASSERT_EQ(xb4(i, j), xb1(i, j)) << "X(" << i << "," << j << ")";
+      ASSERT_EQ(xb4(i, j), pushed[static_cast<size_t>(j)][static_cast<size_t>(i)])
+          << "X(" << i << "," << j << ") against solve(Vec)";
+    }
+}
+
+// ---- The nrhs = 1 kernel contract ------------------------------------------
+
+// Every column of a wide panel-kernel call must carry the bits of the same
+// kernel run on that column alone, at every level: the nrhs = 1 paths
+// (row-vectorized forward update, 4/2/1 backward column chains, column-
+// vectorized in-panel solve) keep each element's FMA chain.
+TEST(SimdDispatch, SingleRhsKernelsMatchEveryWideColumn) {
+  std::mt19937 rng(5);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  for (const SimdLevel level : host_levels()) {
+    const auto& K = kernels::panel_kernels<double>(level);
+    for (const Index r : {0, 1, 7, 8, 9, 17})
+      for (const Index w : {1, 2, 3, 4, 5, 9}) {
+        const Index ld = w + r + 3;  // ld > h
+        std::vector<double> panel(static_cast<size_t>(ld * w));
+        for (double& v : panel) v = u(rng);
+        // Gapped ascending target rows below the w top rows.
+        std::vector<Index> rows(static_cast<size_t>(r));
+        for (Index i = 0; i < r; ++i) rows[static_cast<size_t>(i)] = w + 1 + 2 * i;
+        const Index len = w + 2 * r + 2;
+        for (const Index nrhs : {3, 8, 9}) {
+          std::vector<double> wide(static_cast<size_t>(len * nrhs));
+          for (double& v : wide) v = u(rng);
+          auto column = [&](const std::vector<double>& x, Index c) {
+            std::vector<double> col(static_cast<size_t>(len));
+            for (Index i = 0; i < len; ++i)
+              col[static_cast<size_t>(i)] = x[static_cast<size_t>(i * nrhs + c)];
+            return col;
+          };
+          using Run = std::function<void(Index, double*)>;
+          const std::pair<const char*, Run> ops[] = {
+              {"below_forward",
+               [&](Index k, double* x) {
+                 K.below_forward(r, w, k, panel.data() + w, ld, rows.data(), x, x);
+               }},
+              {"below_backward",
+               [&](Index k, double* x) {
+                 K.below_backward(r, w, k, panel.data() + w, ld, rows.data(), x, x);
+               }},
+              {"trsm_forward",
+               [&](Index k, double* x) { K.trsm_forward(w, panel.data(), ld, k, x); }},
+              {"trsm_backward",
+               [&](Index k, double* x) { K.trsm_backward(w, panel.data(), ld, k, x); }},
+          };
+          for (const auto& [name, run] : ops) {
+            std::vector<double> xw = wide;
+            run(nrhs, xw.data());
+            for (Index c = 0; c < nrhs; ++c) {
+              std::vector<double> x1 = column(wide, c);
+              run(1, x1.data());
+              const std::vector<double> got = column(xw, c);
+              for (Index i = 0; i < len; ++i)
+                ASSERT_TRUE(same_bits(got[static_cast<size_t>(i)],
+                                      x1[static_cast<size_t>(i)]))
+                    << name << " at " << simd_level_name(level) << ": r=" << r
+                    << " w=" << w << " nrhs=" << nrhs << " column " << c
+                    << " row " << i;
+            }
+          }
+        }
+      }
+  }
 }
 
 // ---- Level resolution: env override, clamping, explicit request ------------
