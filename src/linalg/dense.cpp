@@ -23,4 +23,12 @@ Mat imag_part(const CMat& a) {
   return r;
 }
 
+Mat symmetrized(Mat a) {
+  require(a.is_square(), "symmetrized: matrix not square");
+  for (Index i = 0; i < a.rows(); ++i)
+    for (Index j = i + 1; j < a.cols(); ++j)
+      a(i, j) = a(j, i) = 0.5 * (a(i, j) + a(j, i));
+  return a;
+}
+
 }  // namespace sympvl

@@ -303,4 +303,9 @@ Mat real_part(const CMat& a);
 /// Imaginary part of a complex matrix.
 Mat imag_part(const CMat& a);
 
+/// (A + Aᵀ)/2 of a square matrix: each off-diagonal pair becomes
+/// 0.5·(aᵢⱼ + aⱼᵢ) and the diagonal is kept. Clears the rounding-level
+/// asymmetry of products that are symmetric in exact arithmetic.
+Mat symmetrized(Mat a);
+
 }  // namespace sympvl

@@ -13,10 +13,11 @@ namespace {
 
 // One cyclic-Jacobi diagonalization. Robust O(n³) method; reduced-order
 // models are small so this is fully adequate and numerically excellent
-// (backward-stable, eigenvectors orthogonal to machine precision).
-void jacobi_eig(Mat& a, Mat& v, Vec& w) {
+// (backward-stable, eigenvectors orthogonal to machine precision). `vt`
+// receives the eigenvectors as rows (row k pairs with w[k]).
+void jacobi_eig(Mat& a, Mat& vt, Vec& w) {
   const Index n = a.rows();
-  v = Mat::identity(n);
+  vt = Mat::identity(n);
   const int max_sweeps = 100;
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     // Off-diagonal Frobenius norm.
@@ -51,10 +52,12 @@ void jacobi_eig(Mat& a, Mat& v, Vec& w) {
           a(p, k) = c * apk - s * aqk;
           a(q, k) = s * apk + c * aqk;
         }
+        double* vp = vt.data() + p * n;
+        double* vq = vt.data() + q * n;
         for (Index k = 0; k < n; ++k) {
-          const double vkp = v(k, p), vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
+          const double vkp = vp[k], vkq = vq[k];
+          vp[k] = c * vkp - s * vkq;
+          vq[k] = s * vkp + c * vkq;
         }
       }
     }
@@ -134,8 +137,10 @@ void tred2(Mat& z, Vec& d, Vec& e) {
 }
 
 // Implicit-shift QL iteration on a tridiagonal matrix with eigenvector
-// accumulation (EISPACK tql2). d/e as produced by tred2.
-void tql2(Vec& d, Vec& e, Mat& z) {
+// accumulation (EISPACK tql2). d/e as produced by tred2; `zt` is tred2's Q
+// transposed, so each Givens rotation updates two contiguous rows (the
+// same arithmetic per element as EISPACK's column walk, unit stride).
+void tql2(Vec& d, Vec& e, Mat& zt) {
   const Index n = static_cast<Index>(d.size());
   for (Index i = 1; i < n; ++i) e[static_cast<size_t>(i) - 1] = e[static_cast<size_t>(i)];
   e[static_cast<size_t>(n) - 1] = 0.0;
@@ -178,10 +183,12 @@ void tql2(Vec& d, Vec& e, Mat& z) {
           p = s * r;
           d[static_cast<size_t>(i) + 1] = g + p;
           g = c * r - b;
-          for (Index k = 0; k < static_cast<Index>(z.rows()); ++k) {
-            f = z(k, i + 1);
-            z(k, i + 1) = s * z(k, i) + c * f;
-            z(k, i) = c * z(k, i) - s * f;
+          double* zi = zt.data() + i * n;
+          double* zi1 = zi + n;
+          for (Index k = 0; k < n; ++k) {
+            f = zi1[k];
+            zi1[k] = s * zi[k] + c * f;
+            zi[k] = c * zi[k] - s * f;
           }
         }
         if (underflow && i >= l) continue;
@@ -193,8 +200,9 @@ void tql2(Vec& d, Vec& e, Mat& z) {
   }
 }
 
-// Symmetrizes a copy and sorts an eigendecomposition ascending.
-SymmetricEig sort_eig(const Vec& w, const Mat& v) {
+// Sorts an eigendecomposition ascending; row k of `vt` is the
+// eigenvector of w[k], and the result stores it as a column.
+SymmetricEig sort_eig(const Vec& w, const Mat& vt) {
   const Index n = static_cast<Index>(w.size());
   std::vector<Index> order(static_cast<size_t>(n));
   std::iota(order.begin(), order.end(), Index(0));
@@ -207,7 +215,8 @@ SymmetricEig sort_eig(const Vec& w, const Mat& v) {
   for (Index k = 0; k < n; ++k) {
     const Index src = order[static_cast<size_t>(k)];
     out.values[static_cast<size_t>(k)] = w[static_cast<size_t>(src)];
-    for (Index i = 0; i < n; ++i) out.vectors(i, k) = v(i, src);
+    const double* row = vt.data() + src * n;
+    for (Index i = 0; i < n; ++i) out.vectors(i, k) = row[i];
   }
   return out;
 }
@@ -216,24 +225,17 @@ Mat symmetrized_copy(const Mat& a, const char* who) {
   require(a.is_square(), std::string(who) + ": matrix not square");
   require(a.asymmetry() <= 1e-8 * (1.0 + a.max_abs()),
           std::string(who) + ": matrix not symmetric");
-  Mat work = a;
-  for (Index i = 0; i < a.rows(); ++i)
-    for (Index j = i + 1; j < a.cols(); ++j) {
-      const double m = 0.5 * (work(i, j) + work(j, i));
-      work(i, j) = m;
-      work(j, i) = m;
-    }
-  return work;
+  return symmetrized(a);
 }
 
 }  // namespace
 
 SymmetricEig eig_symmetric_jacobi(const Mat& a) {
   Mat work = symmetrized_copy(a, "eig_symmetric");
-  Mat v;
+  Mat vt;
   Vec w;
-  jacobi_eig(work, v, w);
-  return sort_eig(w, v);
+  jacobi_eig(work, vt, w);
+  return sort_eig(w, vt);
 }
 
 SymmetricEig eig_symmetric_ql(const Mat& a) {
@@ -247,8 +249,9 @@ SymmetricEig eig_symmetric_ql(const Mat& a) {
   }
   Vec d, e;
   tred2(z, d, e);
-  tql2(d, e, z);
-  return sort_eig(d, z);
+  Mat zt = z.transpose();
+  tql2(d, e, zt);
+  return sort_eig(d, zt);
 }
 
 SymmetricEig eig_symmetric(const Mat& a) {
@@ -517,14 +520,7 @@ SymmetricEig eig_symmetric_generalized(const Mat& a, const Mat& b) {
   Mat ct = c.transpose();
   Mat c2(n, n);
   for (Index j = 0; j < n; ++j) c2.set_col(j, chol.solve_l(ct.col(j)));
-  Mat sym = c2.transpose();
-  // Symmetrize (rounding).
-  for (Index i = 0; i < n; ++i)
-    for (Index j = i + 1; j < n; ++j) {
-      const double m = 0.5 * (sym(i, j) + sym(j, i));
-      sym(i, j) = m;
-      sym(j, i) = m;
-    }
+  const Mat sym = symmetrized(c2.transpose());
   SymmetricEig e = eig_symmetric(sym);
   // Back-transform eigenvectors: v = L⁻ᵀ y.
   for (Index k = 0; k < n; ++k) e.vectors.set_col(k, chol.solve_lt(e.vectors.col(k)));

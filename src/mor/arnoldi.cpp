@@ -17,12 +17,16 @@ ArnoldiModel::ArnoldiModel(Mat gr, Mat cr, Mat br, SVariable variable,
       br_(std::move(br)),
       variable_(variable),
       s_prefactor_(s_prefactor),
-      s0_(s0) {}
+      s0_(s0),
+      form_(PoleResidueForm::of_pencil(gr_, cr_, br_)) {}
 
 CMat ArnoldiModel::eval(Complex s) const {
   const Index n = order();
   const Index p = port_count();
   const Complex sigma = (variable_ == SVariable::kS ? s : s * s) - s0_;
+  Complex pref(1.0, 0.0);
+  for (int k = 0; k < s_prefactor_; ++k) pref *= s;
+  if (form_) return form_->eval(sigma, pref);
   CMat lhs(n, n);
   for (Index i = 0; i < n; ++i)
     for (Index j = 0; j < n; ++j) lhs(i, j) = gr_(i, j) + sigma * cr_(i, j);
@@ -30,8 +34,6 @@ CMat ArnoldiModel::eval(Complex s) const {
   for (Index i = 0; i < n; ++i)
     for (Index j = 0; j < p; ++j) rhs(i, j) = Complex(br_(i, j), 0.0);
   const CMat x = dense_solve(lhs, rhs);
-  Complex pref(1.0, 0.0);
-  for (int k = 0; k < s_prefactor_; ++k) pref *= s;
   CMat z(p, p);
   for (Index a = 0; a < p; ++a)
     for (Index b = 0; b < p; ++b) {
@@ -50,29 +52,25 @@ Mat ArnoldiModel::moment(Index k) const {
 }
 
 CVec ArnoldiModel::poles() const {
-  // Pencil poles: det(Gr + σCr) = 0 ⇔ σ = −1/λ for λ eig of Gr⁻¹Cr,
-  // then shift and (for LC) map back through s = ±√σ.
-  const Mat a = dense_solve(gr_, cr_);
-  const CVec lambdas = eig_general(a);
-  CVec out;
-  for (const Complex& l : lambdas) {
-    if (std::abs(l) < 1e-14) continue;
-    const Complex sigma = Complex(s0_, 0.0) - Complex(1.0, 0.0) / l;
-    if (variable_ == SVariable::kS) {
-      out.push_back(sigma);
-    } else {
-      const Complex root = std::sqrt(sigma);
-      out.push_back(root);
-      out.push_back(-root);
-    }
-  }
-  return out;
+  if (form_) return poles_from_eigenvalues(form_->lambda(), s0_, variable_);
+  // Pencil poles: det(Gr + σCr) = 0 ⇔ σ = −1/λ for λ eig of Gr⁻¹Cr.
+  return poles_from_eigenvalues(eig_general(dense_solve(gr_, cr_)), s0_,
+                                variable_);
 }
 
 bool ArnoldiModel::is_stable(double tol) const {
   for (const Complex& pole : poles())
     if (pole.real() > tol) return false;
   return true;
+}
+
+std::int64_t ArnoldiModel::bytes() const {
+  const auto doubles = [](const Mat& m) {
+    return static_cast<std::int64_t>(m.rows() * m.cols());
+  };
+  return (doubles(gr_) + doubles(cr_) + doubles(br_)) *
+             static_cast<std::int64_t>(sizeof(double)) +
+         (form_ ? form_->bytes() : 0);
 }
 
 ArnoldiModel arnoldi_reduce(const MnaSystem& sys, const ArnoldiOptions& options) {

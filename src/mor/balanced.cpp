@@ -35,13 +35,7 @@ BalancedResult balanced_truncation(const MnaSystem& sys,
   }
   for (Index i = 0; i < n; ++i)
     for (Index j = 0; j < n; ++j) a_tilde(i, j) = -a_tilde(i, j);
-  // Symmetrize rounding noise.
-  for (Index i = 0; i < n; ++i)
-    for (Index j = i + 1; j < n; ++j) {
-      const double m = 0.5 * (a_tilde(i, j) + a_tilde(j, i));
-      a_tilde(i, j) = m;
-      a_tilde(j, i) = m;
-    }
+  a_tilde = symmetrized(std::move(a_tilde));  // rounding noise
   Mat b_tilde(n, p);
   for (Index j = 0; j < p; ++j) b_tilde.set_col(j, chol.solve_l(sys.B.col(j)));
 
@@ -61,13 +55,7 @@ BalancedResult balanced_truncation(const MnaSystem& sys,
       p_hat(i, j) = w / (-eig.values[static_cast<size_t>(i)] -
                          eig.values[static_cast<size_t>(j)]);
     }
-  Mat gram = eig.vectors * p_hat * eig.vectors.transpose();
-  for (Index i = 0; i < n; ++i)
-    for (Index j = i + 1; j < n; ++j) {
-      const double m = 0.5 * (gram(i, j) + gram(j, i));
-      gram(i, j) = m;
-      gram(j, i) = m;
-    }
+  const Mat gram = symmetrized(eig.vectors * p_hat * eig.vectors.transpose());
 
   // For this symmetric realization P = Q: the Hankel singular values are
   // |eig(P)| and the balancing transformation is orthogonal.

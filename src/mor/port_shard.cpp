@@ -10,6 +10,7 @@
 #include "fault.hpp"
 #include "mor/lanczos.hpp"
 #include "mor/pencil.hpp"
+#include "mor/pole_residue.hpp"
 #include "mor/rational.hpp"
 #include "mor/reduce.hpp"
 #include "obs/memstat.hpp"
@@ -232,47 +233,6 @@ Mat sym_gram_streamed(const Mat& a, FillColumn fill) {
   for (Index i = 0; i < n; ++i)
     for (Index jj = i + 1; jj < n; ++jj) c(i, jj) = c(jj, i);
   return c;
-}
-
-// Pivot-guarded lower Cholesky of a symmetric matrix. Returns false
-// (leaving `l` unspecified) when any pivot falls below tol·max|diag| —
-// the union Gram is then numerically rank deficient and the caller must
-// take the robust MGS stitch instead of trusting the whitening.
-bool guarded_cholesky(const Mat& a, double tol, Mat* l) {
-  const Index n = a.rows();
-  double max_diag = 0.0;
-  for (Index i = 0; i < n; ++i) max_diag = std::max(max_diag, std::abs(a(i, i)));
-  if (max_diag <= 0.0) return false;
-  *l = Mat(n, n);
-  Mat& ll = *l;
-  for (Index j = 0; j < n; ++j) {
-    double d = a(j, j);
-    for (Index k = 0; k < j; ++k) d -= ll(j, k) * ll(j, k);
-    if (!(d > tol * max_diag)) return false;
-    const double root = std::sqrt(d);
-    ll(j, j) = root;
-    for (Index i = j + 1; i < n; ++i) {
-      double s = a(i, j);
-      for (Index k = 0; k < j; ++k) s -= ll(i, k) * ll(j, k);
-      ll(i, j) = s / root;
-    }
-  }
-  return true;
-}
-
-// X := L⁻¹X (forward substitution, every column).
-void solve_lower_inplace(const Mat& l, Mat* x) {
-  const Index n = l.rows();
-  const Index m = x->cols();
-  Mat& xx = *x;
-  for (Index i = 0; i < n; ++i) {
-    const double d = l(i, i);
-    for (Index c = 0; c < m; ++c) {
-      double s = xx(i, c);
-      for (Index k = 0; k < i; ++k) s -= l(i, k) * xx(k, c);
-      xx(i, c) = s / d;
-    }
-  }
 }
 
 // The columns `cols` of `b`, in order.
@@ -611,7 +571,8 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
     // definite (Ar is then SPD up to cross-shard rank deficiency, which
     // the pivot guard detects); the whitened model is
     //   ḡ = I, c̄ = L⁻¹CrL⁻ᵀ, b̄ = L⁻¹Br with Ar = LLᵀ,
-    // equivalent to (Ar, Cr, Br) but conditioned for evaluation.
+    // equivalent to (Ar, Cr, Br) but conditioned for evaluation: its
+    // pole–residue form is one symmetric eig of c̄, no Cholesky.
     Mat chol;
     const bool definite_j = primed.pencil->negative_j() == 0;
     if (definite_j &&

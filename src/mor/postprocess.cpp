@@ -181,13 +181,7 @@ ModalModel enforce_residue_psd(const ModalModel& model, double tol) {
         r(i, j) = rc(i, j).real();
       }
     // Symmetrize then clip negative eigenvalues.
-    for (Index i = 0; i < p; ++i)
-      for (Index j = i + 1; j < p; ++j) {
-        const double m = 0.5 * (r(i, j) + r(j, i));
-        r(i, j) = m;
-        r(j, i) = m;
-      }
-    const SymmetricEig eig = eig_symmetric(r);
+    const SymmetricEig eig = eig_symmetric(symmetrized(std::move(r)));
     Mat clipped(p, p);
     for (Index m = 0; m < p; ++m) {
       const double lam = std::max(0.0, eig.values[static_cast<size_t>(m)]);

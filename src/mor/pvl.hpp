@@ -6,6 +6,8 @@
 // each with its own Krylov spaces, against a single SyMPVL run.
 #pragma once
 
+#include <cstdint>
+
 #include "circuit/mna.hpp"
 #include "linalg/dense.hpp"
 #include "mor/lanczos.hpp"
@@ -27,6 +29,12 @@ class PvlModel {
 
   /// kth scalar moment η·e₁ᵀTₙᵏe₁ of the expansion Σₖ(−σ')ᵏ μₖ.
   double moment(Index k) const;
+
+  /// Heap bytes the model holds (the dense Tₙ).
+  std::int64_t bytes() const {
+    return static_cast<std::int64_t>(t_.rows() * t_.cols()) *
+           static_cast<std::int64_t>(sizeof(double));
+  }
 
  private:
   Mat t_;

@@ -142,6 +142,13 @@ Index MacroModel::port_count() const {
   return 0;
 }
 
+std::int64_t MacroModel::bytes() const {
+  if (const auto* m = as_reduced()) return m->bytes();
+  if (const auto* m = as_arnoldi()) return m->bytes();
+  if (const auto* m = as_pvl()) return m->bytes();
+  return 0;
+}
+
 CMat MacroModel::eval(Complex s) const {
   if (const auto* m = as_reduced()) return m->eval(s);
   if (const auto* m = as_arnoldi()) return m->eval(s);

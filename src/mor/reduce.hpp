@@ -17,6 +17,7 @@
 // reports and errors into that one result type.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <variant>
 #include <vector>
@@ -117,6 +118,9 @@ class MacroModel {
 
   /// Physical Z_r(s); a PVL model evaluates as a 1×1 matrix.
   CMat eval(Complex s) const;
+
+  /// Heap bytes the concrete model holds (its own bytes() count).
+  std::int64_t bytes() const;
 
   /// nullptr when the model is not of that concrete type.
   const ReducedModel* as_reduced() const {

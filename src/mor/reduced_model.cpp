@@ -11,25 +11,24 @@ namespace sympvl {
 
 ReducedModel::ReducedModel(const LanczosResult& lanczos, SVariable variable,
                            int s_prefactor, double s0)
-    : t_(lanczos.t),
-      delta_(lanczos.delta),
-      rho_(lanczos.rho),
-      variable_(variable),
+    : variable_(variable),
       s_prefactor_(s_prefactor),
       s0_(s0),
       lanczos_(lanczos) {
-  require(t_.is_square() && delta_.is_square() && t_.rows() == delta_.rows() &&
-              rho_.rows() == t_.rows(),
+  require(t().is_square() && delta().is_square() &&
+              t().rows() == delta().rows() && rho().rows() == t().rows(),
           "ReducedModel: inconsistent Lanczos output shapes");
-  delta_inv_ = dense_solve(delta_, Mat::identity(delta_.rows()));
-  t_delta_inv_ = t_ * delta_inv_;
-  // Symmetrize TΔ⁻¹ (exactly symmetric in exact arithmetic since ΔT is).
-  for (Index i = 0; i < t_delta_inv_.rows(); ++i)
-    for (Index j = i + 1; j < t_delta_inv_.cols(); ++j) {
-      const double m = 0.5 * (t_delta_inv_(i, j) + t_delta_inv_(j, i));
-      t_delta_inv_(i, j) = m;
-      t_delta_inv_(j, i) = m;
-    }
+  // TΔ⁻¹ as computed: Lanczos vectors that lost J-orthogonality leave it
+  // visibly nonsymmetric, and such a model stays on the LU path.
+  const Pencil pen = pencil();
+  form_ = PoleResidueForm::of_pencil(pen.gr, pen.cr, rho());
+}
+
+ReducedModel::Pencil ReducedModel::pencil() const {
+  Pencil pen;
+  pen.gr = dense_solve(delta(), Mat::identity(delta().rows()));
+  pen.cr = t() * pen.gr;
+  return pen;
 }
 
 namespace {
@@ -63,9 +62,9 @@ std::string ReducedModel::to_text() const {
   out << "order " << order() << " ports " << port_count() << " variable "
       << (variable_ == SVariable::kS ? "s" : "s2") << " prefactor "
       << s_prefactor_ << " shift " << s0_ << "\n";
-  write_matrix(out, "T", t_);
-  write_matrix(out, "DELTA", delta_);
-  write_matrix(out, "RHO", rho_);
+  write_matrix(out, "T", t());
+  write_matrix(out, "DELTA", delta());
+  write_matrix(out, "RHO", rho());
   out << "end\n";
   return out.str();
 }
@@ -127,18 +126,19 @@ CMat ReducedModel::eval(Complex s) const {
   const Index n = order();
   const Index p = port_count();
   const Complex sigma = (variable_ == SVariable::kS ? s : s * s) - s0_;
+  Complex pref(1.0, 0.0);
+  for (int k = 0; k < s_prefactor_; ++k) pref *= s;
+  if (form_) return form_->eval(sigma, pref);
   // (I + σT) X = ρ, then Zₙ = pref·ρᵀΔX.
   CMat lhs(n, n);
   for (Index i = 0; i < n; ++i)
     for (Index j = 0; j < n; ++j)
       lhs(i, j) = (i == j ? Complex(1.0, 0.0) : Complex(0.0, 0.0)) +
-                  sigma * t_(i, j);
+                  sigma * t()(i, j);
   CMat rhs(n, p);
   for (Index i = 0; i < n; ++i)
-    for (Index j = 0; j < p; ++j) rhs(i, j) = Complex(rho_(i, j), 0.0);
+    for (Index j = 0; j < p; ++j) rhs(i, j) = Complex(rho()(i, j), 0.0);
   const CMat x = dense_solve(lhs, rhs);
-  Complex pref(1.0, 0.0);
-  for (int k = 0; k < s_prefactor_; ++k) pref *= s;
   // Zₙ = pref·ρᵀ(ΔX) as two row-streamed passes, O(n²p) + O(np²);
   // accumulating ρ(i,a)Δ(i,j)X(j,b) entrywise is O(p²n²) — quartic in
   // the order for many-port models, where p ≈ n.
@@ -146,7 +146,7 @@ CMat ReducedModel::eval(Complex s) const {
   for (Index i = 0; i < n; ++i) {
     Complex* wrow = w.data() + i * p;
     for (Index j = 0; j < n; ++j) {
-      const double d = delta_(i, j);
+      const double d = delta()(i, j);
       if (d == 0.0) continue;
       const Complex* xrow = x.data() + j * p;
       for (Index b = 0; b < p; ++b) wrow[b] += d * xrow[b];
@@ -156,7 +156,7 @@ CMat ReducedModel::eval(Complex s) const {
   for (Index i = 0; i < n; ++i) {
     const Complex* wrow = w.data() + i * p;
     for (Index a = 0; a < p; ++a) {
-      const double r = rho_(i, a);
+      const double r = rho()(i, a);
       if (r == 0.0) continue;
       Complex* zrow = z.data() + a * p;
       for (Index b = 0; b < p; ++b) zrow[b] += r * wrow[b];
@@ -168,21 +168,8 @@ CMat ReducedModel::eval(Complex s) const {
 }
 
 CVec ReducedModel::poles() const {
-  const CVec lambdas = eig_general(t_);
-  CVec poles;
-  poles.reserve(lambdas.size() * 2);
-  for (const Complex& l : lambdas) {
-    if (std::abs(l) < 1e-14) continue;  // pole at infinity
-    const Complex sigma = Complex(s0_, 0.0) - Complex(1.0, 0.0) / l;
-    if (variable_ == SVariable::kS) {
-      poles.push_back(sigma);
-    } else {
-      const Complex root = std::sqrt(sigma);
-      poles.push_back(root);
-      poles.push_back(-root);
-    }
-  }
-  return poles;
+  if (form_) return poles_from_eigenvalues(form_->lambda(), s0_, variable_);
+  return poles_from_eigenvalues(eig_general(t()), s0_, variable_);
 }
 
 bool ReducedModel::is_stable(double tol) const {
@@ -191,19 +178,30 @@ bool ReducedModel::is_stable(double tol) const {
   return true;
 }
 
+std::int64_t ReducedModel::bytes() const {
+  const auto doubles = [](const Mat& m) {
+    return static_cast<std::int64_t>(m.rows() * m.cols());
+  };
+  return (doubles(t()) + doubles(delta()) + doubles(rho())) *
+             static_cast<std::int64_t>(sizeof(double)) +
+         static_cast<std::int64_t>(lanczos_.cluster_sizes.size() *
+                                   sizeof(Index)) +
+         (form_ ? form_->bytes() : 0);
+}
+
 Mat ReducedModel::moment(Index k) const {
   require(k >= 0, "ReducedModel::moment: negative order");
   const Index n = order();
   const Index p = port_count();
   // μₖ = ρᵀ Δ Tᵏ ρ via repeated mat-vec on the columns of ρ.
-  Mat tk_rho = rho_;
-  for (Index step = 0; step < k; ++step) tk_rho = t_ * tk_rho;
-  const Mat d_tk_rho = delta_ * tk_rho;
+  Mat tk_rho = rho();
+  for (Index step = 0; step < k; ++step) tk_rho = t() * tk_rho;
+  const Mat d_tk_rho = delta() * tk_rho;
   Mat mu(p, p);
   for (Index a = 0; a < p; ++a)
     for (Index b = 0; b < p; ++b) {
       double acc = 0.0;
-      for (Index i = 0; i < n; ++i) acc += rho_(i, a) * d_tk_rho(i, b);
+      for (Index i = 0; i < n; ++i) acc += rho()(i, a) * d_tk_rho(i, b);
       mu(a, b) = acc;
     }
   return mu;
@@ -227,14 +225,16 @@ TransientResult ReducedModel::simulate_transient(
   const bool trap = options.method == IntegrationMethod::kTrapezoidal;
   const Index steps = static_cast<Index>(std::ceil(options.t_end / h));
 
-  Mat lhs = t_delta_inv_;
+  const Pencil pen = pencil();
+  const Mat cr = symmetrized(pen.cr);
+  Mat lhs = cr;
   lhs *= 1.0 / h;
-  Mat hist = t_delta_inv_;
+  Mat hist = cr;
   hist *= 1.0 / h;
   for (Index i = 0; i < n; ++i)
     for (Index j = 0; j < n; ++j) {
-      lhs(i, j) += (trap ? 0.5 : 1.0) * delta_inv_(i, j);
-      hist(i, j) -= (trap ? 0.5 : 0.0) * delta_inv_(i, j);
+      lhs(i, j) += (trap ? 0.5 : 1.0) * pen.gr(i, j);
+      hist(i, j) -= (trap ? 0.5 : 0.0) * pen.gr(i, j);
     }
   const LU fact(lhs);
 
@@ -253,7 +253,7 @@ TransientResult ReducedModel::simulate_transient(
     result.time[static_cast<size_t>(k)] = tm;
     for (Index j = 0; j < p; ++j) {
       double acc = 0.0;
-      for (Index i = 0; i < n; ++i) acc += rho_(i, j) * x[static_cast<size_t>(i)];
+      for (Index i = 0; i < n; ++i) acc += rho()(i, j) * x[static_cast<size_t>(i)];
       result.outputs(k, j) = acc;
     }
   };
@@ -268,7 +268,7 @@ TransientResult ReducedModel::simulate_transient(
         const double u =
             trap ? 0.5 * (u_now[static_cast<size_t>(j)] + u_prev[static_cast<size_t>(j)])
                  : u_now[static_cast<size_t>(j)];
-        acc += rho_(i, j) * u;
+        acc += rho()(i, j) * u;
       }
       b[static_cast<size_t>(i)] += acc;
     }
@@ -306,14 +306,16 @@ MnaSystem ReducedModel::stamp_into(const Netlist& host,
             base.C.values()[static_cast<size_t>(k)]);
   }
   // ROM state rows: Δ⁻¹x + TΔ⁻¹ẋ − ρ·i = 0.
+  const Pencil pen = pencil();
+  const Mat cr = symmetrized(pen.cr);
   for (Index i = 0; i < n; ++i)
     for (Index j = 0; j < n; ++j) {
-      if (delta_inv_(i, j) != 0.0) g.add(nh + i, nh + j, delta_inv_(i, j));
-      if (t_delta_inv_(i, j) != 0.0) c.add(nh + i, nh + j, t_delta_inv_(i, j));
+      if (pen.gr(i, j) != 0.0) g.add(nh + i, nh + j, pen.gr(i, j));
+      if (cr(i, j) != 0.0) c.add(nh + i, nh + j, cr(i, j));
     }
   for (Index i = 0; i < n; ++i)
     for (Index j = 0; j < p; ++j)
-      if (rho_(i, j) != 0.0) g.add(nh + i, nh + n + j, -rho_(i, j));
+      if (rho()(i, j) != 0.0) g.add(nh + i, nh + n + j, -rho()(i, j));
   // Port coupling rows: Eᵀv − ρᵀx = 0 (symmetric counterparts) and host
   // KCL columns E·i.
   for (Index j = 0; j < p; ++j) {
@@ -325,7 +327,7 @@ MnaSystem ReducedModel::stamp_into(const Netlist& host,
       g.add(nh + n + j, node - 1, 1.0);   // Eᵀ in coupling rows
     }
     for (Index i = 0; i < n; ++i)
-      if (rho_(i, j) != 0.0) g.add(nh + n + j, nh + i, -rho_(i, j));
+      if (rho()(i, j) != 0.0) g.add(nh + n + j, nh + i, -rho()(i, j));
   }
 
   MnaSystem sys;

@@ -92,26 +92,6 @@ bool parse_rom_key_hex(const std::string& hex, RomKey* key) {
   return true;
 }
 
-std::int64_t macro_model_bytes(const MacroModel& model) {
-  const auto dense = [](Index rows, Index cols) {
-    return static_cast<std::int64_t>(rows) * cols *
-           static_cast<std::int64_t>(sizeof(double));
-  };
-  if (const ReducedModel* m = model.as_reduced()) {
-    const Index n = m->order(), p = m->port_count();
-    // T, Δ (n×n), ρ (n×p) plus the Lanczos bookkeeping the model keeps.
-    return 3 * dense(n, n) + 2 * dense(n, p);
-  }
-  if (const ArnoldiModel* m = model.as_arnoldi()) {
-    const Index n = m->order(), p = m->port_count();
-    return 2 * dense(n, n) + 2 * dense(n, p);
-  }
-  if (const PvlModel* m = model.as_pvl()) {
-    return 6 * dense(m->order(), 1);
-  }
-  return 0;
-}
-
 struct RomRegistry::Inflight {
   std::mutex m;
   std::condition_variable cv;
@@ -183,7 +163,7 @@ RomRegistry::EntryPtr RomRegistry::acquire(
     built->key = key;
     built->key_hex = rom_key_hex(key);
     built->result = std::move(result);
-    built->bytes = macro_model_bytes(built->result.model);
+    built->bytes = built->result.model.bytes();
     built->charge =
         obs::MemCharge(obs::byte_gauge("mem.rom_registry_bytes"),
                        built->bytes);

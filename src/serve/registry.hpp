@@ -56,10 +56,6 @@ std::string rom_key_hex(const RomKey& key);
 /// Parses the hex rendering; false on malformed input.
 bool parse_rom_key_hex(const std::string& hex, RomKey* key);
 
-/// Rough resident size of a MacroModel (dense T/Δ/ρ or projected
-/// pencil), used for LRU byte accounting.
-std::int64_t macro_model_bytes(const MacroModel& model);
-
 struct RegistryStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;       ///< reductions actually built
@@ -78,7 +74,7 @@ class RomRegistry {
     RomKey key;
     std::string key_hex;
     ReduceResult result;        ///< model + report + diagnostics
-    std::int64_t bytes = 0;
+    std::int64_t bytes = 0;     ///< result.model.bytes()
     obs::MemCharge charge;      ///< against mem.rom_registry_bytes
   };
   using EntryPtr = std::shared_ptr<const Entry>;

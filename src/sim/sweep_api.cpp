@@ -93,6 +93,27 @@ SweepResult engine_sweep(const AcSweepEngine& engine,
   return res;
 }
 
+// Every ROM sweep: the containment harness inside one "model.sweep" span.
+// `form` is "pole_residue" when each point is evaluated from poles and
+// residues, "lu" when it solves the reduced pencil.
+template <typename Eval>
+SweepResult model_sweep(const Vec& frequencies_hz, Index p, Index order,
+                        const char* form, Eval&& eval) {
+  obs::ScopedTimer span("model.sweep");
+  span.arg("points", static_cast<Index>(frequencies_hz.size()));
+  span.arg("order", order);
+  span.arg("threads", num_threads());
+  span.arg("form", form);
+  SweepResult res = run_contained_sweep(frequencies_hz, p, eval);
+  span.arg("failed_points", res.failed_count());
+  return res;
+}
+
+template <typename Model>
+const char* form_name(const Model& model) {
+  return model.pole_residue() ? "pole_residue" : "lu";
+}
+
 }  // namespace
 
 void validate(const Vec& frequencies_hz) {
@@ -115,24 +136,18 @@ SweepResult sweep(const AcSweepEngine& engine, const Vec& frequencies_hz,
 SweepResult sweep(const ReducedModel& model, const Vec& frequencies_hz,
                   const SweepOptions& options) {
   validate(frequencies_hz);
-  SweepResult res;
-  {
-    obs::ScopedTimer span("model.sweep");
-    span.arg("points", static_cast<Index>(frequencies_hz.size()));
-    span.arg("order", model.order());
-    span.arg("threads", num_threads());
-    res = run_contained_sweep(frequencies_hz, model.port_count(),
-                              [&](Complex s) { return model.eval(s); });
-    span.arg("failed_points", res.failed_count());
-  }
-  return finish(std::move(res), options);
+  return finish(model_sweep(frequencies_hz, model.port_count(), model.order(),
+                            form_name(model),
+                            [&](Complex s) { return model.eval(s); }),
+                options);
 }
 
 SweepResult sweep(const ModalModel& model, const Vec& frequencies_hz,
                   const SweepOptions& options) {
   validate(frequencies_hz);
-  return finish(run_contained_sweep(frequencies_hz, model.port_count(),
-                                    [&](Complex s) { return model.eval(s); }),
+  return finish(model_sweep(frequencies_hz, model.port_count(),
+                            model.pole_count(), "pole_residue",
+                            [&](Complex s) { return model.eval(s); }),
                 options);
 }
 
@@ -146,8 +161,9 @@ SweepResult sweep(const MnaSystem& sys, const Vec& frequencies_hz,
 SweepResult sweep(const ArnoldiModel& model, const Vec& frequencies_hz,
                   const SweepOptions& options) {
   validate(frequencies_hz);
-  return finish(run_contained_sweep(frequencies_hz, model.port_count(),
-                                    [&](Complex s) { return model.eval(s); }),
+  return finish(model_sweep(frequencies_hz, model.port_count(), model.order(),
+                            form_name(model),
+                            [&](Complex s) { return model.eval(s); }),
                 options);
 }
 
@@ -157,18 +173,18 @@ SweepResult sweep(const MacroModel& model, const Vec& frequencies_hz,
           "sweep: empty MacroModel", ErrorContext{.stage = "sweep"});
   validate(frequencies_hz);
   // Dispatch to the typed overloads so each model keeps its native sweep
-  // path (ReducedModel's "model.sweep" span included).
+  // path.
   if (const ReducedModel* m = model.as_reduced())
     return sweep(*m, frequencies_hz, options);
   if (const ArnoldiModel* m = model.as_arnoldi())
     return sweep(*m, frequencies_hz, options);
   const PvlModel* m = model.as_pvl();
-  return finish(run_contained_sweep(frequencies_hz, 1,
-                                    [&](Complex s) {
-                                      CMat z(1, 1);
-                                      z(0, 0) = m->eval(s);
-                                      return z;
-                                    }),
+  return finish(model_sweep(frequencies_hz, 1, m->order(), "lu",
+                            [&](Complex s) {
+                              CMat z(1, 1);
+                              z(0, 0) = m->eval(s);
+                              return z;
+                            }),
                 options);
 }
 

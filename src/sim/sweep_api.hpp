@@ -36,8 +36,10 @@ void validate(const Vec& frequencies_hz);
 SweepResult sweep(const AcSweepEngine& engine, const Vec& frequencies_hz,
                   const SweepOptions& options = {});
 
-/// Reduced-model sweep: evaluates Zₙ(j·2πf) per grid point, traced as
-/// one "model.sweep" span.
+/// Reduced-model sweep: evaluates Zₙ(j·2πf) per grid point. Every ROM
+/// overload (this one, the modal, congruence and facade sweeps) is traced
+/// as one "model.sweep" span with points, order, threads, failed_points
+/// and form ("pole_residue" or "lu", the model's evaluation path).
 SweepResult sweep(const ReducedModel& model, const Vec& frequencies_hz,
                   const SweepOptions& options = {});
 

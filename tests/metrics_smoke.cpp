@@ -1,8 +1,9 @@
 // Metrics smoke test (ctest label "Trace"): runs the Fig. 3 package
-// reduction + frequency sweep with SYMPVL_METRICS (and SYMPVL_TRACE)
-// set, then validates the emitted Prometheus text-exposition file:
+// reduction, an exact frequency sweep and a sweep of the reduced model
+// with SYMPVL_METRICS (and SYMPVL_TRACE) set, then validates the emitted
+// Prometheus text-exposition file:
 //   * latency histograms with quantiles for the factor / solve /
-//     sweep-point span families;
+//     sweep-point / ROM-sweep span families;
 //   * factor-bytes and cache-resident-bytes gauges with their _peak
 //     high-water companions;
 //   * the pre-existing counters (factor_cache.*, lanczos.steps, ...);
@@ -80,7 +81,7 @@ int main() {
   SympvlOptions opt;
   opt.order = 32;
   SympvlReport report;
-  sympvl_reduce(sys, opt, &report);
+  const ReducedModel rom = sympvl_reduce(sys, opt, &report);
   check(report.achieved_order == 32, "reduction reached order 32");
 
   // Always-on report fields (independent of the obs sinks).
@@ -95,6 +96,8 @@ int main() {
   const AcSweepEngine engine(sys);
   const SweepResult sweep = sympvl::sweep(engine, freqs);
   check(sweep.all_ok(), "sweep produced no failed points");
+  const SweepResult rom_sweep = sympvl::sweep(rom, freqs);
+  check(rom_sweep.all_ok(), "ROM sweep produced no failed points");
 
   obs::flush();
 
@@ -108,7 +111,8 @@ int main() {
   check(!doc.empty(), "metrics file was written");
 
   // Latency histograms + p99 quantiles per acceptance span family.
-  for (const char* span : {"ldlt.factor", "ldlt.solve", "ac.z_at"}) {
+  for (const char* span :
+       {"ldlt.factor", "ldlt.solve", "ac.z_at", "model.sweep"}) {
     const std::string lbl = std::string("span=\"") + span + "\"";
     check(has_positive_sample(doc, "sympvl_span_duration_seconds_count", lbl),
           std::string("duration histogram present: ") + span);

@@ -4,6 +4,7 @@
 
 #include "gen/random_circuit.hpp"
 #include "linalg/dense_factor.hpp"
+#include "linalg/factor_chain.hpp"
 #include "sim/sweep_api.hpp"
 
 namespace sympvl {
@@ -210,6 +211,25 @@ TEST(Ac, SweepEngineHandlesStructuralFallbackPoints) {
   const Complex expected = 5.0 + s * 1e-9 + 1.0 / (s * 1e-12);
   EXPECT_NEAR(std::abs(engine.z_at(s)(0, 0) - expected), 0.0,
               1e-9 * std::abs(expected));
+}
+
+// More ports than one solve panel: Z(s) equals the one-block solve of all
+// p columns, entry for entry, bits included.
+TEST(Ac, PortPanelsMatchOneBlockSolve) {
+  const MnaSystem sys =
+      build_mna(random_rc({.nodes = 120, .ports = 70, .seed = 9}));
+  ASSERT_EQ(sys.port_count(), 70);
+  const Complex s(0.0, 2.0 * M_PI * 1e8);
+  CMat b(sys.size(), sys.port_count());
+  for (Index i = 0; i < sys.size(); ++i)
+    for (Index j = 0; j < sys.port_count(); ++j) b(i, j) = sys.B(i, j);
+  const FactorChainZ chain(pencil_combine(sys.G, sys.C, sys.map_s(s)));
+  CMat ref = matmul_transA(sys.B, chain.solve(b));
+  ref *= sys.prefactor(s);
+  const CMat z = ac_z_matrix(sys, s);
+  for (Index a = 0; a < z.rows(); ++a)
+    for (Index c = 0; c < z.cols(); ++c) EXPECT_EQ(z(a, c), ref(a, c));
+  EXPECT_LT(max_rel_diff(AcSweepEngine(sys).z_at(s), dense_z(sys, s)), 1e-9);
 }
 
 TEST(Ac, FrequencyGrids) {

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "gen/random_circuit.hpp"
+#include "linalg/factor_cache.hpp"
 #include "mor/reduce.hpp"
 #include "mor/sympvl.hpp"
 #include "obs/json.hpp"
@@ -227,8 +228,13 @@ TEST(Obs, ReportDeflationAndClusterDiagnostics) {
 TEST(Obs, EventStreamAgreesWithReportCounters) {
   ObsGuard guard(true);
   const MnaSystem sys = build_mna(deflation_forcing_netlist());
+  // A private cache: an earlier test in this process may have left this
+  // netlist's factor in FactorCache::global(), and a hit records no
+  // ldlt.factor span.
+  FactorCache cache;
   SympvlOptions opt;
   opt.order = 3;
+  opt.factor_cache = &cache;
   SympvlReport report;
   sympvl_reduce(sys, opt, &report);
 
