@@ -1,8 +1,8 @@
-// Kernel-layer benchmark: simplicial vs supernodal numeric LDLᵀ on the
-// paper's example meshes, numeric-only (one shared symbolic analysis per
-// mesh, timed refactorizations on top — the shape every driver and the
-// AC hot path actually run), plus the blocked p-port multi-RHS solve
-// both Lanczos starting blocks and sweeps ride.
+// Kernel-layer benchmark: the supernodal numeric LDLᵀ on the paper's
+// example meshes, numeric-only (one shared symbolic analysis per mesh,
+// timed refactorizations on top — the shape every driver and the AC hot
+// path actually run), plus the blocked p-port multi-RHS solve both
+// Lanczos starting blocks and sweeps ride, at several RHS widths.
 //
 // Results go to stdout as CSV and to BENCH_kernels.json (with run
 // metadata) — the file tools/check_perf.py gates CI perf-smoke against
@@ -37,12 +37,6 @@ double median_time(int reps, const std::function<void()>& fn) {
   return t[t.size() / 2];
 }
 
-KernelOptions path_opt(KernelPath path) {
-  KernelOptions k;
-  k.path = path;
-  return k;
-}
-
 struct MeshCase {
   const char* name;
   MnaSystem sys;
@@ -51,8 +45,7 @@ struct MeshCase {
 struct KernelNumbers {
   double n = 0, ports = 0, nnz_l = 0;
   double supernodes = 0, max_panel = 0, panel_zeros = 0;
-  double t_simplicial = 0, t_supernodal = 0, speedup = 0;
-  double t_solve_simplicial = 0, t_solve_supernodal = 0, solve_speedup = 0;
+  double t_factor = 0, t_solve = 0;
 };
 
 KernelNumbers measure(const MnaSystem& sys, int reps) {
@@ -64,69 +57,41 @@ KernelNumbers measure(const MnaSystem& sys, int reps) {
   out.n = static_cast<double>(sys.size());
   out.ports = static_cast<double>(sys.port_count());
   out.nnz_l = static_cast<double>(symbolic->l_nnz());
+  out.supernodes = static_cast<double>(symbolic->supernode_count());
+  out.max_panel = static_cast<double>(symbolic->max_panel_width());
+  out.panel_zeros = static_cast<double>(symbolic->panel_zeros());
 
-  // Numeric-only refactorization times on the shared symbolic.
-  out.t_simplicial = median_time(reps, [&] {
-    const LDLT f(a, symbolic, 1e-12, path_opt(KernelPath::kSimplicial));
+  // Numeric-only refactorization time on the shared symbolic.
+  out.t_factor = median_time(reps, [&] {
+    const LDLT f(a, symbolic, 1e-12);
     benchmark::DoNotOptimize(f.d().data());
   });
-  out.t_supernodal = median_time(reps, [&] {
-    const LDLT f(a, symbolic, 1e-12, path_opt(KernelPath::kSupernodal));
-    benchmark::DoNotOptimize(f.d().data());
-  });
-  out.speedup = out.t_simplicial / out.t_supernodal;
 
   // Blocked p-port multi-RHS solve (the starting-block shape).
-  const LDLT fs(a, symbolic, 1e-12, path_opt(KernelPath::kSimplicial));
-  const LDLT fp(a, symbolic, 1e-12, path_opt(KernelPath::kSupernodal));
-  out.supernodes = static_cast<double>(fp.supernode_count());
-  out.max_panel = static_cast<double>(fp.max_panel_width());
-  out.panel_zeros = static_cast<double>(fp.panel_zeros());
-  Mat b(sys.size(), sys.port_count());
-  for (Index j = 0; j < sys.port_count(); ++j) b.set_col(j, sys.B.col(j));
-  out.t_solve_simplicial = median_time(reps, [&] {
-    const Mat x = fs.solve(b);
+  const LDLT f(a, symbolic, 1e-12);
+  out.t_solve = median_time(reps, [&] {
+    const Mat x = f.solve(sys.B);
     benchmark::DoNotOptimize(x(0, 0));
   });
-  out.t_solve_supernodal = median_time(reps, [&] {
-    const Mat x = fp.solve(b);
-    benchmark::DoNotOptimize(x(0, 0));
-  });
-  out.solve_speedup = out.t_solve_simplicial / out.t_solve_supernodal;
   return out;
 }
 
-// RHS-width sweep on one mesh: blocked simplicial vs supernodal solve at
-// p ∈ {1, 4, 16, 64}, documenting the crossover the resolve_kernel_path
-// p-heuristic (rhs_width·4 > n → simplicial) encodes. Emitted keys:
-// solve_p{P}_{path}_s.
-struct RhsSweepPoint {
-  double p = 0, t_simplicial = 0, t_supernodal = 0, speedup = 0;
-};
-
-std::vector<RhsSweepPoint> rhs_width_sweep(const MnaSystem& sys, int reps) {
+// Blocked solve time by RHS width p ∈ {1, 4, 16, 64} on one mesh.
+// Emitted keys: solve_p{P}_supernodal_s.
+std::vector<std::pair<Index, double>> rhs_width_sweep(const MnaSystem& sys,
+                                                      int reps) {
   const double s0 = automatic_shift(sys);
   const SMat a = assemble_pencil(sys.G, sys.C, s0);
-  const auto symbolic = std::make_shared<const LdltSymbolic>(a, Ordering::kRCM);
-  const LDLT fs(a, symbolic, 1e-12, path_opt(KernelPath::kSimplicial));
-  const LDLT fp(a, symbolic, 1e-12, path_opt(KernelPath::kSupernodal));
-  std::vector<RhsSweepPoint> points;
+  const LDLT f(a, Ordering::kRCM, 1e-12);
+  std::vector<std::pair<Index, double>> points;
   for (const Index p : {Index(1), Index(4), Index(16), Index(64)}) {
-    RhsSweepPoint pt;
-    pt.p = static_cast<double>(p);
     Mat b(sys.size(), p);
     for (Index j = 0; j < p; ++j)
       b.set_col(j, sys.B.col(j % sys.port_count()));
-    pt.t_simplicial = median_time(reps, [&] {
-      const Mat x = fs.solve(b);
-      benchmark::DoNotOptimize(x(0, 0));
-    });
-    pt.t_supernodal = median_time(reps, [&] {
-      const Mat x = fp.solve(b);
-      benchmark::DoNotOptimize(x(0, 0));
-    });
-    pt.speedup = pt.t_simplicial / pt.t_supernodal;
-    points.push_back(pt);
+    points.emplace_back(p, median_time(reps, [&] {
+                          const Mat x = f.solve(b);
+                          benchmark::DoNotOptimize(x(0, 0));
+                        }));
   }
   return points;
 }
@@ -147,29 +112,24 @@ void print_tables() {
                      .netlist,
                  MnaForm::kRC)});
 
-  csv_begin("numeric LDLT refactorization: simplicial vs supernodal "
+  csv_begin("numeric LDLT refactorization and blocked p-port solve "
             "(shared symbolic, median of 5)",
             {"n", "ports", "nnz_l", "supernodes", "max_panel", "panel_zeros",
-             "t_simplicial_s", "t_supernodal_s", "speedup", "t_solve_simp_s",
-             "t_solve_super_s", "solve_speedup"});
+             "t_factor_s", "t_solve_s"});
   KernelNumbers package{};
   for (const MeshCase& mesh : meshes) {
     const KernelNumbers k = measure(mesh.sys, 5);
     if (std::string(mesh.name) == "package_64x16") package = k;
     csv_row({k.n, k.ports, k.nnz_l, k.supernodes, k.max_panel, k.panel_zeros,
-             k.t_simplicial, k.t_supernodal, k.speedup, k.t_solve_simplicial,
-             k.t_solve_supernodal, k.solve_speedup});
+             k.t_factor, k.t_solve});
   }
 
-  // RHS-width sweep on the big package mesh (crossover documentation for
-  // the resolve_kernel_path p-heuristic).
-  const std::vector<RhsSweepPoint> sweep =
-      rhs_width_sweep(meshes[1].sys, 5);
-  csv_begin("blocked multi-RHS solve: simplicial vs supernodal by RHS "
-            "width (package_64x16, median of 5)",
-            {"p", "t_solve_simp_s", "t_solve_super_s", "solve_speedup"});
-  for (const RhsSweepPoint& pt : sweep)
-    csv_row({pt.p, pt.t_simplicial, pt.t_supernodal, pt.speedup});
+  // RHS-width sweep on the big package mesh.
+  const auto sweep = rhs_width_sweep(meshes[1].sys, 5);
+  csv_begin("blocked multi-RHS solve by RHS width (package_64x16, median "
+            "of 5)",
+            {"p", "t_solve_s"});
+  for (const auto& [p, t] : sweep) csv_row({static_cast<double>(p), t});
 
   std::vector<std::pair<std::string, double>> kv = {
       {"package_n", package.n},
@@ -178,44 +138,28 @@ void print_tables() {
       {"package_supernodes", package.supernodes},
       {"package_max_panel", package.max_panel},
       {"package_panel_zeros", package.panel_zeros},
-      {"package_factor_simplicial_s", package.t_simplicial},
-      {"package_factor_supernodal_s", package.t_supernodal},
-      {"package_factor_speedup", package.speedup},
-      {"package_solve_simplicial_s", package.t_solve_simplicial},
-      {"package_solve_supernodal_s", package.t_solve_supernodal},
-      {"package_solve_speedup", package.solve_speedup}};
-  for (const RhsSweepPoint& pt : sweep) {
-    const std::string tag = "package_solve_p" +
-                            std::to_string(static_cast<int>(pt.p));
-    kv.emplace_back(tag + "_simplicial_s", pt.t_simplicial);
-    kv.emplace_back(tag + "_supernodal_s", pt.t_supernodal);
-    kv.emplace_back(tag + "_speedup", pt.speedup);
-  }
+      {"package_factor_supernodal_s", package.t_factor},
+      {"package_solve_supernodal_s", package.t_solve}};
+  for (const auto& [p, t] : sweep)
+    kv.emplace_back("package_solve_p" + std::to_string(p) + "_supernodal_s", t);
   json_emit("BENCH_kernels.json", kv);
-  std::printf("\nwrote BENCH_kernels.json (package factor speedup %.2fx, "
-              "p=16 solve speedup %.2fx)\n",
-              package.speedup, package.solve_speedup);
+  std::printf("\nwrote BENCH_kernels.json (package factor %.3g s, p=16 "
+              "solve %.3g s)\n",
+              package.t_factor, package.t_solve);
 }
 
-void bm_factor(benchmark::State& state, KernelPath path) {
+void bm_factor(benchmark::State& state) {
   const MnaSystem sys =
       build_mna(make_package_circuit({.pins = 64, .segments = 16}).netlist,
                 MnaForm::kGeneral);
   const SMat a = assemble_pencil(sys.G, sys.C, automatic_shift(sys));
   const auto symbolic = std::make_shared<const LdltSymbolic>(a, Ordering::kRCM);
   for (auto _ : state) {
-    const LDLT f(a, symbolic, 1e-12, path_opt(path));
+    const LDLT f(a, symbolic, 1e-12);
     benchmark::DoNotOptimize(f.d().data());
   }
 }
-void bm_factor_simplicial(benchmark::State& state) {
-  bm_factor(state, KernelPath::kSimplicial);
-}
-void bm_factor_supernodal(benchmark::State& state) {
-  bm_factor(state, KernelPath::kSupernodal);
-}
-BENCHMARK(bm_factor_simplicial)->Unit(benchmark::kMillisecond);
-BENCHMARK(bm_factor_supernodal)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_factor)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -83,20 +83,16 @@ struct Key {
   std::uint64_t tol = 0;
   int ordering = 0;
   bool dense = false;
-  // Kernel selection changes the factorization's rounding, so it is part
-  // of the identity of a cached factor. Both fields are stored RESOLVED:
-  // kernel_path through the n/rhs_hint heuristic, simd through
-  // SYMPVL_SIMD and the CPU probe. Requests that differ only in hints
-  // resolving to the same kernels share one entry; hints that flip the
-  // resolution get distinct keys, so a hit always returns the rounding the
+  // The SIMD level changes the factorization's rounding, so it is part of
+  // the identity of a cached factor. It is stored RESOLVED (through
+  // SYMPVL_SIMD and the CPU probe): requests that resolve to the same
+  // level share one entry, so a hit always returns the rounding the
   // caller would have produced fresh.
-  int kernel_path = 0;
   int simd = 0;
 
   bool operator==(const Key& o) const {
     return g == o.g && c == o.c && shift == o.shift && tol == o.tol &&
-           ordering == o.ordering && dense == o.dense &&
-           kernel_path == o.kernel_path && simd == o.simd;
+           ordering == o.ordering && dense == o.dense && simd == o.simd;
   }
 };
 
@@ -110,7 +106,6 @@ struct KeyHash {
     h = fnv1a(&k.ordering, sizeof(k.ordering), h);
     const unsigned char dense = k.dense ? 1 : 0;
     h = fnv1a(&dense, sizeof(dense), h);
-    h = fnv1a(&k.kernel_path, sizeof(k.kernel_path), h);
     h = fnv1a(&k.simd, sizeof(k.simd), h);
     return static_cast<std::size_t>(h);
   }
@@ -124,8 +119,6 @@ Key real_key(const PencilFingerprint& fp, const PencilFactorOptions& opt) {
   k.tol = double_bits(opt.zero_pivot_tol);
   k.ordering = static_cast<int>(opt.ordering);
   k.dense = opt.dense;
-  k.kernel_path = static_cast<int>(
-      resolve_kernel_path(opt.kernels, fp.n, opt.kernels.rhs_hint));
   k.simd = static_cast<int>(resolve_simd_level(opt.kernels.simd));
   return k;
 }
@@ -133,8 +126,7 @@ Key real_key(const PencilFingerprint& fp, const PencilFactorOptions& opt) {
 }  // namespace
 
 PencilFingerprint fingerprint_pencil(const SMat& g, const SMat& c) {
-  return PencilFingerprint{fingerprint_matrix(g), fingerprint_matrix(c),
-                           g.rows()};
+  return PencilFingerprint{fingerprint_matrix(g), fingerprint_matrix(c)};
 }
 
 struct FactorCache::Impl {

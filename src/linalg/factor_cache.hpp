@@ -9,9 +9,9 @@
 //
 // Keys: a value fingerprint of (G, C) — FNV-1a over dimensions, sparsity
 // pattern and values — plus the expansion point, ordering, zero-pivot
-// tolerance, backend (sparse/dense) and the resolved kernel path and SIMD
-// level. Two calls with equal keys would factor bit-identical pencils, so
-// a hit returns numerically identical solves and determinism (1-thread vs
+// tolerance, backend (sparse/dense) and the resolved SIMD level. Two
+// calls with equal keys would factor bit-identical pencils, so a hit
+// returns numerically identical solves and determinism (1-thread vs
 // N-thread bit-equality) is preserved.
 //
 // Exact AC points are not cached: AcSweepEngine factors each point in a
@@ -57,9 +57,6 @@ namespace sympvl {
 struct PencilFingerprint {
   std::uint64_t g = 0;
   std::uint64_t c = 0;
-  /// System dimension, carried so the cache key can store the RESOLVED
-  /// kernel path (the kAuto heuristic depends on n and the RHS width).
-  Index n = 0;
 };
 
 PencilFingerprint fingerprint_pencil(const SMat& g, const SMat& c);

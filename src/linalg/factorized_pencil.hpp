@@ -81,8 +81,8 @@ struct PencilFactorOptions {
   /// Use the dense Bunch-Kaufman backend instead of the sparse LDLᵀ
   /// (the last rung of the SyMPVL recovery ladder).
   bool dense = false;
-  /// Numeric-kernel selection for the sparse backend (simplicial vs
-  /// supernodal, amalgamation slack); ignored by the dense backend.
+  /// SIMD level of the sparse backend's panel kernels; ignored by the
+  /// dense backend.
   KernelOptions kernels;
 };
 
@@ -139,12 +139,6 @@ class FactorizedPencil final : public SymmetricOperator {
   Index negative_j() const;
 
   // ---- Kernel-layer telemetry (sparse backend; defaults elsewhere). ----
-  /// Numeric kernel the sparse backend actually ran (kAuto is resolved at
-  /// factorization time; kSimplicial on the dense backend for "none").
-  KernelPath kernel_path() const {
-    return ldlt_ ? ldlt_->kernel_path() : KernelPath::kSimplicial;
-  }
-  bool supernodal() const { return ldlt_ && ldlt_->supernodal(); }
   Index supernode_count() const { return ldlt_ ? ldlt_->supernode_count() : 0; }
   Index max_panel_width() const { return ldlt_ ? ldlt_->max_panel_width() : 0; }
   Index panel_zeros() const { return ldlt_ ? ldlt_->panel_zeros() : 0; }

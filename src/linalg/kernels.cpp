@@ -21,18 +21,6 @@
 
 namespace sympvl {
 
-KernelPath resolve_kernel_path(const KernelOptions& options, Index n,
-                               Index rhs_width) {
-  if (options.path != KernelPath::kAuto) return options.path;
-  if (n < 48) return KernelPath::kSimplicial;
-  // Very wide RHS blocks relative to n: the panel solve's per-supernode
-  // scatter bookkeeping scales with nrhs while the simplicial sweep
-  // amortizes it over one pass — bench_kernels places the crossover near
-  // p ≈ n/4 (DESIGN.md §5.6).
-  if (rhs_width > 0 && rhs_width * 4 > n) return KernelPath::kSimplicial;
-  return KernelPath::kSupernodal;
-}
-
 SupernodePartition detect_supernodes(const std::vector<Index>& parent,
                                      const std::vector<Index>& lnz,
                                      Index relax_zeros, double relax_ratio) {

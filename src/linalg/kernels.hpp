@@ -1,36 +1,32 @@
 // Cache-blocked dense panel kernels and the supernode machinery behind
-// the supernodal LDLᵀ factorization path.
+// the supernodal LDLᵀ factorization (linalg/sparse_ldlt.hpp).
 //
-// The up-looking simplicial SparseLDLT eliminates one column at a time
-// with scattered scalar updates; on the large quasi-banded MNA pencils
-// of the paper's package/PEEC examples most adjacent columns share an
-// identical lower structure, so the factorization can instead operate on
-// dense column panels ("supernodes"): one rank-k GEMM-style update per
-// descendant supernode and one dense in-panel LDLᵀ per panel, with unit
-// stride inner loops instead of index-gathered AXPYs. This header holds
+// On the large quasi-banded MNA pencils of the paper's package/PEEC
+// examples most adjacent columns of the factor share an identical lower
+// structure, so SparseLDLT operates on dense column panels
+// ("supernodes"): one rank-k GEMM-style update per descendant supernode
+// and one dense in-panel LDLᵀ per panel, with unit stride inner loops
+// instead of index-gathered AXPYs. This header holds
 //
-//   * KernelPath / KernelOptions — the public selector between the
-//     simplicial and supernodal paths and the SIMD dispatch level (env
+//   * KernelOptions — the SIMD dispatch level of the panel kernels (env
 //     fallback: SYMPVL_SIMD — see linalg/simd.hpp);
 //   * detect_supernodes — fundamental supernode detection with relaxed
 //     amalgamation up to a fixed fill slack (kRelaxZeros, kRelaxRatio),
 //     from the elimination tree and the per-column factor counts alone
-//     (O(n));
+//     (O(n)); LdltSymbolic runs it once per sparsity pattern;
 //   * PanelKernels — the per-SIMD-level table of dense panel primitives
 //     (rank-k panel update, D-scaled column copy, in-panel triangular
 //     multi-RHS solves, scattered below-panel updates, diagonal solve)
-//     the supernodal numeric phase and blocked solves dispatch through.
+//     the numeric phase and blocked solves dispatch through.
 //     Scalar, AVX2+FMA and AVX-512 instances live in kernels.cpp behind
 //     `target` function attributes, so one binary carries all levels.
 //
-// Numerical contract: the supernodal path reorders floating-point sums
-// relative to the simplicial path, and the AVX levels fuse multiply-add
-// chains the scalar level rounds twice (agreement to ~1e-12 relative
-// either way). Within one dispatch level the single-RHS and multi-RHS
-// supernodal solves run per-column bit-identical arithmetic — both
-// funnel through the same kernels, whose remainder lanes use the same
-// fused operations as the full vectors, with an independent accumulator
-// chain per right-hand side.
+// Numerical contract: the AVX levels fuse multiply-add chains the scalar
+// level rounds twice (agreement to ~1e-12 relative). Within one dispatch
+// level the single-RHS and multi-RHS solves run per-column bit-identical
+// arithmetic — both funnel through the same kernels, whose remainder
+// lanes use the same fused operations as the full vectors, with an
+// independent accumulator chain per right-hand side.
 //
 // At nrhs = 1 a vector across the right-hand sides would hold one live
 // lane, so the AVX2 and AVX-512 double kernels switch layout there and
@@ -56,49 +52,16 @@
 
 namespace sympvl {
 
-/// Which numeric LDLᵀ kernel factors and solves.
-enum class KernelPath {
-  kAuto,        ///< supernodal for large systems, simplicial for tiny ones
-  kSimplicial,  ///< the up-looking column-at-a-time path
-  kSupernodal,  ///< blocked panel path
-};
-
-inline const char* kernel_path_name(KernelPath p) {
-  switch (p) {
-    case KernelPath::kAuto: return "auto";
-    case KernelPath::kSimplicial: return "simplicial";
-    case KernelPath::kSupernodal: return "supernodal";
-  }
-  return "unknown";
-}
-
-/// Kernel-path and SIMD-level selection. The defaults are the canonical
-/// settings every reduction uses; the path and the SIMD level change the
+/// SIMD-level selection of the panel kernels. The default is the
+/// canonical setting every reduction uses; the level changes the
 /// factorization's rounding at the 1e-15 level, so the FactorCache keys on
-/// both RESOLVED (kAuto resolves through n, rhs_hint and the environment,
-/// and two resolutions may differ).
+/// it RESOLVED (kAuto resolves through the environment and the host).
 struct KernelOptions {
-  KernelPath path = KernelPath::kAuto;
   /// SIMD dispatch level of the dense panel kernels. kAuto resolves via
   /// SYMPVL_SIMD, then a CPUID probe; explicit levels are clamped to what
   /// the host supports (see linalg/simd.hpp).
   SimdLevel simd = SimdLevel::kAuto;
-  /// Expected right-hand-side block width of the solves this
-  /// factorization will serve (the port count p for the drivers;
-  /// 0 = unknown). Only a kAuto path heuristic hint — wide-RHS solves on
-  /// small systems favor the simplicial path (see resolve_kernel_path).
-  Index rhs_hint = 0;
 };
-
-/// Resolves kAuto: an explicit path wins; else a size heuristic:
-/// supernodal for n >= 48 (panel bookkeeping does not pay for itself on
-/// tiny systems) — unless the expected RHS block is nearly as wide as the
-/// system itself (`rhs_width > n/4`), where the blocked panel solve's
-/// scatter bookkeeping loses to the simplicial one-pass sweep (crossover
-/// measured by bench_kernels; see DESIGN.md §5.6). `rhs_width <= 0` means
-/// unknown and leaves the n-only heuristic.
-KernelPath resolve_kernel_path(const KernelOptions& options, Index n,
-                               Index rhs_width = 0);
 
 /// Supernode partition of the factor's columns: `start` holds the first
 /// column of each supernode plus a terminating n, so supernode s spans

@@ -12,27 +12,31 @@
 namespace sympvl {
 namespace {
 
-// Parallel grain gate of the panel solves: an elimination-tree level fans
-// out across the thread pool only when it holds at least two supernodes
-// AND enough dense work to amortize the dispatch. Work is measured in
-// dense panel entries times the RHS block width — a deterministic function
-// of the symbolic analysis, so the schedule never depends on timing.
+// Parallel grain gate of the backward panel solve: an elimination-tree
+// level fans out across the thread pool only when it holds at least two
+// supernodes AND enough dense work to amortize the dispatch. Work is
+// measured in dense panel entries times the RHS block width — a
+// deterministic function of the symbolic analysis, so the schedule never
+// depends on timing.
 constexpr double kSolveGrainEntries = 65536.0;
 
 }  // namespace
-}  // namespace sympvl
-
-namespace sympvl {
 
 template <typename T>
 LdltSymbolic::LdltSymbolic(const SparseMatrix<T>& a, Ordering ordering)
     : n_(a.rows()), ordering_(ordering) {
   obs::ScopedTimer span("ldlt.symbolic");
-  perm_ = make_ordering(a, ordering);
+  {
+    obs::ScopedTimer ordering_span("ldlt.ordering");
+    perm_ = make_ordering(a, ordering);
+    ordering_span.arg("n", n_);
+    ordering_span.arg("ordering", ordering_name(ordering_));
+  }
   analyze(a.colptr(), a.rowind());
   mem_charge_ = obs::MemCharge(obs::byte_gauge("mem.factor_bytes"), bytes());
   span.arg("n", n_);
   span.arg("nnz_l", l_nnz());
+  span.arg("supernodes", supernode_count());
   span.arg("ordering", ordering_name(ordering_));
 }
 
@@ -97,58 +101,142 @@ void LdltSymbolic::analyze(const std::vector<Index>& colptr,
 
   // ---- Elimination tree and column counts (LDL, Davis) on the permuted
   // upper-triangular pattern. ----
-  parent_.assign(static_cast<size_t>(n_), -1);
+  std::vector<Index> parent(static_cast<size_t>(n_), -1);
   std::vector<Index> lnz(static_cast<size_t>(n_), 0);
   std::vector<Index> flag(static_cast<size_t>(n_), -1);
   for (Index k = 0; k < n_; ++k) {
-    parent_[static_cast<size_t>(k)] = -1;
     flag[static_cast<size_t>(k)] = k;
     for (Index p = p_colptr_[static_cast<size_t>(k)];
          p < p_colptr_[static_cast<size_t>(k) + 1]; ++p) {
       Index i = p_rowind_[static_cast<size_t>(p)];
       if (i >= k) continue;
       while (flag[static_cast<size_t>(i)] != k) {
-        if (parent_[static_cast<size_t>(i)] == -1) parent_[static_cast<size_t>(i)] = k;
+        if (parent[static_cast<size_t>(i)] == -1) parent[static_cast<size_t>(i)] = k;
         ++lnz[static_cast<size_t>(i)];
         flag[static_cast<size_t>(i)] = k;
-        i = parent_[static_cast<size_t>(i)];
+        i = parent[static_cast<size_t>(i)];
       }
     }
   }
-  l_colptr_.assign(static_cast<size_t>(n_) + 1, 0);
-  for (Index k = 0; k < n_; ++k)
-    l_colptr_[static_cast<size_t>(k) + 1] =
-        l_colptr_[static_cast<size_t>(k)] + lnz[static_cast<size_t>(k)];
+  l_nnz_ = 0;
+  for (const Index c : lnz) l_nnz_ += c;
 
-  // ---- Full L row pattern: a second ereach sweep appending k to every
-  // column of row k's pattern. Appends happen in ascending k, so each
-  // column comes out sorted — the exact fill order of the up-looking
-  // numeric phase. ----
-  l_rowind_.resize(static_cast<size_t>(l_colptr_[static_cast<size_t>(n_)]));
-  std::vector<Index> lnz_used(static_cast<size_t>(n_), 0);
-  std::fill(flag.begin(), flag.end(), -1);
-  for (Index k = 0; k < n_; ++k) {
-    flag[static_cast<size_t>(k)] = k;
-    for (Index p = p_colptr_[static_cast<size_t>(k)];
-         p < p_colptr_[static_cast<size_t>(k) + 1]; ++p) {
-      Index i = p_rowind_[static_cast<size_t>(p)];
-      if (i >= k) continue;
-      while (flag[static_cast<size_t>(i)] != k) {
-        l_rowind_[static_cast<size_t>(l_colptr_[static_cast<size_t>(i)] +
-                                      lnz_used[static_cast<size_t>(i)]++)] = k;
-        flag[static_cast<size_t>(i)] = k;
-        i = parent_[static_cast<size_t>(i)];
+  // ---- Supernode partition and panel layout. The below rows of a
+  // supernode are the pattern of its last column (the partition only
+  // merges elimination-tree chains). ----
+  const SupernodePartition part = detect_supernodes(parent, lnz);
+  super_start_ = part.start;
+  panel_zeros_ = part.zeros;
+  max_panel_width_ = part.max_width();
+  const Index nsuper = supernode_count();
+  std::vector<Index> super_of_col(static_cast<size_t>(n_));
+  row_ptr_.assign(static_cast<size_t>(nsuper) + 1, 0);
+  panel_offset_.assign(static_cast<size_t>(nsuper) + 1, 0);
+  for (Index s = 0; s < nsuper; ++s) {
+    const Index a = first_col(s);
+    const Index e = a + width(s);
+    const Index r = lnz[static_cast<size_t>(e - 1)];
+    for (Index j = a; j < e; ++j) super_of_col[static_cast<size_t>(j)] = s;
+    row_ptr_[static_cast<size_t>(s) + 1] = row_ptr_[static_cast<size_t>(s)] + r;
+    panel_offset_[static_cast<size_t>(s) + 1] =
+        panel_offset_[static_cast<size_t>(s)] + (e - a + r) * (e - a);
+  }
+
+  // ---- Row lists: a second ereach sweep appending row k to the list of
+  // every supernode whose last column lies on row k's pattern. Appends
+  // happen in ascending k, so each list comes out sorted. ----
+  rows_.resize(static_cast<size_t>(row_ptr_[static_cast<size_t>(nsuper)]));
+  {
+    std::vector<Index> cursor(row_ptr_.begin(), row_ptr_.end() - 1);
+    std::fill(flag.begin(), flag.end(), -1);
+    for (Index k = 0; k < n_; ++k) {
+      flag[static_cast<size_t>(k)] = k;
+      for (Index p = p_colptr_[static_cast<size_t>(k)];
+           p < p_colptr_[static_cast<size_t>(k) + 1]; ++p) {
+        Index i = p_rowind_[static_cast<size_t>(p)];
+        if (i >= k) continue;
+        while (flag[static_cast<size_t>(i)] != k) {
+          const Index s = super_of_col[static_cast<size_t>(i)];
+          if (super_start_[static_cast<size_t>(s) + 1] == i + 1)
+            rows_[static_cast<size_t>(cursor[static_cast<size_t>(s)]++)] = k;
+          flag[static_cast<size_t>(i)] = k;
+          i = parent[static_cast<size_t>(i)];
+        }
       }
     }
   }
-}
 
-std::vector<Index> LdltSymbolic::column_counts() const {
-  std::vector<Index> lnz(static_cast<size_t>(n_));
-  for (Index k = 0; k < n_; ++k)
-    lnz[static_cast<size_t>(k)] =
-        l_colptr_[static_cast<size_t>(k) + 1] - l_colptr_[static_cast<size_t>(k)];
-  return lnz;
+  // ---- Descendant update segments, CSR by TARGET supernode. Each
+  // below-row run of supernode d landing in target t's columns becomes
+  // one segment; iterating d ascending in both passes leaves every
+  // target's segment list d-ascending. ----
+  auto for_each_segment = [&](auto&& emit) {
+    for (Index d = 0; d < nsuper; ++d) {
+      const Index rd = below(d);
+      const Index* rowsd = rows(d);
+      Index p1 = 0;
+      while (p1 < rd) {
+        const Index t = super_of_col[static_cast<size_t>(rowsd[p1])];
+        const Index et = super_start_[static_cast<size_t>(t) + 1];
+        Index p2 = p1;
+        while (p2 < rd && rowsd[p2] < et) ++p2;
+        emit(d, t, p1, p2);
+        p1 = p2;
+      }
+    }
+  };
+  upd_ptr_.assign(static_cast<size_t>(nsuper) + 1, 0);
+  for_each_segment([&](Index, Index t, Index, Index) {
+    ++upd_ptr_[static_cast<size_t>(t) + 1];
+  });
+  for (Index s = 0; s < nsuper; ++s)
+    upd_ptr_[static_cast<size_t>(s) + 1] += upd_ptr_[static_cast<size_t>(s)];
+  const Index nseg = upd_ptr_[static_cast<size_t>(nsuper)];
+  upd_src_.resize(static_cast<size_t>(nseg));
+  upd_p1_.resize(static_cast<size_t>(nseg));
+  upd_p2_.resize(static_cast<size_t>(nseg));
+  {
+    std::vector<Index> cursor(upd_ptr_.begin(), upd_ptr_.end() - 1);
+    for_each_segment([&](Index d, Index t, Index p1, Index p2) {
+      const Index u = cursor[static_cast<size_t>(t)]++;
+      upd_src_[static_cast<size_t>(u)] = d;
+      upd_p1_[static_cast<size_t>(u)] = p1;
+      upd_p2_[static_cast<size_t>(u)] = p2;
+    });
+  }
+
+  // ---- Supernodal elimination tree and its level sets. The parent of s
+  // is the supernode owning s's first below row — always a later
+  // supernode, and (because each supernode is an elimination-tree chain)
+  // every below row of s lives on s's supernodal ancestor path. A level
+  // is therefore an antichain: its supernodes share no rows, so the
+  // backward panel solve runs a level's supernodes concurrently. ----
+  std::vector<Index> slevel(static_cast<size_t>(nsuper), 0);
+  Index nlevels = nsuper > 0 ? 1 : 0;
+  for (Index s = 0; s < nsuper; ++s) {
+    if (below(s) == 0) continue;
+    const Index up = super_of_col[static_cast<size_t>(rows(s)[0])];
+    slevel[static_cast<size_t>(up)] =
+        std::max(slevel[static_cast<size_t>(up)], slevel[static_cast<size_t>(s)] + 1);
+    nlevels = std::max(nlevels, slevel[static_cast<size_t>(up)] + 1);
+  }
+  level_ptr_.assign(static_cast<size_t>(nlevels) + 1, 0);
+  for (Index s = 0; s < nsuper; ++s)
+    ++level_ptr_[static_cast<size_t>(slevel[static_cast<size_t>(s)]) + 1];
+  for (Index l = 0; l < nlevels; ++l)
+    level_ptr_[static_cast<size_t>(l) + 1] += level_ptr_[static_cast<size_t>(l)];
+  level_order_.resize(static_cast<size_t>(nsuper));
+  level_work_.assign(static_cast<size_t>(std::max<Index>(nlevels, 1)), 0.0);
+  {
+    std::vector<Index> cursor(level_ptr_.begin(), level_ptr_.end() - 1);
+    for (Index s = 0; s < nsuper; ++s) {
+      const Index l = slevel[static_cast<size_t>(s)];
+      level_order_[static_cast<size_t>(cursor[static_cast<size_t>(l)]++)] = s;
+      level_work_[static_cast<size_t>(l)] += static_cast<double>(
+          panel_offset_[static_cast<size_t>(s) + 1] -
+          panel_offset_[static_cast<size_t>(s)]);
+    }
+  }
 }
 
 template <typename T>
@@ -176,7 +264,7 @@ template <typename T>
 SparseLDLT<T>::SparseLDLT(const SparseMatrix<T>& a,
                           std::shared_ptr<const LdltSymbolic> symbolic,
                           double zero_pivot_tol, const KernelOptions& kernels)
-    : symbolic_(std::move(symbolic)), kernel_options_(kernels) {
+    : symbolic_(std::move(symbolic)), simd_(resolve_simd_level(kernels.simd)) {
   obs::ScopedTimer span("ldlt.factor");
   require(symbolic_ != nullptr, "SparseLDLT: null symbolic analysis");
   require(a.rows() == a.cols() && a.rows() == symbolic_->n_,
@@ -192,55 +280,15 @@ SparseLDLT<T>::SparseLDLT(const SparseMatrix<T>& a,
   span.arg("flops", flops_);
   span.arg("pivot_ratio", pivot_ratio_);
   span.arg("ordering", ordering_name(symbolic_->ordering_));
-  span.arg("kernel", kernel_path_name(path_));
   span.arg("supernodes", supernode_count());
-  span.arg("max_panel_width", max_panel_width_);
+  span.arg("max_panel_width", max_panel_width());
   span.arg("simd", simd_level_name(simd_));
-}
-
-template <typename T>
-void SparseLDLT<T>::factorize(const SparseMatrix<T>& a, double zero_pivot_tol) {
-  const LdltSymbolic& sym = *symbolic_;
-  path_ = resolve_kernel_path(kernel_options_, n_, kernel_options_.rhs_hint);
-  simd_ = resolve_simd_level(kernel_options_.simd);
-
-  // Gather the values into permuted order via the precomputed mapping.
-  std::vector<T> values(sym.source_.size());
-  for (size_t k = 0; k < values.size(); ++k)
-    values[k] = a.values()[static_cast<size_t>(sym.source_[k])];
-
-  double amax = 0.0;
-  for (const auto& v : values) amax = std::max(amax, ScalarTraits<T>::abs(v));
-  const double pivot_floor = zero_pivot_tol * amax;
-
-  d_.assign(static_cast<size_t>(n_), T(0));
-  double dmin = std::numeric_limits<double>::infinity();
-  double dmax = 0.0;
-  if (path_ == KernelPath::kSupernodal)
-    factorize_supernodal(values, pivot_floor, dmin, dmax);
-  else
-    factorize_simplicial(values, pivot_floor, dmin, dmax);
-
-  pivot_ratio_ = (dmax > 0.0) ? dmin / dmax : 0.0;
-  // Fill-in relative to the lower triangle of A (A is stored with both
-  // triangles; (nnz + n)/2 is its lower-triangle count incl. diagonal).
-  fill_ratio_ = static_cast<double>(l_nnz() + n_) /
-                std::max(1.0, (static_cast<double>(a.nnz()) +
-                               static_cast<double>(n_)) / 2.0);
-
-  sqrt_abs_d_.resize(static_cast<size_t>(n_));
-  for (Index k = 0; k < n_; ++k)
-    sqrt_abs_d_[static_cast<size_t>(k)] =
-        std::sqrt(ScalarTraits<T>::abs(d_[static_cast<size_t>(k)]));
-
-  mem_charge_ = obs::MemCharge(obs::byte_gauge("mem.factor_bytes"),
-                               factor_bytes());
 }
 
 namespace {
 
-// The zero-pivot rejection shared verbatim by both kernel paths (and by
-// the fault-injection tests, which expect this exact code/context).
+// The zero-pivot rejection (the fault-injection tests expect this exact
+// code/context).
 template <typename T>
 inline void accept_pivot(Index k, const T& dval, double pivot_floor,
                          double& dmin, double& dmax) {
@@ -258,185 +306,29 @@ inline void accept_pivot(Index k, const T& dval, double pivot_floor,
 }  // namespace
 
 template <typename T>
-void SparseLDLT<T>::factorize_simplicial(const std::vector<T>& values,
-                                         double pivot_floor, double& dmin,
-                                         double& dmax) {
+void SparseLDLT<T>::factorize(const SparseMatrix<T>& a, double zero_pivot_tol) {
   const LdltSymbolic& sym = *symbolic_;
   const auto& colptr = sym.p_colptr_;
   const auto& rowind = sym.p_rowind_;
-  const auto& parent = sym.parent_;
 
-  l_colptr_ = sym.l_colptr_;
-  l_rowind_.assign(static_cast<size_t>(l_colptr_[static_cast<size_t>(n_)]), 0);
-  l_values_.assign(l_rowind_.size(), T(0));
+  // Gather the values into permuted order via the precomputed mapping.
+  std::vector<T> values(sym.source_.size());
+  for (size_t k = 0; k < values.size(); ++k)
+    values[k] = a.values()[static_cast<size_t>(sym.source_[k])];
 
-  // ---- Numeric factorization (up-looking).
-  std::vector<T> y(static_cast<size_t>(n_), T(0));
-  std::vector<Index> pattern(static_cast<size_t>(n_), 0);
-  std::vector<Index> lnz_used(static_cast<size_t>(n_), 0);
-  std::vector<Index> flag(static_cast<size_t>(n_), -1);
+  double amax = 0.0;
+  for (const auto& v : values) amax = std::max(amax, ScalarTraits<T>::abs(v));
+  const double pivot_floor = zero_pivot_tol * amax;
 
-  double flops = 0.0;
-  for (Index k = 0; k < n_; ++k) {
-    Index top = n_;
-    flag[static_cast<size_t>(k)] = k;
-    for (Index p = colptr[static_cast<size_t>(k)];
-         p < colptr[static_cast<size_t>(k) + 1]; ++p) {
-      Index i = rowind[static_cast<size_t>(p)];
-      if (i > k) continue;
-      y[static_cast<size_t>(i)] += values[static_cast<size_t>(p)];
-      Index len = 0;
-      while (flag[static_cast<size_t>(i)] != k) {
-        pattern[static_cast<size_t>(len++)] = i;
-        flag[static_cast<size_t>(i)] = k;
-        i = parent[static_cast<size_t>(i)];
-      }
-      while (len > 0)
-        pattern[static_cast<size_t>(--top)] = pattern[static_cast<size_t>(--len)];
-    }
-    d_[static_cast<size_t>(k)] = y[static_cast<size_t>(k)];
-    y[static_cast<size_t>(k)] = T(0);
-    for (Index s = top; s < n_; ++s) {
-      const Index i = pattern[static_cast<size_t>(s)];
-      const T yi = y[static_cast<size_t>(i)];
-      y[static_cast<size_t>(i)] = T(0);
-      const Index pend =
-          l_colptr_[static_cast<size_t>(i)] + lnz_used[static_cast<size_t>(i)];
-      for (Index p = l_colptr_[static_cast<size_t>(i)]; p < pend; ++p)
-        y[static_cast<size_t>(l_rowind_[static_cast<size_t>(p)])] -=
-            l_values_[static_cast<size_t>(p)] * yi;
-      flops += 2.0 * static_cast<double>(pend - l_colptr_[static_cast<size_t>(i)]) + 3.0;
-      const T lki = yi / d_[static_cast<size_t>(i)];
-      d_[static_cast<size_t>(k)] -= lki * yi;
-      l_rowind_[static_cast<size_t>(pend)] = k;
-      l_values_[static_cast<size_t>(pend)] = lki;
-      ++lnz_used[static_cast<size_t>(i)];
-    }
-    accept_pivot(k, d_[static_cast<size_t>(k)], pivot_floor, dmin, dmax);
-  }
-  flops_ = flops;
-}
+  d_.assign(static_cast<size_t>(n_), T(0));
+  double dmin = std::numeric_limits<double>::infinity();
+  double dmax = 0.0;
 
-template <typename T>
-void SparseLDLT<T>::factorize_supernodal(const std::vector<T>& values,
-                                         double pivot_floor, double& dmin,
-                                         double& dmax) {
-  const LdltSymbolic& sym = *symbolic_;
-  const auto& colptr = sym.p_colptr_;
-  const auto& rowind = sym.p_rowind_;
-  const auto lnz = sym.column_counts();
-
-  const SupernodePartition part = detect_supernodes(sym.parent_, lnz);
-  super_start_ = part.start;
-  panel_zeros_ = part.zeros;
-  max_panel_width_ = part.max_width();
-  const Index nsuper = part.count();
-
-  super_of_col_.resize(static_cast<size_t>(n_));
-  panel_offset_.assign(static_cast<size_t>(nsuper) + 1, 0);
-  Index max_w = 0, max_r = 0;
-  for (Index s = 0; s < nsuper; ++s) {
-    const Index a = super_start_[static_cast<size_t>(s)];
-    const Index e = super_start_[static_cast<size_t>(s) + 1];
-    const Index w = e - a;
-    const Index r = lnz[static_cast<size_t>(e - 1)];
-    for (Index j = a; j < e; ++j) super_of_col_[static_cast<size_t>(j)] = s;
-    panel_offset_[static_cast<size_t>(s) + 1] =
-        panel_offset_[static_cast<size_t>(s)] + (w + r) * w;
-    max_w = std::max(max_w, w);
-    max_r = std::max(max_r, r);
-  }
-  panel_data_.assign(static_cast<size_t>(panel_offset_[static_cast<size_t>(nsuper)]),
-                     T(0));
-
-  // ---- Descendant update segments, CSR by TARGET supernode. Each
-  // below-row run of supernode d landing in target t's columns becomes
-  // one segment; iterating d ascending in both passes leaves every
-  // target's segment list d-ascending — a deterministic left-looking pull
-  // order that never depends on execution interleaving (the old
-  // head/next/pos relink lists were inherently sequential). ----
-  upd_ptr_.assign(static_cast<size_t>(nsuper) + 1, 0);
-  for (Index d = 0; d < nsuper; ++d) {
-    const Index de = super_start_[static_cast<size_t>(d) + 1];
-    const Index rd = lnz[static_cast<size_t>(de - 1)];
-    const Index* rowsd =
-        sym.l_rowind_.data() + sym.l_colptr_[static_cast<size_t>(de - 1)];
-    Index p1 = 0;
-    while (p1 < rd) {
-      const Index t = super_of_col_[static_cast<size_t>(rowsd[p1])];
-      const Index et = super_start_[static_cast<size_t>(t) + 1];
-      Index p2 = p1;
-      while (p2 < rd && rowsd[p2] < et) ++p2;
-      ++upd_ptr_[static_cast<size_t>(t) + 1];
-      p1 = p2;
-    }
-  }
-  for (Index s = 0; s < nsuper; ++s)
-    upd_ptr_[static_cast<size_t>(s) + 1] += upd_ptr_[static_cast<size_t>(s)];
-  const Index nseg = nsuper > 0 ? upd_ptr_[static_cast<size_t>(nsuper)] : 0;
-  upd_src_.resize(static_cast<size_t>(nseg));
-  upd_p1_.resize(static_cast<size_t>(nseg));
-  upd_p2_.resize(static_cast<size_t>(nseg));
-  {
-    std::vector<Index> cursor(upd_ptr_.begin(), upd_ptr_.end() - 1);
-    for (Index d = 0; d < nsuper; ++d) {
-      const Index de = super_start_[static_cast<size_t>(d) + 1];
-      const Index rd = lnz[static_cast<size_t>(de - 1)];
-      const Index* rowsd =
-          sym.l_rowind_.data() + sym.l_colptr_[static_cast<size_t>(de - 1)];
-      Index p1 = 0;
-      while (p1 < rd) {
-        const Index t = super_of_col_[static_cast<size_t>(rowsd[p1])];
-        const Index et = super_start_[static_cast<size_t>(t) + 1];
-        Index p2 = p1;
-        while (p2 < rd && rowsd[p2] < et) ++p2;
-        const Index u = cursor[static_cast<size_t>(t)]++;
-        upd_src_[static_cast<size_t>(u)] = d;
-        upd_p1_[static_cast<size_t>(u)] = p1;
-        upd_p2_[static_cast<size_t>(u)] = p2;
-        p1 = p2;
-      }
-    }
-  }
-
-  // ---- Supernodal elimination tree and its level sets. The parent of s
-  // is the supernode owning s's first below row — always a later
-  // supernode, and (because each supernode is an elimination-tree chain)
-  // every below row of s lives on s's supernodal ancestor path. A level
-  // is therefore an antichain: its supernodes share no rows and their
-  // update sources all sit at strictly lower levels, so the panel solves
-  // run a level's supernodes concurrently. ----
-  std::vector<Index> slevel(static_cast<size_t>(nsuper), 0);
-  Index nlevels = nsuper > 0 ? 1 : 0;
-  for (Index s = 0; s < nsuper; ++s) {
-    const Index e = super_start_[static_cast<size_t>(s) + 1];
-    const Index r = lnz[static_cast<size_t>(e - 1)];
-    if (r == 0) continue;
-    const Index* rows =
-        sym.l_rowind_.data() + sym.l_colptr_[static_cast<size_t>(e - 1)];
-    const Index parent = super_of_col_[static_cast<size_t>(rows[0])];
-    slevel[static_cast<size_t>(parent)] =
-        std::max(slevel[static_cast<size_t>(parent)],
-                 slevel[static_cast<size_t>(s)] + 1);
-    nlevels = std::max(nlevels, slevel[static_cast<size_t>(parent)] + 1);
-  }
-  level_ptr_.assign(static_cast<size_t>(nlevels) + 1, 0);
-  for (Index s = 0; s < nsuper; ++s)
-    ++level_ptr_[static_cast<size_t>(slevel[static_cast<size_t>(s)]) + 1];
-  for (Index l = 0; l < nlevels; ++l)
-    level_ptr_[static_cast<size_t>(l) + 1] += level_ptr_[static_cast<size_t>(l)];
-  level_order_.resize(static_cast<size_t>(nsuper));
-  level_work_.assign(static_cast<size_t>(std::max<Index>(nlevels, 1)), 0.0);
-  {
-    std::vector<Index> cursor(level_ptr_.begin(), level_ptr_.end() - 1);
-    for (Index s = 0; s < nsuper; ++s) {
-      const Index l = slevel[static_cast<size_t>(s)];
-      level_order_[static_cast<size_t>(cursor[static_cast<size_t>(l)]++)] = s;
-      level_work_[static_cast<size_t>(l)] += static_cast<double>(
-          panel_offset_[static_cast<size_t>(s) + 1] -
-          panel_offset_[static_cast<size_t>(s)]);
-    }
-  }
+  const Index nsuper = sym.supernode_count();
+  const Index max_w = sym.max_panel_width();
+  Index max_r = 0;
+  for (Index s = 0; s < nsuper; ++s) max_r = std::max(max_r, sym.below(s));
+  panel_data_.assign(static_cast<size_t>(sym.panel_entries()), T(0));
 
   // ---- Numeric phase: one ascending serial sweep — every descendant
   // precedes its ancestors — with one workspace. Each panel's arithmetic
@@ -453,21 +345,20 @@ void SparseLDLT<T>::factorize_supernodal(const std::vector<T>& values,
 
   obs::ScopedTimer span("kernel.panel_update");
   for (Index s = 0; s < nsuper; ++s) {
-    const Index a = super_start_[static_cast<size_t>(s)];
-    const Index e = super_start_[static_cast<size_t>(s) + 1];
-    const Index w = e - a;
-    const Index r = lnz[static_cast<size_t>(e - 1)];
+    const Index a0 = sym.first_col(s);
+    const Index w = sym.width(s);
+    const Index e = a0 + w;
+    const Index r = sym.below(s);
     const Index h = w + r;
-    const Index* rows =
-        sym.l_rowind_.data() + sym.l_colptr_[static_cast<size_t>(e - 1)];
-    T* panel = panel_data_.data() + panel_offset_[static_cast<size_t>(s)];
+    const Index* rows = sym.rows(s);
+    T* panel = panel_data_.data() + sym.panel_offset_[static_cast<size_t>(s)];
 
-    for (Index jj = 0; jj < w; ++jj) row_local[a + jj] = jj;
+    for (Index jj = 0; jj < w; ++jj) row_local[a0 + jj] = jj;
     for (Index i = 0; i < r; ++i) row_local[rows[i]] = w + i;
 
     // Assemble the lower triangle of A's panel columns.
-    for (Index j = a; j < e; ++j) {
-      T* col = panel + (j - a) * h;
+    for (Index j = a0; j < e; ++j) {
+      T* col = panel + (j - a0) * h;
       for (Index p = colptr[static_cast<size_t>(j)];
            p < colptr[static_cast<size_t>(j) + 1]; ++p) {
         const Index i = rowind[static_cast<size_t>(p)];
@@ -480,20 +371,18 @@ void SparseLDLT<T>::factorize_supernodal(const std::vector<T>& values,
     // C = L_d[p1:,:]·D_d·L_d[p1:p2,:]ᵀ lands entirely in this panel
     // (rows of d beyond the target's columns are a subset of the
     // target's below rows).
-    for (Index u = upd_ptr_[static_cast<size_t>(s)];
-         u < upd_ptr_[static_cast<size_t>(s) + 1]; ++u) {
-      const Index d = upd_src_[static_cast<size_t>(u)];
-      const Index da = super_start_[static_cast<size_t>(d)];
-      const Index de = super_start_[static_cast<size_t>(d) + 1];
-      const Index wd = de - da;
-      const Index rd = lnz[static_cast<size_t>(de - 1)];
+    for (Index u = sym.upd_ptr_[static_cast<size_t>(s)];
+         u < sym.upd_ptr_[static_cast<size_t>(s) + 1]; ++u) {
+      const Index d = sym.upd_src_[static_cast<size_t>(u)];
+      const Index da = sym.first_col(d);
+      const Index wd = sym.width(d);
+      const Index rd = sym.below(d);
       const Index hd = wd + rd;
-      const Index* rowsd =
-          sym.l_rowind_.data() + sym.l_colptr_[static_cast<size_t>(de - 1)];
+      const Index* rowsd = sym.rows(d);
       const T* dpanel =
-          panel_data_.data() + panel_offset_[static_cast<size_t>(d)];
-      const Index p1 = upd_p1_[static_cast<size_t>(u)];
-      const Index p2 = upd_p2_[static_cast<size_t>(u)];
+          panel_data_.data() + sym.panel_offset_[static_cast<size_t>(d)];
+      const Index p1 = sym.upd_p1_[static_cast<size_t>(u)];
+      const Index p2 = sym.upd_p2_[static_cast<size_t>(u)];
       const Index m = rd - p1;
       const Index q = p2 - p1;
       // W(i,j) = L_d(p1+i, j) · d_j  — the D-scaled middle segment.
@@ -518,219 +407,136 @@ void SparseLDLT<T>::factorize_supernodal(const std::vector<T>& values,
     }
 
     // Dense in-panel factorization; pivots accepted per global column in
-    // ascending order — the same fault::check sites and zero-pivot Error
-    // as the simplicial path.
+    // ascending order.
     flops += kernels::panel_ldlt(K, h, w, panel, [&](Index jj, const T& dj) {
-      const Index k = a + jj;
+      const Index k = a0 + jj;
       d_[static_cast<size_t>(k)] = dj;
       accept_pivot(k, dj, pivot_floor, dmin, dmax);
     });
 
-    for (Index jj = 0; jj < w; ++jj) row_local[a + jj] = -1;
+    for (Index jj = 0; jj < w; ++jj) row_local[a0 + jj] = -1;
     for (Index i = 0; i < r; ++i) row_local[rows[i]] = -1;
   }
   span.arg("supernodes", nsuper);
-  span.arg("levels", nlevels);
+  span.arg("levels", static_cast<Index>(sym.level_ptr_.size()) - 1);
   span.arg("simd", simd_level_name(simd_));
   span.arg("flops", flops);
+  span.close();
   flops_ = flops;
+
+  pivot_ratio_ = (dmax > 0.0) ? dmin / dmax : 0.0;
+  // Fill-in relative to the lower triangle of A (A is stored with both
+  // triangles; (nnz + n)/2 is its lower-triangle count incl. diagonal).
+  fill_ratio_ = static_cast<double>(l_nnz() + n_) /
+                std::max(1.0, (static_cast<double>(a.nnz()) +
+                               static_cast<double>(n_)) / 2.0);
+
+  sqrt_abs_d_.resize(static_cast<size_t>(n_));
+  for (Index k = 0; k < n_; ++k)
+    sqrt_abs_d_[static_cast<size_t>(k)] =
+        std::sqrt(ScalarTraits<T>::abs(d_[static_cast<size_t>(k)]));
+
+  mem_charge_ = obs::MemCharge(obs::byte_gauge("mem.factor_bytes"),
+                               factor_bytes());
 }
 
 template <typename T>
 SparseMatrix<T> SparseLDLT<T>::l_matrix() const {
   const LdltSymbolic& sym = *symbolic_;
-  SparseMatrix<T> l(n_, n_);
-  if (path_ != KernelPath::kSupernodal) {
-    l.set_raw(l_colptr_, l_rowind_, l_values_);
-    return l;
-  }
-  // Gather the symbolic-pattern entries out of the panels (relaxed panels
-  // also hold explicit zeros; those are dropped here).
-  std::vector<T> vals(sym.l_rowind_.size());
-  std::vector<Index> row_local(static_cast<size_t>(n_), -1);
-  const Index nsuper = supernode_count();
-  const auto lnz = sym.column_counts();
-  for (Index s = 0; s < nsuper; ++s) {
-    const Index a = super_start_[static_cast<size_t>(s)];
-    const Index e = super_start_[static_cast<size_t>(s) + 1];
-    const Index w = e - a;
-    const Index r = lnz[static_cast<size_t>(e - 1)];
-    const Index h = w + r;
-    const Index* rows =
-        sym.l_rowind_.data() + sym.l_colptr_[static_cast<size_t>(e - 1)];
-    const T* panel = panel_data_.data() + panel_offset_[static_cast<size_t>(s)];
-    for (Index jj = 0; jj < w; ++jj) row_local[static_cast<size_t>(a + jj)] = jj;
-    for (Index i = 0; i < r; ++i)
-      row_local[static_cast<size_t>(rows[i])] = w + i;
-    for (Index j = a; j < e; ++j) {
-      const T* col = panel + (j - a) * h;
-      for (Index p = sym.l_colptr_[static_cast<size_t>(j)];
-           p < sym.l_colptr_[static_cast<size_t>(j) + 1]; ++p)
-        vals[static_cast<size_t>(p)] =
-            col[row_local[static_cast<size_t>(sym.l_rowind_[static_cast<size_t>(p)])]];
+  // Column j of supernode s holds its in-panel rows j+1..e-1 and then the
+  // below rows, both ascending, so each gathered column is sorted.
+  std::vector<Index> colptr(static_cast<size_t>(n_) + 1, 0);
+  std::vector<Index> rowind;
+  std::vector<T> vals;
+  for (Index s = 0; s < sym.supernode_count(); ++s) {
+    const Index a0 = sym.first_col(s);
+    const Index w = sym.width(s);
+    const Index h = w + sym.below(s);
+    const Index* rows = sym.rows(s);
+    const T* panel = panel_data_.data() + sym.panel_offset_[static_cast<size_t>(s)];
+    for (Index jj = 0; jj < w; ++jj) {
+      const T* col = panel + jj * h;
+      for (Index i = jj + 1; i < h; ++i) {
+        if (col[i] == T(0)) continue;
+        rowind.push_back(i < w ? a0 + i : rows[i - w]);
+        vals.push_back(col[i]);
+      }
+      colptr[static_cast<size_t>(a0 + jj) + 1] = static_cast<Index>(rowind.size());
     }
-    for (Index jj = 0; jj < w; ++jj) row_local[static_cast<size_t>(a + jj)] = -1;
-    for (Index i = 0; i < r; ++i) row_local[static_cast<size_t>(rows[i])] = -1;
   }
-  l.set_raw(sym.l_colptr_, sym.l_rowind_, std::move(vals));
+  SparseMatrix<T> l(n_, n_);
+  l.set_raw(std::move(colptr), std::move(rowind), std::move(vals));
   return l;
 }
 
 template <typename T>
 void SparseLDLT<T>::panel_forward(T* x, Index nrhs) const {
   const LdltSymbolic& sym = *symbolic_;
-  const Index nsuper = supernode_count();
-  const Index nlevels = static_cast<Index>(level_ptr_.size()) - 1;
   const auto& K = kernels::panel_kernels<T>(simd_);
-
-  // Level-parallel pull: a target first drains its incoming descendant
-  // segments (updating its own top rows from descendant solutions
-  // finalized at lower levels), then runs the in-panel triangular solve.
-  // Siblings of one level write the same ancestor rows, so only the
-  // target may write them.
-  auto pull = [&](Index s) {
-    const Index a = super_start_[static_cast<size_t>(s)];
-    const Index e = super_start_[static_cast<size_t>(s) + 1];
-    const Index w = e - a;
-    const Index h =
-        (panel_offset_[static_cast<size_t>(s) + 1] -
-         panel_offset_[static_cast<size_t>(s)]) / w;
-    for (Index u = upd_ptr_[static_cast<size_t>(s)];
-         u < upd_ptr_[static_cast<size_t>(s) + 1]; ++u) {
-      const Index d = upd_src_[static_cast<size_t>(u)];
-      const Index da = super_start_[static_cast<size_t>(d)];
-      const Index de = super_start_[static_cast<size_t>(d) + 1];
-      const Index wd = de - da;
-      const Index hd =
-          (panel_offset_[static_cast<size_t>(d) + 1] -
-           panel_offset_[static_cast<size_t>(d)]) / wd;
-      const Index* rowsd =
-          sym.l_rowind_.data() + sym.l_colptr_[static_cast<size_t>(de - 1)];
-      const T* dpanel =
-          panel_data_.data() + panel_offset_[static_cast<size_t>(d)];
-      const Index p1 = upd_p1_[static_cast<size_t>(u)];
-      const Index p2 = upd_p2_[static_cast<size_t>(u)];
-      K.below_forward(p2 - p1, wd, nrhs, dpanel + wd + p1, hd, rowsd + p1,
-                      x + da * nrhs, x);
-    }
-    const T* panel = panel_data_.data() + panel_offset_[static_cast<size_t>(s)];
-    K.trsm_forward(w, panel, h, nrhs, x + a * nrhs);
-  };
-
-  // A single-vector forward sweep never fans out: the pull's one kernel
-  // call per descendant segment lost to the serial push at 2 and 4
-  // threads on grid_147k's pencil (DESIGN §5.6).
-  const bool can_parallel =
-      nrhs > 1 && num_threads() > 1 && !in_parallel_region();
-  const double rhs_scale = static_cast<double>(std::max<Index>(nrhs, 1));
-  bool any_parallel_level = false;
-  if (can_parallel)
-    for (Index l = 0; l < nlevels; ++l)
-      if (level_ptr_[static_cast<size_t>(l) + 1] -
-                  level_ptr_[static_cast<size_t>(l)] >= 2 &&
-          level_work_[static_cast<size_t>(l)] * rhs_scale >= kSolveGrainEntries)
-        any_parallel_level = true;
-
-  // Span policy mirrors factorize_supernodal: one "kernel.trsm" span on
-  // the calling lane for a fully serial sweep, one span per fanned-out
-  // chunk on the worker's lane otherwise (small in-between levels run
-  // unwrapped — solves happen per sweep point, and per-level micro-spans
-  // would dominate the trace).
-  if (!any_parallel_level) {
-    obs::ScopedTimer span("kernel.trsm");
-    span.arg("phase", "forward");
-    span.arg("nrhs", nrhs);
-    span.arg("levels", nlevels);
-    span.arg("simd", simd_level_name(simd_));
-    span.arg("threads", Index{1});
-    span.arg("flops", 2.0 * static_cast<double>(panel_data_.size()) *
-                          static_cast<double>(nrhs));
-    // Serial push: one below_forward over all of s's below rows right
-    // after its in-panel solve. Supernodes run in ascending order, so
-    // every target row still takes its updates in ascending source order,
-    // each row computed exactly as the pull computes it: same bits.
-    for (Index s = 0; s < nsuper; ++s) {
-      const Index a = super_start_[static_cast<size_t>(s)];
-      const Index e = super_start_[static_cast<size_t>(s) + 1];
-      const Index w = e - a;
-      const Index h = (panel_offset_[static_cast<size_t>(s) + 1] -
-                       panel_offset_[static_cast<size_t>(s)]) / w;
-      const T* panel = panel_data_.data() + panel_offset_[static_cast<size_t>(s)];
-      K.trsm_forward(w, panel, h, nrhs, x + a * nrhs);
-      if (h > w)
-        K.below_forward(
-            h - w, w, nrhs, panel + w, h,
-            sym.l_rowind_.data() + sym.l_colptr_[static_cast<size_t>(e - 1)],
-            x + a * nrhs, x);
-    }
-    return;
-  }
-  for (Index l = 0; l < nlevels; ++l) {
-    const Index lb = level_ptr_[static_cast<size_t>(l)];
-    const Index le = level_ptr_[static_cast<size_t>(l) + 1];
-    if (le - lb >= 2 &&
-        level_work_[static_cast<size_t>(l)] * rhs_scale >= kSolveGrainEntries) {
-      parallel_for_chunks(lb, le, [&](Index /*rank*/, Index b, Index e2) {
-        obs::ScopedTimer cspan("kernel.trsm");
-        double entries = 0.0;
-        for (Index k = b; k < e2; ++k) {
-          const Index s = level_order_[static_cast<size_t>(k)];
-          entries += static_cast<double>(
-              panel_offset_[static_cast<size_t>(s) + 1] -
-              panel_offset_[static_cast<size_t>(s)]);
-          pull(s);
-        }
-        cspan.arg("phase", "forward");
-        cspan.arg("nrhs", nrhs);
-        cspan.arg("threads", num_threads());
-        cspan.arg("simd", simd_level_name(simd_));
-        cspan.arg("flops", 2.0 * entries * static_cast<double>(nrhs));
-      });
-    } else {
-      for (Index k = lb; k < le; ++k)
-        pull(level_order_[static_cast<size_t>(k)]);
-    }
+  obs::ScopedTimer span("kernel.trsm");
+  span.arg("phase", "forward");
+  span.arg("nrhs", nrhs);
+  span.arg("levels", static_cast<Index>(sym.level_ptr_.size()) - 1);
+  span.arg("simd", simd_level_name(simd_));
+  span.arg("threads", Index{1});
+  span.arg("flops", 2.0 * static_cast<double>(panel_data_.size()) *
+                        static_cast<double>(nrhs));
+  // Serial push: one below_forward over all of s's below rows right after
+  // its in-panel solve. Supernodes run in ascending order, so every target
+  // row takes its updates in ascending source order. (A level-parallel
+  // pull of descendant segments kept these bits but never paid at 2
+  // threads and gained at most 13 % at 4; DESIGN.md §5.6.)
+  for (Index s = 0; s < sym.supernode_count(); ++s) {
+    const Index a0 = sym.first_col(s);
+    const Index w = sym.width(s);
+    const Index r = sym.below(s);
+    const T* panel = panel_data_.data() + sym.panel_offset_[static_cast<size_t>(s)];
+    K.trsm_forward(w, panel, w + r, nrhs, x + a0 * nrhs);
+    if (r > 0)
+      K.below_forward(r, w, nrhs, panel + w, w + r, sym.rows(s), x + a0 * nrhs,
+                      x);
   }
 }
 
 template <typename T>
 void SparseLDLT<T>::panel_backward(T* x, Index nrhs) const {
   const LdltSymbolic& sym = *symbolic_;
-  const Index nsuper = supernode_count();
-  const Index nlevels = static_cast<Index>(level_ptr_.size()) - 1;
+  const Index nsuper = sym.supernode_count();
+  const auto& level_ptr = sym.level_ptr_;
+  const auto& level_order = sym.level_order_;
+  const auto& level_work = sym.level_work_;
+  const Index nlevels = static_cast<Index>(level_ptr.size()) - 1;
   const auto& K = kernels::panel_kernels<T>(simd_);
 
   // The backward sweep is naturally a pull: each supernode reads only its
   // own below rows (all on its ancestor path, finalized at higher levels)
   // and writes only its own top rows.
   auto process = [&](Index s) {
-    const Index a = super_start_[static_cast<size_t>(s)];
-    const Index e = super_start_[static_cast<size_t>(s) + 1];
-    const Index w = e - a;
-    const Index h =
-        (panel_offset_[static_cast<size_t>(s) + 1] -
-         panel_offset_[static_cast<size_t>(s)]) / w;
-    const T* panel = panel_data_.data() + panel_offset_[static_cast<size_t>(s)];
-    const Index r = h - w;
+    const Index a0 = sym.first_col(s);
+    const Index w = sym.width(s);
+    const Index r = sym.below(s);
+    const T* panel = panel_data_.data() + sym.panel_offset_[static_cast<size_t>(s)];
     if (r > 0)
-      K.below_backward(
-          r, w, nrhs, panel + w, h,
-          sym.l_rowind_.data() + sym.l_colptr_[static_cast<size_t>(e - 1)], x,
-          x + a * nrhs);
-    K.trsm_backward(w, panel, h, nrhs, x + a * nrhs);
+      K.below_backward(r, w, nrhs, panel + w, w + r, sym.rows(s), x,
+                       x + a0 * nrhs);
+    K.trsm_backward(w, panel, w + r, nrhs, x + a0 * nrhs);
   };
 
   const bool can_parallel = num_threads() > 1 && !in_parallel_region();
   const double rhs_scale = static_cast<double>(std::max<Index>(nrhs, 1));
+  auto fans_out = [&](Index l) {
+    return level_ptr[static_cast<size_t>(l) + 1] -
+                   level_ptr[static_cast<size_t>(l)] >= 2 &&
+           level_work[static_cast<size_t>(l)] * rhs_scale >= kSolveGrainEntries;
+  };
   bool any_parallel_level = false;
   if (can_parallel)
-    for (Index l = 0; l < nlevels; ++l)
-      if (level_ptr_[static_cast<size_t>(l) + 1] -
-                  level_ptr_[static_cast<size_t>(l)] >= 2 &&
-          level_work_[static_cast<size_t>(l)] * rhs_scale >= kSolveGrainEntries)
-        any_parallel_level = true;
+    for (Index l = 0; l < nlevels; ++l) any_parallel_level |= fans_out(l);
 
-  // Same span policy as panel_forward.
+  // Span policy: one "kernel.trsm" span on the calling lane for a fully
+  // serial sweep, one span per fanned-out chunk on the worker's lane
+  // otherwise (small in-between levels run unwrapped — solves happen per
+  // sweep point, and per-level micro-spans would dominate the trace).
   if (!any_parallel_level) {
     obs::ScopedTimer span("kernel.trsm");
     span.arg("phase", "backward");
@@ -744,18 +550,17 @@ void SparseLDLT<T>::panel_backward(T* x, Index nrhs) const {
     return;
   }
   for (Index l = nlevels - 1; l >= 0; --l) {
-    const Index lb = level_ptr_[static_cast<size_t>(l)];
-    const Index le = level_ptr_[static_cast<size_t>(l) + 1];
-    if (le - lb >= 2 &&
-        level_work_[static_cast<size_t>(l)] * rhs_scale >= kSolveGrainEntries) {
+    const Index lb = level_ptr[static_cast<size_t>(l)];
+    const Index le = level_ptr[static_cast<size_t>(l) + 1];
+    if (fans_out(l)) {
       parallel_for_chunks(lb, le, [&](Index /*rank*/, Index b, Index e2) {
         obs::ScopedTimer cspan("kernel.trsm");
         double entries = 0.0;
         for (Index k = b; k < e2; ++k) {
-          const Index s = level_order_[static_cast<size_t>(k)];
+          const Index s = level_order[static_cast<size_t>(k)];
           entries += static_cast<double>(
-              panel_offset_[static_cast<size_t>(s) + 1] -
-              panel_offset_[static_cast<size_t>(s)]);
+              sym.panel_offset_[static_cast<size_t>(s) + 1] -
+              sym.panel_offset_[static_cast<size_t>(s)]);
           process(s);
         }
         cspan.arg("phase", "backward");
@@ -766,40 +571,8 @@ void SparseLDLT<T>::panel_backward(T* x, Index nrhs) const {
       });
     } else {
       for (Index k = lb; k < le; ++k)
-        process(level_order_[static_cast<size_t>(k)]);
+        process(level_order[static_cast<size_t>(k)]);
     }
-  }
-}
-
-template <typename T>
-void SparseLDLT<T>::forward_solve(std::vector<T>& x) const {
-  if (path_ == KernelPath::kSupernodal) {
-    panel_forward(x.data(), 1);
-    return;
-  }
-  for (Index j = 0; j < n_; ++j) {
-    const T xj = x[static_cast<size_t>(j)];
-    if (xj == T(0)) continue;
-    for (Index p = l_colptr_[static_cast<size_t>(j)];
-         p < l_colptr_[static_cast<size_t>(j) + 1]; ++p)
-      x[static_cast<size_t>(l_rowind_[static_cast<size_t>(p)])] -=
-          l_values_[static_cast<size_t>(p)] * xj;
-  }
-}
-
-template <typename T>
-void SparseLDLT<T>::backward_solve(std::vector<T>& x) const {
-  if (path_ == KernelPath::kSupernodal) {
-    panel_backward(x.data(), 1);
-    return;
-  }
-  for (Index j = n_ - 1; j >= 0; --j) {
-    T acc = x[static_cast<size_t>(j)];
-    for (Index p = l_colptr_[static_cast<size_t>(j)];
-         p < l_colptr_[static_cast<size_t>(j) + 1]; ++p)
-      acc -= l_values_[static_cast<size_t>(p)] *
-             x[static_cast<size_t>(l_rowind_[static_cast<size_t>(p)])];
-    x[static_cast<size_t>(j)] = acc;
   }
 }
 
@@ -809,21 +582,15 @@ std::vector<T> SparseLDLT<T>::solve(const std::vector<T>& b) const {
   obs::ScopedTimer span("ldlt.solve");
   span.arg("n", n_);
   span.arg("nrhs", Index{1});
-  span.arg("kernel", kernel_path_name(path_));
   const auto& perm = symbolic_->perm_;
   std::vector<T> x(static_cast<size_t>(n_));
   for (Index i = 0; i < n_; ++i)
     x[static_cast<size_t>(i)] = b[static_cast<size_t>(perm[static_cast<size_t>(i)])];
-  forward_solve(x);
-  if (path_ == KernelPath::kSupernodal) {
-    // Same dispatched kernel as the blocked solve's diagonal phase, so
-    // solve(vector) stays bit-identical to a column of solve(Matrix).
-    kernels::panel_kernels<T>(simd_).diag_solve(n_, 1, d_.data(), x.data());
-  } else {
-    for (Index i = 0; i < n_; ++i)
-      x[static_cast<size_t>(i)] /= d_[static_cast<size_t>(i)];
-  }
-  backward_solve(x);
+  panel_forward(x.data(), 1);
+  // Same dispatched kernel as the blocked solve's diagonal phase, so
+  // solve(vector) stays bit-identical to a column of solve(Matrix).
+  kernels::panel_kernels<T>(simd_).diag_solve(n_, 1, d_.data(), x.data());
+  panel_backward(x.data(), 1);
   std::vector<T> out(static_cast<size_t>(n_));
   for (Index i = 0; i < n_; ++i)
     out[static_cast<size_t>(perm[static_cast<size_t>(i)])] = x[static_cast<size_t>(i)];
@@ -837,54 +604,18 @@ Matrix<T> SparseLDLT<T>::solve(const Matrix<T>& b) const {
   obs::ScopedTimer span("ldlt.solve");
   span.arg("n", n_);
   span.arg("nrhs", p);
-  span.arg("kernel", kernel_path_name(path_));
   const auto& perm = symbolic_->perm_;
-  // Row-major X: row i is the length-p block for unknown i, so the inner
-  // update loops below run over contiguous memory.
+  // Row-major X: row i is the length-p block for unknown i, so the panel
+  // kernels' inner loops run over contiguous memory.
   Matrix<T> x(n_, p);
   for (Index i = 0; i < n_; ++i) {
     const T* src = b.data() + perm[static_cast<size_t>(i)] * p;
     T* dst = x.data() + i * p;
     for (Index r = 0; r < p; ++r) dst[r] = src[r];
   }
-  if (path_ == KernelPath::kSupernodal) {
-    panel_forward(x.data(), p);
-  } else {
-    // Forward: L X = B (unit lower), one pass over L's columns.
-    for (Index j = 0; j < n_; ++j) {
-      const T* xj = x.data() + j * p;
-      for (Index q = l_colptr_[static_cast<size_t>(j)];
-           q < l_colptr_[static_cast<size_t>(j) + 1]; ++q) {
-        const T lij = l_values_[static_cast<size_t>(q)];
-        T* xi = x.data() + l_rowind_[static_cast<size_t>(q)] * p;
-        for (Index r = 0; r < p; ++r) xi[r] -= lij * xj[r];
-      }
-    }
-  }
-  // Diagonal: D X = X.
-  if (path_ == KernelPath::kSupernodal) {
-    kernels::panel_kernels<T>(simd_).diag_solve(n_, p, d_.data(), x.data());
-  } else {
-    for (Index j = 0; j < n_; ++j) {
-      const T dj = d_[static_cast<size_t>(j)];
-      T* xj = x.data() + j * p;
-      for (Index r = 0; r < p; ++r) xj[r] /= dj;
-    }
-  }
-  if (path_ == KernelPath::kSupernodal) {
-    panel_backward(x.data(), p);
-  } else {
-    // Backward: Lᵀ X = X, one pass over L's columns in reverse.
-    for (Index j = n_ - 1; j >= 0; --j) {
-      T* xj = x.data() + j * p;
-      for (Index q = l_colptr_[static_cast<size_t>(j)];
-           q < l_colptr_[static_cast<size_t>(j) + 1]; ++q) {
-        const T lij = l_values_[static_cast<size_t>(q)];
-        const T* xi = x.data() + l_rowind_[static_cast<size_t>(q)] * p;
-        for (Index r = 0; r < p; ++r) xj[r] -= lij * xi[r];
-      }
-    }
-  }
+  panel_forward(x.data(), p);
+  kernels::panel_kernels<T>(simd_).diag_solve(n_, p, d_.data(), x.data());
+  panel_backward(x.data(), p);
   Matrix<T> out(n_, p);
   for (Index i = 0; i < n_; ++i) {
     const T* src = x.data() + i * p;
@@ -929,7 +660,7 @@ std::vector<T> SparseLDLT<T>::solve_m(const std::vector<T>& b) const {
   std::vector<T> x(static_cast<size_t>(n_));
   for (Index i = 0; i < n_; ++i)
     x[static_cast<size_t>(i)] = b[static_cast<size_t>(perm[static_cast<size_t>(i)])];
-  forward_solve(x);
+  panel_forward(x.data(), 1);
   for (Index i = 0; i < n_; ++i)
     x[static_cast<size_t>(i)] /= sqrt_abs_d_[static_cast<size_t>(i)];
   return x;
@@ -942,7 +673,7 @@ std::vector<T> SparseLDLT<T>::solve_mt(const std::vector<T>& b) const {
   std::vector<T> x(b);
   for (Index i = 0; i < n_; ++i)
     x[static_cast<size_t>(i)] /= sqrt_abs_d_[static_cast<size_t>(i)];
-  backward_solve(x);
+  panel_backward(x.data(), 1);
   std::vector<T> out(static_cast<size_t>(n_));
   for (Index i = 0; i < n_; ++i)
     out[static_cast<size_t>(perm[static_cast<size_t>(i)])] = x[static_cast<size_t>(i)];

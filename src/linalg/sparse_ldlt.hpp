@@ -17,21 +17,21 @@
 // For repeated factorizations of matrices sharing one sparsity pattern
 // (an AC sweep factors G + sC at hundreds of frequencies; a reduction and
 // the exact check of its model factor the same pencil pattern), the
-// symbolic analysis — ordering, elimination tree, column counts, and the
-// full L pattern — is computed once as an LdltSymbolic and shared (see
-// FactorCache::symbolic); only the numeric phase runs per factor.
+// symbolic analysis is computed once as an LdltSymbolic and shared (see
+// FactorCache::symbolic); only the numeric phase runs per factor. The
+// analysis owns every pattern-only structure: the ordering, the supernode
+// partition (columns with (near-)identical lower structure amalgamated
+// into dense panels), each supernode's below-row list, the descendant
+// update segments and the elimination-tree level schedule. A numeric
+// factor holds values only — the dense panels and the diagonal — so the
+// real and complex factors of one pattern share one copy of the
+// structure.
 //
-// Two numeric kernels share that symbolic analysis (see KernelOptions in
-// linalg/kernels.hpp):
-//   * simplicial — the original up-looking column-at-a-time elimination;
-//   * supernodal — columns with (near-)identical lower structure are
-//     amalgamated into dense panels factored with blocked rank-k updates
-//     and solved with blocked multi-RHS panel sweeps.
-// The two paths agree entrywise to rounding (≈1e-12 relative on the
-// paper's meshes; structural zeros stay exact zeros), produce identical
-// pivot-failure behavior (same fault::check sites, same Error), and each
-// path's single-RHS and multi-RHS solves run per-column bit-identical
-// arithmetic.
+// The numeric factor runs blocked rank-k descendant updates and a dense
+// in-panel LDLᵀ per supernode; the solves run blocked multi-RHS panel
+// sweeps. Single-RHS and multi-RHS solves run per-column bit-identical
+// arithmetic, and a zero pivot raises the same fault::check site and
+// Error whatever the SIMD level.
 #pragma once
 
 #include <cstdint>
@@ -57,38 +57,62 @@ class LdltSymbolic {
                         Ordering ordering = kDefaultOrdering);
 
   Index size() const { return n_; }
-  Index l_nnz() const { return l_colptr_.empty() ? 0 : l_colptr_.back(); }
+  /// Off-diagonal entries of L in the symbolic pattern (relaxed panels
+  /// store explicit zeros beyond it; see panel_zeros()).
+  Index l_nnz() const { return l_nnz_; }
   Ordering ordering() const { return ordering_; }
   const std::vector<Index>& permutation() const { return perm_; }
 
+  Index supernode_count() const {
+    return static_cast<Index>(super_start_.size()) - 1;
+  }
+  /// Widest amalgamated panel.
+  Index max_panel_width() const { return max_panel_width_; }
+  /// Explicit zeros stored by relaxed amalgamation.
+  Index panel_zeros() const { return panel_zeros_; }
+  /// Dense entries of all panels: the value count of every numeric factor.
+  Index panel_entries() const { return panel_offset_.back(); }
+
   /// Resident bytes of the analysis (permutations, permuted pattern,
-  /// elimination tree, L pattern) — charged once against the
-  /// "mem.factor_bytes" gauge for this object's lifetime, however many
-  /// numeric factors share it.
+  /// supernode partition, per-supernode row lists, update segments, level
+  /// schedule) — charged once against the "mem.factor_bytes" gauge for
+  /// this object's lifetime, however many numeric factors share it.
   std::int64_t bytes() const {
-    std::int64_t b = 0;
+    std::int64_t b = static_cast<std::int64_t>(level_work_.size() *
+                                               sizeof(double));
     for (const std::vector<Index>* v :
-         {&perm_, &perm_inv_, &p_colptr_, &p_rowind_, &source_, &parent_,
-          &l_colptr_, &l_rowind_})
+         {&perm_, &perm_inv_, &p_colptr_, &p_rowind_, &source_,
+          &super_start_, &panel_offset_, &row_ptr_, &rows_, &upd_ptr_,
+          &upd_src_, &upd_p1_, &upd_p2_, &level_ptr_, &level_order_})
       b += static_cast<std::int64_t>(v->size() * sizeof(Index));
     return b;
   }
 
-  /// Elimination tree over the permuted pattern (-1 marks roots).
-  const std::vector<Index>& etree_parent() const { return parent_; }
-  /// Off-diagonal entry count of each L column (the lnz vector feeding
-  /// supernode detection).
-  std::vector<Index> column_counts() const;
-
  private:
-  // Everything after the ordering: permuted pattern, etree, L pattern.
+  // Everything after the ordering: permuted pattern, etree, supernodes,
+  // row lists, update segments, level schedule.
   void analyze(const std::vector<Index>& colptr,
                const std::vector<Index>& rowind);
 
   template <typename U>
   friend class SparseLDLT;
 
+  // Panel geometry of supernode s: first column, width w, below rows r,
+  // and the r ascending global indices of those rows.
+  Index first_col(Index s) const { return super_start_[static_cast<size_t>(s)]; }
+  Index width(Index s) const {
+    return super_start_[static_cast<size_t>(s) + 1] -
+           super_start_[static_cast<size_t>(s)];
+  }
+  Index below(Index s) const {
+    return row_ptr_[static_cast<size_t>(s) + 1] - row_ptr_[static_cast<size_t>(s)];
+  }
+  const Index* rows(Index s) const {
+    return rows_.data() + row_ptr_[static_cast<size_t>(s)];
+  }
+
   Index n_ = 0;
+  Index l_nnz_ = 0;
   Ordering ordering_ = kDefaultOrdering;
   std::vector<Index> perm_;      // new -> old
   std::vector<Index> perm_inv_;  // old -> new
@@ -97,13 +121,40 @@ class LdltSymbolic {
   std::vector<Index> p_colptr_;
   std::vector<Index> p_rowind_;
   std::vector<Index> source_;
-  // Elimination tree, L column pointers, and the full L row pattern
-  // (each column's rows ascending — exactly the fill order the
-  // up-looking numeric phase produces). The supernodal kernel reads
-  // per-supernode below-row lists straight out of l_rowind_.
-  std::vector<Index> parent_;
-  std::vector<Index> l_colptr_;
-  std::vector<Index> l_rowind_;
+  // Supernode partition (detect_supernodes at the fixed slack): supernode
+  // s covers columns [super_start_[s], super_start_[s+1]); its dense
+  // column-major panel has height w + r and starts at panel_offset_[s] in
+  // a factor's value array. The top w rows are the in-panel triangle
+  // (pivots on the diagonal, unit-lower L below it), the bottom r rows
+  // are the below-panel L rows whose global indices are
+  // rows_[row_ptr_[s] .. row_ptr_[s+1]) — the pattern of the panel's last
+  // column, ascending.
+  std::vector<Index> super_start_;
+  std::vector<Index> panel_offset_;
+  std::vector<Index> row_ptr_;
+  std::vector<Index> rows_;
+  Index panel_zeros_ = 0;
+  Index max_panel_width_ = 0;
+  // Descendant update segments in CSR form keyed by TARGET supernode:
+  // segment k of target s (k in [upd_ptr_[s], upd_ptr_[s+1])) says rows
+  // [upd_p1_[k], upd_p2_[k]) of descendant upd_src_[k]'s below-panel block
+  // land in s's columns, d-ascending within each target — the
+  // left-looking pull order of the numeric factor is deterministic and
+  // independent of thread count.
+  std::vector<Index> upd_ptr_;
+  std::vector<Index> upd_src_;
+  std::vector<Index> upd_p1_;
+  std::vector<Index> upd_p2_;
+  // Elimination-tree level schedule over supernodes: level_order_ holds
+  // supernode indices grouped by tree level (ascending within a level),
+  // level_ptr_ delimits the groups. Supernodes within one level have no
+  // ancestor/descendant relation, so the backward panel solve runs them
+  // in parallel without ordering constraints. level_work_ is the
+  // dense-entry count per level, the grain gate deciding whether fanning
+  // a level out across the thread pool beats running it inline.
+  std::vector<Index> level_ptr_;
+  std::vector<Index> level_order_;
+  std::vector<double> level_work_;
   obs::MemCharge mem_charge_;
 };
 
@@ -116,8 +167,8 @@ class SparseLDLT {
   /// zero: pass 0 to accept any nonzero pivot (AC sweeps near resonances
   /// legitimately produce tiny pivots), or ~1e-12 to detect structurally
   /// singular matrices such as an ungrounded G (the trigger for the
-  /// paper's eq. 26 frequency shift). `kernels` selects the numeric path
-  /// (default: auto — supernodal for large systems).
+  /// paper's eq. 26 frequency shift). `kernels` selects the SIMD level of
+  /// the panel kernels.
   explicit SparseLDLT(const SparseMatrix<T>& a,
                       Ordering ordering = kDefaultOrdering,
                       double zero_pivot_tol = 0.0,
@@ -144,9 +195,9 @@ class SparseLDLT {
   /// forward, diagonal, and backward phases each make ONE pass over the
   /// factor with the p right-hand sides as the contiguous inner
   /// dimension, instead of p independent passes — the natural shape for
-  /// solving against all port columns of an MNA system at once. On the
-  /// supernodal path this rides the same dense panels as the
-  /// factorization; per column it is bit-identical to solve(vector).
+  /// solving against all port columns of an MNA system at once. It rides
+  /// the same dense panels as the factorization; per column it is
+  /// bit-identical to solve(vector).
   Matrix<T> solve(const Matrix<T>& b) const;
 
   /// Diagonal D entries (in permuted order).
@@ -176,41 +227,24 @@ class SparseLDLT {
   /// negative eigenvalues for the unpivoted real factorization).
   Index negative_pivots() const;
 
-  // --- Kernel-path telemetry. ---
-  /// The resolved numeric path this factorization ran.
-  KernelPath kernel_path() const { return path_; }
-  bool supernodal() const { return path_ == KernelPath::kSupernodal; }
+  // --- Kernel telemetry. ---
   /// The resolved SIMD dispatch level of the panel kernels (never kAuto).
   SimdLevel simd_level() const { return simd_; }
-  /// Number of supernodes (0 on the simplicial path).
-  Index supernode_count() const {
-    return super_start_.empty() ? 0
-                                : static_cast<Index>(super_start_.size()) - 1;
-  }
-  /// Widest amalgamated panel (0 on the simplicial path).
-  Index max_panel_width() const { return max_panel_width_; }
-  /// Explicit zeros stored by relaxed amalgamation (0 on the simplicial
-  /// path).
-  Index panel_zeros() const { return panel_zeros_; }
+  Index supernode_count() const { return symbolic_->supernode_count(); }
+  Index max_panel_width() const { return symbolic_->max_panel_width(); }
+  Index panel_zeros() const { return symbolic_->panel_zeros(); }
 
-  /// Resident bytes of the numeric factor: value + index storage of
-  /// whichever kernel path ran, the level schedule, and the diagonal.
-  /// This is the amount charged against the "mem.factor_bytes" gauge for
-  /// this object's lifetime.
+  /// Resident bytes of the numeric factor: the panel values and the
+  /// diagonal (the structure lives in the shared LdltSymbolic). This is
+  /// the amount charged against the "mem.factor_bytes" gauge for this
+  /// object's lifetime.
   std::int64_t factor_bytes() const {
-    return bytes_of(l_colptr_) + bytes_of(l_rowind_) + bytes_of(l_values_) +
-           bytes_of(super_start_) + bytes_of(super_of_col_) +
-           bytes_of(panel_offset_) + bytes_of(panel_data_) +
-           bytes_of(level_ptr_) + bytes_of(level_order_) +
-           bytes_of(level_work_) + bytes_of(upd_ptr_) + bytes_of(upd_src_) +
-           bytes_of(upd_p1_) + bytes_of(upd_p2_) + bytes_of(d_) +
-           bytes_of(sqrt_abs_d_);
+    return bytes_of(panel_data_) + bytes_of(d_) + bytes_of(sqrt_abs_d_);
   }
 
-  /// The strictly-lower factor L as a CSC matrix over the PERMUTED
-  /// indices (unit diagonal implied) — the common currency for comparing
-  /// the simplicial and supernodal paths in tests. Gathered from the
-  /// panels on demand on the supernodal path.
+  /// Test hook: the strictly-lower factor L as a CSC matrix over the
+  /// PERMUTED indices (unit diagonal implied), gathered from the stored
+  /// panel entries with exact zeros dropped.
   SparseMatrix<T> l_matrix() const;
 
   // --- The M-operator interface used by the Lanczos process (real only). --
@@ -234,62 +268,17 @@ class SparseLDLT {
   static std::shared_ptr<const LdltSymbolic> analyze(const SparseMatrix<T>& a,
                                                      Ordering ordering);
   void factorize(const SparseMatrix<T>& a, double zero_pivot_tol);
-  void factorize_simplicial(const std::vector<T>& values, double pivot_floor,
-                            double& dmin, double& dmax);
-  void factorize_supernodal(const std::vector<T>& values, double pivot_floor,
-                            double& dmin, double& dmax);
-  void forward_solve(std::vector<T>& x) const;   // L x = b (unit lower)
-  void backward_solve(std::vector<T>& x) const;  // Lᵀ x = b
-  // Panel sweeps of the supernodal path; x is the permuted workspace laid
-  // out row-major n×nrhs. Both solve() overloads funnel through these
-  // with nrhs = 1 / p respectively.
+  // Panel sweeps; x is the permuted workspace laid out row-major
+  // n×nrhs. Every solve funnels through these (nrhs = 1 for the vector
+  // solves). L x = b (unit lower) forward, Lᵀ x = b backward.
   void panel_forward(T* x, Index nrhs) const;
   void panel_backward(T* x, Index nrhs) const;
 
   Index n_ = 0;
   std::shared_ptr<const LdltSymbolic> symbolic_;
-  KernelOptions kernel_options_;
-  KernelPath path_ = KernelPath::kSimplicial;
-  // Simplicial storage: L in CSC (columns = elimination order), strictly
-  // lower, unit diagonal implied.
-  std::vector<Index> l_colptr_;
-  std::vector<Index> l_rowind_;
-  std::vector<T> l_values_;
-  // Supernodal storage: column-major dense panels, one per supernode.
-  // Panel s covers columns [super_start_[s], super_start_[s+1]) with
-  // height w + r: the top w rows are the in-panel triangle (pivots on
-  // the diagonal, unit-lower L below it), the bottom r rows are the
-  // below-panel L rows whose global indices are the symbolic pattern of
-  // the panel's last column.
-  std::vector<Index> super_start_;
-  std::vector<Index> super_of_col_;
-  std::vector<Index> panel_offset_;  // size supernode_count()+1
+  // Column-major dense panels, one per supernode, laid out by the
+  // symbolic analysis (LdltSymbolic::panel_offset_).
   std::vector<T> panel_data_;
-  Index panel_zeros_ = 0;
-  Index max_panel_width_ = 0;
-  // Elimination-tree level schedule over supernodes: level_order_ holds
-  // supernode indices grouped by tree level (ascending within a level),
-  // level_ptr_ delimits the groups. Supernodes within one level have no
-  // ancestor/descendant relation, so the panel solves run them in
-  // parallel without ordering constraints (the factorization itself is
-  // one serial sweep). level_work_ is the dense-entry count per level,
-  // the grain gate deciding whether fanning a level out across the thread
-  // pool beats running it inline.
-  std::vector<Index> level_ptr_;
-  std::vector<Index> level_order_;
-  std::vector<double> level_work_;
-  // Descendant update segments in CSR form keyed by TARGET supernode:
-  // segment k of target s (k in [upd_ptr_[s], upd_ptr_[s+1])) says rows
-  // [upd_p1_[k], upd_p2_[k]) of descendant upd_src_[k]'s below-panel block
-  // land in s's columns. Built once per factorization, d-ascending within
-  // each target — the left-looking pull order is deterministic and
-  // independent of thread count. Only the numeric factor and the
-  // level-parallel forward solve read it; the serial forward solve pushes
-  // each supernode's whole below block instead.
-  std::vector<Index> upd_ptr_;
-  std::vector<Index> upd_src_;
-  std::vector<Index> upd_p1_;
-  std::vector<Index> upd_p2_;
   SimdLevel simd_ = SimdLevel::kScalar;
   std::vector<T> d_;
   std::vector<typename ScalarTraits<T>::Real> sqrt_abs_d_;

@@ -86,7 +86,6 @@ ArnoldiModel arnoldi_reduce(const MnaSystem& sys, const ArnoldiOptions& options)
   req.stage = "arnoldi.factor";
   req.cache = options.factor_cache;
   req.kernels = options.kernel;
-  req.rhs_width = sys.port_count();
   PencilFactorResult outcome = factor_pencil(sys, req);
   const std::shared_ptr<const FactorizedPencil> fact = outcome.pencil;
   const double s0 = outcome.s0_used;

@@ -67,8 +67,8 @@ struct CommonReductionOptions {
   /// sizes). It holds real pencil factors only. Pass a disabled
   /// FactorCache to factor fresh every time.
   FactorCache* factor_cache = nullptr;
-  /// Numeric LDLᵀ kernel selection (simplicial vs supernodal panels, SIMD
-  /// level); kAuto resolves per system size and RHS width.
+  /// SIMD level of the LDLᵀ panel kernels (kAuto resolves through
+  /// SYMPVL_SIMD and the host).
   KernelOptions kernel;
   /// Port-sharding behavior (only consulted by the sharded SyMPVL path;
   /// shards=0 defers to the heuristic).

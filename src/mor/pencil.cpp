@@ -25,12 +25,6 @@ std::shared_ptr<const FactorizedPencil> attempt_rung(
   opt.ordering = req.ordering;
   opt.dense = dense;
   opt.kernels = req.kernels;
-  // The driver's effective RHS block width (port count, or the shard
-  // width under port sharding) feeds the kAuto kernel-path heuristic —
-  // resolved HERE so the FactorCache key sees the same path the solves
-  // will take. An explicit caller-set rhs_hint wins.
-  if (opt.kernels.rhs_hint == 0 && req.rhs_width > 0)
-    opt.kernels.rhs_hint = req.rhs_width;
   try {
     bool hit = false;
     std::shared_ptr<const FactorizedPencil> pencil = cache.acquire(

@@ -74,13 +74,11 @@ struct PencilFactorRequest {
   const char* stage = "pencil.factor";
   /// Cache to acquire through (nullptr = FactorCache::global()).
   FactorCache* cache = nullptr;
-  /// Numeric-kernel selection forwarded to every sparse LDLᵀ rung.
+  /// Panel-kernel SIMD level forwarded to every sparse LDLᵀ rung.
   KernelOptions kernels;
-  /// Width of the blocked solves this factorization will serve (the
-  /// driver's effective RHS block — the port count, or the per-shard
-  /// column count under port sharding). Applied as kernels.rhs_hint when
-  /// the caller left that at 0, so resolve_kernel_path sees the true
-  /// block width instead of a monolithic port count. 0 = no hint.
+  /// Unused: the LDLᵀ has one numeric path, so the RHS block width no
+  /// longer selects anything. Kept only because the repository benchmark
+  /// still assigns it.
   Index rhs_width = 0;
 };
 

@@ -332,14 +332,10 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
         }
     }
   out.shard.port_to_shard = assign;
-  Index widest = 1;
   out.shard.shard_ports.resize(static_cast<size_t>(shards));
-  for (Index k = 0; k < shards; ++k) {
-    const Index pk =
+  for (Index k = 0; k < shards; ++k)
+    out.shard.shard_ports[static_cast<size_t>(k)] =
         static_cast<Index>(shard_cols[static_cast<size_t>(k)].size());
-    out.shard.shard_ports[static_cast<size_t>(k)] = pk;
-    widest = std::max(widest, pk);
-  }
   // Per-shard order budget ∝ shard width (largest-remainder rounding,
   // every live shard gets at least 1; deterministic).
   std::vector<Index> shard_order(static_cast<size_t>(shards), 0);
@@ -380,8 +376,6 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
   req.stage = "shard.factor";
   req.cache = options.factor_cache;
   req.kernels = options.kernel;
-  // The shards' blocked solves are at most `widest` columns wide.
-  req.rhs_width = widest;
   PencilFactorResult primed;
   try {
     primed = factor_pencil(sys, req);
@@ -398,7 +392,6 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
   {
     obs::ScopedTimer span("shard.reduce");
     span.arg("shards", shards);
-    span.arg("widest", widest);
     parallel_for_chunks(0, shards, [&](Index /*rank*/, Index kb, Index ke) {
       for (Index k = kb; k < ke; ++k) {
         ShardRun& run = runs[static_cast<size_t>(k)];
@@ -606,6 +599,18 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
           block.push_back(primed.pencil->solve_mt(v.col(off + c)));
         mgs_union_append(basis, std::move(block), options.shard.stitch_tol);
       }
+      // At exhaustion (as many union vectors as unknowns) the union should
+      // span the whole space, where the projected model is exact. A
+      // vector deflated there sat at the rounding floor — the sign of a
+      // noise-level Gram pivot decided it — so complete the basis from
+      // the unit vectors rather than let rounding decide exactness.
+      if (n_total >= big_n)
+        for (Index i = 0; i < big_n && static_cast<Index>(basis.size()) < big_n;
+             ++i) {
+          Vec e(static_cast<size_t>(big_n), 0.0);
+          e[static_cast<size_t>(i)] = 1.0;
+          mgs_union_append(basis, {std::move(e)}, options.shard.stitch_tol);
+        }
       if (basis.empty()) {
         out.status = ReductionStatus::kFailed;
         ReductionIssue issue;

@@ -64,7 +64,6 @@ PvlModel pvl_reduce_entry(const MnaSystem& sys, Index row, Index col,
   req.stage = "pvl.factor";
   req.cache = options.factor_cache;
   req.kernels = options.kernel;
-  req.rhs_width = sys.port_count();
   PencilFactorResult outcome = factor_pencil(sys, req);
   const std::shared_ptr<const FactorizedPencil> fact = outcome.pencil;
   const double s0 = outcome.s0_used;

@@ -29,7 +29,6 @@ void record_factor_result(const PencilFactorResult& outcome, double seconds,
   report->factor_nnz_l = pencil.l_nnz();
   report->factor_fill_ratio = pencil.fill_ratio();
   report->factor_flops = pencil.flops();
-  report->kernel_path = kernel_path_name(pencil.kernel_path());
   report->supernode_count = pencil.supernode_count();
   report->max_panel_width = pencil.max_panel_width();
   report->panel_zeros = pencil.panel_zeros();
@@ -167,9 +166,6 @@ SympvlSession::SympvlSession(const MnaSystem& sys, const SympvlOptions& options)
   req.stage = "sympvl.factor";
   req.cache = options.factor_cache;
   req.kernels = options.kernel;
-  // The blocked solves of this reduction are p-wide (the port count);
-  // let the kAuto path heuristic know unless the caller already did.
-  req.rhs_width = sys.port_count();
   PencilFactorResult outcome = factor_pencil(sys, req);
   factor_span.arg("dense_fallback", outcome.dense ? 1.0 : 0.0);
   factor_span.arg("s0", outcome.s0_used);
@@ -213,7 +209,6 @@ ReducedModel SympvlSession::reshift(double new_s0) {
   req.stage = "sympvl.factor";
   req.cache = impl->options.factor_cache;
   req.kernels = impl->options.kernel;
-  req.rhs_width = impl->b_matrix.cols();
   PencilFactorResult outcome =
       factor_pencil(impl->g_matrix, impl->c_matrix, req);
   // The trail now holds the constructor's rung(s) and this one, so the

@@ -89,9 +89,7 @@ struct SympvlReport {
 
   // -- Kernel-layer telemetry (see KernelOptions; defaults on the dense
   //    fallback). --
-  std::string kernel_path = "simplicial";  ///< numeric kernel actually run
-  Index supernode_count = 0;   ///< panels of the supernodal factor (0 =
-                               ///< simplicial)
+  Index supernode_count = 0;   ///< panels of the supernodal factor
   Index max_panel_width = 0;   ///< widest amalgamated panel
   Index panel_zeros = 0;       ///< explicit zeros stored by relaxation
   std::string simd_level = "scalar";  ///< resolved SIMD dispatch level

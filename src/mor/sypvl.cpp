@@ -28,7 +28,6 @@ ReducedModel sypvl_reduce(const MnaSystem& sys, const SympvlOptions& options,
   req.stage = "sypvl.factor";
   req.cache = options.factor_cache;
   req.kernels = options.kernel;
-  req.rhs_width = sys.port_count();
   PencilFactorResult outcome = factor_pencil(sys, req);
   const std::shared_ptr<const FactorizedPencil> fact = outcome.pencil;
   const double s0 = outcome.s0_used;

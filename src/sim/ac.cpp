@@ -16,11 +16,22 @@ namespace {
 // Port columns per solve panel of exact_z.
 constexpr Index kPortPanel = 64;
 
+// Port incidence B as an N×p sparse matrix: column a holds port a's
+// nonzero rows, ascending. Only B's nonzeros reach the builder: its add()
+// costs far more than the zero test, and B is almost all zeros.
+SMat port_incidence(const Mat& b) {
+  TripletBuilder<double> t(b.rows(), b.cols());
+  for (Index i = 0; i < b.rows(); ++i)
+    for (Index a = 0; a < b.cols(); ++a)
+      if (b(i, a) != 0.0) t.add(i, a, b(i, a));
+  return t.compress();
+}
+
 // Z(s) = s^prefactor · Bᵀ·pencil⁻¹·B for the pencil value G + f(s)C at
-// one AC point, factored for this call only by the two-rung FactorChain:
-// unpivoted complex-symmetric LDLᵀ, then the pivoted sparse LU at a
-// structural zero pivot, e.g. where a series R-L chain cancels the node
-// conductance during elimination.
+// one AC point (`scale` = s^prefactor), factored for this call only by
+// the two-rung FactorChain: unpivoted complex-symmetric LDLᵀ, then the
+// pivoted sparse LU at a structural zero pivot, e.g. where a series R-L
+// chain cancels the node conductance during elimination.
 //
 // The ports are solved kPortPanel columns at a time, so the complex
 // right-hand side and solution blocks are N × kPortPanel, not N × p.
@@ -32,27 +43,42 @@ constexpr Index kPortPanel = 64;
 // 147k-unknown grid (the whole exact point took 0.87 s fanned out
 // against 0.82 s serial, medians of 10 alternating runs). Every
 // column's solve and every entry's Bᵀ·X sum run the same operations
-// either way, so Z keeps its bits.
-CMat exact_z(const MnaSystem& sys, Complex s, const CSMat& pencil,
+// either way, so Z keeps its bits. The Bᵀ·X sum walks each port's
+// incidence rows in ascending order from zero, skipping B's zeros —
+// the operations of the dense matmul_transA(B, X).
+CMat exact_z(const SMat& ports, Complex scale, const CSMat& pencil,
              std::shared_ptr<const LdltSymbolic> symbolic) {
   const FactorChainZ chain(pencil, std::move(symbolic));
   if (chain.used_fallback())
     obs::instant("ac.lu_fallback", {obs::arg("n", pencil.rows())});
-  const Index n = sys.size();
-  const Index p = sys.port_count();
+  const Index n = ports.rows();
+  const Index p = ports.cols();
+  const auto& colptr = ports.colptr();
+  const auto& rowind = ports.rowind();
+  const auto& bval = ports.values();
   CMat z(p, p);
   const auto solve_panel = [&](Index k) {
     const Index c0 = k * kPortPanel;
     const Index w = std::min(kPortPanel, p - c0);
     CMat b(n, w);
-    for (Index i = 0; i < n; ++i)
-      for (Index c = 0; c < w; ++c) b(i, c) = Complex(sys.B(i, c0 + c), 0.0);
-    const CMat zc = matmul_transA(sys.B, chain.solve(b));
-    for (Index a = 0; a < p; ++a)
-      for (Index c = 0; c < w; ++c) z(a, c0 + c) = zc(a, c);
+    for (Index c = 0; c < w; ++c)
+      for (Index q = colptr[static_cast<size_t>(c0 + c)];
+           q < colptr[static_cast<size_t>(c0 + c) + 1]; ++q)
+        b(rowind[static_cast<size_t>(q)], c) =
+            Complex(bval[static_cast<size_t>(q)], 0.0);
+    const CMat x = chain.solve(b);
+    for (Index a = 0; a < p; ++a) {
+      Complex* zrow = z.data() + a * p + c0;
+      for (Index q = colptr[static_cast<size_t>(a)];
+           q < colptr[static_cast<size_t>(a) + 1]; ++q) {
+        const double bq = bval[static_cast<size_t>(q)];
+        const Complex* xrow = x.data() + rowind[static_cast<size_t>(q)] * w;
+        for (Index c = 0; c < w; ++c) zrow[c] += bq * xrow[c];
+      }
+    }
   };
   parallel_for(Index(0), (p + kPortPanel - 1) / kPortPanel, solve_panel);
-  z *= sys.prefactor(s);
+  z *= scale;
   return z;
 }
 
@@ -60,7 +86,8 @@ CMat exact_z(const MnaSystem& sys, Complex s, const CSMat& pencil,
 
 CMat ac_z_matrix(const MnaSystem& sys, Complex s) {
   require(sys.port_count() > 0, "ac_z_matrix: system has no ports");
-  return exact_z(sys, s, pencil_combine(sys.G, sys.C, sys.map_s(s)), nullptr);
+  return exact_z(port_incidence(sys.B), sys.prefactor(s),
+                 pencil_combine(sys.G, sys.C, sys.map_s(s)), nullptr);
 }
 
 Complex voltage_transfer(const CMat& z, Index drive, Index out) {
@@ -87,7 +114,14 @@ Vec log_frequency_grid(double f_min, double f_max, Index count) {
 // ---- AcSweepEngine ---------------------------------------------------------
 
 struct AcSweepEngine::Impl {
-  MnaSystem sys;  // copied: the engine must not dangle
+  // Only what z_at reads of the swept system: G's and C's values, placed
+  // in the union pattern by the slot maps, the port incidence, and the
+  // Laplace-variable map (`form`: the system's variable and prefactor,
+  // without its matrices).
+  Index n = 0;
+  MnaSystem form;
+  Vec g_values, c_values;
+  SMat ports;
   // Union pattern of G and C (template CSMat whose values get rewritten
   // per frequency) and slot maps from each G/C entry into that pattern.
   std::vector<Index> pat_colptr, pat_rowind;
@@ -96,13 +130,11 @@ struct AcSweepEngine::Impl {
 
   CSMat assemble(Complex fs) const {
     CVec values(pat_rowind.size(), Complex(0.0, 0.0));
-    const auto& gv = sys.G.values();
-    for (size_t k = 0; k < gv.size(); ++k)
-      values[static_cast<size_t>(g_slot[k])] += Complex(gv[k], 0.0);
-    const auto& cv = sys.C.values();
-    for (size_t k = 0; k < cv.size(); ++k)
-      values[static_cast<size_t>(c_slot[k])] += fs * cv[k];
-    CSMat pencil(sys.size(), sys.size());
+    for (size_t k = 0; k < g_values.size(); ++k)
+      values[static_cast<size_t>(g_slot[k])] += Complex(g_values[k], 0.0);
+    for (size_t k = 0; k < c_values.size(); ++k)
+      values[static_cast<size_t>(c_slot[k])] += fs * c_values[k];
+    CSMat pencil(n, n);
     pencil.set_raw(pat_colptr, pat_rowind, std::move(values));
     return pencil;
   }
@@ -111,10 +143,15 @@ struct AcSweepEngine::Impl {
 AcSweepEngine::AcSweepEngine(const MnaSystem& sys, FactorCache* cache)
     : impl_(std::make_unique<Impl>()) {
   require(sys.port_count() > 0, "AcSweepEngine: system has no ports");
-  impl_->sys = sys;
+  const Index n = sys.size();
+  impl_->n = n;
+  impl_->form.variable = sys.variable;
+  impl_->form.s_prefactor = sys.s_prefactor;
+  impl_->g_values = sys.G.values();
+  impl_->c_values = sys.C.values();
+  impl_->ports = port_incidence(sys.B);
   // Union pattern: all G entries plus all C entries (unit weights so no
   // accidental cancellation drops an entry).
-  const Index n = sys.size();
   TripletBuilder<double> t(n, n);
   for (Index j = 0; j < n; ++j) {
     for (Index k = sys.G.colptr()[static_cast<size_t>(j)];
@@ -155,16 +192,19 @@ AcSweepEngine& AcSweepEngine::operator=(AcSweepEngine&&) noexcept = default;
 CMat AcSweepEngine::z_at(Complex s) const {
   obs::ScopedTimer span("ac.z_at");
   span.arg("im_s", s.imag());
-  const MnaSystem& sys = impl_->sys;
   // Numeric-only LDLᵀ with the shared symbolic; pivoted LU as fallback.
   // Everything mutable (pencil values, factor, solution block) is local to
   // this call, which is what makes a parallel sweep thread-safe: each
   // thread refactorizes its own frequency points against the shared
   // read-only symbolic analysis, and the factor is freed on return.
-  return exact_z(sys, s, impl_->assemble(sys.map_s(s)), impl_->symbolic);
+  const Impl& e = *impl_;
+  return exact_z(e.ports, e.form.prefactor(s), e.assemble(e.form.map_s(s)),
+                 e.symbolic);
 }
 
-const MnaSystem& AcSweepEngine::system() const { return impl_->sys; }
+Index AcSweepEngine::size() const { return impl_->n; }
+
+Index AcSweepEngine::port_count() const { return impl_->ports.cols(); }
 
 Vec linear_frequency_grid(double f_min, double f_max, Index count) {
   require(f_max > f_min && count >= 2, "linear_frequency_grid: invalid range");

@@ -58,8 +58,9 @@ class AcSweepEngine {
   /// mutable buffer is local to the call.
   CMat z_at(Complex s) const;
 
-  /// The engine's own copy of the swept system.
-  const MnaSystem& system() const;
+  /// Unknowns and ports of the swept system.
+  Index size() const;
+  Index port_count() const;
 
  private:
   struct Impl;

@@ -85,9 +85,9 @@ SweepResult engine_sweep(const AcSweepEngine& engine,
   obs::ScopedTimer span("ac.sweep");
   span.arg("points", static_cast<Index>(frequencies_hz.size()));
   span.arg("threads", num_threads());
-  span.arg("mna_size", engine.system().size());
+  span.arg("mna_size", engine.size());
   SweepResult res =
-      run_contained_sweep(frequencies_hz, engine.system().port_count(),
+      run_contained_sweep(frequencies_hz, engine.port_count(),
                           [&](Complex s) { return engine.z_at(s); });
   span.arg("failed_points", res.failed_count());
   return res;

@@ -280,6 +280,42 @@ TEST(FactorCache, SymbolicIsHeldWeaklyAndKeyedByOrdering) {
   EXPECT_EQ(cache.stats().symbolic_hits, 1u);
 }
 
+TEST(FactorCache, SymbolicTracesOrderingInsideAnalysisOnce) {
+  // One analysis records one ldlt.ordering span nested inside its
+  // ldlt.symbolic span on the same thread; a FactorCache::symbolic hit
+  // records neither.
+  const MnaSystem sys = small_rc();
+  FactorCache cache(4);
+  obs::enable(true);
+  obs::reset();
+  const auto sym = cache.symbolic(sys.G, kDefaultOrdering);
+  const std::vector<obs::Event> first = obs::snapshot_events();
+  obs::reset();
+  const auto again = cache.symbolic(sys.G, kDefaultOrdering);
+  const std::vector<obs::Event> second = obs::snapshot_events();
+  obs::enable(false);
+  obs::reset();
+
+  EXPECT_EQ(again.get(), sym.get());
+  std::vector<const obs::Event*> symbolic, ordering;
+  for (const obs::Event& e : first) {
+    if (e.phase != 'X') continue;
+    if (std::strcmp(e.name, "ldlt.symbolic") == 0) symbolic.push_back(&e);
+    if (std::strcmp(e.name, "ldlt.ordering") == 0) ordering.push_back(&e);
+  }
+  ASSERT_EQ(symbolic.size(), 1u);
+  ASSERT_EQ(ordering.size(), 1u);
+  const obs::Event& outer = *symbolic[0];
+  const obs::Event& inner = *ordering[0];
+  EXPECT_EQ(inner.tid, outer.tid);
+  EXPECT_GE(inner.ts_us, outer.ts_us);
+  EXPECT_LE(inner.ts_us + inner.dur_us, outer.ts_us + outer.dur_us);
+  for (const obs::Event& e : second)
+    EXPECT_TRUE(std::strcmp(e.name, "ldlt.symbolic") != 0 &&
+                std::strcmp(e.name, "ldlt.ordering") != 0)
+        << e.name << " recorded on a cache hit";
+}
+
 TEST(FactorCache, EngineAfterReduceSharesSymbolicBitIdentically) {
   const MnaSystem sys = small_rc();
   FactorCache cache(8);

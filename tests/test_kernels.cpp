@@ -1,13 +1,19 @@
-// Supernodal kernel layer: supernode detection edge cases, the
-// simplicial-vs-supernodal equivalence contract (same L pattern, values
-// to rounding, bit-identical single/multi-RHS solves within a path), and
-// the serial numeric factor's trace.
+// Supernodal kernel layer: supernode detection edge cases, the factor
+// against a dense unpivoted LDLᵀ reference (L, D, inertia and every solve
+// to rounding; single/multi-RHS solves bit-identical per column), the
+// analysis' memory layout, and the serial numeric factor's trace.
 #include "linalg/kernels.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <memory>
 #include <random>
+#include <string>
+#include <type_traits>
+#include <utility>
 
 #include "circuit/mna.hpp"
 #include "linalg/sparse_ldlt.hpp"
@@ -16,18 +22,6 @@
 
 namespace sympvl {
 namespace {
-
-KernelOptions simplicial_opt() {
-  KernelOptions o;
-  o.path = KernelPath::kSimplicial;
-  return o;
-}
-
-KernelOptions supernodal_opt() {
-  KernelOptions o;
-  o.path = KernelPath::kSupernodal;
-  return o;
-}
 
 SMat random_spd_sparse(Index n, unsigned seed) {
   std::mt19937 rng(seed);
@@ -92,6 +86,180 @@ MnaSystem duplicated_port_system() {
   nl.add_port(1, 0);
   nl.add_port(1, 0);  // duplicated port on the same node
   return build_mna(nl);
+}
+
+// ---- the dense reference ----------------------------------------------------
+
+template <typename T>
+T scalar(double re, double im) {
+  if constexpr (std::is_same_v<T, Complex>)
+    return Complex(re, im);
+  else
+    return re;
+}
+
+// Test-local dense unpivoted LDLᵀ of the permuted matrix P·A·Pᵀ, with P
+// the factor's own permutation, and its solves. Complex symmetric: no
+// conjugation anywhere.
+template <typename T>
+struct DenseLdlt {
+  std::vector<Index> perm;  // new -> old
+  Matrix<T> l;              // unit lower triangle
+  std::vector<T> d;
+
+  DenseLdlt(const SparseMatrix<T>& a, const std::vector<Index>& p)
+      : perm(p), l(a.rows(), a.rows()), d(static_cast<size_t>(a.rows())) {
+    const Index n = a.rows();
+    std::vector<Index> inv(static_cast<size_t>(n));
+    for (Index i = 0; i < n; ++i) inv[static_cast<size_t>(perm[static_cast<size_t>(i)])] = i;
+    Matrix<T> m(n, n);
+    for (Index j = 0; j < n; ++j)
+      for (Index q = a.colptr()[static_cast<size_t>(j)];
+           q < a.colptr()[static_cast<size_t>(j) + 1]; ++q)
+        m(inv[static_cast<size_t>(a.rowind()[static_cast<size_t>(q)])],
+          inv[static_cast<size_t>(j)]) = a.values()[static_cast<size_t>(q)];
+    for (Index j = 0; j < n; ++j) {
+      T dj = m(j, j);
+      for (Index k = 0; k < j; ++k) dj -= l(j, k) * l(j, k) * d[static_cast<size_t>(k)];
+      d[static_cast<size_t>(j)] = dj;
+      l(j, j) = T(1);
+      for (Index i = j + 1; i < n; ++i) {
+        T v = m(i, j);
+        for (Index k = 0; k < j; ++k) v -= l(i, k) * l(j, k) * d[static_cast<size_t>(k)];
+        l(i, j) = v / dj;
+      }
+    }
+  }
+
+  Index size() const { return l.rows(); }
+  std::vector<T> gather(const std::vector<T>& b) const {
+    std::vector<T> x(b.size());
+    for (size_t i = 0; i < b.size(); ++i) x[i] = b[static_cast<size_t>(perm[i])];
+    return x;
+  }
+  std::vector<T> scatter(const std::vector<T>& x) const {
+    std::vector<T> out(x.size());
+    for (size_t i = 0; i < x.size(); ++i) out[static_cast<size_t>(perm[i])] = x[i];
+    return out;
+  }
+  void forward(std::vector<T>& x) const {
+    for (Index i = 0; i < size(); ++i)
+      for (Index k = 0; k < i; ++k) x[static_cast<size_t>(i)] -= l(i, k) * x[static_cast<size_t>(k)];
+  }
+  void backward(std::vector<T>& x) const {
+    for (Index i = size() - 1; i >= 0; --i)
+      for (Index k = i + 1; k < size(); ++k)
+        x[static_cast<size_t>(i)] -= l(k, i) * x[static_cast<size_t>(k)];
+  }
+  void scale(std::vector<T>& x, bool sqrt_abs) const {
+    for (size_t i = 0; i < x.size(); ++i)
+      x[i] /= sqrt_abs ? T(std::sqrt(std::abs(d[i]))) : d[i];
+  }
+  std::vector<T> solve(const std::vector<T>& b) const {
+    std::vector<T> x = gather(b);
+    forward(x);
+    scale(x, false);
+    backward(x);
+    return scatter(x);
+  }
+  std::vector<T> solve_m(const std::vector<T>& b) const {
+    std::vector<T> x = gather(b);
+    forward(x);
+    scale(x, true);
+    return x;
+  }
+  std::vector<T> solve_mt(const std::vector<T>& b) const {
+    std::vector<T> x = b;
+    scale(x, true);
+    backward(x);
+    return scatter(x);
+  }
+};
+
+template <typename T>
+Matrix<T> test_rhs(Index n, Index p) {
+  Matrix<T> b(n, p);
+  for (Index i = 0; i < n; ++i)
+    for (Index j = 0; j < p; ++j)
+      b(i, j) = scalar<T>(std::sin(0.7 * static_cast<double>(i) + static_cast<double>(j)),
+                          0.25 - 0.01 * static_cast<double>(j));
+  return b;
+}
+
+template <typename T>
+void expect_near_vec(const std::vector<T>& got, const std::vector<T>& want,
+                     double rel, const char* what) {
+  double vmax = 0.0;
+  for (const T& v : want) vmax = std::max(vmax, std::abs(v));
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i)
+    EXPECT_NEAR(std::abs(got[i] - want[i]), 0.0, rel * vmax) << what << "[" << i << "]";
+}
+
+// Every output of the factor of `a` against the dense reference at the
+// 1e-12 bounds: L entry by entry (gathered from the panels), D, the
+// inertia (real only), solve, solve(Mat) over p columns, solve_m and
+// solve_mt.
+template <typename T>
+void expect_matches_dense(const SparseLDLT<T>& f, const SparseMatrix<T>& a,
+                          Index p = 3) {
+  const Index n = a.rows();
+  const DenseLdlt<T> ref(a, f.permutation());
+
+  const SparseMatrix<T> lf = f.l_matrix();
+  EXPECT_EQ(lf.nnz(), f.l_nnz()) << "gathered L drops only stored zeros";
+  const Matrix<T> ld = lf.to_dense();
+  double lmax = 0.0;
+  for (Index i = 0; i < n; ++i)
+    for (Index j = 0; j < i; ++j) lmax = std::max(lmax, std::abs(ref.l(i, j)));
+  for (Index i = 0; i < n; ++i)
+    for (Index j = 0; j < n; ++j) {
+      if (j >= i) {
+        EXPECT_EQ(ld(i, j), T(0)) << "L(" << i << "," << j << ") above the diagonal";
+        continue;
+      }
+      EXPECT_NEAR(std::abs(ld(i, j) - ref.l(i, j)), 0.0, 1e-12 * lmax)
+          << "L(" << i << "," << j << ")";
+    }
+  for (Index i = 0; i < n; ++i)
+    EXPECT_NEAR(std::abs(f.d()[static_cast<size_t>(i)] - ref.d[static_cast<size_t>(i)]),
+                0.0, 1e-12 * std::abs(ref.d[static_cast<size_t>(i)]) + 1e-300)
+        << "d[" << i << "]";
+  if constexpr (std::is_same_v<T, double>) {
+    Index negative = 0;
+    for (const double v : ref.d) negative += v < 0.0 ? 1 : 0;
+    EXPECT_EQ(f.negative_pivots(), negative);
+  }
+
+  const Matrix<T> b = test_rhs<T>(n, p);
+  const std::vector<T> b0 = b.col(0);
+  expect_near_vec(f.solve(b0), ref.solve(b0), 1e-12, "solve");
+  const Matrix<T> x = f.solve(b);
+  for (Index j = 0; j < p; ++j)
+    expect_near_vec(x.col(j), ref.solve(b.col(j)), 1e-12, "solve(Mat)");
+  const std::vector<T> m = f.solve_m(b0), mref = ref.solve_m(b0);
+  const std::vector<T> t = f.solve_mt(b0), tref = ref.solve_mt(b0);
+  for (Index i = 0; i < n; ++i) {
+    EXPECT_NEAR(std::abs(m[static_cast<size_t>(i)] - mref[static_cast<size_t>(i)]), 0.0,
+                1e-12 * (1.0 + std::abs(mref[static_cast<size_t>(i)])))
+        << "solve_m[" << i << "]";
+    EXPECT_NEAR(std::abs(t[static_cast<size_t>(i)] - tref[static_cast<size_t>(i)]), 0.0,
+                1e-12 * (1.0 + std::abs(tref[static_cast<size_t>(i)])))
+        << "solve_mt[" << i << "]";
+  }
+}
+
+// A real SPD matrix as a complex-symmetric pencil G + i·w·I.
+CSMat complex_pencil(const SMat& g, double w) {
+  const Index n = g.rows();
+  TripletBuilder<Complex> t(n, n);
+  for (Index j = 0; j < n; ++j)
+    for (Index k = g.colptr()[static_cast<size_t>(j)];
+         k < g.colptr()[static_cast<size_t>(j) + 1]; ++k)
+      t.add(g.rowind()[static_cast<size_t>(k)], j,
+            Complex(g.values()[static_cast<size_t>(k)], 0.0));
+  for (Index i = 0; i < n; ++i) t.add(i, i, Complex(0.0, w));
+  return t.compress();
 }
 
 // ---- detect_supernodes on hand-built trees ---------------------------------
@@ -165,8 +333,7 @@ TEST(DetectSupernodes, BrokenChainNeverMerges) {
 TEST(Kernels, DenseTrailingBlockBecomesOnePanel) {
   const Index n = 60, tail = 12;
   const SMat a = arrow_with_dense_tail(n, tail);
-  const LDLT f(a, Ordering::kNatural, 0.0, supernodal_opt());
-  ASSERT_TRUE(f.supernodal());
+  const LDLT f(a, Ordering::kNatural);
   // The trailing dense block must have amalgamated into a single wide
   // panel (possibly wider, if relaxation merged leading columns into it).
   EXPECT_GE(f.max_panel_width(), tail);
@@ -179,66 +346,132 @@ TEST(Kernels, TridiagonalStrictSupernodalMatchesSymbolicNnz) {
   // count, and the gathered L drops the stored zeros.
   const Index n = 100;
   const SMat a = tridiagonal_spd(n);
-  const LDLT f(a, Ordering::kNatural, 0.0, supernodal_opt());
-  ASSERT_TRUE(f.supernodal());
+  const LDLT f(a, Ordering::kNatural);
   EXPECT_GT(f.panel_zeros(), 0);
   EXPECT_EQ(f.l_nnz(), n - 1);  // symbolic count, not panel entries
   EXPECT_EQ(f.l_matrix().nnz(), n - 1);
 }
 
-// ---- simplicial vs supernodal equivalence ----------------------------------
+// Independent structural analysis of a permuted pattern: the L pattern by
+// dense boolean elimination, its etree, and from them the supernode
+// layout LdltSymbolic must store.
+struct ReferenceLayout {
+  Index supernodes = 0, row_entries = 0, panel_entries = 0, segments = 0,
+        levels = 0, l_nnz = 0;
+};
 
-void expect_same_factor(const SMat& a, Ordering ordering) {
-  const LDLT fs(a, ordering, 0.0, simplicial_opt());
-  const LDLT fn(a, ordering, 0.0, supernodal_opt());
-  ASSERT_FALSE(fs.supernodal());
-  ASSERT_TRUE(fn.supernodal());
-  ASSERT_EQ(fs.l_nnz(), fn.l_nnz());
-
-  const SMat ls = fs.l_matrix();
-  const SMat ln = fn.l_matrix();
-  ASSERT_EQ(ls.colptr(), ln.colptr());
-  ASSERT_EQ(ls.rowind(), ln.rowind());
-  double lmax = 0.0;
-  for (const double v : ls.values()) lmax = std::max(lmax, std::abs(v));
-  for (size_t k = 0; k < ls.values().size(); ++k)
-    EXPECT_NEAR(ls.values()[k], ln.values()[k], 1e-12 * lmax) << "entry " << k;
-  for (Index i = 0; i < a.rows(); ++i)
-    EXPECT_NEAR(fs.d()[static_cast<size_t>(i)], fn.d()[static_cast<size_t>(i)],
-                1e-12 * std::abs(fs.d()[static_cast<size_t>(i)]) + 1e-300);
-  EXPECT_EQ(fs.negative_pivots(), fn.negative_pivots());
+ReferenceLayout reference_layout(const SMat& a, const std::vector<Index>& perm) {
+  const Index n = a.rows();
+  std::vector<Index> inv(static_cast<size_t>(n));
+  for (Index i = 0; i < n; ++i) inv[static_cast<size_t>(perm[static_cast<size_t>(i)])] = i;
+  std::vector<std::vector<char>> nz(static_cast<size_t>(n),
+                                    std::vector<char>(static_cast<size_t>(n), 0));
+  for (Index j = 0; j < n; ++j)
+    for (Index q = a.colptr()[static_cast<size_t>(j)];
+         q < a.colptr()[static_cast<size_t>(j) + 1]; ++q)
+      nz[static_cast<size_t>(inv[static_cast<size_t>(a.rowind()[static_cast<size_t>(q)])])]
+        [static_cast<size_t>(inv[static_cast<size_t>(j)])] = 1;
+  // nz[i][j], i > j: L(i, j) structurally nonzero after elimination.
+  for (Index j = 0; j < n; ++j)
+    for (Index i = j + 1; i < n; ++i) {
+      if (!nz[static_cast<size_t>(i)][static_cast<size_t>(j)]) continue;
+      for (Index k = i + 1; k < n; ++k)
+        if (nz[static_cast<size_t>(k)][static_cast<size_t>(j)])
+          nz[static_cast<size_t>(k)][static_cast<size_t>(i)] = 1;
+    }
+  std::vector<Index> parent(static_cast<size_t>(n), -1), lnz(static_cast<size_t>(n), 0);
+  std::vector<std::vector<Index>> rows(static_cast<size_t>(n));
+  ReferenceLayout out;
+  for (Index j = 0; j < n; ++j)
+    for (Index i = j + 1; i < n; ++i)
+      if (nz[static_cast<size_t>(i)][static_cast<size_t>(j)]) {
+        if (parent[static_cast<size_t>(j)] < 0) parent[static_cast<size_t>(j)] = i;
+        ++lnz[static_cast<size_t>(j)];
+        rows[static_cast<size_t>(j)].push_back(i);
+        ++out.l_nnz;
+      }
+  const SupernodePartition part = detect_supernodes(parent, lnz);
+  out.supernodes = part.count();
+  std::vector<Index> owner(static_cast<size_t>(n));
+  for (Index s = 0; s < part.count(); ++s)
+    for (Index j = part.start[static_cast<size_t>(s)];
+         j < part.start[static_cast<size_t>(s) + 1]; ++j)
+      owner[static_cast<size_t>(j)] = s;
+  std::vector<Index> level(static_cast<size_t>(part.count()), 0);
+  for (Index s = 0; s < part.count(); ++s) {
+    const Index w = part.start[static_cast<size_t>(s) + 1] - part.start[static_cast<size_t>(s)];
+    const std::vector<Index>& below =
+        rows[static_cast<size_t>(part.start[static_cast<size_t>(s) + 1] - 1)];
+    const Index r = static_cast<Index>(below.size());
+    out.row_entries += r;
+    out.panel_entries += (w + r) * w;
+    Index last_target = -1;
+    for (const Index row : below)
+      if (owner[static_cast<size_t>(row)] != last_target) {
+        last_target = owner[static_cast<size_t>(row)];
+        ++out.segments;
+      }
+    if (r > 0) {
+      Index& up = level[static_cast<size_t>(owner[static_cast<size_t>(below[0])])];
+      up = std::max(up, level[static_cast<size_t>(s)] + 1);
+    }
+  }
+  for (const Index l : level) out.levels = std::max(out.levels, l + 1);
+  return out;
 }
 
+TEST(Kernels, AnalysisStoresRowListsAndFactorStoresValuesOnly) {
+  // A small nested-dissection grid: the analysis keeps one below-row list
+  // per supernode (Σ rₛ entries, far fewer than nnz(L)), and a numeric
+  // factor holds only its panel entries, D and √|D|.
+  const SMat a = grid_laplacian(12);
+  const Index n = a.rows();
+  const auto sym = std::make_shared<const LdltSymbolic>(a, Ordering::kNestedDissection);
+  const LDLT f(a, sym);
+  const ReferenceLayout ref = reference_layout(a, sym->permutation());
+
+  EXPECT_EQ(sym->l_nnz(), ref.l_nnz);
+  EXPECT_EQ(sym->supernode_count(), ref.supernodes);
+  EXPECT_EQ(sym->panel_entries(), ref.panel_entries);
+  EXPECT_LT(ref.row_entries, ref.l_nnz);
+  const Index s = ref.supernodes;
+  const Index index_entries =
+      2 * n                     // perm, perm_inv
+      + (n + 1) + 2 * a.nnz()   // permuted pattern and its source map
+      + 3 * (s + 1)             // super_start, panel_offset, row_ptr
+      + ref.row_entries         // the row lists: Σ rₛ
+      + (s + 1) + 3 * ref.segments  // update segments
+      + (ref.levels + 1) + s;   // level schedule
+  EXPECT_EQ(sym->bytes(),
+            static_cast<std::int64_t>(index_entries * sizeof(Index) +
+                                      ref.levels * sizeof(double)));
+  EXPECT_EQ(f.factor_bytes(),
+            static_cast<std::int64_t>((ref.panel_entries + 2 * n) * sizeof(double)));
+}
+
+// ---- the factor against the dense reference --------------------------------
+// (The names predate the dense reference: these tests used to compare the
+// supernodal factor with the deleted simplicial one.)
+
 TEST(Kernels, LMatchesSimplicialOnRcm) {
-  expect_same_factor(random_spd_sparse(150, 11), Ordering::kRCM);
+  const SMat a = random_spd_sparse(150, 11);
+  expect_matches_dense(LDLT(a, Ordering::kRCM), a);
 }
 
 TEST(Kernels, LMatchesSimplicialOnMinDegree) {
-  expect_same_factor(random_spd_sparse(150, 12), Ordering::kMinDegree);
+  const SMat a = random_spd_sparse(150, 12);
+  expect_matches_dense(LDLT(a, Ordering::kMinDegree), a);
 }
 
 TEST(Kernels, SolvesMatchSimplicial) {
-  const Index n = 130;
-  const SMat a = random_spd_sparse(n, 21);
-  const LDLT fs(a, Ordering::kRCM, 0.0, simplicial_opt());
-  const LDLT fn(a, Ordering::kRCM, 0.0, supernodal_opt());
-  Vec b(static_cast<size_t>(n));
-  for (Index i = 0; i < n; ++i)
-    b[static_cast<size_t>(i)] = std::sin(static_cast<double>(i) * 0.7);
-  const Vec xs = fs.solve(b);
-  const Vec xn = fn.solve(b);
-  double xmax = 0.0;
-  for (const double v : xs) xmax = std::max(xmax, std::abs(v));
-  for (Index i = 0; i < n; ++i)
-    EXPECT_NEAR(xs[static_cast<size_t>(i)], xn[static_cast<size_t>(i)],
-                1e-12 * xmax);
+  const SMat a = random_spd_sparse(130, 21);
+  expect_matches_dense(LDLT(a, Ordering::kRCM), a, 5);
 }
 
 TEST(Kernels, SupernodalMultiRhsBitIdenticalToSingle) {
   const Index n = 120, p = 5;
   const SMat a = random_spd_sparse(n, 31);
-  const LDLT f(a, Ordering::kRCM, 0.0, supernodal_opt());
-  ASSERT_TRUE(f.supernodal());
+  const LDLT f(a, Ordering::kRCM);
   Mat b(n, p);
   for (Index i = 0; i < n; ++i)
     for (Index j = 0; j < p; ++j)
@@ -254,30 +487,8 @@ TEST(Kernels, SupernodalMultiRhsBitIdenticalToSingle) {
 }
 
 TEST(Kernels, ComplexPencilMatchesSimplicial) {
-  const Index n = 90;
-  const SMat g = random_spd_sparse(n, 41);
-  // Complex symmetric pencil G + i·w·I.
-  TripletBuilder<Complex> t(n, n);
-  for (Index j = 0; j < n; ++j)
-    for (Index k = g.colptr()[static_cast<size_t>(j)];
-         k < g.colptr()[static_cast<size_t>(j) + 1]; ++k)
-      t.add(g.rowind()[static_cast<size_t>(k)], j,
-            Complex(g.values()[static_cast<size_t>(k)], 0.0));
-  for (Index i = 0; i < n; ++i) t.add(i, i, Complex(0.0, 0.35));
-  const CSMat a = t.compress();
-  const CLDLT fs(a, Ordering::kRCM, 0.0, simplicial_opt());
-  const CLDLT fn(a, Ordering::kRCM, 0.0, supernodal_opt());
-  CVec b(static_cast<size_t>(n));
-  for (Index i = 0; i < n; ++i)
-    b[static_cast<size_t>(i)] =
-        Complex(std::sin(static_cast<double>(i)), 0.25);
-  const CVec xs = fs.solve(b);
-  const CVec xn = fn.solve(b);
-  double xmax = 0.0;
-  for (const Complex& v : xs) xmax = std::max(xmax, std::abs(v));
-  for (Index i = 0; i < n; ++i)
-    EXPECT_NEAR(std::abs(xs[static_cast<size_t>(i)] - xn[static_cast<size_t>(i)]),
-                0.0, 1e-12 * xmax);
+  const CSMat a = complex_pencil(random_spd_sparse(90, 41), 0.35);
+  expect_matches_dense(CLDLT(a, Ordering::kRCM), a);
 }
 
 TEST(Kernels, DuplicatedPortDeflationCircuitMatches) {
@@ -297,39 +508,47 @@ TEST(Kernels, DuplicatedPortDeflationCircuitMatches) {
             s0 * sys.C.values()[static_cast<size_t>(k)]);
   }
   const SMat a = t.compress();
-  const LDLT fs(a, Ordering::kRCM, 0.0, simplicial_opt());
-  const LDLT fn(a, Ordering::kRCM, 0.0, supernodal_opt());
-  EXPECT_EQ(fs.negative_pivots(), fn.negative_pivots());
+  const LDLT f(a, Ordering::kRCM);
+  expect_matches_dense(f, a);
   // Starting block: solve against both (identical) port columns at once.
-  Mat b(sys.size(), sys.port_count());
-  for (Index i = 0; i < sys.size(); ++i)
-    for (Index j = 0; j < sys.port_count(); ++j) b(i, j) = sys.B(i, j);
-  const Mat xs = fs.solve(b);
-  const Mat xn = fn.solve(b);
-  double xmax = 0.0;
-  for (Index i = 0; i < sys.size(); ++i)
-    for (Index j = 0; j < 2; ++j) xmax = std::max(xmax, std::abs(xs(i, j)));
-  for (Index i = 0; i < sys.size(); ++i) {
-    for (Index j = 0; j < 2; ++j)
-      EXPECT_NEAR(xs(i, j), xn(i, j), 1e-12 * xmax);
-    // Duplicated columns stay exactly duplicated through the blocked path.
-    ASSERT_EQ(xn(i, 0), xn(i, 1));
-  }
+  const Mat x = f.solve(sys.B);
+  const DenseLdlt<double> ref(a, f.permutation());
+  for (Index j = 0; j < 2; ++j)
+    expect_near_vec(x.col(j), ref.solve(sys.B.col(j)), 1e-12, "port column");
+  // Duplicated columns stay exactly duplicated through the blocked path.
+  for (Index i = 0; i < sys.size(); ++i) ASSERT_EQ(x(i, 0), x(i, 1));
 }
 
 TEST(Kernels, MOperatorMatchesSimplicial) {
-  const Index n = 110;
-  const SMat a = random_spd_sparse(n, 51);
-  const LDLT fs(a, Ordering::kRCM, 0.0, simplicial_opt());
-  const LDLT fn(a, Ordering::kRCM, 0.0, supernodal_opt());
-  Vec b(static_cast<size_t>(n), 1.0);
-  const Vec ms = fs.solve_m(b), mn = fn.solve_m(b);
-  const Vec ts = fs.solve_mt(b), tn = fn.solve_mt(b);
-  for (Index i = 0; i < n; ++i) {
-    EXPECT_NEAR(ms[static_cast<size_t>(i)], mn[static_cast<size_t>(i)],
-                1e-12 * (1.0 + std::abs(ms[static_cast<size_t>(i)])));
-    EXPECT_NEAR(ts[static_cast<size_t>(i)], tn[static_cast<size_t>(i)],
-                1e-12 * (1.0 + std::abs(ts[static_cast<size_t>(i)])));
+  const SMat a = random_spd_sparse(110, 51);
+  expect_matches_dense(LDLT(a, Ordering::kRCM), a);
+}
+
+// The shapes the removed kernel-path heuristic sent down a separate
+// column-at-a-time path — tiny systems (n < 48) and blocks wider than
+// n/4 — factor supernodally like everything else: each matches the dense
+// reference, and each column of a block solve carries the bits of its
+// single-vector solve.
+template <typename T>
+void expect_small_or_wide_shape(const SparseMatrix<T>& a, Index p) {
+  const SparseLDLT<T> f(a);
+  EXPECT_GE(f.supernode_count(), 1);
+  expect_matches_dense(f, a, p);
+  const Matrix<T> b = test_rhs<T>(a.rows(), p);
+  const Matrix<T> x = f.solve(b);
+  for (Index j = 0; j < p; ++j) {
+    const std::vector<T> xj = f.solve(b.col(j));
+    for (Index i = 0; i < a.rows(); ++i)
+      ASSERT_TRUE(x(i, j) == xj[static_cast<size_t>(i)]) << i << "," << j;
+  }
+}
+
+TEST(Kernels, TinyAndWideBlockShapesFactorSupernodally) {
+  for (const auto& [n, p] : {std::pair<Index, Index>{8, 2}, {40, 4}, {100, 26}}) {
+    SCOPED_TRACE("n = " + std::to_string(n) + ", p = " + std::to_string(p));
+    const SMat a = random_spd_sparse(n, static_cast<unsigned>(70 + n));
+    expect_small_or_wide_shape(a, p);
+    expect_small_or_wide_shape(complex_pencil(a, 0.6), p);
   }
 }
 
@@ -342,19 +561,18 @@ TEST(Kernels, SerialFactorTracesOnePanelSpanOnCallerLane) {
   const SMat a = grid_laplacian(110);
   const Index previous = num_threads();
   set_num_threads(1);
-  const LDLT serial(a, Ordering::kMinDegree, 0.0, supernodal_opt());
+  const LDLT serial(a, Ordering::kMinDegree);
 
   set_num_threads(4);
   obs::enable(true);
   obs::reset();
   { obs::ScopedTimer marker("test.caller_lane"); }
-  const LDLT pooled(a, Ordering::kMinDegree, 0.0, supernodal_opt());
+  const LDLT pooled(a, Ordering::kMinDegree);
   const std::vector<obs::Event> events = obs::snapshot_events();
   obs::enable(false);
   obs::reset();
   set_num_threads(previous);
 
-  ASSERT_TRUE(pooled.supernodal());
   int caller_tid = -1;
   std::vector<const obs::Event*> panel_spans;
   for (const obs::Event& e : events) {
@@ -378,7 +596,7 @@ TEST(Kernels, SerialSolveSpansCarrySimdThreadsFlops) {
   const SMat a = grid_laplacian(40);
   const Index previous = num_threads();
   set_num_threads(1);
-  const LDLT f(a, Ordering::kMinDegree, 0.0, supernodal_opt());
+  const LDLT f(a, Ordering::kMinDegree);
   Vec b(static_cast<size_t>(a.rows()), 1.0);
   Mat b4(a.rows(), 4);
   for (Index i = 0; i < a.rows(); ++i)
@@ -419,20 +637,12 @@ TEST(Kernels, SerialSolveSpansCarrySimdThreadsFlops) {
   for (size_t k = 0; k < 2; ++k) EXPECT_EQ(flops_4[k], 4.0 * flops_1[k]);
 }
 
-// ---- path resolution --------------------------------------------------------
-
-TEST(Kernels, ResolveHonorsExplicitPathAndHeuristic) {
-  KernelOptions o;
-  EXPECT_EQ(resolve_kernel_path(simplicial_opt(), 5000),
-            KernelPath::kSimplicial);
-  EXPECT_EQ(resolve_kernel_path(supernodal_opt(), 4), KernelPath::kSupernodal);
-  EXPECT_EQ(resolve_kernel_path(o, 8), KernelPath::kSimplicial);
-  EXPECT_EQ(resolve_kernel_path(o, 4096), KernelPath::kSupernodal);
-}
+// ---- zero pivots ------------------------------------------------------------
 
 TEST(Kernels, ZeroPivotErrorIdenticalAcrossPaths) {
   // Structurally singular: a 60-node resistor chain with no ground path
-  // has a singular G; both kernels must throw the same structured error.
+  // has a singular G; the factor throws the structured zero-pivot error
+  // at the last column.
   const Index n = 60;
   TripletBuilder<double> t(n, n);
   for (Index i = 0; i + 1 < n; ++i) {
@@ -441,15 +651,13 @@ TEST(Kernels, ZeroPivotErrorIdenticalAcrossPaths) {
     t.add_symmetric(i, i + 1, -1.0);
   }
   const SMat a = t.compress();
-  for (const auto& opt : {simplicial_opt(), supernodal_opt()}) {
-    try {
-      const LDLT f(a, Ordering::kNatural, 1e-12, opt);
-      FAIL() << "expected kZeroPivot for " << kernel_path_name(opt.path);
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kZeroPivot);
-      EXPECT_EQ(e.context().stage, "ldlt.factor");
-      EXPECT_EQ(e.context().index, n - 1);
-    }
+  try {
+    const LDLT f(a, Ordering::kNatural, 1e-12);
+    FAIL() << "expected kZeroPivot";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kZeroPivot);
+    EXPECT_EQ(e.context().stage, "ldlt.factor");
+    EXPECT_EQ(e.context().index, n - 1);
   }
 }
 

@@ -184,7 +184,7 @@ TEST(PortShard, KShardStitchMatchesMonolithicOnPeec) {
             mono.report.factor_attempts.size());
   EXPECT_EQ(sharded.report.factor_flops, mono.report.factor_flops);
   EXPECT_EQ(sharded.report.factor_fill_ratio, mono.report.factor_fill_ratio);
-  EXPECT_EQ(sharded.report.kernel_path, mono.report.kernel_path);
+  EXPECT_EQ(sharded.report.supernode_count, mono.report.supernode_count);
   EXPECT_EQ(sharded.report.simd_level, mono.report.simd_level);
   bool failed_rung = false;
   for (const ReductionIssue& issue : sharded.diagnostics)

@@ -2,7 +2,8 @@
 // where the host supports it) must produce the same factorization and
 // solves to rounding on the paper's meshes and on pathological shapes,
 // must fail identically under injected pivot faults, and the elimination-
-// tree parallel schedule must be bit-identical to the serial one. Each
+// tree parallel schedule of the backward solve must be bit-identical to
+// the serial one. Each
 // level's panel kernels keep the per-column contract: a wide call's
 // columns carry the bits of the nrhs = 1 call.
 #include "linalg/simd.hpp"
@@ -32,7 +33,6 @@ namespace {
 
 KernelOptions supernodal_at(SimdLevel level) {
   KernelOptions o;
-  o.path = KernelPath::kSupernodal;
   o.simd = level;
   return o;
 }
@@ -225,13 +225,12 @@ TEST(SimdDispatch, ThreadCountDoesNotChangeBits) {
 }
 
 TEST(SimdDispatch, SerialPushEqualsParallelPull) {
-  // A serial forward solve pushes each supernode's below-row update; a
-  // level-parallel one pulls descendant segments. A single-vector forward
-  // solve always pushes, so the pull runs for blocks only: on a 220×220
-  // grid with nested dissection a 4-RHS solve fans its forward sweep out
-  // at 4 threads, and each column must carry the bits of the pushed
-  // single-vector solve. The 1-RHS backward sweep fans out there too (at
-  // g <= 160 it never does).
+  // Every forward solve pushes each supernode's below-row update
+  // serially, whatever the thread count; the backward solve fans tree
+  // levels out. On a 220×220 grid with nested dissection the 1-RHS
+  // backward sweep fans out at 4 threads (at g <= 160 it never does), no
+  // forward sweep does, and every column of every solve must carry the
+  // bits of the 1-thread single-vector solve.
   const Index g = 220;
   TripletBuilder<double> t(g * g, g * g);
   for (Index r = 0; r < g; ++r)
@@ -274,10 +273,10 @@ TEST(SimdDispatch, SerialPushEqualsParallelPull) {
   obs::reset();
   set_num_threads(previous);
 
-  // Fanned-out chunk spans by phase and width. The span's threads
-  // argument is num_threads(), not the lane that ran the chunk, so the
-  // counts are deterministic.
-  int forward_1 = 0, forward_p = 0, backward_1 = 0;
+  // Fanned-out chunk spans by phase. The span's threads argument is
+  // num_threads(), not the lane that ran the chunk, so the counts are
+  // deterministic.
+  int forward_fanned = 0, backward_1 = 0;
   for (const obs::Event& e : events) {
     if (e.phase != 'X' || std::strcmp(e.name, "kernel.trsm") != 0) continue;
     const char* phase = "";
@@ -289,12 +288,10 @@ TEST(SimdDispatch, SerialPushEqualsParallelPull) {
     }
     if (threads <= 1.0) continue;
     const bool forward = std::strcmp(phase, "forward") == 0;
-    if (forward && nrhs == 1.0) ++forward_1;
-    if (forward && nrhs == static_cast<double>(p)) ++forward_p;
+    if (forward) ++forward_fanned;
     if (!forward && nrhs == 1.0) ++backward_1;
   }
-  EXPECT_EQ(forward_1, 0) << "a 1-RHS forward solve fanned out";
-  EXPECT_GE(forward_p, 1) << "the 4-RHS forward solve did not fan out";
+  EXPECT_EQ(forward_fanned, 0) << "a forward solve fanned out";
   EXPECT_GE(backward_1, 1) << "no 1-RHS backward level fanned out";
   EXPECT_TRUE(pushed[0] == x4) << "solve(Vec)";
   EXPECT_TRUE(m1 == m4) << "solve_m";
@@ -406,25 +403,6 @@ TEST(SimdResolve, ExplicitRequestBeatsEnv) {
 TEST(SimdResolve, ExplicitRequestClampsToHost) {
   unsetenv("SYMPVL_SIMD");
   EXPECT_LE(resolve_simd_level(SimdLevel::kAvx512), detect_simd_level());
-}
-
-// ---- Path resolution: the RHS-width term of the heuristic ------------------
-
-TEST(KernelPathResolve, WideRhsBlocksFavorSimplicial) {
-  KernelOptions o;  // path = kAuto
-  // n = 100: blocks wider than n/4 tip the heuristic to simplicial.
-  EXPECT_EQ(resolve_kernel_path(o, 100, 26), KernelPath::kSimplicial);
-  EXPECT_EQ(resolve_kernel_path(o, 100, 25), KernelPath::kSupernodal);
-  // Unknown width (<= 0) leaves the n-only rule.
-  EXPECT_EQ(resolve_kernel_path(o, 100, 0), KernelPath::kSupernodal);
-  EXPECT_EQ(resolve_kernel_path(o, 100), KernelPath::kSupernodal);
-  // Tiny systems stay simplicial regardless of width.
-  EXPECT_EQ(resolve_kernel_path(o, 8, 1), KernelPath::kSimplicial);
-  // An explicit path always wins over the heuristic.
-  o.path = KernelPath::kSupernodal;
-  EXPECT_EQ(resolve_kernel_path(o, 100, 64), KernelPath::kSupernodal);
-  o.path = KernelPath::kSimplicial;
-  EXPECT_EQ(resolve_kernel_path(o, 100000, 1), KernelPath::kSimplicial);
 }
 
 }  // namespace

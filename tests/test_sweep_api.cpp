@@ -93,10 +93,8 @@ TEST(OptionPlumbing, KernelTelemetryReachesSympvlReport) {
   SympvlOptions opt;
   opt.order = 8;
   opt.factor_cache = &cache;
-  opt.kernel.path = KernelPath::kSupernodal;
   SympvlReport report;
   sympvl_reduce(sys, opt, &report);
-  EXPECT_EQ(report.kernel_path, "supernodal");
   EXPECT_GT(report.supernode_count, 0);
   EXPECT_GE(report.max_panel_width, 1);
   EXPECT_EQ(report.factor_cache_hits, 0);
@@ -108,17 +106,6 @@ TEST(OptionPlumbing, KernelTelemetryReachesSympvlReport) {
   sympvl_reduce(sys, opt, &warm);
   EXPECT_GE(warm.factor_cache_hits, 1);
   EXPECT_EQ(warm.supernode_count, report.supernode_count);
-
-  // The simplicial spelling reports itself — and is a distinct cache
-  // entry (different kernel key), so it factors fresh, not from the
-  // supernodal entry.
-  SympvlOptions simp = opt;
-  simp.kernel.path = KernelPath::kSimplicial;
-  SympvlReport simp_report;
-  sympvl_reduce(sys, simp, &simp_report);
-  EXPECT_EQ(simp_report.kernel_path, "simplicial");
-  EXPECT_EQ(simp_report.supernode_count, 0);
-  EXPECT_EQ(simp_report.factor_cache_hits, 0);
 }
 
 TEST(OptionPlumbing, DisabledFactorCacheInstanceFactorsFresh) {
@@ -172,25 +159,28 @@ TEST(OptionPlumbing, SetCapacityEvictsDownToBound) {
 }
 
 TEST(OptionPlumbing, KernelOptionsArePartOfTheCacheKey) {
+  // The SIMD level changes the factor's rounding, so a scalar request and
+  // one at the host's level are distinct entries.
+  if (resolve_simd_level(SimdLevel::kAuto) == SimdLevel::kScalar)
+    GTEST_SKIP() << "the host's level resolves to scalar";
   const MnaSystem sys = small_rc();
   const PencilFingerprint fp = fingerprint_pencil(sys.G, sys.C);
   FactorCache cache(8);
-  PencilFactorOptions simplicial;
-  simplicial.kernels.path = KernelPath::kSimplicial;
-  PencilFactorOptions supernodal;
-  supernodal.kernels.path = KernelPath::kSupernodal;
+  PencilFactorOptions scalar;
+  scalar.kernels.simd = SimdLevel::kScalar;
+  PencilFactorOptions host;
 
   bool hit = true;
-  cache.acquire(fp, simplicial, [&] {
-    return std::make_shared<const FactorizedPencil>(sys.G, sys.C, simplicial);
+  cache.acquire(fp, scalar, [&] {
+    return std::make_shared<const FactorizedPencil>(sys.G, sys.C, scalar);
   }, &hit);
   EXPECT_FALSE(hit);
-  cache.acquire(fp, supernodal, [&] {
-    return std::make_shared<const FactorizedPencil>(sys.G, sys.C, supernodal);
+  cache.acquire(fp, host, [&] {
+    return std::make_shared<const FactorizedPencil>(sys.G, sys.C, host);
   }, &hit);
   EXPECT_FALSE(hit);  // distinct key, no false sharing
-  cache.acquire(fp, supernodal, [&] {
-    return std::make_shared<const FactorizedPencil>(sys.G, sys.C, supernodal);
+  cache.acquire(fp, host, [&] {
+    return std::make_shared<const FactorizedPencil>(sys.G, sys.C, host);
   }, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(cache.size(), 2u);

@@ -158,11 +158,9 @@ int main() {
         if (c + 1 < g) { t.add(i, i + 1, -1.0); t.add(i + 1, i, -1.0); }
         if (r + 1 < g) { t.add(i, i + g, -1.0); t.add(i + g, i, -1.0); }
       }
-    KernelOptions kopt;
-    kopt.path = KernelPath::kSupernodal;
     // Min-degree: RCM's banded etree is a width-1 chain (nothing to fan
     // out); min-degree gives the bushy tree with wide levels.
-    const LDLT fact(t.compress(), Ordering::kMinDegree, 0.0, kopt);
+    const LDLT fact(t.compress(), Ordering::kMinDegree);
     Mat rhs(n, 16);
     for (Index i = 0; i < n; ++i)
       for (Index j = 0; j < 16; ++j)
