@@ -104,8 +104,20 @@ inline void require(bool cond, const std::string& msg) {
   if (!cond) throw Error(msg);
 }
 
+/// Literal form: the message string is built only on failure, so a
+/// passing check on a hot path allocates nothing.
+inline void require(bool cond, const char* msg) {
+  if (!cond) throw Error(msg);
+}
+
 /// Coded variant: throws Error(code, msg, context) when `cond` is false.
 inline void require(bool cond, ErrorCode code, const std::string& msg,
+                    ErrorContext context = {}) {
+  if (!cond) throw Error(code, msg, std::move(context));
+}
+
+/// Coded literal form (message built only on failure).
+inline void require(bool cond, ErrorCode code, const char* msg,
                     ErrorContext context = {}) {
   if (!cond) throw Error(code, msg, std::move(context));
 }

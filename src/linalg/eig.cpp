@@ -118,13 +118,26 @@ void tred2(Mat& z, Vec& d, Vec& e) {
   }
   d[0] = 0.0;
   e[0] = 0.0;
+  // Accumulation. For one i, the update of column j touches rows 0..l of
+  // column j only, never row i, column i or another column's g, so every
+  // g_j = Σₖ z(i,k)·z(k,j) can be formed first and the rows updated after:
+  // both passes walk rows, each g_j still sums in ascending k, and each
+  // entry takes the same single update, so the bits are EISPACK's
+  // column-walk order's.
+  Vec g(static_cast<size_t>(n));
   for (Index i = 0; i < n; ++i) {
     const Index l = i - 1;
     if (d[static_cast<size_t>(i)] != 0.0) {
-      for (Index j = 0; j <= l; ++j) {
-        double g = 0.0;
-        for (Index k = 0; k <= l; ++k) g += z(i, k) * z(k, j);
-        for (Index k = 0; k <= l; ++k) z(k, j) -= g * z(k, i);
+      std::fill(g.begin(), g.begin() + i, 0.0);
+      for (Index k = 0; k <= l; ++k) {
+        const double zik = z(i, k);
+        const double* zk = z.data() + k * n;
+        for (Index j = 0; j <= l; ++j) g[static_cast<size_t>(j)] += zik * zk[j];
+      }
+      for (Index k = 0; k <= l; ++k) {
+        const double zki = z(k, i);
+        double* zk = z.data() + k * n;
+        for (Index j = 0; j <= l; ++j) zk[j] -= g[static_cast<size_t>(j)] * zki;
       }
     }
     d[static_cast<size_t>(i)] = z(i, i);

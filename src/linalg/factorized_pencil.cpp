@@ -1,10 +1,13 @@
 #include "linalg/factorized_pencil.hpp"
 
+#include <utility>
+
 #include "linalg/factor_cache.hpp"
+#include "obs/obs.hpp"
 
 namespace sympvl {
 
-Mat SymmetricOperator::apply_block(const Mat& v) const {
+Mat SymmetricOperator::apply_block(Mat v) const {
   Mat out(v.rows(), v.cols());
   for (Index col = 0; col < v.cols(); ++col) out.set_col(col, apply(v.col(col)));
   return out;
@@ -47,6 +50,22 @@ Vec FactorizedPencil::solve_mt(const Vec& b) const {
   return ldlt_ ? ldlt_->solve_mt(b) : mt_lu_->solve(b);
 }
 
+Mat FactorizedPencil::solve_m(const Mat& b) const {
+  if (ldlt_) return ldlt_->solve_m(b);
+  Mat out(b.rows(), b.cols());
+  for (Index col = 0; col < b.cols(); ++col)
+    out.set_col(col, m_lu_->solve(b.col(col)));
+  return out;
+}
+
+Mat FactorizedPencil::solve_mt(const Mat& b) const {
+  if (ldlt_) return ldlt_->solve_mt(b);
+  Mat out(b.rows(), b.cols());
+  for (Index col = 0; col < b.cols(); ++col)
+    out.set_col(col, mt_lu_->solve(b.col(col)));
+  return out;
+}
+
 Vec FactorizedPencil::solve(const Vec& b) const {
   if (ldlt_) return ldlt_->solve(b);
   // A⁻¹ = M⁻ᵀ J M⁻¹ (J² = I).
@@ -70,6 +89,48 @@ Vec FactorizedPencil::apply(const Vec& v) const {
   w = solve_m(w);
   for (size_t i = 0; i < w.size(); ++i) w[i] *= j_[i];
   return w;
+}
+
+Mat FactorizedPencil::apply_block(Mat v) const {
+  if (!ldlt_) return SymmetricOperator::apply_block(std::move(v));
+  require(v.rows() == n_, "FactorizedPencil::apply_block: row count mismatch");
+  const Index k = v.cols();
+  obs::ScopedTimer span("pencil.apply_block");
+  span.arg("n", n_);
+  span.arg("nrhs", k);
+  // apply()'s four steps on the whole block, in permuted coordinates
+  // throughout: x = P·M⁻ᵀV is backward_mt's output before its scatter,
+  // and forward_m expects P·(C·M⁻ᵀV), so the C product reads and writes
+  // rows through the inverse permutation instead of scattering and
+  // gathering copies.
+  Mat x = std::move(v);
+  ldlt_->backward_mt(x);
+  // SparseMatrix::multiply per column of the block: columns j ascending,
+  // entries in storage order, zeros of the operand skipped.
+  Mat y(n_, k);
+  const auto& pinv = ldlt_->inverse_permutation();
+  const auto& colptr = c_.colptr();
+  const auto& rowind = c_.rowind();
+  const auto& cval = c_.values();
+  for (Index j = 0; j < n_; ++j) {
+    const double* xj = x.data() + pinv[static_cast<size_t>(j)] * k;
+    for (Index q = colptr[static_cast<size_t>(j)];
+         q < colptr[static_cast<size_t>(j) + 1]; ++q) {
+      const double c = cval[static_cast<size_t>(q)];
+      double* yi =
+          y.data() + pinv[static_cast<size_t>(rowind[static_cast<size_t>(q)])] * k;
+      for (Index r = 0; r < k; ++r)
+        if (xj[r] != 0.0) yi[r] += c * xj[r];
+    }
+  }
+  x = Mat();
+  ldlt_->forward_m(y);
+  for (Index i = 0; i < n_; ++i) {
+    const double ji = j_[static_cast<size_t>(i)];
+    double* yi = y.data() + i * k;
+    for (Index r = 0; r < k; ++r) yi[r] *= ji;
+  }
+  return y;
 }
 
 Index FactorizedPencil::negative_j() const {

@@ -11,8 +11,9 @@
 //   * FactorizedPencil — a factorization of G + s₀C that owns its
 //     backend (sparse unpivoted LDLᵀ, or the dense Bunch-Kaufman
 //     fallback), exposes the split M/J interface, plain and blocked
-//     A-solves (the blocked path routes through SparseLDLT's one-pass
-//     multi-RHS solve), and the Krylov operator J⁻¹M⁻¹CM⁻ᵀ.
+//     A- and M-solves (the blocked paths route through SparseLDLT's
+//     one-pass multi-RHS sweeps), and the Krylov operator J⁻¹M⁻¹CM⁻ᵀ,
+//     single-vector and blocked.
 //
 // FactorizedPencil instances are immutable after construction and safe
 // to share across threads — the property FactorCache relies on. Given a
@@ -43,10 +44,12 @@ class SymmetricOperator {
   /// y = Op·v.
   virtual Vec apply(const Vec& v) const = 0;
 
-  /// Blocked form: applies Op to every column. The default loops over
-  /// columns (bit-identical to repeated apply()); concrete operators may
-  /// override with a genuinely blocked path.
-  virtual Mat apply_block(const Mat& v) const;
+  /// Blocked form: applies Op to every column. Takes the block by value
+  /// so an implementation may work in it: a caller that moves its block
+  /// in pays no copy. The default loops over columns (bit-identical to
+  /// repeated apply()) for operators without a blocked path;
+  /// FactorizedPencil overrides it with one.
+  virtual Mat apply_block(Mat v) const;
 };
 
 /// Adapts an arbitrary callable Vec(const Vec&) to the operator
@@ -119,6 +122,11 @@ class FactorizedPencil final : public SymmetricOperator {
   Vec solve_m(const Vec& b) const;
   /// x = M⁻ᵀ b.
   Vec solve_mt(const Vec& b) const;
+  /// X = M⁻¹B and X = M⁻ᵀB for an n×p B: one panel pass over all columns
+  /// on the sparse backend (per column bit-identical to the vector
+  /// solves), the dense backend's LU one column at a time.
+  Mat solve_m(const Mat& b) const;
+  Mat solve_mt(const Mat& b) const;
 
   // ---- Plain A-solves (PVL / Arnoldi / moment drivers). ----
   /// x = A⁻¹ b. On the sparse backend this is the LDLᵀ solve verbatim
@@ -130,6 +138,13 @@ class FactorizedPencil final : public SymmetricOperator {
 
   // ---- The Krylov operator Op = J⁻¹M⁻¹CM⁻ᵀ. ----
   Vec apply(const Vec& v) const override;
+  /// Op applied to every column of V at once. On the sparse backend: one
+  /// backward panel pass, C·X, one forward panel pass and the J scaling,
+  /// all on the whole block in the factor's permuted coordinates; V
+  /// itself is the scratch of the backward pass, so the only other N×p
+  /// block is the result. Per column bit-identical to apply(). The dense
+  /// backend loops over apply().
+  Mat apply_block(Mat v) const override;
 
   // ---- Telemetry. ----
   /// Sparse-factor telemetry (zeros on the dense backend).

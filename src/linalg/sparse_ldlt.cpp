@@ -654,15 +654,33 @@ Index SparseLDLT<T>::negative_pivots() const {
 }
 
 template <typename T>
+void SparseLDLT<T>::scaled_forward(T* x, Index nrhs) const {
+  panel_forward(x, nrhs);
+  for (Index i = 0; i < n_; ++i) {
+    const auto s = sqrt_abs_d_[static_cast<size_t>(i)];
+    T* row = x + i * nrhs;
+    for (Index r = 0; r < nrhs; ++r) row[r] /= s;
+  }
+}
+
+template <typename T>
+void SparseLDLT<T>::scaled_backward(T* x, Index nrhs) const {
+  for (Index i = 0; i < n_; ++i) {
+    const auto s = sqrt_abs_d_[static_cast<size_t>(i)];
+    T* row = x + i * nrhs;
+    for (Index r = 0; r < nrhs; ++r) row[r] /= s;
+  }
+  panel_backward(x, nrhs);
+}
+
+template <typename T>
 std::vector<T> SparseLDLT<T>::solve_m(const std::vector<T>& b) const {
   require(static_cast<Index>(b.size()) == n_, "solve_m: size mismatch");
   const auto& perm = symbolic_->perm_;
   std::vector<T> x(static_cast<size_t>(n_));
   for (Index i = 0; i < n_; ++i)
     x[static_cast<size_t>(i)] = b[static_cast<size_t>(perm[static_cast<size_t>(i)])];
-  panel_forward(x.data(), 1);
-  for (Index i = 0; i < n_; ++i)
-    x[static_cast<size_t>(i)] /= sqrt_abs_d_[static_cast<size_t>(i)];
+  scaled_forward(x.data(), 1);
   return x;
 }
 
@@ -671,13 +689,50 @@ std::vector<T> SparseLDLT<T>::solve_mt(const std::vector<T>& b) const {
   require(static_cast<Index>(b.size()) == n_, "solve_mt: size mismatch");
   const auto& perm = symbolic_->perm_;
   std::vector<T> x(b);
-  for (Index i = 0; i < n_; ++i)
-    x[static_cast<size_t>(i)] /= sqrt_abs_d_[static_cast<size_t>(i)];
-  panel_backward(x.data(), 1);
+  scaled_backward(x.data(), 1);
   std::vector<T> out(static_cast<size_t>(n_));
   for (Index i = 0; i < n_; ++i)
     out[static_cast<size_t>(perm[static_cast<size_t>(i)])] = x[static_cast<size_t>(i)];
   return out;
+}
+
+template <typename T>
+Matrix<T> SparseLDLT<T>::solve_m(const Matrix<T>& b) const {
+  require(b.rows() == n_, "solve_m: row count mismatch");
+  const Index p = b.cols();
+  const auto& perm = symbolic_->perm_;
+  Matrix<T> x(n_, p);
+  for (Index i = 0; i < n_; ++i)
+    std::copy_n(b.data() + perm[static_cast<size_t>(i)] * p, p,
+                x.data() + i * p);
+  scaled_forward(x.data(), p);
+  return x;
+}
+
+template <typename T>
+Matrix<T> SparseLDLT<T>::solve_mt(const Matrix<T>& b) const {
+  require(b.rows() == n_, "solve_mt: row count mismatch");
+  const Index p = b.cols();
+  const auto& perm = symbolic_->perm_;
+  Matrix<T> x = b;
+  scaled_backward(x.data(), p);
+  Matrix<T> out(n_, p);
+  for (Index i = 0; i < n_; ++i)
+    std::copy_n(x.data() + i * p, p,
+                out.data() + perm[static_cast<size_t>(i)] * p);
+  return out;
+}
+
+template <typename T>
+void SparseLDLT<T>::forward_m(Matrix<T>& x) const {
+  require(x.rows() == n_, "forward_m: row count mismatch");
+  scaled_forward(x.data(), x.cols());
+}
+
+template <typename T>
+void SparseLDLT<T>::backward_mt(Matrix<T>& x) const {
+  require(x.rows() == n_, "backward_mt: row count mismatch");
+  scaled_backward(x.data(), x.cols());
 }
 
 template class SparseLDLT<double>;

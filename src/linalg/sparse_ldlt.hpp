@@ -256,7 +256,27 @@ class SparseLDLT {
   /// x = M⁻ᵀ b  (scale by 1/√|d|, back-solve Lᵀ, scatter by Pᵀ).
   std::vector<T> solve_mt(const std::vector<T>& b) const;
 
+  /// X = M⁻¹B for an n×p B: one forward panel pass over all p columns;
+  /// per column bit-identical to solve_m(vector).
+  Matrix<T> solve_m(const Matrix<T>& b) const;
+
+  /// X = M⁻ᵀB for an n×p B: one backward panel pass over all p columns;
+  /// per column bit-identical to solve_mt(vector).
+  Matrix<T> solve_mt(const Matrix<T>& b) const;
+
+  /// The halves of the blocked M-solves that run in the factor's permuted
+  /// coordinates, in place on an n×p block: forward_m is solve_m without
+  /// its gather by P, backward_mt is solve_mt without its scatter by Pᵀ.
+  /// A caller that maps its own data through the permutation (the
+  /// pencil's blocked operator) chains them without a permuted copy.
+  void forward_m(Matrix<T>& x) const;
+  void backward_mt(Matrix<T>& x) const;
+
+  /// P as new -> old indices, and its inverse (old -> new).
   const std::vector<Index>& permutation() const { return symbolic_->perm_; }
+  const std::vector<Index>& inverse_permutation() const {
+    return symbolic_->perm_inv_;
+  }
 
  private:
   template <typename V>
@@ -273,6 +293,11 @@ class SparseLDLT {
   // solves). L x = b (unit lower) forward, Lᵀ x = b backward.
   void panel_forward(T* x, Index nrhs) const;
   void panel_backward(T* x, Index nrhs) const;
+  // M⁻¹ and M⁻ᵀ in permuted coordinates on the same layout: the forward
+  // sweep then the 1/√|d| scaling, and the scaling then the backward
+  // sweep. The vector and blocked M-solves share them.
+  void scaled_forward(T* x, Index nrhs) const;
+  void scaled_backward(T* x, Index nrhs) const;
 
   Index n_ = 0;
   std::shared_ptr<const LdltSymbolic> symbolic_;

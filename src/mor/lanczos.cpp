@@ -12,13 +12,38 @@ namespace sympvl {
 
 namespace {
 
-// vᵀJw = Σ v[i]·(w[i]·j[i]) in dot()'s sequential order, without forming
-// Jw. Each j[i] is ±1, so w[i]·j[i] is exact and the sum carries the bits
-// of dot(v, Jw).
-double dot_j(const Vec& v, const Vec& w, const Vec& j) {
-  double s = 0.0;
-  for (size_t i = 0; i < v.size(); ++i) s += v[i] * (w[i] * j[i]);
-  return s;
+// out[q] = vᵀJw = Σ v[i]·(w[i]·j[i]) for the pairs (v[q], w[q]), q < K,
+// in one pass over i. Each j[i] is ±1, so w[i]·j[i] is exact and every
+// chain carries the bits of dot(v, Jw) summed in ascending i; the K
+// independent chains hide the add latency a lone chain waits on. Plain
+// C++ for the baseline ISA: no FMA contraction can change the bits.
+template <int K>
+void dot_j_chains(const double* const* v, const double* const* w,
+                  const double* j, Index n, double* out) {
+  double s[K] = {};
+  for (Index i = 0; i < n; ++i) {
+    const double ji = j[i];
+    for (int q = 0; q < K; ++q) s[q] += v[q][i] * (w[q][i] * ji);
+  }
+  for (int q = 0; q < K; ++q) out[q] = s[q];
+}
+
+// dot_j_chains over `count` pairs, eight chains at a time.
+void dot_j_many(Index count, const double* const* v, const double* const* w,
+                const Vec& j, double* out) {
+  const Index n = static_cast<Index>(j.size());
+  Index q = 0;
+  for (; q + 8 <= count; q += 8) dot_j_chains<8>(v + q, w + q, j.data(), n, out + q);
+  switch (count - q) {
+    case 7: dot_j_chains<7>(v + q, w + q, j.data(), n, out + q); break;
+    case 6: dot_j_chains<6>(v + q, w + q, j.data(), n, out + q); break;
+    case 5: dot_j_chains<5>(v + q, w + q, j.data(), n, out + q); break;
+    case 4: dot_j_chains<4>(v + q, w + q, j.data(), n, out + q); break;
+    case 3: dot_j_chains<3>(v + q, w + q, j.data(), n, out + q); break;
+    case 2: dot_j_chains<2>(v + q, w + q, j.data(), n, out + q); break;
+    case 1: dot_j_chains<1>(v + q, w + q, j.data(), n, out + q); break;
+    default: break;
+  }
 }
 
 }  // namespace
@@ -92,19 +117,84 @@ void BandLanczos::write_t(Index row, Index src, double value) {
     rho_full_(row, src + p_) += value;
 }
 
-// J-orthogonalizes `w` (tagged `src`) against a closed cluster:
+// J-orthogonalizes every candidate of `batch` against a closed cluster:
 // coeff = Δ⁻¹ V^(γ)ᵀ J w;  w -= V^(γ)·coeff;  record into T/ρ column src.
-void BandLanczos::orthogonalize_against(Vec& w, Index src, const Cluster& cl) {
-  const Index m = static_cast<Index>(cl.members.size());
-  Vec proj(static_cast<size_t>(m));
-  for (Index a = 0; a < m; ++a)
-    proj[static_cast<size_t>(a)] = dot_j(
-        vs_[static_cast<size_t>(cl.members[static_cast<size_t>(a)])], w, j_signs_);
-  const Vec coeff = cl.delta_inv * proj;
-  for (Index a = 0; a < m; ++a) {
-    const Index j = cl.members[static_cast<size_t>(a)];
-    axpy(-coeff[static_cast<size_t>(a)], vs_[static_cast<size_t>(j)], w);
-    write_t(j, src, coeff[static_cast<size_t>(a)]);
+// The dots of all (member, candidate) pairs run as interleaved chains
+// first — a candidate's dots read only its own vector — then each
+// candidate takes its updates in member order.
+void BandLanczos::orthogonalize(const std::vector<Candidate*>& batch,
+                                const Cluster& cl) {
+  const size_t m = cl.members.size();
+  const size_t pairs = m * batch.size();
+  std::vector<const double*> v(pairs), w(pairs);
+  for (size_t c = 0; c < batch.size(); ++c)
+    for (size_t a = 0; a < m; ++a) {
+      v[c * m + a] = vs_[static_cast<size_t>(cl.members[a])].data();
+      w[c * m + a] = batch[c]->v.data();
+    }
+  Vec proj(pairs);
+  dot_j_many(static_cast<Index>(pairs), v.data(), w.data(), j_signs_, proj.data());
+  for (size_t c = 0; c < batch.size(); ++c) {
+    Candidate& cand = *batch[c];
+    const Vec coeff =
+        cl.delta_inv * Vec(proj.data() + c * m, proj.data() + (c + 1) * m);
+    for (size_t a = 0; a < m; ++a) {
+      const Index j = cl.members[a];
+      axpy(-coeff[a], vs_[static_cast<size_t>(j)], cand.v);
+      write_t(j, cand.src, coeff[a]);
+    }
+  }
+}
+
+// Forms every pending candidate — always a suffix of the queue — with one
+// blocked operator apply, then gives each the J-orthogonalizations its
+// eager twin received, in cluster order: the ones step 3 recorded, then
+// one per cluster closed since. Per candidate these are the same
+// operations in the same order, so the bits are those of forming it at
+// creation; only the interleaving across candidates changes.
+void BandLanczos::form_pending() {
+  const auto first = std::find_if(cand_.begin(), cand_.end(),
+                                  [](const Candidate& c) { return c.pending; });
+  const Index k = static_cast<Index>(cand_.end() - first);
+  if (k == 0) return;
+  // The gathered sources (the operator's scratch) and its output are
+  // resident together.
+  krylov_peak_bytes_ = std::max(
+      krylov_peak_bytes_,
+      krylov_bytes() + 2 * static_cast<std::int64_t>(big_n_) * k *
+                           static_cast<std::int64_t>(sizeof(double)));
+  Mat out;
+  {
+    std::vector<const double*> src(static_cast<size_t>(k));
+    for (Index c = 0; c < k; ++c)
+      src[static_cast<size_t>(c)] = vs_[static_cast<size_t>(first[c].src)].data();
+    Mat block(big_n_, k);
+    for (Index i = 0; i < big_n_; ++i) {
+      double* row = block.data() + i * k;
+      for (Index c = 0; c < k; ++c) row[c] = src[static_cast<size_t>(c)][i];
+    }
+    out = op_->apply_block(std::move(block));
+  }
+  std::vector<Candidate*> batch;
+  for (Index c = 0; c < k; ++c) {
+    Candidate& cand = first[c];
+    cand.v = out.col(c);
+    cand.ref_norm = norm2(cand.v);
+    batch.push_back(&cand);
+  }
+  out = Mat();
+  std::vector<Candidate*> owed;
+  for (Index cl = 0; cl + 1 < static_cast<Index>(clusters_.size()); ++cl) {
+    owed.clear();
+    for (Candidate* c : batch)
+      if (cl >= c->closed_at || options_.full_reorthogonalization ||
+          std::binary_search(c->band.begin(), c->band.end(), cl))
+        owed.push_back(c);
+    orthogonalize(owed, clusters_[static_cast<size_t>(cl)]);
+  }
+  for (Candidate* c : batch) {
+    c->pending = false;
+    std::vector<Index>().swap(c->band);
   }
 }
 
@@ -117,6 +207,7 @@ bool BandLanczos::step() {
   bool accepted = false;
   Candidate current;
   while (!cand_.empty()) {
+    if (cand_.front().pending) form_pending();
     current = std::move(cand_.front());
     cand_.pop_front();
     // 1b: Euclidean orthogonalization against the open cluster members
@@ -180,13 +271,13 @@ bool BandLanczos::step() {
   {
     const Index m = static_cast<Index>(open.members.size());
     open.delta.resize(m, m);
-    for (Index a = 0; a < m; ++a) {
-      const Vec& va = vs_[static_cast<size_t>(open.members[static_cast<size_t>(a)])];
-      for (Index b = 0; b < m; ++b)
-        open.delta(a, b) = dot_j(
-            vs_[static_cast<size_t>(open.members[static_cast<size_t>(b)])], va,
-            j_signs_);
-    }
+    std::vector<const double*> vb, va;  // Δ(a, b) = v_bᵀJv_a
+    for (Index a : open.members)
+      for (Index b : open.members) {
+        vb.push_back(vs_[static_cast<size_t>(b)].data());
+        va.push_back(vs_[static_cast<size_t>(a)].data());
+      }
+    dot_j_many(m * m, vb.data(), va.data(), j_signs_, open.delta.data());
     // Symmetrize rounding noise.
     for (Index a = 0; a < m; ++a)
       for (Index b = a + 1; b < m; ++b) {
@@ -218,7 +309,11 @@ bool BandLanczos::step() {
            obs::arg("size", m), obs::arg("min_abs_eig", min_abs),
            obs::arg("delta_cond", max_abs > 0.0 ? min_abs / max_abs : 0.0),
            obs::arg("lookahead", static_cast<Index>(m > 1 ? 1 : 0))});
-      for (auto& c : cand_) orthogonalize_against(c.v, c.src, open);
+      // Pending candidates owe it too; form_pending() replays it.
+      std::vector<Candidate*> formed;
+      for (Candidate& c : cand_)
+        if (!c.pending) formed.push_back(&c);
+      orthogonalize(formed, open);
       clusters_.emplace_back();  // 2d: start a fresh cluster
     } else {
       // The cluster stays open: a look-ahead step (Δ^(γ) still singular
@@ -259,24 +354,24 @@ bool BandLanczos::step() {
     }
   }
 
-  // ---- Step 3: generate the next candidate from v_n. ----
+  // ---- Step 3: queue the next candidate, Op·v_n. Algorithm 1 reads it
+  // only when it reaches the queue front, p_c steps on, so it stays
+  // pending until then and form_pending() builds every pending candidate
+  // with one blocked apply. ----
   if (static_cast<Index>(vs_.size()) + static_cast<Index>(cand_.size()) <=
       big_n_ + p_) {  // cheap guard; candidates beyond N always deflate
     Candidate next;
-    next.v = op_->apply(vs_.back());
     next.src = n_new;
-    next.ref_norm = norm2(next.v);
-    // 3b-3d: J-orthogonalize against closed clusters. With full
-    // reorthogonalization all closed clusters are used; otherwise only
-    // those demanded by the band structure (k ≥ γ_v) and by inexact
-    // deflations (k ∈ I_v, step 3c).
-    for (Index k = 0; k + 1 < static_cast<Index>(clusters_.size()); ++k) {
-      if (!clusters_[static_cast<size_t>(k)].closed) continue;
-      const bool needed = options_.full_reorthogonalization || k >= gamma_v_ ||
-                          inexact_clusters_.count(k) > 0;
-      if (!needed) continue;
-      orthogonalize_against(next.v, next.src, clusters_[static_cast<size_t>(k)]);
-    }
+    next.pending = true;
+    // 3b-3d: it owes a J-orthogonalization against the closed clusters
+    // (every cluster but the open last one). With full
+    // reorthogonalization all of them are used; otherwise only those
+    // demanded by the band structure (k ≥ γ_v) and by inexact deflations
+    // (k ∈ I_v, step 3c), recorded now because γ_v and I_v move on.
+    next.closed_at = static_cast<Index>(clusters_.size()) - 1;
+    if (!options_.full_reorthogonalization)
+      for (Index k = 0; k < next.closed_at; ++k)
+        if (k >= gamma_v_ || inexact_clusters_.count(k) > 0) next.band.push_back(k);
     cand_.push_back(std::move(next));
   }
   return true;
@@ -297,6 +392,11 @@ Index BandLanczos::run_to(Index target) {
     if (!ok) break;
     c_steps.add();
   }
+  // Every exit forms what is still pending, so result(), take_basis(),
+  // krylov_bytes() and a later run_to see the queue of an eager process.
+  form_pending();
+  krylov_charge_.set(krylov_bytes());
+  krylov_peak_bytes_ = std::max(krylov_peak_bytes_, krylov_charge_.bytes());
   return static_cast<Index>(vs_.size());
 }
 

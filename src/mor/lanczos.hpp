@@ -20,6 +20,18 @@
 // order n can be extended to order n+k without restarting — the usage
 // pattern of the paper's Section 7.1 ("running the algorithm 6 more
 // iterations results in a perfect match").
+//
+// Candidates are formed a block at a time. The candidate Op·vₙ is needed
+// only when it reaches the front of the queue, p_c steps after vₙ is
+// accepted, so step 3 queues a placeholder that records which closed
+// clusters it owes a J-orthogonalization. When a placeholder reaches the
+// front, every queued placeholder is formed by one
+// SymmetricOperator::apply_block and replays, in cluster order, exactly
+// the orthogonalizations it would have received at creation and at each
+// later cluster close — so the output keeps the bits of forming each
+// candidate at once. Every exit of run_to forms what is still pending,
+// so result(), take_basis(), krylov_bytes() and a later run_to see that
+// eager state.
 #pragma once
 
 #include <cstdint>
@@ -129,11 +141,14 @@ class BandLanczos {
   /// "mem.krylov_bytes" charge is re-stated to what remains.
   Mat take_basis();
 
-  /// Bytes of Krylov state resident right now: basis vectors, queued
-  /// candidates, the growing T/ρ storage and the cluster Gram matrices.
-  /// Mirrored into the "mem.krylov_bytes" gauge after every step.
+  /// Bytes of Krylov state resident right now: basis vectors, formed
+  /// queued candidates, the growing T/ρ storage and the cluster Gram
+  /// matrices. Mirrored into the "mem.krylov_bytes" gauge after every
+  /// step and at every exit of run_to.
   std::int64_t krylov_bytes() const;
-  /// High-water mark of krylov_bytes() over the process lifetime.
+  /// High-water mark of krylov_bytes() over the process lifetime,
+  /// including the two N×k blocks a batch of pending candidates holds
+  /// while it is formed.
   std::int64_t krylov_peak_bytes() const { return krylov_peak_bytes_; }
   /// Durations of the lanczos.step spans, whether or not obs records
   /// (the SympvlReport latency digest is computed from this).
@@ -141,9 +156,16 @@ class BandLanczos {
 
  private:
   struct Candidate {
-    Vec v;
+    Vec v;                  // empty while pending
     Index src = 0;          // ≥ 0: from Op·v_src; < 0: start column src+p
     double ref_norm = 0.0;  // creation norm for the relative deflation test
+    // A pending candidate stands for Op·v_src until form_pending() applies
+    // the operator. It records the J-orthogonalizations step 3 owed it at
+    // creation: against the first `closed_at` clusters, or, without full
+    // reorthogonalization, only against the clusters listed in `band`.
+    bool pending = false;
+    Index closed_at = 0;
+    std::vector<Index> band;
   };
   struct Cluster {
     std::vector<Index> members;
@@ -154,7 +176,8 @@ class BandLanczos {
 
   void write_t(Index row, Index src, double value);
   void grow_storage(Index need);
-  void orthogonalize_against(Vec& w, Index src, const Cluster& cl);
+  void orthogonalize(const std::vector<Candidate*>& batch, const Cluster& cl);
+  void form_pending();
   bool step();  // one accepted vector; false when exhausted
 
   const SymmetricOperator* op_;  // non-owning; caller keeps it alive

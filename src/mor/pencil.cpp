@@ -209,13 +209,11 @@ PencilFactorResult factor_pencil(const MnaSystem& sys,
 
 Mat starting_block(const FactorizedPencil& pencil, const Mat& b) {
   const Vec& j = pencil.j_signs();
-  const Index n = b.rows();
-  Mat start(n, b.cols());
-  for (Index col = 0; col < b.cols(); ++col) {
-    Vec v = pencil.solve_m(b.col(col));
-    for (Index i = 0; i < n; ++i)
-      v[static_cast<size_t>(i)] *= j[static_cast<size_t>(i)];
-    start.set_col(col, v);
+  Mat start = pencil.solve_m(b);
+  const Index p = start.cols();
+  for (Index i = 0; i < start.rows(); ++i) {
+    double* row = start.data() + i * p;
+    for (Index col = 0; col < p; ++col) row[col] *= j[static_cast<size_t>(i)];
   }
   return start;
 }

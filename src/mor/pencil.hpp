@@ -103,8 +103,8 @@ PencilFactorResult factor_pencil(const SMat& g, const SMat& c,
 PencilFactorResult factor_pencil(const MnaSystem& sys,
                                  const PencilFactorRequest& req);
 
-/// Builds the Lanczos starting block J⁻¹M⁻¹B (step 0 of Algorithm 1),
-/// column by column — the code formerly replicated in each driver.
+/// Builds the Lanczos starting block J⁻¹M⁻¹B (step 0 of Algorithm 1):
+/// one blocked M⁻¹ solve of all of B's columns, then the J row scaling.
 Mat starting_block(const FactorizedPencil& pencil, const Mat& b);
 
 }  // namespace sympvl

@@ -199,21 +199,16 @@ Mat sym_gram_signed(const Mat& a, const Vec& j) {
 // AᵀB with B's columns produced on demand, one kStitchPanel-wide panel at
 // a time — sym_gram's blocking and summation order replayed exactly, so
 // the result is bit-identical to sym_gram(a, B) while only an N×panel
-// scratch (not the N×n B) is ever resident.
-template <typename FillColumn>
-Mat sym_gram_streamed(const Mat& a, FillColumn fill) {
+// block (not the N×n B) is ever resident. `fill(j0, j1)` returns columns
+// [j0, j1) of B as a row-major N×(j1 − j0) matrix.
+template <typename FillPanel>
+Mat sym_gram_streamed(const Mat& a, FillPanel fill) {
   const Index big_n = a.rows();
   const Index n = a.cols();
   Mat c(n, n);
-  Mat panel(big_n, std::min<Index>(n, kStitchPanel));
-  Vec col(static_cast<size_t>(big_n));
   for (Index j0 = 0; j0 < n; j0 += kStitchPanel) {
     const Index j1 = std::min(n, j0 + kStitchPanel);
-    for (Index jj = j0; jj < j1; ++jj) {
-      fill(jj, col);
-      for (Index i = 0; i < big_n; ++i)
-        panel(i, jj - j0) = col[static_cast<size_t>(i)];
-    }
+    const Mat panel = fill(j0, j1);
     for (Index i0 = j0; i0 < n; i0 += kStitchPanel) {
       const Index i1 = std::min(n, i0 + kStitchPanel);
       for (Index k = 0; k < big_n; ++k) {
@@ -522,14 +517,18 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
     // the Gram kernel, so no N×n_total J·V copy is materialized.
     const Mat ar = sym_gram_signed(v, j);
 
-    // Cr = QᵀCQ = VᵀJ·(OpV) with Op = J⁻¹M⁻¹CM⁻ᵀ — n_total extra
-    // operator applications against the shared factorization, streamed
-    // through one N×panel scratch instead of a full N×n_total J·Op·V.
-    const Mat cr = sym_gram_streamed(v, [&](Index c, Vec& out_col) {
-      const Vec w = primed.pencil->apply(v.col(c));
-      for (Index i = 0; i < big_n; ++i)
-        out_col[static_cast<size_t>(i)] =
-            j[static_cast<size_t>(i)] * w[static_cast<size_t>(i)];
+    // Cr = QᵀCQ = VᵀJ·(OpV) with Op = J⁻¹M⁻¹CM⁻ᵀ — one blocked operator
+    // apply per kStitchPanel columns of V against the shared
+    // factorization, J-scaled in place into the panel the Gram streams,
+    // instead of a full N×n_total J·Op·V.
+    const Mat cr = sym_gram_streamed(v, [&](Index j0, Index j1) {
+      Mat panel = primed.pencil->apply_block(v.block(0, big_n, j0, j1));
+      const Index w = panel.cols();
+      for (Index i = 0; i < big_n; ++i) {
+        double* row = panel.data() + i * w;
+        for (Index c = 0; c < w; ++c) row[c] = j[static_cast<size_t>(i)] * row[c];
+      }
+      return panel;
     });
 
     // Br = QᵀB = VᵀM⁻¹B. For a healthy shard the Lanczos relation
@@ -593,10 +592,11 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
       for (Index k = 0; k < shards; ++k) {
         const ShardRun& run = runs[static_cast<size_t>(k)];
         if (!run.ok) continue;
-        std::vector<Vec> block;
         const Index off = offset[static_cast<size_t>(k)];
-        for (Index c = 0; c < run.order; ++c)
-          block.push_back(primed.pencil->solve_mt(v.col(off + c)));
+        const Mat w =
+            primed.pencil->solve_mt(v.block(0, big_n, off, off + run.order));
+        std::vector<Vec> block;
+        for (Index c = 0; c < run.order; ++c) block.push_back(w.col(c));
         mgs_union_append(basis, std::move(block), options.shard.stitch_tol);
       }
       // At exhaustion (as many union vectors as unknowns) the union should

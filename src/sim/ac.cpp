@@ -150,34 +150,37 @@ AcSweepEngine::AcSweepEngine(const MnaSystem& sys, FactorCache* cache)
   impl_->g_values = sys.G.values();
   impl_->c_values = sys.C.values();
   impl_->ports = port_incidence(sys.B);
-  // Union pattern: all G entries plus all C entries (unit weights so no
-  // accidental cancellation drops an entry).
-  TripletBuilder<double> t(n, n);
+  // Union pattern of G and C: each column's ascending G and C rows merged
+  // once, every G and C entry's slot in the union written in the same pass.
+  const auto& gp = sys.G.colptr();
+  const auto& gr = sys.G.rowind();
+  const auto& cp = sys.C.colptr();
+  const auto& cr = sys.C.rowind();
+  std::vector<Index>& pat_colptr = impl_->pat_colptr;
+  std::vector<Index>& pat_rowind = impl_->pat_rowind;
+  pat_colptr.assign(static_cast<size_t>(n) + 1, 0);
+  pat_rowind.reserve(gr.size() + cr.size());
+  impl_->g_slot.resize(gr.size());
+  impl_->c_slot.resize(cr.size());
   for (Index j = 0; j < n; ++j) {
-    for (Index k = sys.G.colptr()[static_cast<size_t>(j)];
-         k < sys.G.colptr()[static_cast<size_t>(j) + 1]; ++k)
-      t.add(sys.G.rowind()[static_cast<size_t>(k)], j, 1.0);
-    for (Index k = sys.C.colptr()[static_cast<size_t>(j)];
-         k < sys.C.colptr()[static_cast<size_t>(j) + 1]; ++k)
-      t.add(sys.C.rowind()[static_cast<size_t>(k)], j, 1.0);
+    size_t a = static_cast<size_t>(gp[static_cast<size_t>(j)]);
+    size_t b = static_cast<size_t>(cp[static_cast<size_t>(j)]);
+    const size_t ae = static_cast<size_t>(gp[static_cast<size_t>(j) + 1]);
+    const size_t be = static_cast<size_t>(cp[static_cast<size_t>(j) + 1]);
+    const size_t col_begin = pat_rowind.size();
+    while (a < ae || b < be) {
+      const Index r = (b == be || (a < ae && gr[a] <= cr[b])) ? gr[a] : cr[b];
+      require(pat_rowind.size() == col_begin || r > pat_rowind.back(),
+              "AcSweepEngine: G or C rows not ascending within a column");
+      const Index slot = static_cast<Index>(pat_rowind.size());
+      pat_rowind.push_back(r);
+      for (; a < ae && gr[a] == r; ++a) impl_->g_slot[a] = slot;
+      for (; b < be && cr[b] == r; ++b) impl_->c_slot[b] = slot;
+    }
+    pat_colptr[static_cast<size_t>(j) + 1] = static_cast<Index>(pat_rowind.size());
   }
-  const SMat pattern = t.compress();
-  impl_->pat_colptr = pattern.colptr();
-  impl_->pat_rowind = pattern.rowind();
-  // Slot maps.
-  auto build_slots = [&](const SMat& m, std::vector<Index>& slots) {
-    slots.resize(static_cast<size_t>(m.nnz()));
-    Index idx = 0;
-    for (Index j = 0; j < n; ++j)
-      for (Index k = m.colptr()[static_cast<size_t>(j)];
-           k < m.colptr()[static_cast<size_t>(j) + 1]; ++k) {
-        const Index slot = pattern.find(m.rowind()[static_cast<size_t>(k)], j);
-        require(slot >= 0, "AcSweepEngine: pattern construction failed");
-        slots[static_cast<size_t>(idx++)] = slot;
-      }
-  };
-  build_slots(sys.G, impl_->g_slot);
-  build_slots(sys.C, impl_->c_slot);
+  SMat pattern(n, n);
+  pattern.set_raw(pat_colptr, pat_rowind, Vec(pat_rowind.size(), 1.0));
   // A reduction of this system whose pencil has this pattern (G + s₀C
   // without cancellation, or G itself when C's pattern lies inside G's)
   // has analyzed it already: share that analysis.

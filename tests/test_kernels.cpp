@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "circuit/mna.hpp"
+#include "linalg/factorized_pencil.hpp"
 #include "linalg/sparse_ldlt.hpp"
 #include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
@@ -659,6 +660,91 @@ TEST(Kernels, ZeroPivotErrorIdenticalAcrossPaths) {
     EXPECT_EQ(e.context().stage, "ldlt.factor");
     EXPECT_EQ(e.context().index, n - 1);
   }
+}
+
+// ---- the pencil's blocked operator ------------------------------------------
+
+// A g×g RC mesh: resistors and coupling capacitors between neighbours, a
+// capacitor from every node to ground.
+MnaSystem rc_mesh_system(Index g) {
+  Netlist nl;
+  for (Index r = 0; r < g; ++r)
+    for (Index c = 0; c < g; ++c) {
+      const Index node = 1 + r * g + c;
+      if (c + 1 < g) {
+        nl.add_resistor(node, node + 1, 1.0 + 0.01 * static_cast<double>(node));
+        nl.add_capacitor(node, node + 1, 0.2e-12);
+      }
+      if (r + 1 < g) nl.add_resistor(node, node + g, 1.5);
+      nl.add_capacitor(node, 0, 1e-12 * (1.0 + 0.1 * static_cast<double>(c)));
+    }
+  nl.add_port(1, 0);
+  nl.add_port(g * g, 0);
+  return build_mna(nl);
+}
+
+// Columns that reach C·X's zero skip: a zero column and a unit vector
+// beside two dense ones.
+Mat operand_block(Index n) {
+  Mat v(n, 4);
+  for (Index i = 0; i < n; ++i) {
+    v(i, 0) = std::cos(0.37 * static_cast<double>(i));
+    v(i, 2) = i == n / 2 ? 1.0 : 0.0;
+    v(i, 3) = -std::sin(0.11 * static_cast<double>(i));
+  }
+  return v;
+}
+
+void expect_column_bits(const Mat& block, Index col, const Vec& single,
+                        const char* what) {
+  ASSERT_EQ(block.rows(), static_cast<Index>(single.size())) << what;
+  for (Index i = 0; i < block.rows(); ++i)
+    ASSERT_EQ(block(i, col), single[static_cast<size_t>(i)])
+        << what << " column " << col << " row " << i;
+}
+
+// apply_block, solve_m(Mat) and solve_mt(Mat) of the pencil G + shift·C,
+// each column against its single-vector call, bit for bit.
+void expect_blocked_operator_bits(const MnaSystem& sys, double shift, bool dense,
+                                  SimdLevel simd) {
+  PencilFactorOptions opt;
+  opt.shift = shift;
+  opt.dense = dense;
+  opt.kernels.simd = simd;
+  const FactorizedPencil pencil(sys.G, sys.C, opt);
+  const Mat v = operand_block(pencil.size());
+  const Mat op = pencil.apply_block(v);
+  const Mat m = pencil.solve_m(v);
+  const Mat mt = pencil.solve_mt(v);
+  for (Index c = 0; c < v.cols(); ++c) {
+    const Vec vc = v.col(c);
+    expect_column_bits(op, c, pencil.apply(vc), "apply_block");
+    expect_column_bits(m, c, pencil.solve_m(vc), "solve_m");
+    expect_column_bits(mt, c, pencil.solve_mt(vc), "solve_mt");
+  }
+}
+
+TEST(Kernels, PencilBlockedOperatorBitIdenticalOnRcMesh) {
+  const MnaSystem sys = rc_mesh_system(12);
+  for (SimdLevel simd : {SimdLevel::kScalar, SimdLevel::kAuto}) {
+    SCOPED_TRACE(simd_level_name(resolve_simd_level(simd)));
+    expect_blocked_operator_bits(sys, 1e9, false, simd);
+  }
+  expect_blocked_operator_bits(sys, 1e9, true, SimdLevel::kAuto);
+}
+
+TEST(Kernels, PencilBlockedOperatorBitIdenticalWithNegativePivots) {
+  // The RLC chain's shifted pencil has a negative inductor-current block:
+  // J is indefinite and the J scaling flips signs.
+  const MnaSystem sys = duplicated_port_system();
+  PencilFactorOptions opt;
+  opt.shift = 1e9;
+  ASSERT_GT(FactorizedPencil(sys.G, sys.C, opt).negative_j(), 0);
+  for (SimdLevel simd : {SimdLevel::kScalar, SimdLevel::kAuto}) {
+    SCOPED_TRACE(simd_level_name(resolve_simd_level(simd)));
+    expect_blocked_operator_bits(sys, 1e9, false, simd);
+  }
+  expect_blocked_operator_bits(sys, 1e9, true, SimdLevel::kAuto);
 }
 
 }  // namespace

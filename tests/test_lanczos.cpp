@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 
+#include "circuit/mna.hpp"
+#include "gen/package.hpp"
+#include "gen/power_grid.hpp"
 #include "linalg/dense_factor.hpp"
+#include "mor/pencil.hpp"
 
 namespace sympvl {
 namespace {
@@ -241,6 +246,178 @@ TEST(Lanczos, WithoutFullReorthogonalizationStillAccurate) {
                                 op.j, opt);
   EXPECT_EQ(res.n, order);
   EXPECT_NEAR(res.t.asymmetry(), 0.0, 1e-6);
+}
+
+// ---- Deferred candidates: a pending Op·v_n is formed when it reaches the
+// queue front, with one blocked apply for every pending candidate. Every
+// run_to exit forms what is pending, so run_to(1), run_to(2), …, run_to(n)
+// forms each candidate the step after it was queued — the eager order —
+// and must carry the bits of one run_to(n).
+
+void expect_same_bits(const Mat& a, const Mat& b, const char* what) {
+  ASSERT_EQ(a.rows(), b.rows()) << what;
+  ASSERT_EQ(a.cols(), b.cols()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        static_cast<size_t>(a.rows() * a.cols()) * sizeof(double)),
+            0)
+      << what;
+}
+
+struct LanczosRun {
+  LanczosResult res;
+  Mat basis;
+  std::int64_t krylov_bytes = 0;
+};
+
+LanczosRun run_lanczos(const SymmetricOperator& op, const Mat& start, const Vec& j,
+                       LanczosOptions opt, Index order, bool stepwise) {
+  BandLanczos process(op, start, j, opt);
+  if (stepwise)
+    for (Index k = 1; k <= order; ++k) process.run_to(k);
+  else
+    process.run_to(order);
+  LanczosRun run;
+  run.krylov_bytes = process.krylov_bytes();
+  run.res = process.result();
+  run.basis = process.take_basis();
+  return run;
+}
+
+// Returns the one-shot run's result.
+LanczosResult expect_stepwise_matches_one_shot(const SymmetricOperator& op,
+                                               const Mat& start, const Vec& j,
+                                               const LanczosOptions& opt, Index order) {
+  const LanczosRun eager = run_lanczos(op, start, j, opt, order, true);
+  const LanczosRun batched = run_lanczos(op, start, j, opt, order, false);
+  EXPECT_EQ(eager.res.n, batched.res.n);
+  expect_same_bits(eager.res.t, batched.res.t, "T");
+  expect_same_bits(eager.res.rho, batched.res.rho, "rho");
+  expect_same_bits(eager.res.delta, batched.res.delta, "Delta");
+  expect_same_bits(eager.basis, batched.basis, "take_basis");
+  EXPECT_EQ(eager.res.deflations, batched.res.deflations);
+  EXPECT_EQ(eager.res.cluster_sizes, batched.res.cluster_sizes);
+  EXPECT_EQ(eager.res.lookahead_clusters, batched.res.lookahead_clusters);
+  EXPECT_EQ(eager.res.exhausted, batched.res.exhausted);
+  EXPECT_EQ(eager.res.p1, batched.res.p1);
+  EXPECT_EQ(eager.krylov_bytes, batched.krylov_bytes);
+  return batched.res;
+}
+
+// With and without full reorthogonalization; returns the band run's
+// result so a test can check it reached the case it names.
+LanczosResult expect_deferral_exact(const DenseOp& op, const Mat& start,
+                                    LanczosOptions opt, Index order) {
+  const CallableOperator callable([&](const Vec& v) { return op(v); });
+  LanczosResult res;
+  for (bool full : {true, false}) {
+    SCOPED_TRACE(full ? "full reorthogonalization" : "band reorthogonalization");
+    opt.full_reorthogonalization = full;
+    res = expect_stepwise_matches_one_shot(callable, start, op.j, opt, order);
+  }
+  return res;
+}
+
+TEST(LanczosDeferred, SpdCaseMatchesEagerOrder) {
+  DenseOp op{random_spd(40, 41), Vec(40, 1.0)};
+  expect_deferral_exact(op, random_start(40, 3, 42), {}, 17);
+}
+
+TEST(LanczosDeferred, DeflationMatchesEagerOrder) {
+  const Index n = 25;
+  DenseOp op{random_spd(n, 5), Vec(static_cast<size_t>(n), 1.0)};
+  const Mat one = random_start(n, 2, 6);
+  Mat dup(n, 3);
+  for (Index i = 0; i < n; ++i) {
+    dup(i, 0) = one(i, 0);
+    dup(i, 1) = one(i, 1);
+    dup(i, 2) = one(i, 0);  // deflates at the start
+  }
+  EXPECT_GE(expect_deferral_exact(op, dup, {}, 10).deflations, 1);
+}
+
+TEST(LanczosDeferred, LookAheadMatchesEagerOrder) {
+  const Index n = 16;
+  Vec j(static_cast<size_t>(n), 1.0);
+  j[1] = -1.0;
+  DenseOp op{random_spd(n, 31), j};
+  Mat start = random_start(n, 2, 34);
+  for (Index i = 0; i < n; ++i) start(i, 0) = 0.0;
+  start(0, 0) = 1.0;
+  start(1, 0) = 1.0;  // zero J-norm: the first cluster needs look-ahead
+  EXPECT_GE(expect_deferral_exact(op, start, {}, 10).lookahead_clusters, 1);
+}
+
+TEST(LanczosDeferred, IndefiniteJMatchesEagerOrder) {
+  const Index n = 24;
+  std::mt19937 rng(77);
+  Vec j(static_cast<size_t>(n));
+  for (auto& v : j) v = (rng() % 2 == 0) ? -1.0 : 1.0;
+  DenseOp op{random_spd(n, 32), j};
+  LanczosOptions opt;
+  opt.lookahead_tol = 1e-3;
+  const LanczosResult res = expect_deferral_exact(op, random_start(n, 2, 33), opt, 14);
+  double min_delta = 0.0;
+  for (Index i = 0; i < res.n; ++i) min_delta = std::min(min_delta, res.delta(i, i));
+  EXPECT_LT(min_delta, 0.0) << "Lanczos vectors of negative J-norm expected";
+}
+
+TEST(LanczosDeferred, ExhaustedSpaceMatchesEagerOrder) {
+  // A 6-dimensional space with a 2-column start: the last candidates
+  // deflate inexactly (recording I_v) and the queue runs dry.
+  const Index n = 6;
+  DenseOp op{random_spd(n, 7), Vec(static_cast<size_t>(n), 1.0)};
+  const LanczosResult res = expect_deferral_exact(op, random_start(n, 2, 8), {}, 12);
+  EXPECT_TRUE(res.exhausted);
+  EXPECT_GE(res.deflations, 1);
+}
+
+TEST(LanczosDeferred, CallablePencilGivesThePencilsBits) {
+  // A CallableOperator has no blocked path: its looped default
+  // apply_block must carry the bits of the pencil's own blocked apply.
+  PackageOptions popt;
+  popt.pins = 16;
+  popt.segments = 4;
+  popt.signal_pins = 3;
+  const MnaSystem sys = build_mna(make_package_circuit(popt).netlist);
+  PencilFactorOptions fopt;
+  fopt.shift = 1e9;
+  const FactorizedPencil pencil(sys.G, sys.C, fopt);
+  ASSERT_GT(pencil.negative_j(), 0) << "the package pencil has an indefinite J";
+  const Mat start = starting_block(pencil, sys.B);
+  const CallableOperator callable([&](const Vec& v) { return pencil.apply(v); });
+  for (bool full : {true, false}) {
+    SCOPED_TRACE(full ? "full reorthogonalization" : "band reorthogonalization");
+    LanczosOptions opt;
+    opt.full_reorthogonalization = full;
+    const Index order = 2 * start.cols() + 5;
+    const LanczosRun blocked = run_lanczos(pencil, start, pencil.j_signs(), opt, order, false);
+    const LanczosRun looped = run_lanczos(callable, start, pencil.j_signs(), opt, order, false);
+    expect_same_bits(blocked.res.t, looped.res.t, "T");
+    expect_same_bits(blocked.res.rho, looped.res.rho, "rho");
+    expect_same_bits(blocked.res.delta, looped.res.delta, "Delta");
+    expect_same_bits(blocked.basis, looped.basis, "take_basis");
+    expect_stepwise_matches_one_shot(pencil, start, pencil.j_signs(), opt, order);
+  }
+}
+
+TEST(LanczosDeferred, StartingBlockIsTheColumnLoop) {
+  PowerGridOptions gopt;
+  gopt.ports = 6;
+  gopt.rows = gopt.cols = 9;
+  const MnaSystem sys = build_mna(make_power_grid(gopt).netlist);
+  for (bool dense : {false, true}) {
+    PencilFactorOptions fopt;
+    fopt.dense = dense;
+    const FactorizedPencil pencil(sys.G, sys.C, fopt);
+    const Mat start = starting_block(pencil, sys.B);
+    const Vec& j = pencil.j_signs();
+    for (Index c = 0; c < sys.B.cols(); ++c) {
+      Vec v = pencil.solve_m(sys.B.col(c));
+      for (size_t i = 0; i < v.size(); ++i) v[i] *= j[i];
+      for (Index i = 0; i < start.rows(); ++i)
+        ASSERT_EQ(start(i, c), v[static_cast<size_t>(i)]) << dense << " " << c << "," << i;
+    }
+  }
 }
 
 }  // namespace
