@@ -392,9 +392,8 @@ Index BandLanczos::run_to(Index target) {
     if (!ok) break;
     c_steps.add();
   }
-  // Every exit forms what is still pending, so result(), take_basis(),
-  // krylov_bytes() and a later run_to see the queue of an eager process.
-  form_pending();
+  // What is still pending stays unformed: result() forms it when T is
+  // read, and take_basis() drops it.
   krylov_charge_.set(krylov_bytes());
   krylov_peak_bytes_ = std::max(krylov_peak_bytes_, krylov_charge_.bytes());
   return static_cast<Index>(vs_.size());
@@ -409,7 +408,13 @@ Index BandLanczos::healthy_order() const {
   return n;
 }
 
-LanczosResult BandLanczos::result() const {
+LanczosResult BandLanczos::result() {
+  // The pending candidates' J-orthogonalizations write T's last p_c
+  // columns: form them first, whatever follows reads the eager state.
+  form_pending();
+  krylov_charge_.set(krylov_bytes());
+  krylov_peak_bytes_ = std::max(krylov_peak_bytes_, krylov_charge_.bytes());
+
   // ---- Truncate at the last complete cluster boundary. ----
   Index n_final = 0;
   std::vector<Index> sizes;
@@ -439,7 +444,7 @@ LanczosResult BandLanczos::result() const {
   result.exhausted = exhausted_;
   result.lookahead_clusters = lookahead_clusters_;
 
-  result.t = t_full_.block(0, n_final, 0, n_final);
+  if (t_full_.rows() > 0) result.t = t_full_.block(0, n_final, 0, n_final);
   result.rho = rho_full_.block(0, n_final, 0, p_);
   result.delta = Mat(n_final, n_final);
   Index offset = 0;
@@ -473,7 +478,10 @@ Mat BandLanczos::take_basis() {
     Vec().swap(w);  // free as we go: never 2× the basis resident
   }
   vs_.clear();
+  // The queue goes unformed, and T with it: its last columns would need
+  // the dropped candidates' J-orthogonalizations.
   cand_.clear();
+  t_full_ = Mat();
   exhausted_ = true;
   krylov_charge_.set(krylov_bytes());
   return v;

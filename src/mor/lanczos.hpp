@@ -29,9 +29,11 @@
 // SymmetricOperator::apply_block and replays, in cluster order, exactly
 // the orthogonalizations it would have received at creation and at each
 // later cluster close — so the output keeps the bits of forming each
-// candidate at once. Every exit of run_to forms what is still pending,
-// so result(), take_basis(), krylov_bytes() and a later run_to see that
-// eager state.
+// candidate at once. run_to leaves what is still pending unformed; the
+// one read that needs it, result() (their orthogonalizations write the
+// last p_c columns of T), forms it first, so every T it returns is the
+// eager T. take_basis() drops the pending candidates unformed: a caller
+// that wants only the basis, ρ and Δ never pays for them.
 #pragma once
 
 #include <cstdint>
@@ -126,25 +128,32 @@ class BandLanczos {
   /// result() will deliver (the "last healthy order" after a breakdown).
   Index healthy_order() const;
 
-  /// Snapshot truncated at the last complete look-ahead cluster. After a
-  /// breakdown this returns the last healthy order with `diagnosis` set;
-  /// it throws Error(kBreakdown) only when not even one cluster closed.
-  LanczosResult result() const;
+  /// Snapshot truncated at the last complete look-ahead cluster. First
+  /// forms the candidates run_to left pending (one blocked apply; their
+  /// J-orthogonalizations complete T) and re-states the Krylov gauge and
+  /// peak, so T is the eager process's. After a breakdown this returns
+  /// the last healthy order with `diagnosis` set; it throws
+  /// Error(kBreakdown) only when not even one cluster closed. After
+  /// take_basis() it returns ρ, Δ, the counts and the diagnosis with an
+  /// empty T: the dropped candidates' T columns were never formed.
+  LanczosResult result();
 
   /// Moves the accepted Lanczos vectors into an N×healthy_order() matrix
   /// (columns v₁ … vₙ, truncated at the last closed cluster, matching
   /// result()), freeing each source vector as its column is written, so
   /// peak memory is ~one basis instead of two. The columns span the
   /// Krylov space in M-transformed coordinates; the physical congruence
-  /// basis is M⁻ᵀ·V. Used by the port-sharding stitch. The process is
-  /// exhausted afterwards — no further steps possible — and the
-  /// "mem.krylov_bytes" charge is re-stated to what remains.
+  /// basis is M⁻ᵀ·V. Used by the port-sharding stitch. Queued
+  /// candidates are dropped, pending ones unformed, and T with them. The
+  /// process is exhausted afterwards — no further steps possible — and
+  /// the "mem.krylov_bytes" charge is re-stated to what remains.
   Mat take_basis();
 
   /// Bytes of Krylov state resident right now: basis vectors, formed
-  /// queued candidates, the growing T/ρ storage and the cluster Gram
-  /// matrices. Mirrored into the "mem.krylov_bytes" gauge after every
-  /// step and at every exit of run_to.
+  /// queued candidates (a pending one holds no vector), the growing T/ρ
+  /// storage and the cluster Gram matrices. A const read that forms
+  /// nothing: run_to mirrors it into the "mem.krylov_bytes" gauge after
+  /// every step.
   std::int64_t krylov_bytes() const;
   /// High-water mark of krylov_bytes() over the process lifetime,
   /// including the two N×k blocks a batch of pending candidates holds

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <queue>
 #include <utility>
@@ -26,15 +27,22 @@ constexpr Index kMinPortsPerShard = 8;
 
 // ---- Partitioning ----------------------------------------------------------
 
-// Anchor node of port j: the row where its B column injects most.
-Index port_anchor(const Mat& b, Index j) {
-  Index best = 0;
-  double best_abs = -1.0;
+// Anchor node of every port: the row where its B column injects most,
+// the first such row on a tie (a two-terminal port's ±1 goes to the
+// lower node). One pass over the row-major B: a walk down one column
+// strides a whole row per entry.
+std::vector<Index> port_anchors(const Mat& b) {
+  const Index p = b.cols();
+  std::vector<Index> best(static_cast<size_t>(p), 0);
+  std::vector<double> best_abs(static_cast<size_t>(p), -1.0);
   for (Index i = 0; i < b.rows(); ++i) {
-    const double a = std::abs(b(i, j));
-    if (a > best_abs) {
-      best_abs = a;
-      best = i;
+    const double* row = b.data() + i * p;
+    for (Index j = 0; j < p; ++j) {
+      const double a = std::abs(row[j]);
+      if (a > best_abs[static_cast<size_t>(j)]) {
+        best_abs[static_cast<size_t>(j)] = a;
+        best[static_cast<size_t>(j)] = i;
+      }
     }
   }
   return best;
@@ -115,9 +123,7 @@ std::vector<Index> bfs_distance(const std::vector<std::vector<Index>>& adj,
 
 std::vector<Index> electrical_partition(const MnaSystem& sys, Index shards) {
   const Index p = sys.port_count();
-  std::vector<Index> anchor(static_cast<size_t>(p));
-  for (Index j = 0; j < p; ++j)
-    anchor[static_cast<size_t>(j)] = port_anchor(sys.B, j);
+  const std::vector<Index> anchor = port_anchors(sys.B);
   const auto adj = pencil_adjacency(sys.G, sys.C);
 
   // Farthest-point seeding over the port anchors: seed 0 is port 0's
@@ -162,23 +168,28 @@ std::vector<Index> electrical_partition(const MnaSystem& sys, Index shards) {
 // accumulator once per row, which thrashes at stitch sizes (n ≈ 512 →
 // 2 MB per sweep). Both kernels avoid materializing the N×n right-hand
 // factor: the J signs fold into the products, and operator columns are
-// streamed through one N×panel scratch.
+// streamed through one N×panel scratch. Each skips a zero a(k, i), so a
+// row of `a` that is all zero adds nothing to any entry: the k-loop runs
+// over `rows` alone, and every entry keeps its ascending-k chain of adds.
 constexpr Index kStitchPanel = 48;
+
+}  // namespace
+
+namespace detail {
 
 // AᵀJA without materializing J·A: the J entries are exact ±1 signs, and
 // folding the sign into the left factor negates the same products, so the
 // result is bit-identical to sym_gram(a, J·a) at zero extra memory.
-Mat sym_gram_signed(const Mat& a, const Vec& j) {
+Mat sym_gram_signed(const Mat& a, const Vec& j, const std::vector<Index>& rows) {
   require(a.rows() == static_cast<Index>(j.size()),
           "sym_gram_signed: shape mismatch");
-  const Index big_n = a.rows();
   const Index n = a.cols();
   Mat c(n, n);
   for (Index j0 = 0; j0 < n; j0 += kStitchPanel) {
     const Index j1 = std::min(n, j0 + kStitchPanel);
     for (Index i0 = j0; i0 < n; i0 += kStitchPanel) {
       const Index i1 = std::min(n, i0 + kStitchPanel);
-      for (Index k = 0; k < big_n; ++k) {
+      for (Index k : rows) {
         const double* arow = a.data() + k * n;
         const double sign = j[static_cast<size_t>(k)];
         for (Index i = i0; i < i1; ++i) {
@@ -199,11 +210,9 @@ Mat sym_gram_signed(const Mat& a, const Vec& j) {
 // AᵀB with B's columns produced on demand, one kStitchPanel-wide panel at
 // a time — sym_gram's blocking and summation order replayed exactly, so
 // the result is bit-identical to sym_gram(a, B) while only an N×panel
-// block (not the N×n B) is ever resident. `fill(j0, j1)` returns columns
-// [j0, j1) of B as a row-major N×(j1 − j0) matrix.
-template <typename FillPanel>
-Mat sym_gram_streamed(const Mat& a, FillPanel fill) {
-  const Index big_n = a.rows();
+// block (not the N×n B) is ever resident.
+Mat sym_gram_streamed(const Mat& a, const std::vector<Index>& rows,
+                      const std::function<Mat(Index, Index)>& fill) {
   const Index n = a.cols();
   Mat c(n, n);
   for (Index j0 = 0; j0 < n; j0 += kStitchPanel) {
@@ -211,7 +220,7 @@ Mat sym_gram_streamed(const Mat& a, FillPanel fill) {
     const Mat panel = fill(j0, j1);
     for (Index i0 = j0; i0 < n; i0 += kStitchPanel) {
       const Index i1 = std::min(n, i0 + kStitchPanel);
-      for (Index k = 0; k < big_n; ++k) {
+      for (Index k : rows) {
         const double* arow = a.data() + k * n;
         const double* prow = panel.data() + k * panel.cols();
         for (Index i = i0; i < i1; ++i) {
@@ -230,12 +239,19 @@ Mat sym_gram_streamed(const Mat& a, FillPanel fill) {
   return c;
 }
 
-// The columns `cols` of `b`, in order.
+}  // namespace detail
+
+namespace {
+
+// The columns `cols` of `b`, in order, gathered row by row.
 Mat gather_columns(const Mat& b, const std::vector<Index>& cols) {
-  Mat out(b.rows(), static_cast<Index>(cols.size()));
-  for (size_t c = 0; c < cols.size(); ++c)
-    for (Index i = 0; i < b.rows(); ++i)
-      out(i, static_cast<Index>(c)) = b(i, cols[c]);
+  const Index w = static_cast<Index>(cols.size());
+  Mat out(b.rows(), w);
+  for (Index i = 0; i < b.rows(); ++i) {
+    const double* src = b.data() + i * b.cols();
+    double* dst = out.data() + i * w;
+    for (Index c = 0; c < w; ++c) dst[c] = src[cols[static_cast<size_t>(c)]];
+  }
   return out;
 }
 
@@ -251,6 +267,7 @@ struct ShardRun {
   // Lanczos telemetry the run's report sums (or maxes) over the shards.
   double start_block_seconds = 0.0;
   double lanczos_seconds = 0.0;
+  obs::HistogramBins step_bins;  // the process's lanczos.step durations
   Index deflations = 0;
   std::int64_t krylov_peak_bytes = 0;
   bool breakdown = false;
@@ -304,7 +321,6 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
   out.shard.clustering =
       options.shard.clustering == ShardClustering::kRoundRobin ? "round_robin"
                                                                : "electrical";
-  out.shard.port_to_shard = assign;
   // Global port list per shard (in ascending port order — determinism).
   std::vector<std::vector<Index>> shard_cols(static_cast<size_t>(shards));
   for (Index j = 0; j < p; ++j)
@@ -421,15 +437,19 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
             lanczos.run_to(order);
             run.lanczos_seconds = span.close();
           }
+          run.step_bins = lanczos.step_bins();
+          // Destructive grab: the Lanczos vectors are freed as they stream
+          // into run.basis, so a shard never holds two copies. It drops
+          // the queued candidates unformed — the stitch reads only the
+          // basis, ρ and the counts — so result() is read after it: read
+          // first, it would form them to complete a T nobody reads.
+          run.basis = lanczos.take_basis();
+          run.order = run.basis.cols();
           LanczosResult snap = lanczos.result();
           run.rho = std::move(snap.rho);
           run.deflations = snap.deflations;
           run.breakdown = snap.diagnosis.breakdown;
           run.krylov_peak_bytes = lanczos.krylov_peak_bytes();
-          // Destructive grab: the Lanczos vectors are freed as they stream
-          // into run.basis, so a shard never holds two copies.
-          run.basis = lanczos.take_basis();
-          run.order = run.basis.cols();
           run.ok = run.order > 0;
           if (!run.ok) {
             run.failed = true;
@@ -460,6 +480,7 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
   out.shard.shard_orders.assign(static_cast<size_t>(shards), 0);
   Index n_total = 0;
   bool any_breakdown = false;
+  obs::HistogramBins step_bins;
   for (Index k = 0; k < shards; ++k) {
     const ShardRun& run = runs[static_cast<size_t>(k)];
     if (run.ok) {
@@ -470,6 +491,7 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
       out.report.deflations += run.deflations;
       out.report.krylov_peak_bytes =
           std::max(out.report.krylov_peak_bytes, run.krylov_peak_bytes);
+      step_bins.merge(run.step_bins);
       if (run.breakdown) any_breakdown = true;
     } else if (run.failed) {
       out.shard.failed_shards.push_back(k);
@@ -477,6 +499,8 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
       obs::counter("shard.failures").add();
     }
   }
+
+  out.report.lanczos_step_stats = obs::latency_stats(step_bins);
 
   if (n_total == 0) {
     out.status = ReductionStatus::kFailed;
@@ -490,38 +514,52 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
     const Index big_n = sys.size();
     const Vec& j = primed.pencil->j_signs();
     Mat v(big_n, n_total);
-    // The union basis plus one J·Op·V panel is the stitch's working set;
-    // the per-shard bases are released as they stream in, so the peak is
-    // ~one union basis, not two (and no full J·V / J·Op·V copies).
+    // The union basis plus one J·Op·V panel is the stitch's working set:
+    // the per-shard bases are released once copied into the union, and
+    // no full J·V / J·Op·V copy is made.
     obs::MemCharge stitch_charge(
         obs::byte_gauge("mem.stitch_bytes"),
         static_cast<std::int64_t>(big_n) *
             (n_total + std::min<Index>(n_total, kStitchPanel)) *
             static_cast<std::int64_t>(sizeof(double)));
     std::vector<Index> offset(static_cast<size_t>(shards), 0);
-    {
-      Index at = 0;
-      for (Index k = 0; k < shards; ++k) {
-        ShardRun& run = runs[static_cast<size_t>(k)];
-        offset[static_cast<size_t>(k)] = at;
-        if (!run.ok) continue;
-        for (Index c = 0; c < run.order; ++c)
-          for (Index i = 0; i < big_n; ++i) v(i, at + c) = run.basis(i, c);
-        at += run.order;
-        run.basis = Mat();  // release: the union matrix owns the data now
-      }
+    for (Index k = 0, at = 0; k < shards; ++k) {
+      const ShardRun& run = runs[static_cast<size_t>(k)];
+      offset[static_cast<size_t>(k)] = at;
+      if (run.ok) at += run.order;
     }
+    // The union basis, copied row by row while listing the rows of V
+    // that hold a nonzero. A shard's Krylov vectors are port-local, so
+    // most rows of V are zero, and the Gram kernels skip those exactly.
+    std::vector<Index> rows;
+    for (Index i = 0; i < big_n; ++i) {
+      double* dst = v.data() + i * n_total;
+      bool nonzero = false;
+      for (Index k = 0; k < shards; ++k) {
+        const ShardRun& run = runs[static_cast<size_t>(k)];
+        if (!run.ok) continue;
+        const double* src = run.basis.data() + i * run.order;
+        double* out_row = dst + offset[static_cast<size_t>(k)];
+        for (Index c = 0; c < run.order; ++c) {
+          out_row[c] = src[c];
+          nonzero |= src[c] != 0.0;
+        }
+      }
+      if (nonzero) rows.push_back(i);
+    }
+    for (ShardRun& run : runs)
+      run.basis = Mat();  // release: the union matrix owns the data now
 
     // Ar = VᵀJV  — the union Gram of the shifted pencil: with Q = M⁻ᵀV,
     // Qᵀ(G+s₀C)Q = VᵀM⁻¹(MJMᵀ)M⁻ᵀV = VᵀJV. The J signs are folded into
     // the Gram kernel, so no N×n_total J·V copy is materialized.
-    const Mat ar = sym_gram_signed(v, j);
+    const Mat ar = sym_gram_signed(v, j, rows);
 
     // Cr = QᵀCQ = VᵀJ·(OpV) with Op = J⁻¹M⁻¹CM⁻ᵀ — one blocked operator
     // apply per kStitchPanel columns of V against the shared
     // factorization, J-scaled in place into the panel the Gram streams,
     // instead of a full N×n_total J·Op·V.
-    const Mat cr = sym_gram_streamed(v, [&](Index j0, Index j1) {
+    const Mat cr = sym_gram_streamed(v, rows, [&](Index j0, Index j1) {
       Mat panel = primed.pencil->apply_block(v.block(0, big_n, j0, j1));
       const Index w = panel.cols();
       for (Index i = 0; i < big_n; ++i) {

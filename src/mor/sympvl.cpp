@@ -99,21 +99,27 @@ struct SympvlSession::Impl {
     lanczos = std::make_unique<BandLanczos>(*pencil, start, j, lopt);
   }
 
-  void run_lanczos_to(Index target) {
+  // Reads result() inside the span: that read forms the candidates run_to
+  // left pending, whose J-orthogonalizations complete T, so their work
+  // counts as Lanczos time.
+  LanczosResult run_lanczos_to(Index target) {
     obs::ScopedTimer span("sympvl.lanczos");
     span.arg("target_order", target);
     lanczos->run_to(std::max<Index>(target, 1));
+    LanczosResult snap = lanczos->result();
     report.lanczos_seconds += span.close();
     report.total_seconds = report.factor_seconds +
                            report.start_block_seconds + report.lanczos_seconds;
+    return snap;
   }
 
-  void refresh_report() {
+  // `snap` is the result() run_lanczos_to read, so the peak includes the
+  // formation of the candidates that read left pending.
+  void refresh_report(const LanczosResult& snap) {
     report.krylov_peak_bytes =
         std::max(report.krylov_peak_bytes, lanczos->krylov_peak_bytes());
     report.peak_rss_bytes = obs::peak_rss_bytes();
     report.lanczos_step_stats = obs::latency_stats(lanczos->step_bins());
-    const LanczosResult snap = lanczos->result();
     report.deflations = snap.deflations;
     report.exhausted = snap.exhausted;
     report.achieved_order = snap.n;
@@ -174,8 +180,7 @@ SympvlSession::SympvlSession(const MnaSystem& sys, const SympvlOptions& options)
 
   // ---- Starting block, operator and the Lanczos run (steps 0-3). ----
   impl_->build_process();
-  impl_->run_lanczos_to(options.order);
-  impl_->refresh_report();
+  impl_->refresh_report(impl_->run_lanczos_to(options.order));
 }
 
 SympvlSession::~SympvlSession() = default;
@@ -187,8 +192,7 @@ ReducedModel SympvlSession::extend(Index additional) {
           "SympvlSession::extend: negative step");
   const Index target = impl_->lanczos->order() + additional;
   impl_->target_order = std::max<Index>(target, 1);
-  impl_->run_lanczos_to(target);
-  impl_->refresh_report();
+  impl_->refresh_report(impl_->run_lanczos_to(target));
   return current();
 }
 
@@ -220,14 +224,14 @@ ReducedModel SympvlSession::reshift(double new_s0) {
   // the last requested order. The Padé model changes (different s₀) but
   // matches the same transfer function to the same moment count.
   impl->build_process();
-  impl->run_lanczos_to(impl->target_order);
-  impl->refresh_report();
+  impl->refresh_report(impl->run_lanczos_to(impl->target_order));
   return current();
 }
 
 bool SympvlSession::breakdown() const { return impl_->lanczos->breakdown(); }
 
 ReducedModel SympvlSession::current() const {
+  // run_lanczos_to already read result(), so this read forms nothing.
   return ReducedModel(impl_->lanczos->result(), impl_->variable,
                       impl_->s_prefactor, impl_->s0);
 }

@@ -1,7 +1,8 @@
 // Metrics smoke test (ctest label "Trace"): runs the Fig. 3 package
-// reduction, an exact frequency sweep and a sweep of the reduced model
-// with SYMPVL_METRICS (and SYMPVL_TRACE) set, then validates the emitted
-// Prometheus text-exposition file:
+// reduction, a 2-shard reduce() of the same package, an exact frequency
+// sweep and a sweep of the reduced model with SYMPVL_METRICS (and
+// SYMPVL_TRACE) set, then validates the emitted Prometheus
+// text-exposition file:
 //   * latency histograms with quantiles for the factor / solve /
 //     sweep-point / ROM-sweep span families;
 //   * factor-bytes and cache-resident-bytes gauges with their _peak
@@ -19,6 +20,7 @@
 #include <string>
 
 #include "gen/package.hpp"
+#include "mor/reduce.hpp"
 #include "mor/sympvl.hpp"
 #include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
@@ -92,6 +94,17 @@ int main() {
   check(report.lanczos_step_stats.p99 >= report.lanczos_step_stats.p50,
         "step latency quantiles are ordered");
 
+  // The sharded path: partition, per-shard Lanczos and stitch spans.
+  ReduceOptions sharded;
+  sharded.method = ReduceMethod::kShardedSympvl;
+  sharded.order = 32;
+  sharded.shard.shards = 2;
+  const ReduceResult stitched = reduce(sys, sharded);
+  check(stitched.ok() && stitched.shard.shards == 2,
+        "2-shard reduction produced a stitched model");
+  check(stitched.report.lanczos_step_stats.count > 0,
+        "sharded report carries per-step latency stats");
+
   const Vec freqs = log_frequency_grid(1e7, 5e9, 40);
   const AcSweepEngine engine(sys);
   const SweepResult sweep = sympvl::sweep(engine, freqs);
@@ -111,8 +124,8 @@ int main() {
   check(!doc.empty(), "metrics file was written");
 
   // Latency histograms + p99 quantiles per acceptance span family.
-  for (const char* span :
-       {"ldlt.factor", "ldlt.solve", "ac.z_at", "model.sweep"}) {
+  for (const char* span : {"ldlt.factor", "ldlt.solve", "ac.z_at", "model.sweep",
+                           "shard.partition", "shard.reduce", "shard.stitch"}) {
     const std::string lbl = std::string("span=\"") + span + "\"";
     check(has_positive_sample(doc, "sympvl_span_duration_seconds_count", lbl),
           std::string("duration histogram present: ") + span);

@@ -249,10 +249,11 @@ TEST(Lanczos, WithoutFullReorthogonalizationStillAccurate) {
 }
 
 // ---- Deferred candidates: a pending Op·v_n is formed when it reaches the
-// queue front, with one blocked apply for every pending candidate. Every
-// run_to exit forms what is pending, so run_to(1), run_to(2), …, run_to(n)
-// forms each candidate the step after it was queued — the eager order —
-// and must carry the bits of one run_to(n).
+// queue front, with one blocked apply for every pending candidate. run_to
+// leaves what is pending unformed and result() forms it, so run_to(1),
+// result(), run_to(2), result(), …, run_to(n) forms each candidate the
+// step after it was queued — the eager order — and must carry the bits of
+// one run_to(n).
 
 void expect_same_bits(const Mat& a, const Mat& b, const char* what) {
   ASSERT_EQ(a.rows(), b.rows()) << what;
@@ -267,19 +268,32 @@ struct LanczosRun {
   LanczosResult res;
   Mat basis;
   std::int64_t krylov_bytes = 0;
+  std::int64_t krylov_peak_bytes = 0;
 };
 
+// Reads result(), then krylov_bytes(), then takes the basis. The stepwise
+// run also reads result() after every run_to(k), which forms what that
+// run_to left pending; before the first cluster closes it throws.
 LanczosRun run_lanczos(const SymmetricOperator& op, const Mat& start, const Vec& j,
                        LanczosOptions opt, Index order, bool stepwise) {
   BandLanczos process(op, start, j, opt);
-  if (stepwise)
-    for (Index k = 1; k <= order; ++k) process.run_to(k);
-  else
+  if (stepwise) {
+    for (Index k = 1; k <= order; ++k) {
+      process.run_to(k);
+      try {
+        (void)process.result();
+      } catch (const Error& e) {
+        if (e.code() != ErrorCode::kBreakdown) throw;
+      }
+    }
+  } else {
     process.run_to(order);
+  }
   LanczosRun run;
-  run.krylov_bytes = process.krylov_bytes();
   run.res = process.result();
+  run.krylov_bytes = process.krylov_bytes();
   run.basis = process.take_basis();
+  run.krylov_peak_bytes = process.krylov_peak_bytes();
   return run;
 }
 
@@ -369,6 +383,53 @@ TEST(LanczosDeferred, ExhaustedSpaceMatchesEagerOrder) {
   const LanczosResult res = expect_deferral_exact(op, random_start(n, 2, 8), {}, 12);
   EXPECT_TRUE(res.exhausted);
   EXPECT_GE(res.deflations, 1);
+}
+
+// Counts the operator's single and blocked applies.
+struct CountingOperator final : SymmetricOperator {
+  explicit CountingOperator(const DenseOp& op) : op(op) {}
+  Vec apply(const Vec& v) const override {
+    ++applies;
+    return op(v);
+  }
+  Mat apply_block(Mat v) const override {
+    ++blocks;
+    return SymmetricOperator::apply_block(std::move(v));
+  }
+  const DenseOp& op;
+  mutable int applies = 0;
+  mutable int blocks = 0;
+};
+
+TEST(LanczosDeferred, TakeBasisLeavesPendingUnformed) {
+  // At order = p every accepted vector comes from the starting block, so
+  // the candidates Op·v₁ … Op·v_p are all still pending when run_to
+  // returns. take_basis() drops them unformed: the operator is never
+  // applied, and the basis, ρ and Δ are those of an eager run.
+  const Index n = 40, p = 4;
+  DenseOp dense{random_spd(n, 51), Vec(static_cast<size_t>(n), 1.0)};
+  const Mat start = random_start(n, p, 52);
+  const CountingOperator op(dense);
+  const LanczosOptions opt;
+
+  BandLanczos process(op, start, dense.j, opt);
+  ASSERT_EQ(process.run_to(p), p);
+  const Mat basis = process.take_basis();
+  const LanczosResult res = process.result();
+  EXPECT_EQ(op.blocks, 0);
+  EXPECT_EQ(op.applies, 0);
+  EXPECT_EQ(res.n, p);
+  EXPECT_EQ(res.t.rows(), 0) << "the dropped candidates' T columns were never formed";
+  EXPECT_EQ(res.t.cols(), 0);
+
+  const LanczosRun eager = run_lanczos(op, start, dense.j, opt, p, true);
+  EXPECT_GT(op.blocks, 0) << "the eager run's result() forms the pending candidates";
+  expect_same_bits(basis, eager.basis, "take_basis");
+  expect_same_bits(res.rho, eager.res.rho, "rho");
+  expect_same_bits(res.delta, eager.res.delta, "Delta");
+  EXPECT_EQ(res.deflations, eager.res.deflations);
+  EXPECT_LT(process.krylov_peak_bytes(), eager.krylov_peak_bytes)
+      << "no batch of pending candidates was formed";
 }
 
 TEST(LanczosDeferred, CallablePencilGivesThePencilsBits) {

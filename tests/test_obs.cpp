@@ -10,8 +10,12 @@
 #include <fstream>
 #include <sstream>
 
+#include "gen/package.hpp"
 #include "gen/random_circuit.hpp"
 #include "linalg/factor_cache.hpp"
+#include "linalg/factorized_pencil.hpp"
+#include "mor/lanczos.hpp"
+#include "mor/pencil.hpp"
 #include "mor/reduce.hpp"
 #include "mor/sympvl.hpp"
 #include "obs/json.hpp"
@@ -287,6 +291,55 @@ TEST(Obs, EventStreamAgreesWithReportCounters) {
             static_cast<double>(report.achieved_order));
 }
 
+TEST(Obs, PendingCandidatesFormInsideTheLanczosSpan) {
+  // BandLanczos::run_to leaves its last p candidates pending; the result()
+  // read that forms them (their J-orthogonalizations write T's last p
+  // columns) is Lanczos work. So every blocked operator apply of a
+  // monolithic reduce lies inside its sympvl.lanczos span, and the
+  // report's Krylov peak is that of a process whose result() was read.
+  ObsGuard guard(true);
+  const MnaSystem sys =
+      build_mna(make_package_circuit({}).netlist, MnaForm::kGeneral);
+  ASSERT_EQ(sys.port_count(), 16);
+  FactorCache cache;
+  SympvlOptions opt;
+  opt.order = 32;
+  opt.factor_cache = &cache;
+  SympvlReport report;
+  sympvl_reduce(sys, opt, &report);
+  ASSERT_EQ(report.achieved_order, 32);
+
+  const auto events = obs::snapshot_events();
+  ASSERT_EQ(count_events(events, "sympvl.lanczos", 'X'), 1);
+  const obs::Event* lanczos = nullptr;
+  for (const auto& e : events)
+    if (e.phase == 'X' && std::strcmp(e.name, "sympvl.lanczos") == 0) lanczos = &e;
+  int applies = 0;
+  for (const auto& e : events) {
+    if (e.phase != 'X' || std::strcmp(e.name, "pencil.apply_block") != 0) continue;
+    ++applies;
+    EXPECT_GE(e.ts_us, lanczos->ts_us);
+    EXPECT_LE(e.ts_us + e.dur_us, lanczos->ts_us + lanczos->dur_us);
+  }
+  // One batch at step 17 and the 16 candidates result() forms.
+  EXPECT_EQ(applies, 2);
+
+  PencilFactorOptions fopt;
+  fopt.shift = report.s0_used;
+  const FactorizedPencil pencil(sys.G, sys.C, fopt);
+  LanczosOptions lopt;
+  lopt.deflation_tol = opt.deflation_tol;
+  lopt.lookahead_tol = opt.lookahead_tol;
+  lopt.full_reorthogonalization = opt.full_reorthogonalization;
+  lopt.max_cluster_size = opt.max_cluster_size;
+  BandLanczos process(pencil, starting_block(pencil, sys.B), pencil.j_signs(), lopt);
+  process.run_to(32);
+  const std::int64_t unread_peak = process.krylov_peak_bytes();
+  (void)process.result();
+  EXPECT_EQ(report.krylov_peak_bytes, process.krylov_peak_bytes());
+  EXPECT_GT(report.krylov_peak_bytes, unread_peak);
+}
+
 TEST(Obs, WriteChromeTraceProducesParseableJson) {
   ObsGuard guard(true);
   {
@@ -338,6 +391,10 @@ TEST(Obs, ShardStageSecondsAreSpanDurations) {
               1e-6);
   EXPECT_NEAR(r.shard.stitch_seconds, span_seconds(events, "shard.stitch"),
               1e-6);
+  // The step digest merges every shard's lanczos.step durations.
+  EXPECT_GT(r.report.lanczos_step_stats.count, 0u);
+  EXPECT_EQ(r.report.lanczos_step_stats.count,
+            static_cast<std::uint64_t>(count_events(events, "lanczos.step", 'X')));
 }
 
 }  // namespace

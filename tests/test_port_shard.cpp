@@ -2,18 +2,23 @@
 // target for the parallel shard fan-out): shard-count invariance
 // (1 shard runs the monolithic SyMPVL bit for bit; k shards
 // stitch to the same transfer function at exhaustion orders), partition
-// determinism, thread-count determinism of the sharded path, and the one
-// factorization every shard runs on.
+// determinism, thread-count determinism of the sharded path, the one
+// factorization every shard runs on, and the stitch's Gram kernels
+// against the full-row kernels they replaced.
 #include "mor/port_shard.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
 
 #include "gen/package.hpp"
 #include "gen/peec.hpp"
 #include "gen/power_grid.hpp"
 #include "linalg/factor_cache.hpp"
+#include "mor/port_shard_stitch.hpp"
 #include "mor/reduce.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/sweep_api.hpp"
@@ -97,6 +102,155 @@ TEST(PortShard, ElectricalPartitionGroupsGridNeighbors) {
     if (assign[static_cast<size_t>(j)] != assign[static_cast<size_t>(j) + 1])
       ++split;
   EXPECT_LT(split, sys.port_count() / 2);
+}
+
+// A 10×10 RC mesh with eight two-terminal ports, each from a node in the
+// upper half to one five rows down and three columns over. A port's two
+// ±1 entries in B tie in magnitude, so its anchor is the lower row.
+MnaSystem two_terminal_grid() {
+  const Index side = 10;
+  const auto node = [&](Index r, Index c) { return r * side + c + 1; };
+  Netlist nl;
+  for (Index r = 0; r < side; ++r)
+    for (Index c = 0; c < side; ++c) {
+      if (c + 1 < side) nl.add_resistor(node(r, c), node(r, c + 1), 1.0);
+      if (r + 1 < side) nl.add_resistor(node(r, c), node(r + 1, c), 1.0);
+      nl.add_capacitor(node(r, c), 0, 1e-12);
+    }
+  nl.add_resistor(node(0, 0), 0, 10.0);
+  nl.add_resistor(node(side - 1, side - 1), 0, 10.0);
+  const Index upper[][2] = {{0, 1}, {1, 6}, {2, 3}, {3, 8},
+                            {4, 0}, {1, 2}, {3, 4}, {0, 9}};
+  for (const auto& t : upper)
+    nl.add_port(node(t[0], t[1]), node(t[0] + 5, (t[1] + 3) % side));
+  return build_mna(nl, MnaForm::kAuto);
+}
+
+TEST(PortShard, ElectricalPartitionAnchorsTiesAtTheLowerRow) {
+  // The assignments the column-by-column anchor scan returned: the
+  // row-major scan must keep its first-max rule. Anchoring a tie at the
+  // upper row instead gives {0 1 0 2 2 0 1 0} and {0 1 3 2 2 0 3 0}.
+  const MnaSystem sys = two_terminal_grid();
+  ASSERT_EQ(sys.port_count(), 8);
+  EXPECT_EQ(partition_ports(sys, 3, ShardClustering::kAuto),
+            (std::vector<Index>{0, 1, 0, 1, 2, 0, 1, 1}));
+  EXPECT_EQ(partition_ports(sys, 4, ShardClustering::kAuto),
+            (std::vector<Index>{0, 3, 0, 1, 2, 0, 1, 1}));
+}
+
+// ---- The stitch Gram kernels as they were before they learned to skip
+// zero rows: every row k of `a` in ascending order. The oracle.
+
+constexpr Index kOraclePanel = 48;
+
+Mat oracle_sym_gram_signed(const Mat& a, const Vec& j) {
+  const Index big_n = a.rows();
+  const Index n = a.cols();
+  Mat c(n, n);
+  for (Index j0 = 0; j0 < n; j0 += kOraclePanel) {
+    const Index j1 = std::min(n, j0 + kOraclePanel);
+    for (Index i0 = j0; i0 < n; i0 += kOraclePanel) {
+      const Index i1 = std::min(n, i0 + kOraclePanel);
+      for (Index k = 0; k < big_n; ++k) {
+        const double* arow = a.data() + k * n;
+        const double sign = j[static_cast<size_t>(k)];
+        for (Index i = i0; i < i1; ++i) {
+          const double aik = arow[i] * sign;
+          if (aik == 0.0) continue;
+          double* crow = c.data() + i * n;
+          const Index jend = std::min(j1, i + 1);
+          for (Index jj = j0; jj < jend; ++jj) crow[jj] += aik * arow[jj];
+        }
+      }
+    }
+  }
+  for (Index i = 0; i < n; ++i)
+    for (Index jj = i + 1; jj < n; ++jj) c(i, jj) = c(jj, i);
+  return c;
+}
+
+template <typename FillPanel>
+Mat oracle_sym_gram_streamed(const Mat& a, FillPanel fill) {
+  const Index big_n = a.rows();
+  const Index n = a.cols();
+  Mat c(n, n);
+  for (Index j0 = 0; j0 < n; j0 += kOraclePanel) {
+    const Index j1 = std::min(n, j0 + kOraclePanel);
+    const Mat panel = fill(j0, j1);
+    for (Index i0 = j0; i0 < n; i0 += kOraclePanel) {
+      const Index i1 = std::min(n, i0 + kOraclePanel);
+      for (Index k = 0; k < big_n; ++k) {
+        const double* arow = a.data() + k * n;
+        const double* prow = panel.data() + k * panel.cols();
+        for (Index i = i0; i < i1; ++i) {
+          const double aik = arow[i];
+          if (aik == 0.0) continue;
+          double* crow = c.data() + i * n;
+          const Index jend = std::min(j1, i + 1);
+          for (Index jj = j0; jj < jend; ++jj)
+            crow[jj] += aik * prow[jj - j0];
+        }
+      }
+    }
+  }
+  for (Index i = 0; i < n; ++i)
+    for (Index jj = i + 1; jj < n; ++jj) c(i, jj) = c(jj, i);
+  return c;
+}
+
+void expect_same_bits(const Mat& a, const Mat& b, const char* what) {
+  ASSERT_EQ(a.rows(), b.rows()) << what;
+  ASSERT_EQ(a.cols(), b.cols()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        static_cast<size_t>(a.rows() * a.cols()) * sizeof(double)),
+            0)
+      << what;
+}
+
+TEST(PortShard, StitchGramsOverNonzeroRowsKeepTheBits) {
+  // A 130×100 V (three column panels, the last partial) with all-zero
+  // rows — one of them all −0.0 — scattered ±0.0 entries and an all-zero
+  // column; a right-hand factor with ±Inf and NaN in V's zero rows, which
+  // neither kernel may read.
+  const Index big_n = 130, n = 100;
+  std::mt19937 rng(7);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  Mat v(big_n, n), rhs(big_n, n);
+  Vec j(static_cast<size_t>(big_n));
+  for (Index k = 0; k < big_n; ++k) {
+    j[static_cast<size_t>(k)] = u(rng) < 0.0 ? -1.0 : 1.0;
+    for (Index c = 0; c < n; ++c) {
+      v(k, c) = u(rng);
+      rhs(k, c) = u(rng);
+    }
+  }
+  for (Index k = 0; k < big_n; k += 7)
+    for (Index c = 0; c < n; c += 3) v(k, c) = (c % 2 == 0) ? 0.0 : -0.0;
+  for (Index k = 0; k < big_n; ++k) v(k, 61) = 0.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (Index k : {0, 1, 13, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 88, 129}) {
+    for (Index c = 0; c < n; ++c) {
+      v(k, c) = k == 88 ? -0.0 : 0.0;
+      rhs(k, c) = c % 3 == 0 ? inf : c % 3 == 1 ? -inf : std::nan("");
+    }
+  }
+  std::vector<Index> rows;
+  for (Index k = 0; k < big_n; ++k)
+    for (Index c = 0; c < n; ++c)
+      if (v(k, c) != 0.0) {
+        rows.push_back(k);
+        break;
+      }
+  ASSERT_EQ(static_cast<Index>(rows.size()), big_n - 16);
+
+  expect_same_bits(detail::sym_gram_signed(v, j, rows), oracle_sym_gram_signed(v, j),
+                   "sym_gram_signed");
+  const auto fill = [&](Index j0, Index j1) { return rhs.block(0, big_n, j0, j1); };
+  const Mat streamed = detail::sym_gram_streamed(v, rows, fill);
+  expect_same_bits(streamed, oracle_sym_gram_streamed(v, fill), "sym_gram_streamed");
+  for (Index a = 0; a < n; ++a)
+    for (Index b = 0; b < n; ++b)
+      ASSERT_TRUE(std::isfinite(streamed(a, b))) << "a zero row of V was read";
 }
 
 TEST(PortShard, OneShardDelegatesBitIdenticalToMonolithic) {
