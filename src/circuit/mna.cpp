@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "linalg/dense_factor.hpp"
+#include "obs/obs.hpp"
 
 namespace sympvl {
 
@@ -212,12 +213,9 @@ Mat source_incidence(const Netlist& nl) {
   return b;
 }
 
-MnaSystem build_mna(const Netlist& netlist, MnaForm form) {
-  netlist.validate();
-  require(netlist.node_count() > 1, "build_mna: circuit has no non-datum nodes");
-  require(netlist.port_count() > 0 || form == MnaForm::kGeneral,
-          "build_mna: circuit has no ports");
+namespace {
 
+MnaSystem build_form(const Netlist& netlist, MnaForm form) {
   if (form == MnaForm::kAuto) {
     if (netlist.is_lc() && netlist.has_inductors()) return build_lc(netlist);
     if (netlist.is_rc()) return build_rc(netlist);
@@ -237,6 +235,20 @@ MnaSystem build_mna(const Netlist& netlist, MnaForm form) {
       throw Error(ErrorCode::kInvalidArgument, "build_mna: unknown form",
                   {.stage = "mna"});
   }
+}
+
+}  // namespace
+
+MnaSystem build_mna(const Netlist& netlist, MnaForm form) {
+  obs::ScopedTimer span("circuit.mna");
+  netlist.validate();
+  require(netlist.node_count() > 1, "build_mna: circuit has no non-datum nodes");
+  require(netlist.port_count() > 0 || form == MnaForm::kGeneral,
+          "build_mna: circuit has no ports");
+  MnaSystem sys = build_form(netlist, form);
+  span.arg("n", sys.size());
+  span.arg("nnz", sys.G.nnz() + sys.C.nnz());
+  return sys;
 }
 
 }  // namespace sympvl

@@ -10,9 +10,11 @@ std::string auto_name(const char* prefix, size_t k) {
 }
 }  // namespace
 
-void Netlist::check_node(Index n, const std::string& what) const {
-  require(n >= 0, ErrorCode::kInvalidArgument, what + ": negative node index",
-          {.stage = "netlist", .value = double(n)});
+void Netlist::check_node(Index n, const char* what) const {
+  if (n < 0)
+    throw Error(ErrorCode::kInvalidArgument,
+                std::string(what) + ": negative node index",
+                {.stage = "netlist", .value = double(n)});
 }
 
 Index Netlist::add_resistor(Index n1, Index n2, double r, std::string name) {
@@ -101,27 +103,30 @@ std::optional<Index> Netlist::find_port(const std::string& name) const {
 void Netlist::validate() const {
   require(node_count_ >= 1, "validate: no datum node");
   auto in_range = [&](Index n) { return 0 <= n && n < node_count_; };
+  // The message is built only when a check fails.
+  auto check = [](bool ok, const char* what, const std::string& name) {
+    if (!ok) throw Error(std::string("validate: bad ") + what + " " + name);
+  };
   for (const auto& r : resistors_)
-    require(in_range(r.n1) && in_range(r.n2) &&
-                (allow_negative_ ? r.resistance != 0.0 : r.resistance > 0.0),
-            "validate: bad resistor " + r.name);
+    check(in_range(r.n1) && in_range(r.n2) &&
+              (allow_negative_ ? r.resistance != 0.0 : r.resistance > 0.0),
+          "resistor", r.name);
   for (const auto& c : capacitors_)
-    require(in_range(c.n1) && in_range(c.n2) &&
-                (allow_negative_ ? c.capacitance != 0.0 : c.capacitance > 0.0),
-            "validate: bad capacitor " + c.name);
+    check(in_range(c.n1) && in_range(c.n2) &&
+              (allow_negative_ ? c.capacitance != 0.0 : c.capacitance > 0.0),
+          "capacitor", c.name);
   for (const auto& l : inductors_)
-    require(in_range(l.n1) && in_range(l.n2) && l.inductance > 0.0,
-            "validate: bad inductor " + l.name);
+    check(in_range(l.n1) && in_range(l.n2) && l.inductance > 0.0, "inductor",
+          l.name);
   for (const auto& m : mutuals_)
-    require(m.l1 >= 0 && m.l1 < static_cast<Index>(inductors_.size()) &&
-                m.l2 >= 0 && m.l2 < static_cast<Index>(inductors_.size()) &&
-                std::abs(m.coupling) < 1.0,
-            "validate: bad mutual coupling " + m.name);
+    check(m.l1 >= 0 && m.l1 < static_cast<Index>(inductors_.size()) &&
+              m.l2 >= 0 && m.l2 < static_cast<Index>(inductors_.size()) &&
+              std::abs(m.coupling) < 1.0,
+          "mutual coupling", m.name);
   for (const auto& p : ports_)
-    require(in_range(p.n1) && in_range(p.n2) && p.n1 != p.n2,
-            "validate: bad port " + p.name);
+    check(in_range(p.n1) && in_range(p.n2) && p.n1 != p.n2, "port", p.name);
   for (const auto& s : sources_)
-    require(in_range(s.n1) && in_range(s.n2), "validate: bad source " + s.name);
+    check(in_range(s.n1) && in_range(s.n2), "source", s.name);
 }
 
 }  // namespace sympvl

@@ -121,6 +121,7 @@ class Netlist {
 
   /// Validates node indices, positive element values, |k| < 1, and port
   /// sanity; throws sympvl::Error describing the first problem found.
+  /// Builds no string unless a check fails.
   void validate() const;
 
   /// Permits negative-valued R and C elements. Section 6 of the paper:
@@ -130,7 +131,7 @@ class Netlist {
   bool allow_negative() const { return allow_negative_; }
 
  private:
-  void check_node(Index n, const std::string& what) const;
+  void check_node(Index n, const char* what) const;
 
   Index node_count_ = 1;  // node 0 (datum) always exists
   bool allow_negative_ = false;

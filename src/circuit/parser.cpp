@@ -1,197 +1,142 @@
 #include "circuit/parser.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
+#include <deque>
 #include <fstream>
-#include <map>
+#include <limits>
+#include <optional>
+#include <span>
 #include <sstream>
+#include <unordered_map>
+#include <vector>
+
+#include "obs/obs.hpp"
 
 namespace sympvl {
 
 namespace {
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return s;
+// ---- Characters and tokens ------------------------------------------------
+//
+// A line ends at '\n' and splits on the characters operator>> treats as
+// space in the C locale. A token that starts with '*' or ';' is a
+// comment to the end of its line, so a line whose first token is one is
+// a comment line.
+
+constexpr bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
 }
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> toks;
-  std::istringstream in(line);
-  std::string t;
-  while (in >> t) {
-    if (t[0] == '*' || t[0] == ';') break;  // trailing comment
+constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+constexpr char lower_char(char c) {
+  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+bool has_upper(std::string_view s) {
+  return std::any_of(s.begin(), s.end(), [](char c) { return c >= 'A' && c <= 'Z'; });
+}
+
+/// `s` equals the lowercase literal `lit` up to case.
+bool iequals(std::string_view s, std::string_view lit) {
+  if (s.size() != lit.size()) return false;
+  for (size_t k = 0; k < s.size(); ++k)
+    if (lower_char(s[k]) != lit[k]) return false;
+  return true;
+}
+
+/// `s` lowered: a view of `s` itself when it has no capitals, else of `buf`.
+std::string_view lowered(std::string_view s, std::string& buf) {
+  if (!has_upper(s)) return s;
+  buf.assign(s);
+  for (char& c : buf) c = lower_char(c);
+  return buf;
+}
+
+/// The token at `p`, which moves past it; empty at the line's end `end`
+/// or at a comment.
+std::string_view next_token(const char*& p, const char* end) {
+  while (p != end && is_space(*p)) ++p;
+  if (p == end || *p == '*' || *p == ';') return {};
+  const char* const t = p;
+  while (p != end && !is_space(*p)) ++p;
+  return {t, static_cast<size_t>(p - t)};
+}
+
+/// The first token of `line`; empty when the line holds none (blank or a
+/// comment).
+std::string_view first_token(std::string_view line) {
+  const char* p = line.data();
+  return next_token(p, p + line.size());
+}
+
+/// Appends the tokens of `line` to `toks`.
+void tokenize(std::string_view line, std::vector<std::string_view>& toks) {
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  for (std::string_view t = next_token(p, end); !t.empty(); t = next_token(p, end))
     toks.push_back(t);
+}
+
+/// The lines of text[begin, end) as std::getline reads them: a last line
+/// without '\n' counts, a final '\n' opens no empty line. `line_no` is
+/// the number of the line before `begin`.
+class LineReader {
+ public:
+  LineReader(std::string_view text, size_t begin, size_t end, size_t line_no)
+      : text_(text), pos_(begin), end_(end), line_no_(line_no) {}
+
+  bool next(std::string_view& line) {
+    if (pos_ >= end_) return false;
+    start_ = pos_;
+    const size_t nl = text_.find('\n', pos_);
+    const size_t stop = nl == std::string_view::npos ? text_.size() : nl;
+    line = text_.substr(pos_, stop - pos_);
+    pos_ = nl == std::string_view::npos ? text_.size() : nl + 1;
+    ++line_no_;
+    return true;
   }
-  return toks;
+  size_t line_no() const { return line_no_; }
+  size_t line_start() const { return start_; }  // offset of the last line read
+  size_t pos() const { return pos_; }           // offset after it
+
+ private:
+  std::string_view text_;
+  size_t pos_, end_, line_no_, start_ = 0;
+};
+
+std::string at_line(size_t line_no) {
+  return "netlist parse error at line " + std::to_string(line_no) + ": ";
 }
 
 [[noreturn]] void fail(size_t line_no, const std::string& msg) {
-  throw Error(ErrorCode::kIo,
-              "netlist parse error at line " + std::to_string(line_no) + ": " + msg,
+  throw Error(ErrorCode::kIo, at_line(line_no) + msg,
               {.stage = "parser", .index = static_cast<Index>(line_no)});
 }
 
-struct Card {
-  std::vector<std::string> tokens;
-  size_t line_no = 0;
-};
-
-struct SubcktDef {
-  std::string name;
-  std::vector<std::string> pins;  // local node names
-  std::vector<Card> body;
-};
-
-constexpr int kMaxInstanceDepth = 32;
-
-// Recursive flattening context.
-struct Flattener {
-  Netlist& netlist;
-  std::map<std::string, Index>& nodes;              // global node table
-  std::map<std::string, Index>& inductor_names;     // scoped (prefixed) names
-  const std::map<std::string, SubcktDef>& subckts;
-
-  Index node_of(const std::string& tok, const std::string& prefix,
-                const std::map<std::string, std::string>& pin_map) {
-    const std::string key = lower(tok);
-    if (key == "0" || key == "gnd") return 0;
-    const auto pin = pin_map.find(key);
-    const std::string global = (pin != pin_map.end()) ? pin->second : prefix + key;
-    if (global == "0") return 0;  // pin wired to ground by the parent
-    const auto it = nodes.find(global);
-    if (it != nodes.end()) return it->second;
-    const Index n = netlist.new_node();
-    nodes.emplace(global, n);
-    return n;
-  }
-
-  void process(const std::vector<Card>& cards, const std::string& prefix,
-               const std::map<std::string, std::string>& pin_map, int depth) {
-    require(depth <= kMaxInstanceDepth,
-            "netlist parse error: subcircuit instances nested deeper than 32 "
-            "(recursive definition?)");
-    for (const auto& card : cards) {
-      const auto& toks = card.tokens;
-      const size_t line_no = card.line_no;
-      const std::string head = lower(toks[0]);
-
-      if (head == ".port") {
-        if (!prefix.empty())
-          fail(line_no, ".port is only allowed at the top level");
-        if (toks.size() < 3 || toks.size() > 4)
-          fail(line_no, ".port expects: .port <name> n1 [n2]");
-        const Index n1 = node_of(toks[2], prefix, pin_map);
-        const Index n2 =
-            toks.size() == 4 ? node_of(toks[3], prefix, pin_map) : 0;
-        netlist.add_port(n1, n2, toks[1]);
-        continue;
-      }
-      if (head[0] == '.') fail(line_no, "unknown directive '" + toks[0] + "'");
-
-      switch (head[0]) {
-        case 'r': {
-          if (toks.size() != 4) fail(line_no, "R card expects: Rname n1 n2 value");
-          netlist.add_resistor(node_of(toks[1], prefix, pin_map),
-                               node_of(toks[2], prefix, pin_map),
-                               parse_value(toks[3]), prefix + toks[0]);
-          break;
-        }
-        case 'c': {
-          if (toks.size() != 4) fail(line_no, "C card expects: Cname n1 n2 value");
-          netlist.add_capacitor(node_of(toks[1], prefix, pin_map),
-                                node_of(toks[2], prefix, pin_map),
-                                parse_value(toks[3]), prefix + toks[0]);
-          break;
-        }
-        case 'l': {
-          if (toks.size() != 4) fail(line_no, "L card expects: Lname n1 n2 value");
-          const Index idx = netlist.add_inductor(
-              node_of(toks[1], prefix, pin_map),
-              node_of(toks[2], prefix, pin_map), parse_value(toks[3]),
-              prefix + toks[0]);
-          inductor_names[lower(prefix + toks[0])] = idx;
-          break;
-        }
-        case 'k': {
-          if (toks.size() != 4) fail(line_no, "K card expects: Kname L1 L2 k");
-          const auto i1 = inductor_names.find(lower(prefix + toks[1]));
-          const auto i2 = inductor_names.find(lower(prefix + toks[2]));
-          if (i1 == inductor_names.end() || i2 == inductor_names.end())
-            fail(line_no, "K card references unknown inductor");
-          netlist.add_mutual(i1->second, i2->second, parse_value(toks[3]),
-                             prefix + toks[0]);
-          break;
-        }
-        case 'i': {
-          if (toks.size() != 4) fail(line_no, "I card expects: Iname n1 n2 value");
-          netlist.add_current_source(node_of(toks[1], prefix, pin_map),
-                                     node_of(toks[2], prefix, pin_map),
-                                     parse_value(toks[3]), prefix + toks[0]);
-          break;
-        }
-        case 'x': {
-          // Xname n1 … nk subname
-          if (toks.size() < 3)
-            fail(line_no, "X card expects: Xname n1 ... nk subname");
-          const std::string subname = lower(toks.back());
-          const auto def = subckts.find(subname);
-          if (def == subckts.end())
-            fail(line_no, "unknown subcircuit '" + toks.back() + "'");
-          const size_t npins = def->second.pins.size();
-          if (toks.size() != npins + 2)
-            fail(line_no, "instance of '" + toks.back() + "' expects " +
-                              std::to_string(npins) + " pins");
-          // Map local pin names to the instance's global node names: the
-          // connecting nodes are resolved in the PARENT scope.
-          std::map<std::string, std::string> inst_map;
-          for (size_t k = 0; k < npins; ++k) {
-            const std::string& parent_tok = toks[1 + k];
-            const std::string parent_key = lower(parent_tok);
-            std::string global;
-            if (parent_key == "0" || parent_key == "gnd") {
-              global = "0";
-            } else {
-              const auto pin = pin_map.find(parent_key);
-              global = (pin != pin_map.end()) ? pin->second : prefix + parent_key;
-            }
-            // Register the node now so "0" maps to ground and others exist.
-            if (global != "0") node_of(parent_tok, prefix, pin_map);
-            inst_map[lower(def->second.pins[k])] = global;
-          }
-          // Ground inside the instance: a pin mapped to "0" resolves through
-          // node_of's special case using this sentinel mapping.
-          const std::string inst_prefix = prefix + lower(toks[0]) + ".";
-          process(def->second.body, inst_prefix, inst_map, depth + 1);
-          break;
-        }
-        default:
-          fail(line_no, "unknown element card '" + toks[0] + "'");
-      }
-    }
-  }
-};
-
-}  // namespace
-
-double parse_value(const std::string& token) {
-  require(!token.empty(), "parse_value: empty token");
-  const std::string t = lower(token);
-  size_t pos = 0;
-  double v = 0.0;
+/// Runs `f`, which reads a card's value or adds its element. An Error it
+/// raises keeps its code and stage and gains the card's line: `index` is
+/// the line, and the message is prefixed as fail()'s is.
+template <typename F>
+void on_line(size_t line_no, F&& f) {
   try {
-    v = std::stod(t, &pos);
-  } catch (const std::exception&) {
-    throw Error(ErrorCode::kIo, "parse_value: malformed number '" + token + "'",
-                {.stage = "parser"});
+    f();
+  } catch (const Error& e) {
+    ErrorContext context = e.context();
+    context.index = static_cast<Index>(line_no);
+    throw Error(e.code(), at_line(line_no) + e.what(), std::move(context));
   }
-  const std::string suffix = t.substr(pos);
-  if (suffix.empty()) return v;
-  // SPICE semantics: "meg" = 1e6, bare "m" = 1e-3. Alphabetic tail after
-  // the scale letter (unit names like "pF") is ignored, SPICE-style.
-  if (suffix.rfind("meg", 0) == 0) return v * 1e6;
-  switch (suffix[0]) {
+}
+
+// ---- Values ---------------------------------------------------------------
+
+/// v times the SPICE scale `suffix` names ("meg" = 1e6, bare "m" = 1e-3;
+/// any alphabetic tail after the scale, such as a unit, is ignored). Empty
+/// when `suffix` names no scale. Case-insensitive.
+std::optional<double> scaled(double v, std::string_view suffix) {
+  if (suffix.size() >= 3 && iequals(suffix.substr(0, 3), "meg")) return v * 1e6;
+  switch (lower_char(suffix[0])) {
     case 'f': return v * 1e-15;
     case 'p': return v * 1e-12;
     case 'n': return v * 1e-9;
@@ -200,83 +145,397 @@ double parse_value(const std::string& token) {
     case 'k': return v * 1e3;
     case 'g': return v * 1e9;
     case 't': return v * 1e12;
-    default:
-      throw Error(ErrorCode::kIo,
-                  "parse_value: unknown suffix '" + suffix + "' in '" + token + "'",
-                  {.stage = "parser"});
+    default: return std::nullopt;
   }
 }
 
-Netlist parse_netlist(std::istream& in) {
-  // ---- Pass 1: tokenize, split into subckt definitions and main body. --
-  std::map<std::string, SubcktDef> subckts;
-  std::vector<Card> main_body;
-  SubcktDef* open_def = nullptr;
+/// The from_chars path. It takes a token that starts like a decimal number
+/// (a digit, '.', or '-' then a digit or '.'), reads as a finite magnitude
+/// above the smallest normal, and ends with nothing, a scale letter or
+/// "meg". On such a token strtod stops at the same character and both
+/// round correctly, so the value carries std::stod's bits; stod's ERANGE
+/// (overflow, or a tiny result, subnormal or flushed to zero) cannot
+/// arise. Any other token, zero included, is left to stod_value, so every
+/// accept and reject stays stod's.
+std::optional<double> from_chars_value(std::string_view t) {
+  const char* const b = t.data();
+  const char* const e = b + t.size();
+  const bool decimal = is_digit(b[0]) || b[0] == '.' ||
+                       (b[0] == '-' && t.size() > 1 && (is_digit(b[1]) || b[1] == '.'));
+  if (!decimal) return std::nullopt;
+  double v = 0.0;
+  const auto [p, ec] = std::from_chars(b, e, v);
+  if (ec != std::errc()) return std::nullopt;
+  const double mag = std::abs(v);
+  if (!(mag > std::numeric_limits<double>::min() &&
+        mag <= std::numeric_limits<double>::max()))
+    return std::nullopt;
+  if (p == e) return v;
+  return scaled(v, {p, static_cast<size_t>(e - p)});
+}
 
-  std::string line;
-  size_t line_no = 0;
-  bool ended = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (ended) break;
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    if (line[first] == '*' || line[first] == ';') continue;
-    auto toks = tokenize(line.substr(first));
-    if (toks.empty()) continue;
-    const std::string head = lower(toks[0]);
-
-    if (head == ".end") {
-      if (open_def != nullptr) fail(line_no, ".end inside a .subckt block");
-      ended = true;
-      continue;
-    }
-    if (head == ".subckt") {
-      if (open_def != nullptr) fail(line_no, "nested .subckt definitions");
-      if (toks.size() < 3)
-        fail(line_no, ".subckt expects: .subckt <name> pin1 [pin2 ...]");
-      SubcktDef def;
-      def.name = lower(toks[1]);
-      for (size_t k = 2; k < toks.size(); ++k) def.pins.push_back(lower(toks[k]));
-      if (subckts.count(def.name))
-        fail(line_no, "duplicate subcircuit '" + toks[1] + "'");
-      open_def = &subckts.emplace(def.name, std::move(def)).first->second;
-      continue;
-    }
-    if (head == ".ends") {
-      if (open_def == nullptr) fail(line_no, ".ends without .subckt");
-      if (toks.size() >= 2 && lower(toks[1]) != open_def->name)
-        fail(line_no, ".ends name does not match the open .subckt");
-      open_def = nullptr;
-      continue;
-    }
-    Card card{std::move(toks), line_no};
-    if (open_def != nullptr)
-      open_def->body.push_back(std::move(card));
-    else
-      main_body.push_back(std::move(card));
+/// std::stod on the lowered token, then the scale suffix.
+double stod_value(std::string_view token) {
+  std::string t(token);
+  for (char& c : t) c = lower_char(c);
+  size_t pos = 0;
+  double v = 0.0;
+  try {
+    v = std::stod(t, &pos);
+  } catch (const std::exception&) {
+    throw Error(ErrorCode::kIo,
+                "parse_value: malformed number '" + std::string(token) + "'",
+                {.stage = "parser"});
   }
-  require(open_def == nullptr, "netlist parse error: unterminated .subckt");
+  if (pos == t.size()) return v;
+  if (const auto s = scaled(v, std::string_view(t).substr(pos))) return *s;
+  throw Error(ErrorCode::kIo,
+              "parse_value: unknown suffix '" + t.substr(pos) + "' in '" +
+                  std::string(token) + "'",
+              {.stage = "parser"});
+}
 
-  // ---- Pass 2: flatten. ----
+// ---- Scan 1: structure ----------------------------------------------------
+
+/// Copies of the names the text does not spell as table keys (lowered
+/// names, instance-scoped "<inst>.<node>" names), kept for the parse; a
+/// deque never moves its strings, so views of them stay valid.
+using NameStore = std::deque<std::string>;
+
+/// `tok` lowered, as a view that lives as long as `names`: `tok` itself
+/// when it has no capitals, else a lowered copy kept in `names`.
+std::string_view stable_lowered(std::string_view tok, NameStore& names) {
+  if (!has_upper(tok)) return tok;
+  std::string& copy = names.emplace_back(tok);
+  for (char& c : copy) c = lower_char(c);
+  return copy;
+}
+
+struct BodyCard {
+  size_t first = 0, count = 0;  // into SubcktDef::tokens
+  size_t line_no = 0;
+};
+
+struct SubcktDef {
+  std::vector<std::string_view> pins;    // lowered local names
+  std::vector<std::string_view> tokens;  // every body card's tokens
+  std::vector<BodyCard> body;
+};
+
+/// A run of top-level lines text[begin, end) with no subcircuit block in
+/// it; `line_no` is the number of the line before `begin`.
+struct Region {
+  size_t begin = 0, end = 0, line_no = 0;
+};
+
+using NameTable = std::unordered_map<std::string_view, Index>;
+
+/// What scan 1 finds: the definitions, the top-level regions between
+/// them (ending at `.end`), and the top-level element counts.
+struct Structure {
+  std::unordered_map<std::string_view, SubcktDef> subckts;  // lowered name
+  std::vector<Region> top;
+  Index resistors = 0, capacitors = 0, inductors = 0, ports = 0;
+};
+
+/// Scan 1 reads only directive lines and subcircuit bodies, so an `X` card
+/// may use a definition that appears later, and a structural error wins
+/// over any card error wherever it sits. Nothing after `.end` is read.
+Structure scan_structure(std::string_view text, NameStore& names) {
+  Structure s;
+  LineReader lines(text, 0, text.size(), 0);
+  SubcktDef* open = nullptr;
+  std::string_view open_name;
+  Region region;
+  std::vector<std::string_view> toks;
+  auto close_region = [&](size_t end) {
+    region.end = end;
+    if (region.end > region.begin) s.top.push_back(region);
+  };
+  std::string_view line;
+  bool ended = false;
+  while (!ended && lines.next(line)) {
+    const std::string_view head = first_token(line);
+    if (head.empty()) continue;
+    const size_t line_no = lines.line_no();
+    if (head[0] == '.') {
+      if (iequals(head, ".end")) {
+        if (open != nullptr) fail(line_no, ".end inside a .subckt block");
+        close_region(lines.line_start());
+        ended = true;
+        continue;
+      }
+      if (iequals(head, ".subckt")) {
+        if (open != nullptr) fail(line_no, "nested .subckt definitions");
+        toks.clear();
+        tokenize(line, toks);
+        if (toks.size() < 3)
+          fail(line_no, ".subckt expects: .subckt <name> pin1 [pin2 ...]");
+        SubcktDef def;
+        for (size_t k = 2; k < toks.size(); ++k)
+          def.pins.push_back(stable_lowered(toks[k], names));
+        const std::string_view name = stable_lowered(toks[1], names);
+        if (s.subckts.count(name))
+          fail(line_no, "duplicate subcircuit '" + std::string(toks[1]) + "'");
+        open = &s.subckts.emplace(name, std::move(def)).first->second;
+        open_name = name;
+        close_region(lines.line_start());
+        continue;
+      }
+      if (iequals(head, ".ends")) {
+        if (open == nullptr) fail(line_no, ".ends without .subckt");
+        toks.clear();
+        tokenize(line, toks);
+        if (toks.size() >= 2 && !iequals(toks[1], open_name))
+          fail(line_no, ".ends name does not match the open .subckt");
+        open = nullptr;
+        region = {lines.pos(), 0, line_no};
+        continue;
+      }
+    }
+    if (open != nullptr) {
+      const size_t first = open->tokens.size();
+      tokenize(line, open->tokens);
+      open->body.push_back({first, open->tokens.size() - first, line_no});
+      continue;
+    }
+    switch (lower_char(head[0])) {
+      case 'r': ++s.resistors; break;
+      case 'c': ++s.capacitors; break;
+      case 'l': ++s.inductors; break;
+      case '.': s.ports += iequals(head, ".port") ? 1 : 0; break;
+      default: break;
+    }
+  }
+  if (!ended) close_region(text.size());
+  require(open == nullptr, "netlist parse error: unterminated .subckt");
+  return s;
+}
+
+// ---- Scan 2: flatten ------------------------------------------------------
+
+constexpr int kMaxInstanceDepth = 32;
+
+struct Pin {
+  std::string_view name;  // lowered local name
+  Index node = 0;         // the parent's node it is wired to (0: datum)
+};
+
+/// Where a card is read: "" and no pins at the top level; inside an
+/// instance, the prefix "<inst>." (lowered, nested instances chained) and
+/// the instance's pin wiring.
+struct Scope {
+  std::string_view prefix;
+  std::vector<Pin> pins;
+};
+
+class Flattener {
+ public:
+  Flattener(Netlist& netlist, const Structure& structure, NameStore& names)
+      : netlist_(netlist), subckts_(structure.subckts), names_(names) {
+    // A mesh or a ladder holds about one node per two two-terminal cards;
+    // the count is bounded by the text, never by a name's numeric value.
+    nodes_.reserve(static_cast<size_t>(
+        (structure.resistors + structure.capacitors + structure.inductors) / 2));
+  }
+
+  void card(std::span<const std::string_view> toks, size_t line_no,
+            const Scope& scope, int depth) {
+    const std::string_view head = toks[0];
+    if (iequals(head, ".port")) {
+      if (!scope.prefix.empty())
+        fail(line_no, ".port is only allowed at the top level");
+      if (toks.size() < 3 || toks.size() > 4)
+        fail(line_no, ".port expects: .port <name> n1 [n2]");
+      const Index n1 = node_of(toks[2], scope);
+      const Index n2 = toks.size() == 4 ? node_of(toks[3], scope) : 0;
+      on_line(line_no, [&] { netlist_.add_port(n1, n2, std::string(toks[1])); });
+      return;
+    }
+    if (head[0] == '.')
+      fail(line_no, "unknown directive '" + std::string(head) + "'");
+
+    switch (lower_char(head[0])) {
+      case 'r': two_terminal('R', toks, line_no, scope); break;
+      case 'c': two_terminal('C', toks, line_no, scope); break;
+      case 'l': {
+        const Index idx = two_terminal('L', toks, line_no, scope);
+        const std::string_view key = scoped_key(scope.prefix, toks[0]);
+        const auto it = inductors_.find(key);
+        if (it != inductors_.end())
+          it->second = idx;
+        else
+          inductors_.emplace(stable(key, toks[0]), idx);
+        break;
+      }
+      case 'i': two_terminal('I', toks, line_no, scope); break;
+      case 'k': {
+        if (toks.size() != 4) fail(line_no, "K card expects: Kname L1 L2 k");
+        const auto i1 = inductors_.find(scoped_key(scope.prefix, toks[1]));
+        const auto i2 = inductors_.find(scoped_key(scope.prefix, toks[2]));
+        if (i1 == inductors_.end() || i2 == inductors_.end())
+          fail(line_no, "K card references unknown inductor");
+        on_line(line_no, [&] {
+          netlist_.add_mutual(i1->second, i2->second, parse_value(toks[3]),
+                              scoped_name(scope.prefix, toks[0]));
+        });
+        break;
+      }
+      case 'x': instance(toks, line_no, scope, depth); break;
+      default:
+        fail(line_no, "unknown element card '" + std::string(head) + "'");
+    }
+  }
+
+ private:
+  /// R, C, L or I: Kname n1 n2 value.
+  Index two_terminal(char kind, std::span<const std::string_view> toks,
+                     size_t line_no, const Scope& scope) {
+    if (toks.size() != 4)
+      fail(line_no, std::string(1, kind) + " card expects: " + kind +
+                        "name n1 n2 value");
+    // Node numbering rule: n2 is looked up before n1, so a card that names
+    // two new nodes numbers its second node first. Numbers follow first
+    // appearance, and MNA row k is node k+1, so this order fixes the
+    // row order, the fill-reducing permutation and every bit downstream.
+    const Index n2 = node_of(toks[2], scope);
+    const Index n1 = node_of(toks[1], scope);
+    Index idx = 0;
+    on_line(line_no, [&] {
+      const double v = parse_value(toks[3]);
+      std::string name = scoped_name(scope.prefix, toks[0]);
+      switch (kind) {
+        case 'R': idx = netlist_.add_resistor(n1, n2, v, std::move(name)); break;
+        case 'C': idx = netlist_.add_capacitor(n1, n2, v, std::move(name)); break;
+        case 'L': idx = netlist_.add_inductor(n1, n2, v, std::move(name)); break;
+        default: idx = netlist_.add_current_source(n1, n2, v, std::move(name));
+      }
+    });
+    return idx;
+  }
+
+  /// Xname n1 … nk subname: the pins are wired in the parent's scope, left
+  /// to right, then the body is read in the instance's scope.
+  void instance(std::span<const std::string_view> toks, size_t line_no,
+                const Scope& scope, int depth) {
+    if (toks.size() < 3) fail(line_no, "X card expects: Xname n1 ... nk subname");
+    const std::string_view subname = toks.back();
+    const auto def = subckts_.find(lowered(subname, buf_));
+    if (def == subckts_.end())
+      fail(line_no, "unknown subcircuit '" + std::string(subname) + "'");
+    const SubcktDef& d = def->second;
+    const size_t npins = d.pins.size();
+    if (toks.size() != npins + 2)
+      fail(line_no, "instance of '" + std::string(subname) + "' expects " +
+                        std::to_string(npins) + " pins");
+    Scope inner;
+    inner.pins.reserve(npins);
+    for (size_t k = 0; k < npins; ++k)
+      inner.pins.push_back({d.pins[k], node_of(toks[1 + k], scope)});
+    std::string& prefix = names_.emplace_back(scoped_key(scope.prefix, toks[0]));
+    prefix.push_back('.');
+    inner.prefix = prefix;
+
+    require(depth + 1 <= kMaxInstanceDepth,
+            "netlist parse error: subcircuit instances nested deeper than 32 "
+            "(recursive definition?)");
+    for (const BodyCard& c : d.body)
+      card({d.tokens.data() + c.first, c.count}, c.line_no, inner, depth + 1);
+  }
+
+  /// The node a token names in `scope`: "0" and "gnd" are the datum, a pin
+  /// is its parent's node, any other name is "<prefix><lowered name>",
+  /// numbered on first appearance.
+  Index node_of(std::string_view tok, const Scope& scope) {
+    if (tok == "0" || iequals(tok, "gnd")) return 0;
+    // Search from the back: a pin name listed twice is wired to the last.
+    for (auto pin = scope.pins.rbegin(); pin != scope.pins.rend(); ++pin)
+      if (iequals(tok, pin->name)) return pin->node;
+    const std::string_view key = scoped_key(scope.prefix, tok);
+    const auto it = nodes_.find(key);
+    if (it != nodes_.end()) return it->second;
+    const Index n = netlist_.new_node();
+    nodes_.emplace(stable(key, tok), n);
+    return n;
+  }
+
+  /// prefix + lower(tok): a view of `tok` itself at the top level when it
+  /// has no capitals, else of buf_ (valid until the next call).
+  std::string_view scoped_key(std::string_view prefix, std::string_view tok) {
+    if (prefix.empty()) return lowered(tok, buf_);
+    buf_.assign(prefix);
+    for (char c : tok) buf_.push_back(lower_char(c));
+    return buf_;
+  }
+
+  /// A key that outlives the parse's buffers: `key` itself when it is the
+  /// text's own token, else a stored copy.
+  std::string_view stable(std::string_view key, std::string_view tok) {
+    return key.data() == tok.data() ? key : names_.emplace_back(key);
+  }
+
+  static std::string scoped_name(std::string_view prefix, std::string_view tok) {
+    std::string name;
+    name.reserve(prefix.size() + tok.size());
+    name.append(prefix).append(tok);
+    return name;
+  }
+
+  Netlist& netlist_;
+  const std::unordered_map<std::string_view, SubcktDef>& subckts_;
+  NameStore& names_;
+  NameTable nodes_;      // global lowered node name → node
+  NameTable inductors_;  // scoped lowered inductor name → inductor index
+  std::string buf_;
+};
+
+std::string read_all(std::istream& in) {
+  std::ostringstream text;
+  text << in.rdbuf();
+  return std::move(text).str();
+}
+
+}  // namespace
+
+double parse_value(std::string_view token) {
+  require(!token.empty(), "parse_value: empty token");
+  if (const auto v = from_chars_value(token)) return *v;
+  return stod_value(token);
+}
+
+Netlist parse_netlist(std::string_view text) {
+  obs::ScopedTimer span("circuit.parse");
+  NameStore names;
+  const Structure structure = scan_structure(text, names);
+
   Netlist nl;
-  std::map<std::string, Index> nodes;
-  std::map<std::string, Index> inductor_names;
-  Flattener flattener{nl, nodes, inductor_names, subckts};
-  flattener.process(main_body, "", {}, 0);
+  nl.reserve(structure.resistors, structure.capacitors, structure.ports,
+             structure.inductors);
+  Flattener flattener(nl, structure, names);
+  const Scope top;
+  std::vector<std::string_view> toks;
+  std::string_view line;
+  for (const Region& region : structure.top) {
+    LineReader lines(text, region.begin, region.end, region.line_no);
+    while (lines.next(line)) {
+      toks.clear();
+      tokenize(line, toks);
+      if (!toks.empty()) flattener.card(toks, lines.line_no(), top, 0);
+    }
+  }
   nl.validate();
+  span.arg("bytes", static_cast<Index>(text.size()));
+  span.arg("elements", nl.element_count());
+  span.arg("nodes", nl.node_count());
   return nl;
 }
 
-Netlist parse_netlist(const std::string& text) {
-  std::istringstream in(text);
-  return parse_netlist(in);
-}
+Netlist parse_netlist(std::istream& in) { return parse_netlist(read_all(in)); }
 
 Netlist parse_netlist_file(const std::string& path) {
   std::ifstream in(path);
   require(in.good(), "parse_netlist_file: cannot open '" + path + "'");
-  return parse_netlist(in);
+  return parse_netlist(read_all(in));
 }
 
 namespace {

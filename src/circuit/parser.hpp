@@ -14,24 +14,28 @@
 //   .end                           optional terminator
 //
 // Node identifiers are arbitrary tokens; "0" and "gnd" map to the datum
-// node. The writer emits the same dialect, so write→parse round-trips.
+// node. Nodes are numbered in order of first appearance, and an R, C, L
+// or I card names its n2 before its n1 (DESIGN.md §5.12). The writer
+// emits the same dialect, so write→parse round-trips.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "circuit/netlist.hpp"
 
 namespace sympvl {
 
-/// Parses a netlist from text. Throws sympvl::Error with a line number on
-/// malformed input.
-Netlist parse_netlist(const std::string& text);
+/// Parses a netlist from text. Throws sympvl::Error on malformed input;
+/// an error raised by a card names its line (in the message and in the
+/// context's `index`).
+Netlist parse_netlist(std::string_view text);
 
-/// Parses a netlist from a stream.
+/// Reads the whole stream, then parses it as text.
 Netlist parse_netlist(std::istream& in);
 
-/// Reads and parses a netlist file.
+/// Reads the whole file, then parses it as text.
 Netlist parse_netlist_file(const std::string& path);
 
 /// Serializes `netlist` in the dialect above (nodes as integers, datum "0").
@@ -46,7 +50,8 @@ std::string write_subckt(const Netlist& netlist, const std::string& name,
 
 /// Parses an engineering-notation value: 4.7k, 100n, 2meg, 1e-12, 3p...
 /// Recognized suffixes: f p n u m k meg g t (SPICE semantics, case
-/// insensitive). Throws on malformed numbers.
-double parse_value(const std::string& token);
+/// insensitive). Throws on malformed numbers. Accepts and rejects exactly
+/// what std::stod followed by those suffixes does, with stod's bits.
+double parse_value(std::string_view token);
 
 }  // namespace sympvl

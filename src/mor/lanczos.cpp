@@ -472,10 +472,19 @@ LanczosResult BandLanczos::result() {
 Mat BandLanczos::take_basis() {
   const Index n = healthy_order();
   Mat v(big_n_, n);
-  for (Index col = 0; col < n; ++col) {
-    Vec& w = vs_[static_cast<size_t>(col)];
-    for (Index i = 0; i < big_n_; ++i) v(i, col) = w[static_cast<size_t>(i)];
-    Vec().swap(w);  // free as we go: never 2× the basis resident
+  // Eight columns at a time, so each row write is one 64-byte run; each
+  // block's vectors are freed once copied, so the peak stays one basis
+  // plus the vectors not yet copied.
+  constexpr Index kBlock = 8;
+  for (Index c0 = 0; c0 < n; c0 += kBlock) {
+    const Index nb = std::min(kBlock, n - c0);
+    const double* w[kBlock];
+    for (Index b = 0; b < nb; ++b) w[b] = vs_[static_cast<size_t>(c0 + b)].data();
+    for (Index i = 0; i < big_n_; ++i) {
+      double* row = &v(i, c0);
+      for (Index b = 0; b < nb; ++b) row[b] = w[b][i];
+    }
+    for (Index b = 0; b < nb; ++b) Vec().swap(vs_[static_cast<size_t>(c0 + b)]);
   }
   vs_.clear();
   // The queue goes unformed, and T with it: its last columns would need

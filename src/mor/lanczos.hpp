@@ -140,8 +140,9 @@ class BandLanczos {
 
   /// Moves the accepted Lanczos vectors into an N×healthy_order() matrix
   /// (columns v₁ … vₙ, truncated at the last closed cluster, matching
-  /// result()), freeing each source vector as its column is written, so
-  /// peak memory is ~one basis instead of two. The columns span the
+  /// result()), eight columns at a time so each row write is contiguous,
+  /// freeing each block's source vectors once they are copied, so peak
+  /// memory is ~one basis instead of two. The columns span the
   /// Krylov space in M-transformed coordinates; the physical congruence
   /// basis is M⁻ᵀ·V. Used by the port-sharding stitch. Queued
   /// candidates are dropped, pending ones unformed, and T with them. The

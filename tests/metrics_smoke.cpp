@@ -1,10 +1,10 @@
-// Metrics smoke test (ctest label "Trace"): runs the Fig. 3 package
-// reduction, a 2-shard reduce() of the same package, an exact frequency
-// sweep and a sweep of the reduced model with SYMPVL_METRICS (and
-// SYMPVL_TRACE) set, then validates the emitted Prometheus
-// text-exposition file:
-//   * latency histograms with quantiles for the factor / solve /
-//     sweep-point / ROM-sweep span families;
+// Metrics smoke test (ctest label "Trace"): reads the Fig. 3 package back
+// from its netlist text and assembles it, runs the package reduction, a
+// 2-shard reduce() of the same package, an exact frequency sweep and a
+// sweep of the reduced model with SYMPVL_METRICS (and SYMPVL_TRACE) set,
+// then validates the emitted Prometheus text-exposition file:
+//   * latency histograms with quantiles for the parse / MNA / factor /
+//     solve / sweep-point / ROM-sweep span families;
 //   * factor-bytes and cache-resident-bytes gauges with their _peak
 //     high-water companions;
 //   * the pre-existing counters (factor_cache.*, lanczos.steps, ...);
@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 
+#include "circuit/parser.hpp"
 #include "gen/package.hpp"
 #include "mor/reduce.hpp"
 #include "mor/sympvl.hpp"
@@ -80,6 +81,13 @@ int main() {
   const PackageCircuit pkg = make_package_circuit(popt);
   const MnaSystem sys = build_mna(pkg.netlist, MnaForm::kGeneral);
 
+  // The reader and the assembler: circuit.parse and circuit.mna spans.
+  const Netlist parsed = parse_netlist(write_netlist(pkg.netlist));
+  check(parsed.element_count() == pkg.netlist.element_count(),
+        "the package reads back with all its elements");
+  check(build_mna(parsed, MnaForm::kGeneral).size() == sys.size(),
+        "the package read back assembles to the same size");
+
   SympvlOptions opt;
   opt.order = 32;
   SympvlReport report;
@@ -124,8 +132,9 @@ int main() {
   check(!doc.empty(), "metrics file was written");
 
   // Latency histograms + p99 quantiles per acceptance span family.
-  for (const char* span : {"ldlt.factor", "ldlt.solve", "ac.z_at", "model.sweep",
-                           "shard.partition", "shard.reduce", "shard.stitch"}) {
+  for (const char* span : {"circuit.parse", "circuit.mna", "ldlt.factor", "ldlt.solve",
+                           "ac.z_at", "model.sweep", "shard.partition", "shard.reduce",
+                           "shard.stitch"}) {
     const std::string lbl = std::string("span=\"") + span + "\"";
     check(has_positive_sample(doc, "sympvl_span_duration_seconds_count", lbl),
           std::string("duration histogram present: ") + span);

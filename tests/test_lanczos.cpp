@@ -430,6 +430,22 @@ TEST(LanczosDeferred, TakeBasisLeavesPendingUnformed) {
   EXPECT_EQ(res.deflations, eager.res.deflations);
   EXPECT_LT(process.krylov_peak_bytes(), eager.krylov_peak_bytes)
       << "no batch of pending candidates was formed";
+
+  // Past one eight-column copy block (13 = 8 + 5 columns) every column
+  // lands in its place: VᵀJV = Δ and the start block is V·ρ.
+  BandLanczos longer(op, start, dense.j, opt);
+  ASSERT_EQ(longer.run_to(13), 13);
+  const LanczosResult res13 = longer.result();
+  const Mat v13 = longer.take_basis();
+  ASSERT_EQ(v13.rows(), n);
+  ASSERT_EQ(v13.cols(), res13.n);
+  const Mat gram = v13.transpose() * v13;  // J = I
+  const Mat rebuilt = v13 * res13.rho;
+  for (Index i = 0; i < res13.n; ++i)
+    for (Index k = 0; k < res13.n; ++k)
+      EXPECT_NEAR(gram(i, k), res13.delta(i, k), 1e-10) << i << "," << k;
+  for (Index i = 0; i < n; ++i)
+    for (Index k = 0; k < p; ++k) EXPECT_NEAR(rebuilt(i, k), start(i, k), 1e-10);
 }
 
 TEST(LanczosDeferred, CallablePencilGivesThePencilsBits) {
