@@ -6,7 +6,7 @@
 #include "linalg/dense_factor.hpp"
 #include "linalg/eig.hpp"
 #include "mor/pencil.hpp"
-#include "mor/sympvl.hpp"
+#include "mor/rational.hpp"
 
 namespace sympvl {
 
@@ -78,68 +78,29 @@ ArnoldiModel arnoldi_reduce(const MnaSystem& sys, const ArnoldiOptions& options)
           "arnoldi_reduce: order must be >= 1", {.stage = "arnoldi"});
   const Index p = sys.port_count();
 
-  PencilFactorRequest req;
-  req.s0 = options.s0;
-  req.auto_shift = options.auto_shift;
-  req.ordering = options.ordering;
-  req.driver = "arnoldi_reduce";
-  req.stage = "arnoldi.factor";
-  req.cache = options.factor_cache;
-  req.kernels = options.kernel;
-  PencilFactorResult outcome = factor_pencil(sys, req);
+  PencilFactorResult outcome = factor_pencil(
+      sys, factor_request(options, "arnoldi_reduce", "arnoldi.factor"));
   const std::shared_ptr<const FactorizedPencil> fact = outcome.pencil;
-  const double s0 = outcome.s0_used;
 
-  // Block Arnoldi with modified Gram-Schmidt (applied twice) and deflation.
+  // Block Arnoldi: each block joins the basis through the union-basis MGS
+  // (applied twice, with deflation), stopping mid-block at the order.
   std::vector<Vec> basis;
   basis.reserve(static_cast<size_t>(options.order));
   std::vector<Vec> block;
   for (Index j = 0; j < p; ++j) block.push_back(fact->solve(sys.B.col(j)));
-
-  while (static_cast<Index>(basis.size()) < options.order && !block.empty()) {
-    std::vector<Vec> next_block;
-    for (auto& w : block) {
-      const double ref = norm2(w);  // scale-invariant deflation test
-      if (ref == 0.0) continue;
-      for (int pass = 0; pass < 2; ++pass)
-        for (const auto& q : basis) {
-          const double h = dot(q, w);
-          axpy(-h, q, w);
-        }
-      const double nrm = norm2(w);
-      if (nrm <= options.deflation_tol * ref) continue;  // deflated
-      scale(w, 1.0 / nrm);
-      basis.push_back(w);
-      next_block.push_back(w);
-      if (static_cast<Index>(basis.size()) == options.order) break;
-    }
+  while (!block.empty()) {
+    const std::vector<Vec> accepted = mgs_union_append(
+        basis, std::move(block), options.deflation_tol, options.order);
     if (static_cast<Index>(basis.size()) == options.order) break;
     block.clear();
-    for (const auto& q : next_block) block.push_back(fact->solve(sys.C.multiply(q)));
+    for (const auto& q : accepted)
+      block.push_back(fact->solve(sys.C.multiply(q)));
   }
-  const Index n = static_cast<Index>(basis.size());
-  require(n >= 1, ErrorCode::kBreakdown,
+  require(!basis.empty(), ErrorCode::kBreakdown,
           "arnoldi_reduce: starting block deflated to nothing",
           {.stage = "arnoldi.basis"});
-
   // Congruence projection of G̃ = G + s₀C and C.
-  const SMat gt = assemble_pencil(sys.G, sys.C, s0);
-  Mat gr(n, n), cr(n, n), br(n, p);
-  std::vector<Vec> gv(static_cast<size_t>(n)), cv(static_cast<size_t>(n));
-  for (Index j = 0; j < n; ++j) {
-    gv[static_cast<size_t>(j)] = gt.multiply(basis[static_cast<size_t>(j)]);
-    cv[static_cast<size_t>(j)] = sys.C.multiply(basis[static_cast<size_t>(j)]);
-  }
-  for (Index i = 0; i < n; ++i)
-    for (Index j = 0; j < n; ++j) {
-      gr(i, j) = dot(basis[static_cast<size_t>(i)], gv[static_cast<size_t>(j)]);
-      cr(i, j) = dot(basis[static_cast<size_t>(i)], cv[static_cast<size_t>(j)]);
-    }
-  for (Index i = 0; i < n; ++i)
-    for (Index j = 0; j < p; ++j)
-      br(i, j) = dot(basis[static_cast<size_t>(i)], sys.B.col(j));
-  return ArnoldiModel(std::move(gr), std::move(cr), std::move(br), sys.variable,
-                      sys.s_prefactor, s0);
+  return congruence_project(sys, basis, outcome.s0_used);
 }
 
 }  // namespace sympvl

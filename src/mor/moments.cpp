@@ -8,13 +8,15 @@ std::vector<Mat> exact_moments(const MnaSystem& sys, Index count, double s0) {
   require(count >= 1, "exact_moments: count must be >= 1");
   const Index n = sys.size();
   const Index p = sys.port_count();
-  PencilFactorRequest req;
-  req.s0 = s0;
-  req.auto_shift = false;
-  req.driver = "exact_moments";
-  req.stage = "moments.factor";
+  CommonReductionOptions options;
+  options.s0 = s0;
+  // The moments are asked for about s0 itself, so the ladder may not
+  // move the expansion point.
+  options.auto_shift = false;
   const std::shared_ptr<const FactorizedPencil> fact =
-      factor_pencil(sys.G, sys.C, req).pencil;
+      factor_pencil(sys,
+                    factor_request(options, "exact_moments", "moments.factor"))
+          .pencil;
 
   // xcols starts as G̃⁻¹B and is advanced by G̃⁻¹C each step.
   std::vector<Vec> xcols(static_cast<size_t>(p));

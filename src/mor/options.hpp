@@ -51,7 +51,8 @@ struct CommonReductionOptions {
   double s0 = 0.0;
   /// Shift policy: when G (or G + s₀C) cannot be factored, pick s₀
   /// automatically from the matrix scales and retry (the paper's PEEC
-  /// treatment). Drivers that never factor a pencil ignore this.
+  /// treatment), then at jittered shifts around it (the reduction ladder,
+  /// mor/pencil.hpp). Drivers that never factor a pencil ignore this.
   bool auto_shift = true;
   /// Relative deflation threshold (paper's dtol, Algorithm 1 step 1c).
   /// Note: Arnoldi/rational default this to 1e-10 in their constructors.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -45,14 +46,17 @@ std::shared_ptr<const FactorizedPencil> attempt_rung(
   }
 }
 
+// `skipped` names a rung the ladder did not run (empty: none).
 [[noreturn]] void throw_ladder_failure(
     const PencilFactorRequest& req,
-    const std::vector<FactorAttemptRecord>& attempts) {
+    const std::vector<FactorAttemptRecord>& attempts,
+    const std::string& skipped) {
   std::string history;
   for (const FactorAttemptRecord& a : attempts) {
     if (!history.empty()) history += "; ";
     history += a.method + "(s0=" + std::to_string(a.shift) + "): " + a.detail;
   }
+  if (!skipped.empty()) history += "; " + skipped;
   ErrorContext ctx;
   ctx.stage = req.stage;
   ctx.index = static_cast<Index>(attempts.size());
@@ -60,91 +64,6 @@ std::shared_ptr<const FactorizedPencil> attempt_rung(
               std::string(req.driver) +
                   ": every factorization attempt failed [" + history + "]",
               std::move(ctx));
-}
-
-// The SyMPVL recovery ladder (eq. 26):
-//   1. sparse LDLᵀ at the requested s₀;
-//   2. sparse LDLᵀ at the automatic shift (when s₀ = 0 and auto enabled);
-//   3. sparse LDLᵀ at jittered shifts around the base (retries);
-//   4. dense Bunch-Kaufman at the last meaningful shift (when allowed).
-PencilFactorResult full_ladder(const SMat& g, const SMat& c,
-                               const PencilFingerprint& fp, FactorCache& cache,
-                               const PencilFactorRequest& req) {
-  PencilFactorResult res;
-  std::vector<double> shifts{req.s0};
-  if (req.auto_shift) {
-    if (req.s0 == 0.0 && req.auto_s0 != 0.0) shifts.push_back(req.auto_s0);
-    double base = (req.auto_s0 != 0.0) ? std::abs(req.auto_s0) : std::abs(req.s0);
-    if (base == 0.0) base = 1.0;
-    for (double s : shift_ladder(base, 4)) shifts.push_back(s);
-  }
-  for (double s : shifts) {
-    if (auto pencil = attempt_rung(g, c, fp, cache, req, s,
-                                   /*dense=*/false, &res.attempts)) {
-      res.pencil = std::move(pencil);
-      res.s0_used = s;
-      return res;
-    }
-  }
-  if (!req.allow_dense) throw_ladder_failure(req, res.attempts);
-
-  // Dense fallback at the shift the sparse path settled on: the requested
-  // one, or the automatic one when the request was 0 and auto is enabled.
-  const double s_dense = (req.s0 == 0.0 && req.auto_shift && req.auto_s0 != 0.0)
-                             ? req.auto_s0
-                             : req.s0;
-  obs::instant("sympvl.dense_fallback", {obs::arg("n", g.rows())});
-  if (auto pencil = attempt_rung(g, c, fp, cache, req, s_dense,
-                                 /*dense=*/true, &res.attempts)) {
-    res.pencil = std::move(pencil);
-    res.s0_used = s_dense;
-    res.dense = true;
-    return res;
-  }
-  throw_ladder_failure(req, res.attempts);
-}
-
-// Single attempt at s₀ with one automatic-shift retry — the historical
-// SyPVL/PVL/Arnoldi policy. The retry shift is automatic_shift(*sys) when
-// a system is given, resolved LAZILY (it throws on resistor-only
-// circuits, and those factor fine at s₀ = 0); without one it is
-// req.auto_s0, and 0 disables the retry.
-PencilFactorResult single_attempt(const SMat& g, const SMat& c,
-                                  const PencilFingerprint& fp,
-                                  FactorCache& cache,
-                                  const PencilFactorRequest& req,
-                                  const MnaSystem* sys) {
-  PencilFactorResult res;
-  if (auto pencil = attempt_rung(g, c, fp, cache, req, req.s0,
-                                 /*dense=*/false, &res.attempts)) {
-    res.pencil = std::move(pencil);
-    res.s0_used = req.s0;
-    return res;
-  }
-  if (!(req.auto_shift && req.s0 == 0.0) ||
-      (sys == nullptr && req.auto_s0 == 0.0))
-    throw Error(ErrorCode::kSingular,
-                std::string(req.driver) +
-                    ": factorization of G + s0*C failed and auto_shift "
-                    "cannot help: " +
-                    res.attempts.back().detail,
-                {.stage = req.stage, .value = req.s0});
-  const double auto_s0 =
-      sys != nullptr ? automatic_shift(*sys) : req.auto_s0;  // may throw
-  if (auto pencil = attempt_rung(g, c, fp, cache, req, auto_s0,
-                                 /*dense=*/false, &res.attempts)) {
-    res.pencil = std::move(pencil);
-    res.s0_used = auto_s0;
-    return res;
-  }
-  // The automatic-shift retry failed too: surface its error verbatim (the
-  // historical drivers let the second factorization's exception escape).
-  const FactorAttemptRecord& retry = res.attempts.back();
-  throw Error(retry.code, retry.detail, {.stage = req.stage, .value = auto_s0});
-}
-
-FactorCache& request_cache(const PencilFactorRequest& req) {
-  return req.cache != nullptr ? *req.cache : FactorCache::global();
 }
 
 }  // namespace
@@ -165,14 +84,14 @@ std::vector<double> shift_ladder(double base, Index count) {
   return out;
 }
 
-double automatic_shift(const MnaSystem& sys) {
+double automatic_shift(const SMat& g, const SMat& c) {
   // Scale ratio of the pencil terms: s₀ ≈ Σ|diag G| / Σ|diag C| lands in
   // the frequency range where G + s₀C is balanced (and, for PSD G and C
   // with s₀ > 0, nonsingular whenever the pencil is regular).
   double sg = 0.0, sc = 0.0;
-  for (Index i = 0; i < sys.size(); ++i) {
-    sg += std::abs(sys.G.coeff(i, i));
-    sc += std::abs(sys.C.coeff(i, i));
+  for (Index i = 0; i < g.rows(); ++i) {
+    sg += std::abs(g.coeff(i, i));
+    sc += std::abs(c.coeff(i, i));
   }
   require(sc > 0.0, ErrorCode::kInvalidArgument,
           "automatic_shift: C has an empty diagonal",
@@ -181,30 +100,67 @@ double automatic_shift(const MnaSystem& sys) {
   return sg / sc;
 }
 
+double automatic_shift(const MnaSystem& sys) {
+  return automatic_shift(sys.G, sys.C);
+}
+
+PencilFactorRequest factor_request(const CommonReductionOptions& options,
+                                   const char* driver, const char* stage) {
+  return {.s0 = options.s0,
+          .auto_shift = options.auto_shift,
+          .ordering = options.ordering,
+          .driver = driver,
+          .stage = stage,
+          .cache = options.factor_cache,
+          .kernels = options.kernel};
+}
+
 PencilFactorResult factor_pencil(const SMat& g, const SMat& c,
                                  const PencilFactorRequest& req) {
-  FactorCache& cache = request_cache(req);
+  FactorCache& cache =
+      req.cache != nullptr ? *req.cache : FactorCache::global();
   const PencilFingerprint fp = fingerprint_pencil(g, c);
-  if (req.full_ladder) return full_ladder(g, c, fp, cache, req);
-  return single_attempt(g, c, fp, cache, req, nullptr);
+  PencilFactorResult res;
+  const auto rung = [&](double shift, bool dense) {
+    res.pencil =
+        attempt_rung(g, c, fp, cache, req, shift, dense, &res.attempts);
+    res.s0_used = shift;
+    res.dense = dense;
+    return res.pencil != nullptr;
+  };
+
+  if (rung(req.s0, /*dense=*/false)) return res;
+  std::optional<double> s_auto;
+  if (req.auto_shift) {
+    try {
+      s_auto = automatic_shift(g, c);
+    } catch (const Error&) {
+      // C has an empty diagonal: no automatic shift, so no rung 2.
+    }
+    if (req.s0 == 0.0 && s_auto && rung(*s_auto, /*dense=*/false))
+      return res;
+    double base = s_auto ? std::abs(*s_auto) : std::abs(req.s0);
+    if (base == 0.0) base = 1.0;
+    for (double s : shift_ladder(base, 4))
+      if (rung(s, /*dense=*/false)) return res;
+  }
+
+  // The dense rung runs at the shift rungs 1–2 asked for (the automatic
+  // one when rung 2 applied), so its model matches the one a working
+  // sparse factor would give.
+  const double s_dense = (req.s0 == 0.0 && s_auto) ? *s_auto : req.s0;
+  if (g.rows() > kDenseRungMaxSize)
+    throw_ladder_failure(req, res.attempts,
+                         "dense_bk skipped: N = " + std::to_string(g.rows()) +
+                             " > " + std::to_string(kDenseRungMaxSize));
+  obs::instant("sympvl.dense_fallback", {obs::arg("n", g.rows())});
+  if (rung(s_dense, /*dense=*/true)) return res;
+  throw_ladder_failure(req, res.attempts, "");
 }
 
 PencilFactorResult factor_pencil(const MnaSystem& sys,
                                  const PencilFactorRequest& req) {
-  FactorCache& cache = request_cache(req);
-  const PencilFingerprint fp = fingerprint_pencil(sys.G, sys.C);
-  if (!req.full_ladder)
-    return single_attempt(sys.G, sys.C, fp, cache, req, &sys);
-  PencilFactorRequest r = req;
-  if (r.auto_shift && r.auto_s0 == 0.0) {
-    try {
-      r.auto_s0 = automatic_shift(sys);
-    } catch (const Error&) {
-      // C has an empty diagonal — no automatic shift available; the
-      // ladder degrades to the requested shift plus the dense rung.
-    }
-  }
-  return full_ladder(sys.G, sys.C, fp, cache, r);
+  return factor_pencil(sys.G, sys.C, req);
 }
 
 Mat starting_block(const FactorizedPencil& pencil, const Mat& b) {

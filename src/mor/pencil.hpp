@@ -11,15 +11,12 @@
 //           └─ FactorCache — bounded LRU of factorizations
 //                └─ FactorizedPencil — M J Mᵀ + operator + solves
 //
-// Two retry policies exist, matching the historical drivers exactly:
-//   * single-attempt with automatic-shift retry (SyPVL, PVL, Arnoldi):
-//     try s₀; on failure, when auto_shift is enabled and s₀ = 0, retry
-//     once at automatic_shift(sys); otherwise throw kSingular with the
-//     driver's message;
-//   * the full SyMPVL ladder: requested shift, automatic shift, jittered
-//     shift_ladder retries, then (when allowed) the dense Bunch-Kaufman
-//     rung — every attempt recorded, kSingular with the whole history
-//     when all rungs fail.
+// Every driver that factors G + s₀C (SyMPVL, SympvlSession::reshift, the
+// sharded priming factor, SyPVL, PVL, Arnoldi, exact_moments) walks the
+// one recovery ladder: the requested shift, the automatic shift (for a
+// requested s₀ = 0), jittered shift_ladder retries, then the dense
+// Bunch-Kaufman rung for pencils up to kDenseRungMaxSize. Every attempt
+// is recorded; when all rungs fail, kSingular carries the whole history.
 #pragma once
 
 #include <memory>
@@ -29,8 +26,15 @@
 #include "circuit/mna.hpp"
 #include "linalg/factor_cache.hpp"
 #include "linalg/factorized_pencil.hpp"
+#include "mor/options.hpp"
 
 namespace sympvl {
+
+/// Largest pencil the dense Bunch-Kaufman rung factors. The rung copies
+/// the N×N pencil densely (8·N² bytes per copy) and factors it in O(N³)
+/// time, so a larger pencil that no sparse rung can factor fails at once
+/// instead.
+inline constexpr Index kDenseRungMaxSize = 1024;
 
 /// One rung of the reduction ladder, as attempted: which backend, at which
 /// shift, whether it was accepted, and why not when it wasn't.
@@ -42,7 +46,7 @@ struct FactorAttemptRecord {
   std::string detail;      ///< failure message, or "cache hit"
 };
 
-/// Jittered shifts of the full ladder's eq. 26 retries: deterministic
+/// Jittered shifts of the ladder's eq. 26 retries: deterministic
 /// multiples of `base` spread over ~3 decades so a retry lands away from
 /// whatever made the previous shift singular.
 std::vector<double> shift_ladder(double base, Index count);
@@ -51,21 +55,24 @@ std::vector<double> shift_ladder(double base, Index count);
 /// diagonal scales of G and C (a frequency inside the band where both
 /// terms of the pencil matter). Throws kInvalidArgument when C has an
 /// empty diagonal (a resistor-only circuit has no useful shift).
+double automatic_shift(const SMat& g, const SMat& c);
+
+/// automatic_shift(sys.G, sys.C).
 double automatic_shift(const MnaSystem& sys);
 
 /// How factor_pencil should obtain the factorization.
 struct PencilFactorRequest {
   double s0 = 0.0;
+  /// Whether the ladder may move the expansion point: the automatic
+  /// shift (for s₀ = 0) and the jittered retries.
   bool auto_shift = true;
-  /// Precomputed automatic shift (0 = none/unavailable). The MnaSystem
-  /// overload fills this itself; pass explicitly when factoring a raw
-  /// (G, C) pair (e.g. SympvlSession::reshift, which disables it).
-  double auto_s0 = 0.0;
   Ordering ordering = kDefaultOrdering;
-  /// false: single attempt + one automatic-shift retry (SyPVL/PVL/
-  /// Arnoldi/AWE policy). true: the full SyMPVL recovery ladder.
+  /// Unused: every request walks the one ladder. Kept only because the
+  /// repository benchmark still assigns it.
   bool full_ladder = false;
-  /// Whether the dense Bunch-Kaufman rung backstops the ladder.
+  /// Unused: the dense rung backstops every request up to
+  /// kDenseRungMaxSize. Kept only because the repository benchmark still
+  /// assigns it.
   bool allow_dense = false;
   /// Driver name used as the failure-message prefix (e.g. "sympvl",
   /// "pvl_reduce_entry").
@@ -82,6 +89,12 @@ struct PencilFactorRequest {
   Index rhs_width = 0;
 };
 
+/// The request a reduction driver factors its pencil with: the options'
+/// s₀, shift policy, ordering, cache and kernels, with `driver` as the
+/// failure-message prefix and `stage` as the error context.
+PencilFactorRequest factor_request(const CommonReductionOptions& options,
+                                   const char* driver, const char* stage);
+
 struct PencilFactorResult {
   std::shared_ptr<const FactorizedPencil> pencil;
   double s0_used = 0.0;
@@ -91,15 +104,20 @@ struct PencilFactorResult {
   std::vector<FactorAttemptRecord> attempts;
 };
 
-/// Factors G + s₀C through the cache with the requested retry policy.
-/// The automatic-shift retry of the single-attempt policy uses
-/// `req.auto_s0` (no retry when 0).
+/// Factors G + s₀C through the cache, walking the recovery ladder (eq. 26):
+///   1. sparse LDLᵀ at req.s0;
+///   2. with auto_shift and s₀ = 0: sparse LDLᵀ at automatic_shift(g, c);
+///   3. with auto_shift: sparse LDLᵀ at shift_ladder(base, 4), base being
+///      the automatic shift, else |s₀|, else 1;
+///   4. for N ≤ kDenseRungMaxSize: dense Bunch-Kaufman at the shift rungs
+///      1–2 settled on (the automatic one when rung 2 applies, else s₀).
+/// The automatic shift is computed only once rung 1 has failed; without
+/// one (C's diagonal is empty) rung 2 is skipped. Throws kSingular with
+/// every attempt in the message when all rungs fail.
 PencilFactorResult factor_pencil(const SMat& g, const SMat& c,
                                  const PencilFactorRequest& req);
 
-/// System form: resolves the automatic shift from `sys` — eagerly (and
-/// forgivingly) for the full ladder, lazily on first failure for the
-/// single-attempt policy, matching the historical drivers.
+/// factor_pencil(sys.G, sys.C, req).
 PencilFactorResult factor_pencil(const MnaSystem& sys,
                                  const PencilFactorRequest& req);
 

@@ -373,23 +373,14 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
   }
   out.shard.partition_seconds = partition_span.close();
 
-  // ---- Factor the pencil once (full SyMPVL ladder). Every shard runs
+  // ---- Factor the pencil once (the reduction ladder). Every shard runs
   //      its Lanczos process on this one factorization. ----
   obs::ScopedTimer factor_span("shard.factor");
   factor_span.arg("n", sys.size());
-  PencilFactorRequest req;
-  req.s0 = options.s0;
-  req.auto_shift = options.auto_shift;
-  req.ordering = options.ordering;
-  req.full_ladder = true;
-  req.allow_dense = true;
-  req.driver = "sharded_sympvl";
-  req.stage = "shard.factor";
-  req.cache = options.factor_cache;
-  req.kernels = options.kernel;
   PencilFactorResult primed;
   try {
-    primed = factor_pencil(sys, req);
+    primed = factor_pencil(
+        sys, factor_request(options, "sharded_sympvl", "shard.factor"));
   } catch (const Error& e) {
     out.status = ReductionStatus::kFailed;
     out.diagnostics.push_back(ReductionIssue::from_error(e));
@@ -423,14 +414,9 @@ ReduceResult sharded_sympvl_reduce(const MnaSystem& sys,
           }
 
           const Index order = shard_order[static_cast<size_t>(k)];
-          LanczosOptions lopt;
-          lopt.max_order = order;
-          lopt.deflation_tol = options.deflation_tol;
-          lopt.lookahead_tol = options.lookahead_tol;
-          lopt.full_reorthogonalization = options.full_reorthogonalization;
-          lopt.max_cluster_size = options.max_cluster_size;
           BandLanczos lanczos(*primed.pencil, start,
-                              primed.pencil->j_signs(), lopt);
+                              primed.pencil->j_signs(),
+                              lanczos_options(options, order));
           {
             obs::ScopedTimer span("sympvl.lanczos");
             span.arg("target_order", order);

@@ -12,7 +12,7 @@
 //
 // Key economies:
 //   * One factorization serves all shards: the pencil G + s₀C is factored
-//     once (the full SyMPVL ladder, through the FactorCache), and every
+//     once (the reduction ladder, through the FactorCache), and every
 //     shard runs its starting block and Lanczos process on that one
 //     factor by reference.
 //   * The stitch works in M-transformed coordinates. With Q = M⁻ᵀV the

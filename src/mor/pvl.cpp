@@ -56,15 +56,8 @@ PvlModel pvl_reduce_entry(const MnaSystem& sys, Index row, Index col,
   const Index big_n = sys.size();
   if (diagnosis != nullptr) *diagnosis = LanczosDiagnosis{};
 
-  PencilFactorRequest req;
-  req.s0 = options.s0;
-  req.auto_shift = options.auto_shift;
-  req.ordering = options.ordering;
-  req.driver = "pvl_reduce_entry";
-  req.stage = "pvl.factor";
-  req.cache = options.factor_cache;
-  req.kernels = options.kernel;
-  PencilFactorResult outcome = factor_pencil(sys, req);
+  PencilFactorResult outcome = factor_pencil(
+      sys, factor_request(options, "pvl_reduce_entry", "pvl.factor"));
   const std::shared_ptr<const FactorizedPencil> fact = outcome.pencil;
   const double s0 = outcome.s0_used;
 

@@ -75,10 +75,11 @@ ArnoldiModel rational_reduce(const MnaSystem& sys,
 }
 
 std::vector<Vec> mgs_union_append(std::vector<Vec>& basis,
-                                  std::vector<Vec> block,
-                                  double deflation_tol) {
+                                  std::vector<Vec> block, double deflation_tol,
+                                  Index max_size) {
   std::vector<Vec> accepted;
   for (auto& w : block) {
+    if (static_cast<Index>(basis.size()) >= max_size) break;
     const double ref = norm2(w);
     if (ref == 0.0) continue;
     for (int pass = 0; pass < 2; ++pass)
@@ -96,17 +97,20 @@ std::vector<Vec> mgs_union_append(std::vector<Vec>& basis,
 }
 
 ArnoldiModel congruence_project(const MnaSystem& sys,
-                                const std::vector<Vec>& basis) {
+                                const std::vector<Vec>& basis, double s0) {
   const Index n = static_cast<Index>(basis.size());
   const Index p = sys.port_count();
   require(n >= 1, "congruence_project: empty basis");
+  // G̃ = G + s₀C, assembled only when shifted: at s₀ = 0 it is G itself.
+  const SMat shifted = s0 != 0.0 ? assemble_pencil(sys.G, sys.C, s0) : SMat();
+  const SMat& gt = s0 != 0.0 ? shifted : sys.G;
   Mat gr(n, n), cr(n, n), br(n, p);
-  // Column-at-a-time projection: G·qⱼ and C·qⱼ live only while column j's
+  // Column-at-a-time projection: G̃·qⱼ and C·qⱼ live only while column j's
   // inner products are formed, so the scratch is two N-vectors instead of
   // two dense N×n blocks (the old gv/cv temporaries dominated memory for
   // large systems).
   for (Index j = 0; j < n; ++j) {
-    const Vec gv = sys.G.multiply(basis[static_cast<size_t>(j)]);
+    const Vec gv = gt.multiply(basis[static_cast<size_t>(j)]);
     const Vec cv = sys.C.multiply(basis[static_cast<size_t>(j)]);
     for (Index i = 0; i < n; ++i) {
       gr(i, j) = dot(basis[static_cast<size_t>(i)], gv);
@@ -117,7 +121,7 @@ ArnoldiModel congruence_project(const MnaSystem& sys,
     for (Index j = 0; j < p; ++j)
       br(i, j) = dot(basis[static_cast<size_t>(i)], sys.B.col(j));
   return ArnoldiModel(std::move(gr), std::move(cr), std::move(br), sys.variable,
-                      sys.s_prefactor, /*s0=*/0.0);
+                      sys.s_prefactor, s0);
 }
 
 Vec rational_shifts_for_band(const MnaSystem& sys, double f_min, double f_max,

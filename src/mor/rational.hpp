@@ -14,6 +14,9 @@
 // guarantees.
 #pragma once
 
+#include <limits>
+#include <vector>
+
 #include "circuit/mna.hpp"
 #include "mor/arnoldi.hpp"
 
@@ -45,21 +48,24 @@ Vec rational_shifts_for_band(const MnaSystem& sys, double f_min, double f_max,
 
 // ---- Union-basis building blocks --------------------------------------
 // The two halves of the congruence machinery above, exposed so other
-// union-of-spans reducers (multipoint sessions, the port-sharding stitch
-// fallback) share one implementation instead of re-deriving it.
+// basis builders (block Arnoldi, multipoint sessions, the port-sharding
+// stitch fallback) share one implementation instead of re-deriving it.
 
 /// Appends `block` to `basis` with doubly-applied modified Gram-Schmidt
 /// and norm-relative deflation (vectors whose norm collapses below
-/// `deflation_tol` times their incoming norm are dropped). Returns the
-/// accepted (normalized) vectors, in order.
-std::vector<Vec> mgs_union_append(std::vector<Vec>& basis,
-                                  std::vector<Vec> block,
-                                  double deflation_tol);
+/// `deflation_tol` times their incoming norm are dropped), stopping once
+/// the basis holds `max_size` vectors. Returns the accepted (normalized)
+/// vectors, in order.
+std::vector<Vec> mgs_union_append(
+    std::vector<Vec>& basis, std::vector<Vec> block, double deflation_tol,
+    Index max_size = std::numeric_limits<Index>::max());
 
-/// Congruence projection of the ORIGINAL pencil onto span(basis):
-/// Gr = VᵀGV, Cr = VᵀCV, Br = VᵀB, packaged as an ArnoldiModel with
-/// s₀ = 0 (no shift folded in), so it evaluates anywhere.
+/// Congruence projection of the pencil shifted to `s0` onto span(basis):
+/// Gr = Vᵀ(G + s₀C)V, Cr = VᵀCV, Br = VᵀB, packaged as an ArnoldiModel
+/// expanded about s₀. With s₀ = 0 (the default) it projects the ORIGINAL
+/// pencil, so the model evaluates anywhere.
 ArnoldiModel congruence_project(const MnaSystem& sys,
-                                const std::vector<Vec>& basis);
+                                const std::vector<Vec>& basis,
+                                double s0 = 0.0);
 
 }  // namespace sympvl

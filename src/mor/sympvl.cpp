@@ -43,6 +43,16 @@ void record_factor_result(const PencilFactorResult& outcome, double seconds,
           : 0.0;
 }
 
+LanczosOptions lanczos_options(const SympvlOptions& options, Index order) {
+  LanczosOptions lopt;
+  lopt.max_order = order;
+  lopt.deflation_tol = options.deflation_tol;
+  lopt.lookahead_tol = options.lookahead_tol;
+  lopt.full_reorthogonalization = options.full_reorthogonalization;
+  lopt.max_cluster_size = options.max_cluster_size;
+  return lopt;
+}
+
 // ---- SympvlSession ---------------------------------------------------------
 
 struct SympvlSession::Impl {
@@ -89,14 +99,9 @@ struct SympvlSession::Impl {
       report.start_block_seconds += span.close();
     }
 
-    LanczosOptions lopt;
-    lopt.max_order = target_order;
-    lopt.deflation_tol = options.deflation_tol;
-    lopt.lookahead_tol = options.lookahead_tol;
-    lopt.full_reorthogonalization = options.full_reorthogonalization;
-    lopt.max_cluster_size = options.max_cluster_size;
     // The pencil IS the operator J⁻¹M⁻¹CM⁻ᵀ — no per-vector closure.
-    lanczos = std::make_unique<BandLanczos>(*pencil, start, j, lopt);
+    lanczos = std::make_unique<BandLanczos>(
+        *pencil, start, j, lanczos_options(options, target_order));
   }
 
   // Reads result() inside the span: that read forms the candidates run_to
@@ -162,17 +167,8 @@ SympvlSession::SympvlSession(const MnaSystem& sys, const SympvlOptions& options)
   //      ladder and cache. ----
   obs::ScopedTimer factor_span("sympvl.factor");
   factor_span.arg("n", sys.size());
-  PencilFactorRequest req;
-  req.s0 = options.s0;
-  req.auto_shift = options.auto_shift;
-  req.ordering = options.ordering;
-  req.full_ladder = true;
-  req.allow_dense = true;
-  req.driver = "sympvl";
-  req.stage = "sympvl.factor";
-  req.cache = options.factor_cache;
-  req.kernels = options.kernel;
-  PencilFactorResult outcome = factor_pencil(sys, req);
+  PencilFactorResult outcome = factor_pencil(
+      sys, factor_request(options, "sympvl", "sympvl.factor"));
   factor_span.arg("dense_fallback", outcome.dense ? 1.0 : 0.0);
   factor_span.arg("s0", outcome.s0_used);
   factor_span.arg("attempts", static_cast<Index>(outcome.attempts.size()));
@@ -201,18 +197,12 @@ ReducedModel SympvlSession::reshift(double new_s0) {
   obs::ScopedTimer span("sympvl.reshift");
   span.arg("s0", new_s0);
   span.arg("previous_s0", impl->s0);
-  PencilFactorRequest req;
+  PencilFactorRequest req =
+      factor_request(impl->options, "sympvl", "sympvl.factor");
   req.s0 = new_s0;
-  // The caller chose the shift: no automatic ladder, but the dense rung
-  // still backstops it.
+  // The caller chose the shift: no automatic or jittered rungs, but the
+  // dense rung still backstops it.
   req.auto_shift = false;
-  req.ordering = impl->options.ordering;
-  req.full_ladder = true;
-  req.allow_dense = true;
-  req.driver = "sympvl";
-  req.stage = "sympvl.factor";
-  req.cache = impl->options.factor_cache;
-  req.kernels = impl->options.kernel;
   PencilFactorResult outcome =
       factor_pencil(impl->g_matrix, impl->c_matrix, req);
   // The trail now holds the constructor's rung(s) and this one, so the

@@ -117,6 +117,11 @@ struct SympvlReport {
 void record_factor_result(const PencilFactorResult& outcome, double seconds,
                           SympvlReport* report);
 
+/// The Lanczos options of a SyMPVL run to `order` vectors: the options'
+/// tolerances, reorthogonalization and cluster guard. Shared by
+/// SympvlSession and the sharded path's per-shard processes.
+LanczosOptions lanczos_options(const SympvlOptions& options, Index order);
+
 /// Runs SyMPVL on an assembled MNA system.
 ReducedModel sympvl_reduce(const MnaSystem& sys, const SympvlOptions& options,
                            SympvlReport* report = nullptr);
@@ -165,10 +170,5 @@ class SympvlSession {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Picks the automatic shift used when G is singular: the ratio of the
-/// diagonal scales of G and C (a frequency inside the band where both
-/// terms of the pencil matter).
-double automatic_shift(const MnaSystem& sys);
 
 }  // namespace sympvl

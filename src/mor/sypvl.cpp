@@ -16,19 +16,10 @@ ReducedModel sypvl_reduce(const MnaSystem& sys, const SympvlOptions& options,
   require(options.order >= 1, ErrorCode::kInvalidArgument,
           "sypvl_reduce: order must be >= 1", {.stage = "sypvl"});
 
-  // Factor G + s₀C = M J Mᵀ through the shared cache (sparse path only;
-  // SyPVL predates the dense fallback and the circuits it targets are
-  // always sparse). Attempts land in the report's recovery trail like the
-  // SyMPVL ladder.
-  PencilFactorRequest req;
-  req.s0 = options.s0;
-  req.auto_shift = options.auto_shift;
-  req.ordering = options.ordering;
-  req.driver = "sypvl_reduce";
-  req.stage = "sypvl.factor";
-  req.cache = options.factor_cache;
-  req.kernels = options.kernel;
-  PencilFactorResult outcome = factor_pencil(sys, req);
+  // Factor G + s₀C = M J Mᵀ through the shared ladder and cache. Attempts
+  // land in the report's recovery trail.
+  PencilFactorResult outcome = factor_pencil(
+      sys, factor_request(options, "sypvl_reduce", "sypvl.factor"));
   const std::shared_ptr<const FactorizedPencil> fact = outcome.pencil;
   const double s0 = outcome.s0_used;
   const std::vector<FactorAttemptRecord>& attempts = outcome.attempts;
@@ -130,7 +121,7 @@ ReducedModel sypvl_reduce(const MnaSystem& sys, const SympvlOptions& options,
 
   if (report != nullptr) {
     report->s0_used = s0;
-    report->used_dense_fallback = false;
+    report->used_dense_fallback = outcome.dense;
     report->negative_j = 0;
     for (double jk : j)
       if (jk < 0.0) ++report->negative_j;

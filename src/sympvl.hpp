@@ -17,9 +17,9 @@
 // on their own for finer-grained builds; headers NOT reachable from
 // here (obs/ internals, fault.hpp, parallel/, the raw linalg kernels)
 // are implementation surface and may change between versions without
-// notice — the supported slice of them (KernelOptions' path / SIMD /
-// RHS-hint selectors, FactorCache, the factorized-pencil plumbing)
-// arrives through the reduction and simulation headers below.
+// notice — the supported slice of them (KernelOptions' SIMD selector,
+// FactorCache, the factorized-pencil plumbing) arrives through the
+// reduction and simulation headers below.
 #pragma once
 
 // Circuit capture: netlist construction, SPICE-subset parsing, MNA

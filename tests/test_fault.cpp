@@ -16,8 +16,12 @@
 #include "gen/random_circuit.hpp"
 #include "linalg/simd.hpp"
 #include "linalg/sparse_ldlt.hpp"
+#include "mor/arnoldi.hpp"
+#include "mor/moments.hpp"
+#include "mor/pvl.hpp"
 #include "mor/reduce.hpp"
 #include "mor/sympvl.hpp"
+#include "mor/sypvl.hpp"
 #include "obs/json.hpp"
 #include "serve/daemon.hpp"
 #include "sim/ac.hpp"
@@ -161,6 +165,69 @@ TEST_F(FaultTest, ForcedPivotFailureModelMatchesCleanRun) {
   for (double f : {1e7, 1e8, 1e9}) {
     const Complex s(0.0, 2.0 * M_PI * f);
     EXPECT_LT(max_rel_err(recovered.eval(s), clean.eval(s)), 1e-10) << f;
+  }
+}
+
+TEST_F(FaultTest, EveryDriverRecoversThroughTheDenseRung) {
+  // SyPVL, PVL, Arnoldi and exact_moments walk the same ladder as SyMPVL:
+  // with every sparse pivot killed, each one falls through the jittered
+  // rungs to the dense Bunch-Kaufman rung at the requested shift, so its
+  // result matches the clean run to factorization accuracy.
+  const MnaSystem one_port =
+      build_mna(random_rc({.nodes = 24, .ports = 1, .seed = 5}));
+  const MnaSystem two_port =
+      build_mna(random_rc({.nodes = 24, .ports = 2, .seed = 5}));
+  SympvlOptions sopt;
+  sopt.order = 8;
+  sopt.s0 = automatic_shift(one_port);
+  PvlOptions popt;
+  popt.order = 6;
+  popt.s0 = automatic_shift(two_port);
+  ArnoldiOptions aopt;
+  aopt.order = 8;
+  aopt.s0 = automatic_shift(two_port);
+
+  SympvlReport clean_report;
+  const ReducedModel clean_sypvl = sypvl_reduce(one_port, sopt, &clean_report);
+  const PvlModel clean_pvl = pvl_reduce_entry(two_port, 0, 1, popt);
+  const ArnoldiModel clean_arnoldi = arnoldi_reduce(two_port, aopt);
+  const std::vector<Mat> clean_moments = exact_moments(two_port, 4, aopt.s0);
+  EXPECT_FALSE(clean_report.used_dense_fallback);
+
+  fault::arm("ldlt.pivot@*");
+  SympvlReport report;
+  const ReducedModel sypvl = sypvl_reduce(one_port, sopt, &report);
+  const PvlModel pvl = pvl_reduce_entry(two_port, 0, 1, popt);
+  const ArnoldiModel arnoldi = arnoldi_reduce(two_port, aopt);
+  const std::vector<Mat> moments = exact_moments(two_port, 4, aopt.s0);
+  fault::disarm();
+
+  EXPECT_TRUE(report.used_dense_fallback);
+  EXPECT_TRUE(report.recovered);
+  ASSERT_GE(report.factor_attempts.size(), 2u);
+  EXPECT_EQ(report.factor_attempts.front().code, ErrorCode::kFaultInjected);
+  EXPECT_EQ(report.factor_attempts.back().method, "dense_bk");
+  EXPECT_TRUE(report.factor_attempts.back().success);
+  EXPECT_EQ(report.s0_used, clean_report.s0_used);
+  EXPECT_EQ(pvl.shift(), clean_pvl.shift());
+  EXPECT_EQ(arnoldi.shift(), clean_arnoldi.shift());
+
+  for (double f : {1e7, 1e8, 1e9}) {
+    const Complex s(0.0, 2.0 * M_PI * f);
+    EXPECT_LT(max_rel_err(sypvl.eval(s), clean_sypvl.eval(s)), 1e-10) << f;
+    EXPECT_LT(std::abs(pvl.eval(s) - clean_pvl.eval(s)),
+              1e-10 * std::abs(clean_pvl.eval(s)))
+        << f;
+    EXPECT_LT(max_rel_err(arnoldi.eval(s), clean_arnoldi.eval(s)), 1e-10)
+        << f;
+  }
+  ASSERT_EQ(moments.size(), clean_moments.size());
+  for (size_t k = 0; k < moments.size(); ++k) {
+    const double scale = clean_moments[k].max_abs();
+    for (Index i = 0; i < moments[k].rows(); ++i)
+      for (Index j = 0; j < moments[k].cols(); ++j)
+        EXPECT_NEAR(moments[k](i, j), clean_moments[k](i, j), 1e-10 * scale)
+            << "moment " << k;
   }
 }
 

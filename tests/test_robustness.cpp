@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "gen/power_grid.hpp"
 #include "mor/pencil.hpp"
 #include "mor/reduce.hpp"
 #include "mor/sympvl.hpp"
@@ -82,6 +83,35 @@ TEST(Robustness, DisconnectedCircuitFailsWithDiagnostics) {
     EXPECT_FALSE(issue.message.empty());
   }
   EXPECT_THROW(res.value(), Error);
+}
+
+TEST(Robustness, DenseRungIsBounded) {
+  // A pencil singular at every shift above kDenseRungMaxSize fails after
+  // the sparse rungs: the dense Bunch-Kaufman rung (O(N³) time, N² memory)
+  // is skipped, and the error says so.
+  PowerGridCircuit grid = make_power_grid({.ports = 4, .rows = 33, .cols = 33});
+  const Index island = grid.rows * grid.cols + 1;  // no path to the datum
+  grid.netlist.add_resistor(island, island + 1, 10.0);
+  grid.netlist.add_capacitor(island, island + 1, 1e-12);
+  const MnaSystem sys = build_mna(grid.netlist);
+  ASSERT_GT(sys.size(), kDenseRungMaxSize);
+  ReduceOptions opt;
+  opt.order = 4;
+  const ReduceResult res = reduce(sys, opt);
+  EXPECT_EQ(res.status, ReductionStatus::kFailed);
+  ASSERT_FALSE(res.diagnostics.empty());
+  const ReductionIssue& issue = res.diagnostics.front();
+  EXPECT_EQ(issue.code, ErrorCode::kSingular);
+  // Every rung that ran is an LDLᵀ one; the trail lives only in the
+  // message when no rung succeeds.
+  EXPECT_TRUE(res.report.factor_attempts.empty());
+  EXPECT_NE(issue.message.find("ldlt("), std::string::npos) << issue.message;
+  EXPECT_EQ(issue.message.find("dense_bk("), std::string::npos)
+      << issue.message;
+  EXPECT_NE(issue.message.find("dense_bk skipped: N = " +
+                               std::to_string(sys.size())),
+            std::string::npos)
+      << issue.message;
 }
 
 TEST(Robustness, DuplicatedPortsDeflateNotCrash) {
