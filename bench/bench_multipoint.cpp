@@ -53,7 +53,7 @@ MultipointOptions session_options(const MnaSystem& sys, FactorCache* cache) {
   opt.f_min = kFMin;
   opt.f_max = kFMax;
   opt.s0_points = rational_shifts_for_band(sys, kFMin, kFMax, kPoints);
-  opt.cache = cache;
+  opt.base.factor_cache = cache;
   return opt;
 }
 

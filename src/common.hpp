@@ -4,6 +4,7 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -120,6 +121,21 @@ inline void require(bool cond, ErrorCode code, const std::string& msg,
 inline void require(bool cond, ErrorCode code, const char* msg,
                     ErrorContext context = {}) {
   if (!cond) throw Error(code, msg, std::move(context));
+}
+
+/// The standard 64-bit FNV-1a offset basis.
+inline constexpr std::uint64_t kFnv1aBasis = 14695981039346656037ull;
+
+/// 64-bit FNV-1a over `bytes` raw bytes, continuing from `h`: the one hash
+/// behind the factor cache's keys and the serving registry's ROM keys.
+inline std::uint64_t fnv1a(const void* data, std::size_t bytes,
+                           std::uint64_t h = kFnv1aBasis) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 /// Scalar traits used by templated numerical kernels: the associated real

@@ -14,23 +14,13 @@ namespace sympvl {
 
 namespace {
 
-// FNV-1a over raw bytes.
-std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 template <typename T>
 std::uint64_t fnv1a_vec(const std::vector<T>& v, std::uint64_t h) {
   return v.empty() ? h : fnv1a(v.data(), v.size() * sizeof(T), h);
 }
 
 std::uint64_t fingerprint_matrix(const SMat& m) {
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = kFnv1aBasis;
   const Index dims[2] = {m.rows(), m.cols()};
   h = fnv1a(dims, sizeof(dims), h);
   h = fnv1a_vec(m.colptr(), h);
@@ -70,7 +60,7 @@ struct SymbolicKeyHash {
 };
 
 SymbolicKey symbolic_key(const SMat& pattern, Ordering ordering) {
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = kFnv1aBasis;
   h = fnv1a_vec(pattern.colptr(), h);
   h = fnv1a_vec(pattern.rowind(), h);
   return SymbolicKey{pattern.rows(), pattern.nnz(), h,
@@ -80,7 +70,6 @@ SymbolicKey symbolic_key(const SMat& pattern, Ordering ordering) {
 struct Key {
   std::uint64_t g = 0, c = 0;
   std::uint64_t shift = 0;
-  std::uint64_t tol = 0;
   int ordering = 0;
   bool dense = false;
   // The SIMD level changes the factorization's rounding, so it is part of
@@ -91,18 +80,17 @@ struct Key {
   int simd = 0;
 
   bool operator==(const Key& o) const {
-    return g == o.g && c == o.c && shift == o.shift && tol == o.tol &&
+    return g == o.g && c == o.c && shift == o.shift &&
            ordering == o.ordering && dense == o.dense && simd == o.simd;
   }
 };
 
 struct KeyHash {
   std::size_t operator()(const Key& k) const {
-    std::uint64_t h = 14695981039346656037ull;
+    std::uint64_t h = kFnv1aBasis;
     h = fnv1a(&k.g, sizeof(k.g), h);
     h = fnv1a(&k.c, sizeof(k.c), h);
     h = fnv1a(&k.shift, sizeof(k.shift), h);
-    h = fnv1a(&k.tol, sizeof(k.tol), h);
     h = fnv1a(&k.ordering, sizeof(k.ordering), h);
     const unsigned char dense = k.dense ? 1 : 0;
     h = fnv1a(&dense, sizeof(dense), h);
@@ -116,7 +104,6 @@ Key real_key(const PencilFingerprint& fp, const PencilFactorOptions& opt) {
   k.g = fp.g;
   k.c = fp.c;
   k.shift = double_bits(opt.shift);
-  k.tol = double_bits(opt.zero_pivot_tol);
   k.ordering = static_cast<int>(opt.ordering);
   k.dense = opt.dense;
   k.simd = static_cast<int>(resolve_simd_level(opt.kernels.simd));
@@ -235,6 +222,8 @@ FactorCache::FactorCache(std::size_t capacity)
 
 FactorCache::~FactorCache() = default;
 
+// The environment reads stay: no option sizes or disables the
+// process-wide cache, so they are an operator's only control of it.
 FactorCache& FactorCache::global() {
   static FactorCache cache([]() -> std::size_t {
     if (const char* env = std::getenv("SYMPVL_FACTOR_CACHE_CAP")) {

@@ -8,8 +8,9 @@
 // lookups.
 //
 // Keys: a value fingerprint of (G, C) — FNV-1a over dimensions, sparsity
-// pattern and values — plus the expansion point, ordering, zero-pivot
-// tolerance, backend (sparse/dense) and the resolved SIMD level. Two
+// pattern and values — plus the expansion point, ordering, backend
+// (sparse/dense) and the resolved SIMD level. The zero-pivot tolerance is
+// the constant kPencilZeroPivotTol, so it is no part of the key. Two
 // calls with equal keys would factor bit-identical pencils, so a hit
 // returns numerically identical solves and determinism (1-thread vs
 // N-thread bit-equality) is preserved.

@@ -28,7 +28,7 @@ FactorizedPencil::FactorizedPencil(const SMat& g, const SMat& c,
                         ? symbolics->symbolic(a, options.ordering)
                         : std::make_shared<const LdltSymbolic>(a, options.ordering);
     ldlt_ = std::make_unique<LDLT>(a, std::move(symbolic),
-                                   options.zero_pivot_tol, options.kernels);
+                                   kPencilZeroPivotTol, options.kernels);
     j_ = ldlt_->j_signs();
     return;
   }

@@ -73,14 +73,15 @@ CallableOperator(F) -> CallableOperator<F>;
 /// copy is made regardless, but the sparsity pattern of G is preserved).
 SMat assemble_pencil(const SMat& g, const SMat& c, double shift);
 
+/// Relative zero-pivot threshold of the pencil's sparse LDLᵀ backend (the
+/// canonical reduction setting; the exact AC, transient and sensitivity
+/// solves use 0 through FactorChain instead of FactorizedPencil).
+inline constexpr double kPencilZeroPivotTol = 1e-12;
+
 /// How to factor a pencil.
 struct PencilFactorOptions {
   double shift = 0.0;                  ///< s₀ of the pencil G + s₀C
   Ordering ordering = kDefaultOrdering;  ///< sparse pre-ordering
-  /// Relative zero-pivot threshold of the sparse LDLᵀ rung (the canonical
-  /// reduction setting; the exact AC, transient and sensitivity solves use
-  /// 0 through FactorChain instead of this type).
-  double zero_pivot_tol = 1e-12;
   /// Use the dense Bunch-Kaufman backend instead of the sparse LDLᵀ
   /// (the last rung of the SyMPVL recovery ladder).
   bool dense = false;

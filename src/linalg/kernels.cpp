@@ -72,6 +72,17 @@ SupernodePartition detect_supernodes(const std::vector<Index>& parent,
 
 namespace kernels {
 
+namespace {
+
+// ---------------------------------------------------------------------
+// Scalar (portable reference) panel kernels. These define the per-level
+// arithmetic contract the vector kernels mirror: trsm_forward runs
+// column-of-L outer read-modify-write chains (j ascending per target
+// element); the backward solves and the below-panel updates accumulate
+// into a register and subtract once.
+// ---------------------------------------------------------------------
+
+// y[0..n) += alpha * x[0..n)  (unrolled fused AXPY).
 template <typename T>
 void axpy_n(Index n, T alpha, const T* x, T* y) {
   const T* SYMPVL_RESTRICT xr = x;
@@ -86,40 +97,12 @@ void axpy_n(Index n, T alpha, const T* x, T* y) {
   for (; i < n; ++i) yr[i] += alpha * xr[i];
 }
 
-template <typename T>
-T dot_n(Index n, const T* a, const T* b) {
-  const T* SYMPVL_RESTRICT ar = a;
-  const T* SYMPVL_RESTRICT br = b;
-  // Four independent accumulator chains, folded at the end — unlocks
-  // instruction-level parallelism the single serial chain cannot reach.
-  T s0(0), s1(0), s2(0), s3(0);
-  Index i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += ar[i] * br[i];
-    s1 += ar[i + 1] * br[i + 1];
-    s2 += ar[i + 2] * br[i + 2];
-    s3 += ar[i + 3] * br[i + 3];
-  }
-  T s = (s0 + s1) + (s2 + s3);
-  for (; i < n; ++i) s += ar[i] * br[i];
-  return s;
-}
-
+// x[0..n) *= alpha.
 template <typename T>
 void scale_n(Index n, T alpha, T* x) {
   T* SYMPVL_RESTRICT xr = x;
   for (Index i = 0; i < n; ++i) xr[i] *= alpha;
 }
-
-namespace {
-
-// ---------------------------------------------------------------------
-// Scalar (portable reference) panel kernels. These define the per-level
-// arithmetic contract the vector kernels mirror: trsm_forward runs
-// column-of-L outer read-modify-write chains (j ascending per target
-// element); the backward solves and the below-panel updates accumulate
-// into a register and subtract once.
-// ---------------------------------------------------------------------
 
 // One register-blocked tile of the rank-k update: 4 C-columns × 4 rank
 // terms. Streams 4 A columns once while feeding 4 C columns — 16
@@ -1735,12 +1718,6 @@ const PanelKernels<T>& panel_kernels(SimdLevel level) {
   return scalar;
 }
 
-template void axpy_n<double>(Index, double, const double*, double*);
-template void axpy_n<Complex>(Index, Complex, const Complex*, Complex*);
-template double dot_n<double>(Index, const double*, const double*);
-template Complex dot_n<Complex>(Index, const Complex*, const Complex*);
-template void scale_n<double>(Index, double, double*);
-template void scale_n<Complex>(Index, Complex, Complex*);
 template const PanelKernels<double>& panel_kernels<double>(SimdLevel);
 template const PanelKernels<Complex>& panel_kernels<Complex>(SimdLevel);
 

@@ -112,19 +112,6 @@ namespace kernels {
 // must not alias output with inputs (x/xtop overlap in the trsm kernels
 // is by design: they solve in place).
 
-/// y[0..n) += alpha * x[0..n)  (unrolled fused AXPY).
-template <typename T>
-void axpy_n(Index n, T alpha, const T* x, T* y);
-
-/// Unrolled dot product sum(a[i] * b[i]), no conjugation (the factor is
-/// complex symmetric, not Hermitian).
-template <typename T>
-T dot_n(Index n, const T* a, const T* b);
-
-/// x[0..n) *= alpha.
-template <typename T>
-void scale_n(Index n, T alpha, T* x);
-
 /// Per-SIMD-level table of the dense panel primitives. Obtain via
 /// panel_kernels<T>(level) with a RESOLVED level (never kAuto); the
 /// returned reference is a process-lifetime static.
@@ -210,12 +197,6 @@ double panel_ldlt(const PanelKernels<T>& K, Index h, Index w, T* panel,
   return flops;
 }
 
-extern template void axpy_n<double>(Index, double, const double*, double*);
-extern template void axpy_n<Complex>(Index, Complex, const Complex*, Complex*);
-extern template double dot_n<double>(Index, const double*, const double*);
-extern template Complex dot_n<Complex>(Index, const Complex*, const Complex*);
-extern template void scale_n<double>(Index, double, double*);
-extern template void scale_n<Complex>(Index, Complex, Complex*);
 extern template const PanelKernels<double>& panel_kernels<double>(SimdLevel);
 extern template const PanelKernels<Complex>& panel_kernels<Complex>(SimdLevel);
 

@@ -1,5 +1,6 @@
 #include "mor/arnoldi.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -7,6 +8,8 @@
 #include "linalg/eig.hpp"
 #include "mor/pencil.hpp"
 #include "mor/rational.hpp"
+#include "mor/sympvl.hpp"
+#include "obs/obs.hpp"
 
 namespace sympvl {
 
@@ -73,15 +76,20 @@ std::int64_t ArnoldiModel::bytes() const {
          (form_ ? form_->bytes() : 0);
 }
 
-ArnoldiModel arnoldi_reduce(const MnaSystem& sys, const ArnoldiOptions& options) {
+ArnoldiModel arnoldi_reduce(const MnaSystem& sys, const ArnoldiOptions& options,
+                            SympvlReport* report) {
   require(options.order >= 1, ErrorCode::kInvalidArgument,
           "arnoldi_reduce: order must be >= 1", {.stage = "arnoldi"});
   const Index p = sys.port_count();
 
-  PencilFactorResult outcome = factor_pencil(
+  obs::ScopedTimer factor_span("arnoldi.factor");
+  const PencilFactorResult outcome = factor_pencil(
       sys, factor_request(options, "arnoldi_reduce", "arnoldi.factor"));
+  const double factor_seconds = factor_span.close();
   const std::shared_ptr<const FactorizedPencil> fact = outcome.pencil;
 
+  // The Krylov stage: the basis and its congruence projection.
+  obs::ScopedTimer krylov_span("arnoldi.krylov");
   // Block Arnoldi: each block joins the basis through the union-basis MGS
   // (applied twice, with deflation), stopping mid-block at the order.
   std::vector<Vec> basis;
@@ -100,7 +108,19 @@ ArnoldiModel arnoldi_reduce(const MnaSystem& sys, const ArnoldiOptions& options)
           "arnoldi_reduce: starting block deflated to nothing",
           {.stage = "arnoldi.basis"});
   // Congruence projection of G̃ = G + s₀C and C.
-  return congruence_project(sys, basis, outcome.s0_used);
+  ArnoldiModel model = congruence_project(sys, basis, outcome.s0_used);
+  const double krylov_seconds = krylov_span.close();
+
+  if (report != nullptr) {
+    *report = SympvlReport{};
+    record_factor_result(outcome, factor_seconds, report);
+    report->achieved_order = model.order();
+    // Stopping short means the block Krylov space deflated to nothing
+    // more: the projection then spans the full space (exact).
+    report->exhausted = model.order() < std::min(options.order, sys.size());
+    report->total_seconds = factor_seconds + krylov_seconds;
+  }
+  return model;
 }
 
 }  // namespace sympvl

@@ -18,6 +18,8 @@
 
 namespace sympvl {
 
+struct SympvlReport;
+
 class ArnoldiModel {
  public:
   ArnoldiModel() = default;
@@ -65,14 +67,19 @@ class ArnoldiModel {
   std::optional<PoleResidueForm> form_;
 };
 
-/// Block-Arnoldi options: the shared base with a tighter deflation
-/// default (orthonormal bases tolerate — and benefit from — a smaller
-/// threshold than the indefinite Lanczos process).
+/// Block-Arnoldi options: the shared factoring surface plus the basis
+/// deflation threshold.
 struct ArnoldiOptions : CommonReductionOptions {
-  ArnoldiOptions() { deflation_tol = 1e-10; }
+  /// Relative deflation threshold of the union-basis MGS. Tighter than
+  /// SyMPVL's default: orthonormal bases tolerate — and benefit from — a
+  /// smaller threshold than the indefinite Lanczos process.
+  double deflation_tol = 1e-10;
 };
 
-/// Runs the block Arnoldi reduction.
-ArnoldiModel arnoldi_reduce(const MnaSystem& sys, const ArnoldiOptions& options);
+/// Runs the block Arnoldi reduction. A non-null `report` receives the
+/// factor trail and telemetry, the achieved order, whether the block
+/// Krylov space was exhausted, and the stage times.
+ArnoldiModel arnoldi_reduce(const MnaSystem& sys, const ArnoldiOptions& options,
+                            SympvlReport* report = nullptr);
 
 }  // namespace sympvl

@@ -19,10 +19,12 @@
 
 namespace sympvl {
 
-/// Balanced-truncation options: only the shared base's `order` (retained
-/// Hankel directions k) is consulted — the method is dense and direct, so
-/// shift and tolerance fields do not apply.
-struct BalancedOptions : CommonReductionOptions {};
+/// Balanced-truncation options. The method is dense and direct, so no
+/// shift, tolerance or factoring field applies.
+struct BalancedOptions {
+  /// Retained Hankel directions k.
+  Index order = 0;
+};
 
 struct BalancedResult {
   ArnoldiModel model;        ///< reduced (Gr, Cr, Br) model (s-domain)

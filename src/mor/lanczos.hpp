@@ -44,20 +44,22 @@
 
 #include "linalg/dense.hpp"
 #include "linalg/factorized_pencil.hpp"
-#include "mor/options.hpp"
 #include "obs/histogram.hpp"
 #include "obs/memstat.hpp"
 
 namespace sympvl {
 
-/// Options of the raw Lanczos process. `deflation_tol` (step 1c) and
-/// `lookahead_tol` (cluster closes when min|λ(Δ^(γ))| exceeds it, step
-/// 2b) come from the shared base; the driver-facing `order`/`s0` fields
-/// are unused at this level.
-struct LanczosOptions : CommonReductionOptions {
+/// Options of the raw Lanczos process, which runs on the operator it is
+/// handed.
+struct LanczosOptions {
   /// Target number of Lanczos vectors n (the reduced order). Ignored by
   /// the resumable BandLanczos interface (run_to sets the target).
   Index max_order = 0;
+  /// Relative deflation threshold (paper's dtol, step 1c).
+  double deflation_tol = 1e-8;
+  /// A look-ahead cluster closes when min|λ(Δ^(γ))| exceeds this (step
+  /// 2b).
+  double lookahead_tol = 1e-8;
   /// When true (default), candidates are J-orthogonalized against every
   /// closed cluster, not only those required by the theoretical band
   /// structure (steps 3b-3d). Costs O(n·N) extra per step and buys

@@ -71,7 +71,6 @@ struct MultipointSession::Impl {
       SympvlOptions opt = options.base;
       opt.order = per_point;
       opt.s0 = s0s[k];
-      opt.factor_cache = cache;
       SympvlSession session(sys, opt);
       // The ladder may have moved the shift (singular G at σ = 0 with
       // auto_shift); record where the model actually expanded.
@@ -136,8 +135,9 @@ MultipointSession::MultipointSession(const MnaSystem& sys,
   Impl* impl = impl_.get();
   impl->sys = sys;
   impl->options = options;
-  impl->cache =
-      options.cache != nullptr ? options.cache : &FactorCache::global();
+  impl->cache = options.base.factor_cache != nullptr
+                    ? options.base.factor_cache
+                    : &FactorCache::global();
 
   obs::ScopedTimer span("multipoint.build");
   span.arg("total_order", options.total_order);

@@ -34,8 +34,6 @@
 
 namespace sympvl {
 
-class FactorCache;
-
 struct MultipointOptions {
   /// Total reduced order, split evenly across the expansion points (each
   /// session gets max(1, total_order / points)).
@@ -56,11 +54,10 @@ struct MultipointOptions {
   /// grid drops to this.
   double target_error = 1e-3;
   /// Per-session SyMPVL options (order/s0 are overridden per point).
-  SympvlOptions base;
-  /// Factorization cache shared across the sessions, the union-basis
+  /// base.factor_cache is shared across the sessions, the union-basis
   /// projection and the validation engine's symbolic analysis (nullptr =
   /// the process-global FactorCache).
-  FactorCache* cache = nullptr;
+  SympvlOptions base;
 };
 
 struct MultipointReport {

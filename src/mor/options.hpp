@@ -1,12 +1,12 @@
-// Shared option surface for every reduction driver (SyMPVL, SyPVL, PVL,
-// block Arnoldi, rational Krylov, balanced truncation, and the raw
-// Lanczos process): one base struct holding the fields that used to be
-// re-declared — and drift — per driver, with each driver adding only its
-// genuinely specific knobs on top.
+// The option surface the pencil-factoring reduction drivers share
+// (SyMPVL, SyPVL, PVL, block Arnoldi): what factor_request reads plus the
+// order. Each driver's struct adds only the fields that driver reads
+// (sypvl_reduce, see mor/sypvl.hpp, is the one exception). The Lanczos
+// process, rational Krylov and balanced truncation have structs of their
+// own.
 #pragma once
 
 #include "common.hpp"
-#include "linalg/kernels.hpp"
 #include "linalg/ordering.hpp"
 
 namespace sympvl {
@@ -25,9 +25,8 @@ enum class ShardClustering {
   kRoundRobin,
 };
 
-/// Port-sharding knobs (see mor/port_shard.hpp). Folded into the common
-/// surface, like KernelOptions, so every driver accepts them uniformly
-/// and the facade can dispatch on them.
+/// Port-sharding knobs (see mor/port_shard.hpp), read only by the sharded
+/// SyMPVL path through SympvlOptions::shard.
 struct PortShardOptions {
   /// Number of shards. 0 = the automatic heuristic (1 shard below 16
   /// ports; ~32 ports per shard beyond, at least 8 per shard).
@@ -40,9 +39,8 @@ struct PortShardOptions {
   double stitch_tol = 1e-10;
 };
 
-/// Options shared by all reduction drivers. Field names are stable API:
-/// existing call sites assign `opt.order`, `opt.s0`, … unchanged whether
-/// they hold a SympvlOptions, ArnoldiOptions, etc.
+/// Options shared by the drivers that factor G + s₀C through
+/// factor_request. No SIMD level: SYMPVL_SIMD and the host probe pick it.
 struct CommonReductionOptions {
   /// Requested reduced order n (basis vectors / retained directions).
   Index order = 0;
@@ -52,14 +50,8 @@ struct CommonReductionOptions {
   /// Shift policy: when G (or G + s₀C) cannot be factored, pick s₀
   /// automatically from the matrix scales and retry (the paper's PEEC
   /// treatment), then at jittered shifts around it (the reduction ladder,
-  /// mor/pencil.hpp). Drivers that never factor a pencil ignore this.
+  /// mor/pencil.hpp).
   bool auto_shift = true;
-  /// Relative deflation threshold (paper's dtol, Algorithm 1 step 1c).
-  /// Note: Arnoldi/rational default this to 1e-10 in their constructors.
-  double deflation_tol = 1e-8;
-  /// Look-ahead cluster closure tolerance (Algorithm 1 step 2b); also the
-  /// serious-breakdown threshold of the unblocked recurrences.
-  double lookahead_tol = 1e-8;
   /// Sparse factorization ordering for the pencil factor.
   Ordering ordering = kDefaultOrdering;
   /// Factorization cache the driver acquires its pencil factors through
@@ -68,12 +60,6 @@ struct CommonReductionOptions {
   /// sizes). It holds real pencil factors only. Pass a disabled
   /// FactorCache to factor fresh every time.
   FactorCache* factor_cache = nullptr;
-  /// SIMD level of the LDLᵀ panel kernels (kAuto resolves through
-  /// SYMPVL_SIMD and the host).
-  KernelOptions kernel;
-  /// Port-sharding behavior (only consulted by the sharded SyMPVL path;
-  /// shards=0 defers to the heuristic).
-  PortShardOptions shard;
 };
 
 }  // namespace sympvl

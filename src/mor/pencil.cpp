@@ -25,7 +25,6 @@ std::shared_ptr<const FactorizedPencil> attempt_rung(
   opt.shift = shift;
   opt.ordering = req.ordering;
   opt.dense = dense;
-  opt.kernels = req.kernels;
   try {
     bool hit = false;
     std::shared_ptr<const FactorizedPencil> pencil = cache.acquire(
@@ -111,8 +110,7 @@ PencilFactorRequest factor_request(const CommonReductionOptions& options,
           .ordering = options.ordering,
           .driver = driver,
           .stage = stage,
-          .cache = options.factor_cache,
-          .kernels = options.kernel};
+          .cache = options.factor_cache};
 }
 
 PencilFactorResult factor_pencil(const SMat& g, const SMat& c,

@@ -81,8 +81,6 @@ struct PencilFactorRequest {
   const char* stage = "pencil.factor";
   /// Cache to acquire through (nullptr = FactorCache::global()).
   FactorCache* cache = nullptr;
-  /// Panel-kernel SIMD level forwarded to every sparse LDLᵀ rung.
-  KernelOptions kernels;
   /// Unused: the LDLᵀ has one numeric path, so the RHS block width no
   /// longer selects anything. Kept only because the repository benchmark
   /// still assigns it.
@@ -90,8 +88,10 @@ struct PencilFactorRequest {
 };
 
 /// The request a reduction driver factors its pencil with: the options'
-/// s₀, shift policy, ordering, cache and kernels, with `driver` as the
-/// failure-message prefix and `stage` as the error context.
+/// s₀, shift policy, ordering and cache, with `driver` as the
+/// failure-message prefix and `stage` as the error context. Every sparse
+/// rung runs the panel kernels at the level SYMPVL_SIMD and the host
+/// probe resolve.
 PencilFactorRequest factor_request(const CommonReductionOptions& options,
                                    const char* driver, const char* stage);
 

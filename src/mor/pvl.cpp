@@ -9,6 +9,7 @@
 #include "linalg/dense_factor.hpp"
 #include "mor/pencil.hpp"
 #include "mor/sympvl.hpp"
+#include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace sympvl {
@@ -45,8 +46,7 @@ double PvlModel::moment(Index k) const {
 }
 
 PvlModel pvl_reduce_entry(const MnaSystem& sys, Index row, Index col,
-                          const PvlOptions& options,
-                          LanczosDiagnosis* diagnosis) {
+                          const PvlOptions& options, SympvlReport* report) {
   require(options.order >= 1, ErrorCode::kInvalidArgument,
           "pvl_reduce_entry: order must be >= 1", {.stage = "pvl"});
   require(0 <= row && row < sys.port_count() && 0 <= col &&
@@ -54,10 +54,11 @@ PvlModel pvl_reduce_entry(const MnaSystem& sys, Index row, Index col,
           ErrorCode::kInvalidArgument,
           "pvl_reduce_entry: port index out of range", {.stage = "pvl"});
   const Index big_n = sys.size();
-  if (diagnosis != nullptr) *diagnosis = LanczosDiagnosis{};
 
-  PencilFactorResult outcome = factor_pencil(
+  obs::ScopedTimer factor_span("pvl.factor");
+  const PencilFactorResult outcome = factor_pencil(
       sys, factor_request(options, "pvl_reduce_entry", "pvl.factor"));
+  const double factor_seconds = factor_span.close();
   const std::shared_ptr<const FactorizedPencil> fact = outcome.pencil;
   const double s0 = outcome.s0_used;
 
@@ -66,6 +67,7 @@ PvlModel pvl_reduce_entry(const MnaSystem& sys, Index row, Index col,
   auto apply_a = [&](const Vec& v) { return fact->solve(sys.C.multiply(v)); };
   auto apply_at = [&](const Vec& v) { return sys.C.multiply(fact->solve(v)); };
 
+  obs::ScopedTimer lanczos_span("pvl.lanczos");
   // Right start r̂ = G̃⁻¹ b_col, left start l = b_row.
   Vec v = fact->solve(sys.B.col(col));
   Vec w = sys.B.col(row);
@@ -81,6 +83,8 @@ PvlModel pvl_reduce_entry(const MnaSystem& sys, Index row, Index col,
   std::vector<Vec> vs, ws;
   Vec deltas;
   Index n = 0;
+  bool exhausted = false;
+  LanczosDiagnosis diagnosis;
 
   while (n < n_max) {
     double dn = dot(w, v);
@@ -89,13 +93,12 @@ PvlModel pvl_reduce_entry(const MnaSystem& sys, Index row, Index col,
       // Serious breakdown (wᵀv ≈ 0): no look-ahead in the classical
       // two-sided process, so truncate at the last completed order; the
       // very first step has no model to truncate to and throws.
-      LanczosDiagnosis diag;
-      diag.breakdown = true;
-      diag.cluster = n;
-      diag.cluster_size = 1;
-      diag.min_abs_eig = std::abs(dn);
-      diag.tol = options.breakdown_tol;
-      diag.message =
+      diagnosis.breakdown = true;
+      diagnosis.cluster = n;
+      diagnosis.cluster_size = 1;
+      diagnosis.min_abs_eig = std::abs(dn);
+      diagnosis.tol = options.breakdown_tol;
+      diagnosis.message =
           "pvl_reduce_entry: serious Lanczos breakdown — |delta_" +
           std::to_string(n + 1) + "| = " + std::to_string(std::abs(dn)) +
           " <= breakdown_tol = " + std::to_string(options.breakdown_tol) +
@@ -103,10 +106,9 @@ PvlModel pvl_reduce_entry(const MnaSystem& sys, Index row, Index col,
           " (use sympvl_reduce with look-ahead, or retry with a different "
           "expansion point s0, eq. 26)";
       if (n == 0)
-        throw Error(ErrorCode::kBreakdown, diag.message,
+        throw Error(ErrorCode::kBreakdown, diagnosis.message,
                     {.stage = "pvl.lanczos", .index = 0,
                      .value = std::abs(dn)});
-      if (diagnosis != nullptr) *diagnosis = diag;
       break;
     }
     vs.push_back(v);
@@ -135,8 +137,10 @@ PvlModel pvl_reduce_entry(const MnaSystem& sys, Index row, Index col,
     const double gamma = norm2(atw);
     if (av_ref == 0.0 || atw_ref == 0.0 ||
         beta <= options.breakdown_tol * av_ref ||
-        gamma <= options.breakdown_tol * atw_ref)
-      break;  // Krylov space exhausted
+        gamma <= options.breakdown_tol * atw_ref) {
+      exhausted = true;  // Krylov space exhausted: the scalar model is exact
+      break;
+    }
     t(n, n - 1) = beta;
     scale(av, 1.0 / beta);
     scale(atw, 1.0 / gamma);
@@ -147,6 +151,18 @@ PvlModel pvl_reduce_entry(const MnaSystem& sys, Index row, Index col,
   // η = b_rowᵀ G̃⁻¹ b_col scaled into the e₁ formulation:
   // H_n(σ) = γ₁β₁δ₁ e₁ᵀ(I+σTₙ)⁻¹e₁.
   const double eta = gamma1 * beta1 * deltas[0];
+  const double lanczos_seconds = lanczos_span.close();
+
+  if (report != nullptr) {
+    *report = SympvlReport{};
+    record_factor_result(outcome, factor_seconds, report);
+    report->exhausted = exhausted;
+    report->achieved_order = n;
+    report->lanczos_diagnosis = std::move(diagnosis);
+    report->breakdown = report->lanczos_diagnosis.breakdown;
+    report->lanczos_seconds = lanczos_seconds;
+    report->total_seconds = factor_seconds + lanczos_seconds;
+  }
   return PvlModel(t.block(0, n, 0, n), eta, sys.variable, sys.s_prefactor, s0);
 }
 

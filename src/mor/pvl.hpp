@@ -10,10 +10,11 @@
 
 #include "circuit/mna.hpp"
 #include "linalg/dense.hpp"
-#include "mor/lanczos.hpp"
 #include "mor/options.hpp"
 
 namespace sympvl {
+
+struct SympvlReport;
 
 /// Scalar reduced model H_n(s) ≈ Z(i,j)(s) from one PVL run.
 class PvlModel {
@@ -44,22 +45,23 @@ class PvlModel {
   double s0_ = 0.0;
 };
 
-/// PVL options: shared base plus the two-sided recurrence's breakdown
-/// threshold (the base's deflation_tol/lookahead_tol are block-Lanczos
-/// concepts and unused here).
+/// PVL options: the shared factoring surface plus the two-sided
+/// recurrence's breakdown threshold.
 struct PvlOptions : CommonReductionOptions {
   double breakdown_tol = 1e-12;
 };
 
-/// Runs PVL on entry (row, col) of the system's Z matrix.
+/// Runs PVL on entry (row, col) of the system's Z matrix. A non-null
+/// `report` receives the factor trail and telemetry, the achieved order,
+/// whether the Krylov space was exhausted, and the stage times.
 ///
 /// Serious breakdown (δₙ ≈ 0) after at least one completed step truncates
-/// the model at the last healthy order and, when `diagnosis` is non-null,
-/// fills it with the post-mortem; breakdown on the very first step throws
+/// the model at the last healthy order and puts the post-mortem in the
+/// report's lanczos_diagnosis; breakdown on the very first step throws
 /// Error(ErrorCode::kBreakdown).
 PvlModel pvl_reduce_entry(const MnaSystem& sys, Index row, Index col,
                           const PvlOptions& options,
-                          LanczosDiagnosis* diagnosis = nullptr);
+                          SympvlReport* report = nullptr);
 
 /// Reduces every Z entry. Z = Zᵀ for the symmetric pencils of Section 2,
 /// so only the p(p+1)/2 upper-triangle entries run (fanned over the

@@ -22,11 +22,9 @@
 
 namespace sympvl {
 
-/// Multi-point options: the shared base (the scalar `s0`/`order` fields
-/// are superseded by `shifts`/`iterations_per_shift` here) with the
-/// Arnoldi deflation default.
-struct RationalOptions : CommonReductionOptions {
-  RationalOptions() { deflation_tol = 1e-10; }
+/// Multi-point options. Each shift factors at the default ordering through
+/// `factor_cache` (pivoted-LU fallback), not through the reduction ladder.
+struct RationalOptions {
   /// Expansion points in the pencil variable σ (real, ≥ 0; 0 = DC).
   /// At least one required. Points where G + s₀C cannot be factored are
   /// rejected with sympvl::Error.
@@ -34,6 +32,12 @@ struct RationalOptions : CommonReductionOptions {
   /// Block Krylov iterations per expansion point (each contributes up to
   /// `iterations_per_shift · p` basis vectors before deflation).
   Index iterations_per_shift = 2;
+  /// Relative deflation threshold of the union-basis MGS (the Arnoldi
+  /// default).
+  double deflation_tol = 1e-10;
+  /// Cache the shifted LDLᵀ factors are acquired through (nullptr = the
+  /// process-global FactorCache).
+  FactorCache* factor_cache = nullptr;
 };
 
 /// Multi-point congruence reduction. The returned model projects the

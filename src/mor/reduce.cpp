@@ -13,8 +13,8 @@ namespace sympvl {
 
 namespace {
 
-// Copies the shared option surface into a method-specific options struct
-// (the facade applies its values uniformly across methods).
+// Copies the shared factoring surface into a method-specific options
+// struct; the caller copies the fields the method adds.
 template <typename Opt>
 Opt slice_common(const ReduceOptions& options) {
   Opt out;
@@ -229,34 +229,18 @@ ReduceResult reduce(const MnaSystem& sys, const ReduceOptions& options) {
       return run_algorithm("sypvl", requested, [&](SympvlReport* report) {
         return sypvl_reduce(sys, options, report);
       });
-    case ReduceMethod::kPvl: {
-      const PvlOptions popt = slice_common<PvlOptions>(options);
+    case ReduceMethod::kPvl:
       return run_algorithm("pvl", requested, [&](SympvlReport* report) {
-        LanczosDiagnosis diagnosis;
-        PvlModel model = pvl_reduce_entry(sys, options.pvl_row,
-                                          options.pvl_col, popt, &diagnosis);
-        report->s0_used = model.shift();
-        report->achieved_order = model.order();
-        report->lanczos_diagnosis = diagnosis;
-        report->breakdown = diagnosis.breakdown;
-        // PVL stopping short without a breakdown diagnosis means the
-        // Krylov space for this entry is exhausted (the scalar model is
-        // exact).
-        report->exhausted = !diagnosis.breakdown && model.order() < requested;
-        return model;
+        return pvl_reduce_entry(sys, options.pvl_row, options.pvl_col,
+                                slice_common<PvlOptions>(options), report);
       });
-    }
     case ReduceMethod::kArnoldi: {
-      const ArnoldiOptions aopt = slice_common<ArnoldiOptions>(options);
+      // The facade's deflation_tol (SyMPVL's 1e-8 unless set) replaces
+      // Arnoldi's standalone 1e-10 default.
+      ArnoldiOptions aopt = slice_common<ArnoldiOptions>(options);
+      aopt.deflation_tol = options.deflation_tol;
       return run_algorithm("arnoldi", requested, [&](SympvlReport* report) {
-        ArnoldiModel model = arnoldi_reduce(sys, aopt);
-        report->s0_used = model.shift();
-        report->achieved_order = model.order();
-        // Arnoldi stops short only when the block Krylov space deflates
-        // to nothing more — the projection then spans the full space
-        // (exact).
-        report->exhausted = model.order() < requested;
-        return model;
+        return arnoldi_reduce(sys, aopt, report);
       });
     }
   }

@@ -90,11 +90,11 @@ inline const char* reduce_method_name(ReduceMethod m) {
   return "unknown";
 }
 
-/// Facade options: the full SyMPVL surface (order, s0, shard, cache,
-/// kernel, …) plus the method switch. Fields irrelevant to a method are
-/// ignored by it; the facade applies these values uniformly, so methods
-/// whose standalone options carry different defaults (e.g. Arnoldi's
-/// tighter deflation_tol) get the shared defaults here unless set.
+/// Facade options: the union of the per-method structs (SympvlOptions
+/// plus the method switch and PVL's Z entry), because the facade and the
+/// daemon pick the method at run time. reduce() copies into each method's
+/// struct the fields it reads; kArnoldi's deflation_tol is SyMPVL's 1e-8
+/// default here, not arnoldi_reduce's 1e-10, unless set.
 struct ReduceOptions : SympvlOptions {
   ReduceMethod method = ReduceMethod::kSympvl;
   /// Z entry reduced by kPvl (ignored by every other method).
@@ -136,9 +136,12 @@ class MacroModel {
 };
 
 /// Uniform result of reduce(): dispatch on status, evaluate via model.
-/// Methods without a native report (PVL, Arnoldi) fill the report fields
-/// they can (s0_used, achieved_order, exhausted, breakdown/
-/// lanczos_diagnosis) and leave the rest defaulted.
+/// Every method fills its own report: the factor trail, shift and factor
+/// telemetry through the one recorder (record_factor_result), then its
+/// achieved order, exhaustion, breakdown and stage times. Fields a method
+/// has no source for stay defaulted: the step digest, Krylov bytes and
+/// moment residual come from the SyMPVL paths only, and the cluster
+/// structure from those and SyPVL.
 struct ReduceResult {
   MacroModel model;
   SympvlReport report;

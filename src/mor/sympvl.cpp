@@ -43,6 +43,16 @@ void record_factor_result(const PencilFactorResult& outcome, double seconds,
           : 0.0;
 }
 
+void record_lanczos_result(const LanczosResult& result, SympvlReport* report) {
+  report->deflations = result.deflations;
+  report->exhausted = result.exhausted;
+  report->achieved_order = result.n;
+  report->lookahead_clusters = result.lookahead_clusters;
+  report->cluster_sizes = result.cluster_sizes;
+  report->lanczos_diagnosis = result.diagnosis;
+  report->breakdown = result.diagnosis.breakdown;
+}
+
 LanczosOptions lanczos_options(const SympvlOptions& options, Index order) {
   LanczosOptions lopt;
   lopt.max_order = order;
@@ -125,13 +135,7 @@ struct SympvlSession::Impl {
         std::max(report.krylov_peak_bytes, lanczos->krylov_peak_bytes());
     report.peak_rss_bytes = obs::peak_rss_bytes();
     report.lanczos_step_stats = obs::latency_stats(lanczos->step_bins());
-    report.deflations = snap.deflations;
-    report.exhausted = snap.exhausted;
-    report.achieved_order = snap.n;
-    report.lookahead_clusters = snap.lookahead_clusters;
-    report.cluster_sizes = snap.cluster_sizes;
-    report.lanczos_diagnosis = snap.diagnosis;
-    report.breakdown = snap.diagnosis.breakdown;
+    record_lanczos_result(snap, &report);
     // Moment-match diagnostic (eq. 20 with k = 0): the model's 0th moment
     // ρₙᵀΔₙρₙ against the exact startᵀJ·start captured at construction.
     // Δₙ is symmetric, so Δₙρₙ = Δₙᵀρₙ and both products reuse the

@@ -23,15 +23,24 @@
 
 namespace sympvl {
 
-/// SyMPVL options: the shared reduction surface (order, s₀, auto_shift,
-/// deflation_tol, lookahead_tol, ordering) plus the block-Lanczos knobs.
+/// SyMPVL options: the shared factoring surface (order, s₀, auto_shift,
+/// ordering, factor_cache) plus the block-Lanczos knobs and the sharded
+/// path's port sharding.
 struct SympvlOptions : CommonReductionOptions {
+  /// Relative deflation threshold (paper's dtol, Algorithm 1 step 1c).
+  double deflation_tol = 1e-8;
+  /// Look-ahead cluster closure tolerance (Algorithm 1 step 2b); also the
+  /// serious-breakdown threshold of SyPVL's unblocked recurrence.
+  double lookahead_tol = 1e-8;
   /// Full reorthogonalization against all closed clusters (robust default).
   bool full_reorthogonalization = true;
   /// Serious-breakdown guard forwarded to the Lanczos process: a
   /// look-ahead cluster growing past this size stops the iteration at the
   /// last healthy order (0 = unlimited).
   Index max_cluster_size = 8;
+  /// Port-sharding behavior (read only by the sharded SyMPVL path;
+  /// shards = 0 defers to the heuristic).
+  PortShardOptions shard;
 };
 
 /// Diagnostics describing how the reduction ran.
@@ -61,11 +70,13 @@ struct SympvlReport {
   // -- Per-stage wall times (seconds): each is the duration its obs span
   //    measured, recorded or not. lanczos/total accumulate across
   //    extend() calls. --
-  double factor_seconds = 0.0;       ///< sympvl.factor (+ sympvl.reshift)
+  double factor_seconds = 0.0;       ///< <driver>.factor (+ sympvl.reshift)
   double start_block_seconds = 0.0;  ///< sympvl.start_block: J⁻¹M⁻¹B and
                                      ///< the exact 0th moment
   double lanczos_seconds = 0.0;      ///< sympvl.lanczos: Algorithm 1
-  double total_seconds = 0.0;
+                                     ///< (sypvl./pvl.lanczos: their
+                                     ///< unblocked recurrences)
+  double total_seconds = 0.0;        ///< the sum of the driver's stages
 
   // -- Memory accounting (bytes; always measured, see DESIGN.md §5.7). --
   /// Resident bytes of the accepted pencil factorization (C matrix, J
@@ -112,10 +123,16 @@ struct SympvlReport {
 /// Records one factor_pencil() outcome that took `seconds` into `report`:
 /// the attempt trail with its cache hit/miss counts and `recovered`, the
 /// shift and dense flag, the factor and kernel telemetry, and
-/// factor_seconds with the factor_gflops rule. Shared by SympvlSession
-/// and the sharded path's priming factorization.
+/// factor_seconds with the factor_gflops rule. Every factoring driver
+/// fills its report's factor fields through it: SympvlSession, the
+/// sharded path's priming factorization, SyPVL, PVL and block Arnoldi.
 void record_factor_result(const PencilFactorResult& outcome, double seconds,
                           SympvlReport* report);
+
+/// Records a Lanczos run's outcome into `report`: deflations, exhaustion,
+/// the achieved order, the look-ahead cluster structure and the breakdown
+/// post-mortem. Shared by SympvlSession and SyPVL.
+void record_lanczos_result(const LanczosResult& result, SympvlReport* report);
 
 /// The Lanczos options of a SyMPVL run to `order` vectors: the options'
 /// tolerances, reorthogonalization and cluster guard. Shared by

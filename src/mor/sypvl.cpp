@@ -5,6 +5,7 @@
 
 #include "fault.hpp"
 #include "mor/pencil.hpp"
+#include "obs/obs.hpp"
 
 namespace sympvl {
 
@@ -18,11 +19,12 @@ ReducedModel sypvl_reduce(const MnaSystem& sys, const SympvlOptions& options,
 
   // Factor G + s₀C = M J Mᵀ through the shared ladder and cache. Attempts
   // land in the report's recovery trail.
-  PencilFactorResult outcome = factor_pencil(
+  obs::ScopedTimer factor_span("sypvl.factor");
+  const PencilFactorResult outcome = factor_pencil(
       sys, factor_request(options, "sypvl_reduce", "sypvl.factor"));
+  const double factor_seconds = factor_span.close();
   const std::shared_ptr<const FactorizedPencil> fact = outcome.pencil;
   const double s0 = outcome.s0_used;
-  const std::vector<FactorAttemptRecord>& attempts = outcome.attempts;
   const Vec& j = fact->j_signs();
   const Index big_n = sys.size();
 
@@ -33,6 +35,7 @@ ReducedModel sypvl_reduce(const MnaSystem& sys, const SympvlOptions& options,
   Mat delta(n_max, n_max);
   Mat rho(n_max, 1);
 
+  obs::ScopedTimer lanczos_span("sypvl.lanczos");
   // v̂₁ = J M⁻¹ b (step 0 of Algorithm 1 with p = 1).
   Vec vh = fact->solve_m(sys.B.col(0));
   for (size_t i = 0; i < vh.size(); ++i) vh[i] *= j[i];
@@ -118,21 +121,14 @@ ReducedModel sypvl_reduce(const MnaSystem& sys, const SympvlOptions& options,
   res.delta = delta.block(0, n, 0, n);
   res.rho = rho.block(0, n, 0, 1);
   res.diagnosis = diagnosis;
+  const double lanczos_seconds = lanczos_span.close();
 
   if (report != nullptr) {
-    report->s0_used = s0;
-    report->used_dense_fallback = outcome.dense;
-    report->negative_j = 0;
-    for (double jk : j)
-      if (jk < 0.0) ++report->negative_j;
-    report->deflations = res.deflations;
-    report->exhausted = exhausted;
-    report->achieved_order = n;
-    report->lookahead_clusters = 0;
-    report->factor_attempts = attempts;
-    report->recovered = attempts.size() > 1;
-    report->lanczos_diagnosis = diagnosis;
-    report->breakdown = diagnosis.breakdown;
+    *report = SympvlReport{};
+    record_factor_result(outcome, factor_seconds, report);
+    record_lanczos_result(res, report);
+    report->lanczos_seconds = lanczos_seconds;
+    report->total_seconds = factor_seconds + lanczos_seconds;
   }
   return ReducedModel(res, sys.variable, sys.s_prefactor, s0);
 }

@@ -17,6 +17,11 @@ namespace sympvl {
 /// Runs SyPVL on a one-port system. Throws if the system has p ≠ 1 ports
 /// or if the indefinite recurrence breaks down (δₙ ≈ 0) — use SyMPVL with
 /// look-ahead in that case.
+///
+/// It takes SympvlOptions although it reads neither `shard`,
+/// `full_reorthogonalization` nor `max_cluster_size`: it is SyMPVL's
+/// p = 1 predecessor, configured as SyMPVL is, and reduce() hands it the
+/// same struct.
 ReducedModel sypvl_reduce(const MnaSystem& sys, const SympvlOptions& options,
                           SympvlReport* report = nullptr);
 

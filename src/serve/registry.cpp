@@ -7,57 +7,33 @@
 
 namespace sympvl::serve {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(const void* data, size_t bytes,
-                    std::uint64_t h = kFnvOffset) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_str(const std::string& s, std::uint64_t h = kFnvOffset) {
-  return fnv1a(s.data(), s.size(), h);
-}
-
-std::uint64_t fnv1a_double(double v, std::uint64_t h) {
-  return fnv1a(&v, sizeof v, h);
-}
-
-std::uint64_t fnv1a_index(Index v, std::uint64_t h) {
-  const std::int64_t x = v;
-  return fnv1a(&x, sizeof x, h);
-}
-
-}  // namespace
-
 RomKey rom_key(const std::string& netlist_text, const ReduceOptions& opt) {
   RomKey key;
-  key.netlist = fnv1a_str(netlist_text);
+  key.netlist = fnv1a(netlist_text.data(), netlist_text.size());
   // Canonical options encoding: every field that changes the produced
   // model, in a fixed order. Fields that only change HOW it is computed
   // but not the result (the factor-cache pointer and behavior) stay out,
   // so equivalent requests share an entry.
-  std::uint64_t h = kFnvOffset;
-  h = fnv1a_index(static_cast<Index>(opt.method), h);
-  h = fnv1a_index(opt.order, h);
-  h = fnv1a_double(opt.s0, h);
-  h = fnv1a_index(opt.auto_shift ? 1 : 0, h);
-  h = fnv1a_double(opt.deflation_tol, h);
-  h = fnv1a_double(opt.lookahead_tol, h);
-  h = fnv1a_index(opt.max_cluster_size, h);
-  h = fnv1a_index(static_cast<Index>(opt.ordering), h);
-  h = fnv1a_index(opt.shard.shards, h);
-  h = fnv1a_index(static_cast<Index>(opt.shard.clustering), h);
-  h = fnv1a_double(opt.shard.stitch_tol, h);
-  h = fnv1a_index(opt.pvl_row, h);
-  h = fnv1a_index(opt.pvl_col, h);
+  std::uint64_t h = kFnv1aBasis;
+  const auto index = [&h](Index v) {
+    const std::int64_t x = v;
+    h = fnv1a(&x, sizeof x, h);
+  };
+  const auto real = [&h](double v) { h = fnv1a(&v, sizeof v, h); };
+  index(static_cast<Index>(opt.method));
+  index(opt.order);
+  real(opt.s0);
+  index(opt.auto_shift ? 1 : 0);
+  real(opt.deflation_tol);
+  real(opt.lookahead_tol);
+  index(opt.full_reorthogonalization ? 1 : 0);
+  index(opt.max_cluster_size);
+  index(static_cast<Index>(opt.ordering));
+  index(opt.shard.shards);
+  index(static_cast<Index>(opt.shard.clustering));
+  real(opt.shard.stitch_tol);
+  index(opt.pvl_row);
+  index(opt.pvl_col);
   key.options = h;
   return key;
 }

@@ -17,9 +17,11 @@
 // on their own for finer-grained builds; headers NOT reachable from
 // here (obs/ internals, fault.hpp, parallel/, the raw linalg kernels)
 // are implementation surface and may change between versions without
-// notice — the supported slice of them (KernelOptions' SIMD selector,
-// FactorCache, the factorized-pencil plumbing) arrives through the
-// reduction and simulation headers below.
+// notice — the supported slice of them (FactorCache, the
+// factorized-pencil plumbing with PencilFactorOptions' KernelOptions
+// SIMD selector) arrives through the reduction and simulation headers
+// below. The reduction options carry no SIMD selector: a reduction's
+// panel kernels run at the level SYMPVL_SIMD and the host probe resolve.
 #pragma once
 
 // Circuit capture: netlist construction, SPICE-subset parsing, MNA

@@ -391,7 +391,7 @@ TEST(FactorCache, ReshiftAndMultipointBuildOneSymbolic) {
     mp.f_min = 1e7;
     mp.f_max = 1e10;
     mp.total_order = 8;
-    mp.cache = &cache;
+    mp.base.factor_cache = &cache;
     const MultipointSession session(sys, mp);
     EXPECT_EQ(session.point_count(), 2);
     EXPECT_GE(cache.stats().factorizations, 2u);

@@ -47,7 +47,7 @@ TEST(Multipoint, ExplicitPointsBuildAndStitch) {
   opt.f_max = 2e10;
   opt.s0_points = rational_shifts_for_band(sys, opt.f_min, opt.f_max, 3);
   FactorCache cache(16);
-  opt.cache = &cache;
+  opt.base.factor_cache = &cache;
   const MultipointSession mp(sys, opt);
   EXPECT_EQ(mp.point_count(), 3);
   EXPECT_EQ(mp.models().size(), 3u);
@@ -100,7 +100,7 @@ TEST(Multipoint, WidebandBeatsBestSinglePointAtEqualTotalOrder) {
   mopt.f_max = f_max;
   mopt.s0_points = candidates;
   FactorCache cache(16);
-  mopt.cache = &cache;
+  mopt.base.factor_cache = &cache;
   const MultipointSession mp(sys, mopt);
   // Equal total order: the stitched union basis must not exceed the
   // budget the single-point models were given.
@@ -123,7 +123,7 @@ TEST(Multipoint, AdaptiveModeRefinesTowardTarget) {
   opt.max_points = 3;
   opt.target_error = 1e-6;  // strict: forces at least one refinement
   FactorCache cache(16);
-  opt.cache = &cache;
+  opt.base.factor_cache = &cache;
   const MultipointSession mp(sys, opt);
   EXPECT_GE(mp.point_count(), 1);
   EXPECT_LE(mp.point_count(), 3);
@@ -145,7 +145,7 @@ TEST(Multipoint, CacheReuseAcrossRefinement) {
   // Large enough for every pencil factorization of both sessions —
   // nothing gets evicted between them.
   FactorCache cache(64);
-  opt.cache = &cache;
+  opt.base.factor_cache = &cache;
 
   const MultipointSession first(sys, opt);
   const std::uint64_t cold_factorizations = first.report().factorizations;

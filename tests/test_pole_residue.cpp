@@ -170,7 +170,6 @@ TEST(PoleResidue, DefiniteCongruenceModelsMatchTheLuFormula) {
   check(arnoldi_reduce(rc, aopt), rc, "arnoldi_reduce");
 
   RationalOptions ropt;
-  ropt.order = 12;
   ropt.shifts = rational_shifts_for_band(rc, 1e6, 1e10, 3);
   check(rational_reduce(rc, ropt), rc, "rational_reduce");
 

@@ -9,6 +9,8 @@
 #include <cmath>
 
 #include "gen/package.hpp"
+#include "gen/random_circuit.hpp"
+#include "linalg/factor_cache.hpp"
 #include "mor/balanced.hpp"
 #include "mor/rational.hpp"
 #include "sim/sweep_api.hpp"
@@ -159,10 +161,72 @@ TEST(Reduce, ArnoldiDispatchMatchesDriver) {
 
   ArnoldiOptions aopt;
   static_cast<CommonReductionOptions&>(aopt) = opt;
+  aopt.deflation_tol = opt.deflation_tol;  // as the facade passes it
   const CMat za = res.value().eval(kProbe);
   const CMat zb = arnoldi_reduce(sys, aopt).eval(kProbe);
   for (Index i = 0; i < za.rows(); ++i)
     for (Index j = 0; j < za.cols(); ++j) EXPECT_EQ(za(i, j), zb(i, j));
+}
+
+// Every method that factors G + s₀C fills the report's factor fields
+// through the same recorder: the factor's bytes and L nonzeros, one cache
+// miss, a measured factor time inside the total, and the SIMD level the
+// panel kernels ran at.
+TEST(Reduce, EveryFactoringMethodReportsItsFactor) {
+  RandomCircuitOptions ro;
+  ro.nodes = 200;
+  ro.ports = 1;
+  ro.seed = 3;
+  const MnaSystem sys = build_mna(random_rc(ro));
+  std::string sympvl_simd;
+  for (ReduceMethod method : {ReduceMethod::kSympvl, ReduceMethod::kSypvl,
+                              ReduceMethod::kPvl, ReduceMethod::kArnoldi}) {
+    SCOPED_TRACE(reduce_method_name(method));
+    FactorCache cache;
+    ReduceOptions opt;
+    opt.order = 8;
+    opt.method = method;
+    opt.factor_cache = &cache;
+    const ReduceResult res = reduce(sys, opt);
+    ASSERT_EQ(res.status, ReductionStatus::kOk);
+    EXPECT_EQ(res.report.factor_bytes, 40640);
+    EXPECT_EQ(res.report.factor_nnz_l, 2135);
+    EXPECT_EQ(res.report.factor_cache_misses, 1);
+    EXPECT_GT(res.report.factor_seconds, 0.0);
+    EXPECT_GE(res.report.total_seconds, res.report.factor_seconds);
+    if (method == ReduceMethod::kSympvl) sympvl_simd = res.report.simd_level;
+    EXPECT_EQ(res.report.simd_level, sympvl_simd);
+  }
+}
+
+// G is singular (node 1 has no DC path), so every factoring method's
+// first rung fails and the automatic shift succeeds; each reports that
+// recovery and the failed rung as its one diagnostic.
+TEST(Reduce, EveryFactoringMethodReportsLadderRecovery) {
+  Netlist nl;
+  nl.add_capacitor(1, 0, 1e-12);
+  nl.add_capacitor(1, 2, 2e-12);
+  nl.add_resistor(2, 0, 50.0);
+  nl.add_port(1, 0);
+  const MnaSystem sys = build_mna(nl, MnaForm::kGeneral);
+  for (ReduceMethod method : {ReduceMethod::kSympvl, ReduceMethod::kSypvl,
+                              ReduceMethod::kPvl, ReduceMethod::kArnoldi}) {
+    SCOPED_TRACE(reduce_method_name(method));
+    FactorCache cache;
+    ReduceOptions opt;
+    opt.order = 2;
+    opt.method = method;
+    opt.factor_cache = &cache;
+    const ReduceResult res = reduce(sys, opt);
+    ASSERT_TRUE(res.ok());
+    EXPECT_TRUE(res.report.recovered);
+    ASSERT_EQ(res.report.factor_attempts.size(), 2u);
+    EXPECT_FALSE(res.report.factor_attempts[0].success);
+    EXPECT_TRUE(res.report.factor_attempts[1].success);
+    EXPECT_EQ(res.report.s0_used, automatic_shift(sys));
+    ASSERT_EQ(res.diagnostics.size(), 1u);
+    EXPECT_EQ(res.diagnostics[0].stage, "factor.ldlt");
+  }
 }
 
 TEST(Reduce, SypvlOnMultiPortSystemFailsStructured) {
@@ -255,8 +319,8 @@ TEST(Driver, InvalidOrderIsStructuredFailure) {
 }
 
 TEST(Driver, ConsolidatedOptionsShareBaseFields) {
-  // All option structs expose the CommonReductionOptions surface; a
-  // generic helper can configure any of them.
+  // The pencil-factoring drivers' structs expose the CommonReductionOptions
+  // surface; a generic helper can configure any of them.
   const auto configure = [](CommonReductionOptions& opt) {
     opt.order = 7;
     opt.s0 = 2.5;
@@ -265,22 +329,16 @@ TEST(Driver, ConsolidatedOptionsShareBaseFields) {
   SympvlOptions so;
   PvlOptions po;
   ArnoldiOptions ao;
-  RationalOptions ro;
-  BalancedOptions bo;
-  LanczosOptions lo;
   for (CommonReductionOptions* opt :
        {static_cast<CommonReductionOptions*>(&so),
         static_cast<CommonReductionOptions*>(&po),
-        static_cast<CommonReductionOptions*>(&ao),
-        static_cast<CommonReductionOptions*>(&ro),
-        static_cast<CommonReductionOptions*>(&bo),
-        static_cast<CommonReductionOptions*>(&lo)})
+        static_cast<CommonReductionOptions*>(&ao)})
     configure(*opt);
   EXPECT_EQ(so.order, 7);
-  EXPECT_EQ(bo.order, 7);
   EXPECT_EQ(po.s0, 2.5);
-  EXPECT_FALSE(lo.auto_shift);
+  EXPECT_FALSE(ao.auto_shift);
   // Driver-specific defaults survive the shared base.
+  RationalOptions ro;
   EXPECT_EQ(ao.deflation_tol, 1e-10);
   EXPECT_EQ(ro.deflation_tol, 1e-10);
   EXPECT_EQ(so.deflation_tol, 1e-8);

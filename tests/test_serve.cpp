@@ -175,6 +175,9 @@ TEST(ServeRegistry, KeyIsDeterministicAndRoundTrips) {
   b.order = 6;
   b.s0 = 123.0;
   EXPECT_FALSE(k1 == rom_key(kRcNetlist, b));
+  b.s0 = a.s0;
+  b.full_reorthogonalization = false;
+  EXPECT_FALSE(k1 == rom_key(kRcNetlist, b));
 
   const std::string hex = rom_key_hex(k1);
   EXPECT_EQ(hex.size(), 33u);
