@@ -425,35 +425,6 @@ Vec BunchKaufman::solve(const Vec& b) const {
   return x;
 }
 
-BunchKaufman::Inertia BunchKaufman::inertia() const {
-  Inertia in;
-  Index k = 0;
-  for (int bsize : blocks_) {
-    if (bsize == 1) {
-      const double d = ld_(k, k);
-      if (d > 0.0)
-        ++in.positive;
-      else if (d < 0.0)
-        ++in.negative;
-      else
-        ++in.zero;
-    } else {
-      double l1, l2, w[4];
-      eig2x2(ld_(k, k), ld_(k + 1, k), ld_(k + 1, k + 1), l1, l2, w);
-      for (double l : {l1, l2}) {
-        if (l > 0.0)
-          ++in.positive;
-        else if (l < 0.0)
-          ++in.negative;
-        else
-          ++in.zero;
-      }
-    }
-    k += bsize;
-  }
-  return in;
-}
-
 void BunchKaufman::symmetric_factor(Mat& m_out, Vec& j_out) const {
   // A = P L D Lᵀ Pᵀ; with D = W Λ Wᵀ block-wise we get
   // M = P L W √|Λ| and A = M J Mᵀ, J = sign(Λ).

@@ -98,18 +98,6 @@ class BunchKaufman {
   /// Solves A x = b.
   Vec solve(const Vec& b) const;
 
-  /// Block sizes of D in order (values 1 or 2).
-  const std::vector<int>& block_sizes() const { return blocks_; }
-
-  /// Matrix inertia (#positive, #negative, #zero eigenvalues of A),
-  /// computed from the eigenvalues of the blocks of D.
-  struct Inertia {
-    Index positive = 0;
-    Index negative = 0;
-    Index zero = 0;
-  };
-  Inertia inertia() const;
-
   /// Produces the paper's symmetric factorization (eq. 15):
   ///   A = M J Mᵀ with J = diag(±1)
   /// via M = P L √|D| and eigendecomposition of the 2×2 blocks.

@@ -18,15 +18,19 @@
 //     (rank-k panel update, D-scaled column copy, in-panel triangular
 //     multi-RHS solves, scattered below-panel updates, diagonal solve)
 //     the numeric phase and blocked solves dispatch through.
-//     Scalar, AVX2+FMA and AVX-512 instances live in kernels.cpp behind
-//     `target` function attributes, so one binary carries all levels.
+//     The scalar instance lives in kernels.cpp; the AVX2+FMA and AVX-512
+//     instances are one width-generic body (kernels_simd.inc) that
+//     kernels.cpp compiles twice, under each level's `target` function
+//     attribute, so one binary carries all levels.
 //
 // Numerical contract: the AVX levels fuse multiply-add chains the scalar
-// level rounds twice (agreement to ~1e-12 relative). Within one dispatch
-// level the single-RHS and multi-RHS solves run per-column bit-identical
-// arithmetic — both funnel through the same kernels, whose remainder
-// lanes use the same fused operations as the full vectors, with an
-// independent accumulator chain per right-hand side.
+// level rounds twice (agreement to ~1e-12 relative); AVX2 and AVX-512
+// run the same fused operations lane for lane and agree bit for bit.
+// Within one dispatch level the single-RHS and multi-RHS solves run
+// per-column bit-identical arithmetic — both funnel through the same
+// kernels, whose remainder lanes use the same fused operations as the
+// full vectors, with an independent accumulator chain per right-hand
+// side.
 //
 // At nrhs = 1 a vector across the right-hand sides would hold one live
 // lane, so the AVX2 and AVX-512 double kernels switch layout there and
@@ -53,9 +57,10 @@
 namespace sympvl {
 
 /// SIMD-level selection of the panel kernels. The default is the
-/// canonical setting every reduction uses; the level changes the
-/// factorization's rounding at the 1e-15 level, so the FactorCache keys on
-/// it RESOLVED (kAuto resolves through the environment and the host).
+/// canonical setting every reduction uses. Scalar and vector levels round
+/// differently at the 1e-15 level (AVX2 and AVX-512 agree bit for bit),
+/// so the FactorCache keys on the level RESOLVED (kAuto resolves through
+/// the environment and the host).
 struct KernelOptions {
   /// SIMD dispatch level of the dense panel kernels. kAuto resolves via
   /// SYMPVL_SIMD, then a CPUID probe; explicit levels are clamped to what

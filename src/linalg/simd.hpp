@@ -2,9 +2,10 @@
 //
 // The supernodal LDLᵀ path spends its time in three dense primitives —
 // the rank-k panel update (GEMM-like), the triangular panel solves, and
-// diagonal scaling. Each has scalar, AVX2+FMA and AVX-512 variants
-// compiled into every binary (via GCC/Clang `target` attributes, so no
-// special -m flags are needed) and selected once per factorization:
+// diagonal scaling. Each has a scalar variant and one width-generic
+// vector body compiled as AVX2+FMA and as AVX-512, all in every binary
+// (via GCC/Clang `target` attributes, so no special -m flags are
+// needed) and selected once per factorization:
 //
 //   1. an explicit KernelOptions::simd (anything but kAuto) wins;
 //   2. else the SYMPVL_SIMD environment variable
@@ -15,13 +16,14 @@
 // supported one, so SYMPVL_SIMD=avx512 on an AVX2-only host silently
 // runs AVX2 — tests that force levels stay portable.
 //
-// Numerical contract: levels differ in rounding (FMA fuses the
-// multiply-add chains the scalar kernels round twice), so the resolved
-// level is part of a factorization's identity — FactorCache keys on it,
-// and dispatch-parity tests bound the scalar/AVX drift at 1e-12. Within
-// one level, single-RHS and multi-RHS solves run per-column bit-identical
-// arithmetic (the vector kernels' remainder lanes use the same fused ops
-// as the full vectors).
+// Numerical contract: the scalar level rounds twice the multiply-add
+// chains the vector levels fuse, so scalar and vector results differ in
+// the last bits (dispatch-parity tests bound the drift at 1e-12), and the
+// resolved level is part of a factorization's identity — FactorCache
+// keys on it. AVX2 and AVX-512 are two compilations of one kernel source
+// and agree bit for bit. Within one level, single-RHS and multi-RHS
+// solves run per-column bit-identical arithmetic (the vector kernels'
+// remainder lanes use the same fused ops as the full vectors).
 #pragma once
 
 namespace sympvl {

@@ -39,17 +39,30 @@ void write_matrix(std::ostream& out, const char* tag, const Mat& m) {
     out << "\n";
   }
 }
-Mat read_matrix(std::istream& in, const char* tag) {
+
+// Reads section `tag`, which the header sizes as rows × cols. Its own size
+// line must agree, and its entries must fit in what is left of the
+// `text_bytes`-byte text (each takes a digit and a separator at least), so
+// a crafted file cannot make it allocate past the text it came in.
+Mat read_matrix(std::istream& in, const char* tag, Index rows, Index cols,
+                size_t text_bytes) {
   std::string word;
-  Index rows = 0, cols = 0;
-  require(static_cast<bool>(in >> word >> rows >> cols) && word == tag,
+  Index r = 0, c = 0;
+  require(static_cast<bool>(in >> word >> r >> c) && word == tag,
+          ErrorCode::kIo,
           std::string("ReducedModel::from_text: expected section '") + tag + "'");
-  require(rows >= 0 && cols >= 0 && rows < (Index(1) << 20),
-          "ReducedModel::from_text: implausible matrix size");
+  require(r == rows && c == cols, ErrorCode::kIo,
+          "ReducedModel::from_text: section size does not match the header");
+  const std::streamoff pos = in.tellg();
+  const size_t left = pos < 0 ? 0 : text_bytes - static_cast<size_t>(pos);
+  require(rows == 0 ||
+              static_cast<size_t>(cols) <= left / 2 / static_cast<size_t>(rows),
+          ErrorCode::kIo,
+          "ReducedModel::from_text: section holds more entries than the text");
   Mat m(rows, cols);
   for (Index i = 0; i < rows; ++i)
     for (Index j = 0; j < cols; ++j)
-      require(static_cast<bool>(in >> m(i, j)),
+      require(static_cast<bool>(in >> m(i, j)), ErrorCode::kIo,
               "ReducedModel::from_text: truncated matrix data");
   return m;
 }
@@ -92,12 +105,13 @@ ReducedModel ReducedModel::from_text(const std::string& text) {
   require(static_cast<bool>(in >> kw >> shift) && kw == "shift",
           "ReducedModel::from_text: missing 'shift'");
 
+  require(order >= 0 && ports >= 0, ErrorCode::kIo,
+          "ReducedModel::from_text: negative order or ports");
+
   LanczosResult res;
-  res.t = read_matrix(in, "T");
-  res.delta = read_matrix(in, "DELTA");
-  res.rho = read_matrix(in, "RHO");
-  require(res.t.rows() == order && res.rho.cols() == ports,
-          "ReducedModel::from_text: header/matrix size mismatch");
+  res.t = read_matrix(in, "T", order, order, text.size());
+  res.delta = read_matrix(in, "DELTA", order, order, text.size());
+  res.rho = read_matrix(in, "RHO", order, ports, text.size());
   res.n = order;
   res.p1 = std::min(order, ports);
   res.cluster_sizes.assign(static_cast<size_t>(order), 1);

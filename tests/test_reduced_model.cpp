@@ -204,6 +204,26 @@ TEST(ReducedModel, FromTextRejectsGarbage) {
   EXPECT_THROW(ReducedModel::from_text(text), Error);
 }
 
+TEST(ReducedModel, FromTextRejectsSectionSizesTheTextCannotHold) {
+  const std::string head =
+      "sympvl-reduced-model v1\norder 4 ports 1 variable s prefactor 0 "
+      "shift 0\n";
+  // rows·cols overflows, and the section disagrees with the header.
+  const std::string overflow = head + "T 4 4611686018427387904\n1 2 3\n";
+  // Consistent sizes, but 10¹² entries in a text of a few dozen bytes.
+  const std::string huge =
+      "sympvl-reduced-model v1\norder 1000000 ports 1 variable s prefactor 0 "
+      "shift 0\nT 1000000 1000000\n1 2 3\n";
+  for (const std::string& text : {overflow, huge}) {
+    try {
+      ReducedModel::from_text(text);
+      FAIL() << "accepted: " << text;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kIo) << e.what();
+    }
+  }
+}
+
 TEST(ReducedModel, ShiftedModelRejectsTransient) {
   const Netlist nl = random_lc({.nodes = 10, .ports = 1, .seed = 13,
                                 .grounded = false});

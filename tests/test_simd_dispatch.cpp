@@ -17,10 +17,12 @@
 #include <cstring>
 #include <functional>
 #include <random>
+#include <type_traits>
 #include <utility>
 
 #include "circuit/mna.hpp"
 #include "gen/package.hpp"
+#include "gen/power_grid.hpp"
 #include "gen/rc_interconnect.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/sparse_ldlt.hpp"
@@ -368,6 +370,162 @@ TEST(SimdDispatch, SingleRhsKernelsMatchEveryWideColumn) {
           }
         }
       }
+  }
+}
+
+// ---- AVX2 and AVX-512 agree bit for bit ------------------------------------
+
+template <typename T>
+T random_entry(std::mt19937& rng) {
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  if constexpr (std::is_same_v<T, double>) {
+    return u(rng);
+  } else {
+    const double re = u(rng);
+    return T(re, u(rng));
+  }
+}
+
+// Runs every entry of the AVX2 and the AVX-512 table on the same inputs:
+// full vectors, both tail kinds (AVX2's element-wise std::fma, AVX-512's
+// masked lanes and complex half-width cascade) and the nrhs = 1 routes.
+// Every lane executes the same fused operations, so each output buffer,
+// padding included, must match byte for byte.
+template <typename T>
+void expect_vector_tables_agree() {
+  const auto& k2 = kernels::panel_kernels<T>(SimdLevel::kAvx2);
+  const auto& k5 = kernels::panel_kernels<T>(SimdLevel::kAvx512);
+  std::mt19937 rng(2024);
+  auto random_vec = [&](Index len) {
+    std::vector<T> v(static_cast<size_t>(len));
+    for (T& e : v) e = random_entry<T>(rng);
+    return v;
+  };
+  // Runs op(K, out) at both levels on copies of `init`.
+  auto agree = [&](const std::vector<T>& init, const auto& op) {
+    std::vector<T> x2 = init, x5 = init;
+    op(k2, x2.data());
+    op(k5, x5.data());
+    return std::memcmp(x2.data(), x5.data(), init.size() * sizeof(T)) == 0;
+  };
+  using K = kernels::PanelKernels<T>;
+
+  for (Index m = 1; m <= 37; ++m)
+    for (Index q = 1; q <= 9; ++q)
+      for (const Index k : {1, 3, 5}) {
+        const Index lda = m + 1, ldb = q + 2, ldc = m + 3;
+        const std::vector<T> a = random_vec(lda * k), b = random_vec(ldb * k);
+        ASSERT_TRUE(agree(random_vec(ldc * q), [&](const K& kt, T* c) {
+          kt.gemm_nt_acc(m, q, k, a.data(), lda, b.data(), ldb, c, ldc);
+        })) << "gemm_nt_acc m=" << m << " q=" << q << " k=" << k;
+      }
+
+  for (Index n = 1; n <= 40; ++n) {
+    const T alpha = random_entry<T>(rng);
+    const std::vector<T> x = random_vec(n);
+    ASSERT_TRUE(agree(random_vec(n), [&](const K& kt, T* y) {
+      kt.axpy(n, alpha, x.data(), y);
+    })) << "axpy n=" << n;
+    ASSERT_TRUE(agree(random_vec(n), [&](const K& kt, T* y) {
+      kt.scale(n, alpha, y);
+    })) << "scale n=" << n;
+    const Index w = 3, lds = n + 1, ldd = n + 2;
+    const std::vector<T> src = random_vec(lds * w), d = random_vec(w);
+    ASSERT_TRUE(agree(random_vec(ldd * w), [&](const K& kt, T* dst) {
+      kt.scale_cols(n, w, src.data(), lds, d.data(), dst, ldd);
+    })) << "scale_cols q=" << n;
+  }
+
+  for (Index w = 1; w <= 13; ++w)
+    for (const Index nrhs : {1, 2, 3, 5, 8, 11, 16, 19}) {
+      std::vector<T> d = random_vec(w);
+      for (T& e : d) e += T(2.0);  // pivots away from zero
+      ASSERT_TRUE(agree(random_vec(w * nrhs), [&](const K& kt, T* x) {
+        kt.diag_solve(w, nrhs, d.data(), x);
+      })) << "diag_solve n=" << w << " nrhs=" << nrhs;
+      for (Index r = 0; r <= 21; ++r) {
+        const Index ld = w + r + 1;
+        const std::vector<T> panel = random_vec(ld * w);
+        // Gapped ascending target rows below the w top rows.
+        std::vector<Index> rows(static_cast<size_t>(r));
+        for (Index i = 0; i < r; ++i) rows[static_cast<size_t>(i)] = w + 1 + 2 * i;
+        const std::vector<T> x = random_vec((w + 2 * r + 2) * nrhs);
+        ASSERT_TRUE(agree(x, [&](const K& kt, T* xs) {
+          kt.below_forward(r, w, nrhs, panel.data() + w, ld, rows.data(), xs, xs);
+        })) << "below_forward r=" << r << " w=" << w << " nrhs=" << nrhs;
+        ASSERT_TRUE(agree(x, [&](const K& kt, T* xs) {
+          kt.below_backward(r, w, nrhs, panel.data() + w, ld, rows.data(), xs, xs);
+        })) << "below_backward r=" << r << " w=" << w << " nrhs=" << nrhs;
+        if (r > 0) continue;
+        ASSERT_TRUE(agree(x, [&](const K& kt, T* xs) {
+          kt.trsm_forward(w, panel.data(), ld, nrhs, xs);
+        })) << "trsm_forward w=" << w << " nrhs=" << nrhs;
+        ASSERT_TRUE(agree(x, [&](const K& kt, T* xs) {
+          kt.trsm_backward(w, panel.data(), ld, nrhs, xs);
+        })) << "trsm_backward w=" << w << " nrhs=" << nrhs;
+      }
+    }
+}
+
+TEST(SimdDispatch, VectorTablesAgreeBitForBit) {
+  if (detect_simd_level() < SimdLevel::kAvx512)
+    GTEST_SKIP() << "host lacks AVX-512";
+  expect_vector_tables_agree<double>();
+  expect_vector_tables_agree<Complex>();
+
+  // A complex factor G + jωC of a power-grid pencil, through the AC path's
+  // supernodal LDLᵀ and its 1-, 3- and 16-column solves.
+  const MnaSystem sys =
+      build_mna(make_power_grid({.ports = 16, .rows = 40, .cols = 40}).netlist,
+                MnaForm::kRC);
+  const Complex s(0.0, 2.0 * M_PI * 1e9);
+  const Index n = sys.size();
+  TripletBuilder<Complex> t(n, n);
+  auto add = [&](const SMat& m, Complex scale) {
+    for (Index j = 0; j < n; ++j)
+      for (Index k = m.colptr()[static_cast<size_t>(j)];
+           k < m.colptr()[static_cast<size_t>(j) + 1]; ++k)
+        t.add(m.rowind()[static_cast<size_t>(k)], j,
+              scale * m.values()[static_cast<size_t>(k)]);
+  };
+  add(sys.G, Complex(1.0));
+  add(sys.C, s);
+  const CSMat a = t.compress();
+  const CLDLT ref(a, Ordering::kNestedDissection, 0.0,
+                  supernodal_at(SimdLevel::kScalar));
+  const CLDLT f2(a, Ordering::kNestedDissection, 0.0,
+                 supernodal_at(SimdLevel::kAvx2));
+  const CLDLT f5(a, Ordering::kNestedDissection, 0.0,
+                 supernodal_at(SimdLevel::kAvx512));
+  ASSERT_EQ(f2.simd_level(), SimdLevel::kAvx2);
+  ASSERT_EQ(f5.simd_level(), SimdLevel::kAvx512);
+  ASSERT_EQ(f2.d().size(), f5.d().size());
+  EXPECT_EQ(std::memcmp(f2.d().data(), f5.d().data(),
+                        f2.d().size() * sizeof(Complex)),
+            0)
+      << "D";
+  double dmax = 0.0;
+  for (const Complex& v : ref.d()) dmax = std::max(dmax, std::abs(v));
+  for (size_t i = 0; i < ref.d().size(); ++i)
+    ASSERT_LE(std::abs(f5.d()[i] - ref.d()[i]), 1e-12 * dmax) << "d[" << i << "]";
+  for (const Index p : {1, 3, 16}) {
+    CMat b(n, p);
+    for (Index j = 0; j < p; ++j)
+      for (Index i = 0; i < n; ++i)
+        b(i, j) = Complex(std::sin(0.3 * static_cast<double>(i + j)),
+                          std::cos(0.7 * static_cast<double>(i) + 0.1));
+    const CMat x_ref = ref.solve(b), x2 = f2.solve(b), x5 = f5.solve(b);
+    EXPECT_EQ(std::memcmp(x2.data(), x5.data(),
+                          static_cast<size_t>(n * p) * sizeof(Complex)),
+              0)
+        << "X with p = " << p;
+    double xmax = 0.0;
+    for (Index j = 0; j < p; ++j)
+      for (Index i = 0; i < n; ++i) xmax = std::max(xmax, std::abs(x_ref(i, j)));
+    for (Index j = 0; j < p; ++j)
+      for (Index i = 0; i < n; ++i)
+        ASSERT_LE(std::abs(x5(i, j) - x_ref(i, j)), 1e-12 * xmax)
+            << "X(" << i << "," << j << ") with p = " << p;
   }
 }
 
