@@ -66,6 +66,35 @@ Matrix<T> FactorChain<T>::solve(const Matrix<T>& b) const {
   return x;
 }
 
+template <typename T>
+LdltRowReach FactorChain<T>::row_reach(std::vector<Index> rows) const {
+  if (ldlt_) return ldlt_->symbolic().row_reach(std::move(rows));
+  LdltRowReach reach;
+  reach.rows = std::move(rows);
+  return reach;
+}
+
+template <typename T>
+Matrix<T> FactorChain<T>::solve_rows(const SMat& b,
+                                     const LdltRowReach& reach) const {
+  if (ldlt_) return ldlt_->solve_rows(b, reach);
+  require(b.rows() == lu_->size(), "FactorChain::solve_rows: row count mismatch");
+  const Index nrows = static_cast<Index>(reach.rows.size());
+  Matrix<T> out(nrows, b.cols());
+  std::vector<T> col;
+  for (Index j = 0; j < b.cols(); ++j) {
+    col.assign(static_cast<size_t>(b.rows()), T(0));
+    for (Index q = b.colptr()[static_cast<size_t>(j)];
+         q < b.colptr()[static_cast<size_t>(j) + 1]; ++q)
+      col[static_cast<size_t>(b.rowind()[static_cast<size_t>(q)])] =
+          T(b.values()[static_cast<size_t>(q)]);
+    const std::vector<T> x = lu_->solve(col);
+    for (Index k = 0; k < nrows; ++k)
+      out(k, j) = x[static_cast<size_t>(reach.rows[static_cast<size_t>(k)])];
+  }
+  return out;
+}
+
 template class FactorChain<double>;
 template class FactorChain<Complex>;
 

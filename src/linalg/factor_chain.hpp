@@ -41,6 +41,16 @@ class FactorChain {
   /// LDLᵀ rung; column by column on LU).
   Matrix<T> solve(const Matrix<T>& b) const;
 
+  /// Resolves `rows` for solve_rows on the rung that holds the
+  /// factorization: through the LDLᵀ rung's analysis, or as the rows
+  /// alone on LU.
+  LdltRowReach row_reach(std::vector<Index> rows) const;
+
+  /// X(reach.rows, :) for A X = B with a real sparse n×p B:
+  /// SparseLDLT::solve_rows on the LDLᵀ rung, where `reach` must come from
+  /// its analysis; the LU rung solves full columns and gathers the rows.
+  Matrix<T> solve_rows(const SMat& b, const LdltRowReach& reach) const;
+
   /// True when the LU rung holds the factorization.
   bool used_fallback() const { return !ldlt_; }
 

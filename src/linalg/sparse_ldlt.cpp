@@ -1,7 +1,9 @@
 #include "linalg/sparse_ldlt.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <type_traits>
 
@@ -19,6 +21,18 @@ namespace {
 // deterministic function of the symbolic analysis, so the schedule never
 // depends on timing.
 constexpr double kSolveGrainEntries = 65536.0;
+
+// True when all n entries at x are +0.0 bit for bit: a −0.0 or NaN entry
+// counts as nonzero. A forward sweep skips a supernode whose rows pass.
+template <typename T>
+bool all_plus_zero(const T* x, Index n) {
+  // std::complex<double> is an array of two doubles ([complex.numbers]).
+  const double* v = reinterpret_cast<const double*>(x);
+  const Index m = n * static_cast<Index>(sizeof(T) / sizeof(double));
+  for (Index k = 0; k < m; ++k)
+    if (std::bit_cast<std::uint64_t>(v[k]) != 0) return false;
+  return true;
+}
 
 }  // namespace
 
@@ -211,11 +225,13 @@ void LdltSymbolic::analyze(const std::vector<Index>& colptr,
   // every below row of s lives on s's supernodal ancestor path. A level
   // is therefore an antichain: its supernodes share no rows, so the
   // backward panel solve runs a level's supernodes concurrently. ----
+  super_parent_.assign(static_cast<size_t>(nsuper), -1);
   std::vector<Index> slevel(static_cast<size_t>(nsuper), 0);
   Index nlevels = nsuper > 0 ? 1 : 0;
   for (Index s = 0; s < nsuper; ++s) {
     if (below(s) == 0) continue;
     const Index up = super_of_col[static_cast<size_t>(rows(s)[0])];
+    super_parent_[static_cast<size_t>(s)] = up;
     slevel[static_cast<size_t>(up)] =
         std::max(slevel[static_cast<size_t>(up)], slevel[static_cast<size_t>(s)] + 1);
     nlevels = std::max(nlevels, slevel[static_cast<size_t>(up)] + 1);
@@ -237,6 +253,29 @@ void LdltSymbolic::analyze(const std::vector<Index>& colptr,
           panel_offset_[static_cast<size_t>(s)]);
     }
   }
+}
+
+LdltRowReach LdltSymbolic::row_reach(std::vector<Index> rows) const {
+  const Index nsuper = supernode_count();
+  std::vector<char> on(static_cast<size_t>(nsuper), 0);
+  for (const Index i : rows) {
+    require(0 <= i && i < n_, "LdltSymbolic::row_reach: row out of range");
+    const Index k = perm_inv_[static_cast<size_t>(i)];
+    Index s = static_cast<Index>(std::upper_bound(super_start_.begin(),
+                                                  super_start_.end(), k) -
+                                 super_start_.begin()) -
+              1;
+    // Stop at the first supernode already on: its ancestors are too.
+    for (; s >= 0 && on[static_cast<size_t>(s)] == 0;
+         s = super_parent_[static_cast<size_t>(s)])
+      on[static_cast<size_t>(s)] = 1;
+  }
+  LdltRowReach reach;
+  for (Index s = nsuper - 1; s >= 0; --s)
+    if (on[static_cast<size_t>(s)] != 0) reach.supernodes.push_back(s);
+  reach.rows = std::move(rows);
+  reach.analysis = this;
+  return reach;
 }
 
 template <typename T>
@@ -474,28 +513,55 @@ void SparseLDLT<T>::panel_forward(T* x, Index nrhs) const {
   const LdltSymbolic& sym = *symbolic_;
   const auto& K = kernels::panel_kernels<T>(simd_);
   obs::ScopedTimer span("kernel.trsm");
-  span.arg("phase", "forward");
-  span.arg("nrhs", nrhs);
-  span.arg("levels", static_cast<Index>(sym.level_ptr_.size()) - 1);
-  span.arg("simd", simd_level_name(simd_));
-  span.arg("threads", Index{1});
-  span.arg("flops", 2.0 * static_cast<double>(panel_data_.size()) *
-                        static_cast<double>(nrhs));
   // Serial push: one below_forward over all of s's below rows right after
   // its in-panel solve. Supernodes run in ascending order, so every target
   // row takes its updates in ascending source order. (A level-parallel
   // pull of descendant segments kept these bits but never paid at 2
   // threads and gained at most 13 % at 4; DESIGN.md §5.6.)
+  //
+  // A supernode whose rows are all +0.0 when the sweep reaches it is
+  // skipped: every kernel starts its chains at +0, so on finite L its
+  // in-panel solve leaves +0 and its below update subtracts +0, which
+  // changes no entry (−0.0 included). A dense right-hand side pays one
+  // zero test per supernode.
+  Index visited = 0;
+  double entries = 0.0;
   for (Index s = 0; s < sym.supernode_count(); ++s) {
     const Index a0 = sym.first_col(s);
     const Index w = sym.width(s);
     const Index r = sym.below(s);
-    const T* panel = panel_data_.data() + sym.panel_offset_[static_cast<size_t>(s)];
-    K.trsm_forward(w, panel, w + r, nrhs, x + a0 * nrhs);
-    if (r > 0)
-      K.below_forward(r, w, nrhs, panel + w, w + r, sym.rows(s), x + a0 * nrhs,
-                      x);
+    T* xs = x + a0 * nrhs;
+    if (all_plus_zero(xs, w * nrhs)) continue;
+    const Index off = sym.panel_offset_[static_cast<size_t>(s)];
+    const T* panel = panel_data_.data() + off;
+    K.trsm_forward(w, panel, w + r, nrhs, xs);
+    if (r > 0) K.below_forward(r, w, nrhs, panel + w, w + r, sym.rows(s), xs, x);
+    ++visited;
+    entries += static_cast<double>(
+        sym.panel_offset_[static_cast<size_t>(s) + 1] - off);
   }
+  span.arg("phase", "forward");
+  span.arg("nrhs", nrhs);
+  span.arg("supernodes", visited);
+  span.arg("simd", simd_level_name(simd_));
+  span.arg("threads", Index{1});
+  span.arg("flops", 2.0 * entries * static_cast<double>(nrhs));
+}
+
+template <typename T>
+void SparseLDLT<T>::backward_supernode(Index s, T* x, Index nrhs) const {
+  // A pull: s reads only its own below rows (all on its ancestor path,
+  // finalized before it) and writes only its own top rows.
+  const LdltSymbolic& sym = *symbolic_;
+  const auto& K = kernels::panel_kernels<T>(simd_);
+  const Index a0 = sym.first_col(s);
+  const Index w = sym.width(s);
+  const Index r = sym.below(s);
+  const T* panel = panel_data_.data() + sym.panel_offset_[static_cast<size_t>(s)];
+  if (r > 0)
+    K.below_backward(r, w, nrhs, panel + w, w + r, sym.rows(s), x,
+                     x + a0 * nrhs);
+  K.trsm_backward(w, panel, w + r, nrhs, x + a0 * nrhs);
 }
 
 template <typename T>
@@ -506,21 +572,7 @@ void SparseLDLT<T>::panel_backward(T* x, Index nrhs) const {
   const auto& level_order = sym.level_order_;
   const auto& level_work = sym.level_work_;
   const Index nlevels = static_cast<Index>(level_ptr.size()) - 1;
-  const auto& K = kernels::panel_kernels<T>(simd_);
-
-  // The backward sweep is naturally a pull: each supernode reads only its
-  // own below rows (all on its ancestor path, finalized at higher levels)
-  // and writes only its own top rows.
-  auto process = [&](Index s) {
-    const Index a0 = sym.first_col(s);
-    const Index w = sym.width(s);
-    const Index r = sym.below(s);
-    const T* panel = panel_data_.data() + sym.panel_offset_[static_cast<size_t>(s)];
-    if (r > 0)
-      K.below_backward(r, w, nrhs, panel + w, w + r, sym.rows(s), x,
-                       x + a0 * nrhs);
-    K.trsm_backward(w, panel, w + r, nrhs, x + a0 * nrhs);
-  };
+  auto process = [&](Index s) { backward_supernode(s, x, nrhs); };
 
   const bool can_parallel = num_threads() > 1 && !in_parallel_region();
   const double rhs_scale = static_cast<double>(std::max<Index>(nrhs, 1));
@@ -541,7 +593,7 @@ void SparseLDLT<T>::panel_backward(T* x, Index nrhs) const {
     obs::ScopedTimer span("kernel.trsm");
     span.arg("phase", "backward");
     span.arg("nrhs", nrhs);
-    span.arg("levels", nlevels);
+    span.arg("supernodes", nsuper);
     span.arg("simd", simd_level_name(simd_));
     span.arg("threads", Index{1});
     span.arg("flops", 2.0 * static_cast<double>(panel_data_.size()) *
@@ -565,6 +617,7 @@ void SparseLDLT<T>::panel_backward(T* x, Index nrhs) const {
         }
         cspan.arg("phase", "backward");
         cspan.arg("nrhs", nrhs);
+        cspan.arg("supernodes", e2 - b);
         cspan.arg("threads", num_threads());
         cspan.arg("simd", simd_level_name(simd_));
         cspan.arg("flops", 2.0 * entries * static_cast<double>(nrhs));
@@ -622,6 +675,60 @@ Matrix<T> SparseLDLT<T>::solve(const Matrix<T>& b) const {
     T* dst = out.data() + perm[static_cast<size_t>(i)] * p;
     for (Index r = 0; r < p; ++r) dst[r] = src[r];
   }
+  return out;
+}
+
+template <typename T>
+Matrix<T> SparseLDLT<T>::solve_rows(const SMat& b,
+                                    const LdltRowReach& reach) const {
+  require(b.rows() == n_, "SparseLDLT::solve_rows: row count mismatch");
+  require(reach.analysis == symbolic_.get(),
+          "SparseLDLT::solve_rows: reach resolved against another analysis");
+  const LdltSymbolic& sym = *symbolic_;
+  const Index p = b.cols();
+  const Index nrows = static_cast<Index>(reach.rows.size());
+  obs::ScopedTimer span("ldlt.solve");
+  span.arg("n", n_);
+  span.arg("nrhs", p);
+  span.arg("rows", nrows);
+  const auto& perm_inv = sym.perm_inv_;
+  // The permuted row-major workspace of solve(Matrix), +0.0 wherever B
+  // has no entry, with B's entries written straight into it.
+  Matrix<T> x(n_, p);
+  for (Index c = 0; c < p; ++c)
+    for (Index q = b.colptr()[static_cast<size_t>(c)];
+         q < b.colptr()[static_cast<size_t>(c) + 1]; ++q)
+      x(perm_inv[static_cast<size_t>(b.rowind()[static_cast<size_t>(q)])], c) =
+          T(b.values()[static_cast<size_t>(q)]);
+  panel_forward(x.data(), p);
+  // Diagonal and backward phases over the reach, parents first. A
+  // supernode's rows take their diagonal solve just before its backward
+  // step: nothing reads them earlier, and every row a backward step reads
+  // lies in the reach, so each wanted row gets solve(Matrix)'s bits.
+  {
+    const auto& K = kernels::panel_kernels<T>(simd_);
+    obs::ScopedTimer bspan("kernel.trsm");
+    double entries = 0.0;
+    for (const Index s : reach.supernodes) {
+      const Index a0 = sym.first_col(s);
+      K.diag_solve(sym.width(s), p, d_.data() + a0, x.data() + a0 * p);
+      backward_supernode(s, x.data(), p);
+      entries += static_cast<double>(
+          sym.panel_offset_[static_cast<size_t>(s) + 1] -
+          sym.panel_offset_[static_cast<size_t>(s)]);
+    }
+    bspan.arg("phase", "backward");
+    bspan.arg("nrhs", p);
+    bspan.arg("supernodes", static_cast<Index>(reach.supernodes.size()));
+    bspan.arg("simd", simd_level_name(simd_));
+    bspan.arg("threads", Index{1});
+    bspan.arg("flops", 2.0 * entries * static_cast<double>(p));
+  }
+  Matrix<T> out(nrows, p);
+  for (Index k = 0; k < nrows; ++k)
+    std::copy_n(x.data() +
+                    perm_inv[static_cast<size_t>(reach.rows[static_cast<size_t>(k)])] * p,
+                p, out.data() + k * p);
   return out;
 }
 

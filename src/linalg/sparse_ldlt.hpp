@@ -45,6 +45,22 @@
 
 namespace sympvl {
 
+class LdltSymbolic;
+
+/// A row set resolved against one symbolic analysis for the
+/// row-restricted solve (SparseLDLT::solve_rows): the rows whose solution
+/// the caller wants, in its own order and original numbering, and the
+/// supernodes on their elimination-tree ancestor paths, descending. Only
+/// those supernodes feed the wanted rows in the diagonal and backward
+/// phases. It depends on the pattern alone, so one reach serves every
+/// numeric factor of its analysis.
+struct LdltRowReach {
+  std::vector<Index> rows;
+  std::vector<Index> supernodes;
+  /// The analysis that resolved it (null for a rows-only reach).
+  const LdltSymbolic* analysis = nullptr;
+};
+
 /// Pattern-only symbolic analysis shared by repeated numeric
 /// factorizations. Depends only on the sparsity structure, not on values
 /// or the scalar type.
@@ -73,6 +89,12 @@ class LdltSymbolic {
   /// Dense entries of all panels: the value count of every numeric factor.
   Index panel_entries() const { return panel_offset_.back(); }
 
+  /// Resolves `rows` (original numbering) for SparseLDLT::solve_rows: the
+  /// supernodes owning them and all their supernodal ancestors. Walks the
+  /// elimination tree once; a caller solving the same rows at many
+  /// factors of this analysis (an AC sweep) keeps the result.
+  LdltRowReach row_reach(std::vector<Index> rows) const;
+
   /// Resident bytes of the analysis (permutations, permuted pattern,
   /// supernode partition, per-supernode row lists, update segments, level
   /// schedule) — charged once against the "mem.factor_bytes" gauge for
@@ -83,7 +105,8 @@ class LdltSymbolic {
     for (const std::vector<Index>* v :
          {&perm_, &perm_inv_, &p_colptr_, &p_rowind_, &source_,
           &super_start_, &panel_offset_, &row_ptr_, &rows_, &upd_ptr_,
-          &upd_src_, &upd_p1_, &upd_p2_, &level_ptr_, &level_order_})
+          &upd_src_, &upd_p1_, &upd_p2_, &super_parent_, &level_ptr_,
+          &level_order_})
       b += static_cast<std::int64_t>(v->size() * sizeof(Index));
     return b;
   }
@@ -145,6 +168,10 @@ class LdltSymbolic {
   std::vector<Index> upd_src_;
   std::vector<Index> upd_p1_;
   std::vector<Index> upd_p2_;
+  // Supernodal elimination tree: the parent of s is the supernode owning
+  // s's first below row (-1 for a root). Every below row of s lies on
+  // s's ancestor path, and a parent always comes after its children.
+  std::vector<Index> super_parent_;
   // Elimination-tree level schedule over supernodes: level_order_ holds
   // supernode indices grouped by tree level (ascending within a level),
   // level_ptr_ delimits the groups. Supernodes within one level have no
@@ -198,7 +225,23 @@ class SparseLDLT {
   /// solving against all port columns of an MNA system at once. It rides
   /// the same dense panels as the factorization; per column it is
   /// bit-identical to solve(vector).
+  ///
+  /// Every forward sweep (these solves, the M-solves, forward_m) skips a
+  /// supernode whose right-hand-side rows are all +0.0 when the sweep
+  /// reaches it, so a sparse B pays only for the elimination-tree
+  /// ancestors of its nonzero rows. The skip keeps every bit while L is
+  /// finite (DESIGN.md §5.6); a non-finite L entry in a skipped panel no
+  /// longer turns the rows below it into NaN.
   Matrix<T> solve(const Matrix<T>& b) const;
+
+  /// The row-restricted solve: X(rows, :) for A X = B, with B the n×p
+  /// real sparse right-hand side and `reach` this factor's analysis's
+  /// row_reach(rows). Row k of the result is X(reach.rows[k], :), bit
+  /// for bit the same row of solve(Matrix) on the dense B. B's nonzeros
+  /// go straight into the permuted workspace; the forward sweep skips
+  /// what they never reach, and the diagonal and backward phases run
+  /// over the reach's supernodes only. Runs on the calling thread.
+  Matrix<T> solve_rows(const SMat& b, const LdltRowReach& reach) const;
 
   /// Diagonal D entries (in permuted order).
   const std::vector<T>& d() const { return d_; }
@@ -272,6 +315,9 @@ class SparseLDLT {
   void forward_m(Matrix<T>& x) const;
   void backward_mt(Matrix<T>& x) const;
 
+  /// The shared symbolic analysis this factor was computed on.
+  const LdltSymbolic& symbolic() const { return *symbolic_; }
+
   /// P as new -> old indices, and its inverse (old -> new).
   const std::vector<Index>& permutation() const { return symbolic_->perm_; }
   const std::vector<Index>& inverse_permutation() const {
@@ -293,6 +339,9 @@ class SparseLDLT {
   // solves). L x = b (unit lower) forward, Lᵀ x = b backward.
   void panel_forward(T* x, Index nrhs) const;
   void panel_backward(T* x, Index nrhs) const;
+  // The backward step of supernode s alone: its below-panel update, then
+  // its in-panel solve.
+  void backward_supernode(Index s, T* x, Index nrhs) const;
   // M⁻¹ and M⁻ᵀ in permuted coordinates on the same layout: the forward
   // sweep then the 1/√|d| scaling, and the scaling then the backward
   // sweep. The vector and blocked M-solves share them.

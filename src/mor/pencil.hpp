@@ -123,6 +123,8 @@ PencilFactorResult factor_pencil(const MnaSystem& sys,
 
 /// Builds the Lanczos starting block J⁻¹M⁻¹B (step 0 of Algorithm 1):
 /// one blocked M⁻¹ solve of all of B's columns, then the J row scaling.
+/// On the sparse backend the solve's forward sweep visits only the
+/// supernodes B's nonzero rows reach.
 Mat starting_block(const FactorizedPencil& pencil, const Mat& b);
 
 }  // namespace sympvl

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <memory>
+#include <vector>
 
 #include "linalg/factor_cache.hpp"
 #include "linalg/factor_chain.hpp"
@@ -27,57 +29,80 @@ SMat port_incidence(const Mat& b) {
   return t.compress();
 }
 
+// The port incidence split into its kPortPanel-column panels, each an
+// N×w matrix of its own.
+std::vector<SMat> port_panels(const SMat& ports) {
+  const auto& colptr = ports.colptr();
+  std::vector<SMat> panels;
+  for (Index c0 = 0; c0 < ports.cols(); c0 += kPortPanel) {
+    const Index w = std::min(kPortPanel, ports.cols() - c0);
+    const auto q0 = static_cast<std::ptrdiff_t>(colptr[static_cast<size_t>(c0)]);
+    const auto q1 = static_cast<std::ptrdiff_t>(colptr[static_cast<size_t>(c0 + w)]);
+    std::vector<Index> cp(static_cast<size_t>(w) + 1);
+    for (Index c = 0; c <= w; ++c)
+      cp[static_cast<size_t>(c)] =
+          colptr[static_cast<size_t>(c0 + c)] - colptr[static_cast<size_t>(c0)];
+    SMat panel(ports.rows(), w);
+    panel.set_raw(std::move(cp),
+                  std::vector<Index>(ports.rowind().begin() + q0,
+                                     ports.rowind().begin() + q1),
+                  Vec(ports.values().begin() + q0, ports.values().begin() + q1));
+    panels.push_back(std::move(panel));
+  }
+  return panels;
+}
+
 // Z(s) = s^prefactor · Bᵀ·pencil⁻¹·B for the pencil value G + f(s)C at
 // one AC point (`scale` = s^prefactor), factored for this call only by
 // the two-rung FactorChain: unpivoted complex-symmetric LDLᵀ, then the
 // pivoted sparse LU at a structural zero pivot, e.g. where a series R-L
 // chain cancels the node conductance during elimination.
 //
-// The ports are solved kPortPanel columns at a time, so the complex
-// right-hand side and solution blocks are N × kPortPanel, not N × p.
-// Several panels run in parallel, one serial solve per worker: on a
-// 256-port, 16k-unknown pencil that took the solves from 0.45 s (one
-// block, tree levels fanned out) to 0.20 s at 2 threads and 0.14–0.18 s
-// at 4. A single panel (p ≤ kPortPanel) runs serially on the caller:
-// fanning its tree levels out at 2 threads did not pay on a 16-port,
-// 147k-unknown grid (the whole exact point took 0.87 s fanned out
-// against 0.82 s serial, medians of 10 alternating runs). Every
-// column's solve and every entry's Bᵀ·X sum run the same operations
-// either way, so Z keeps its bits. The Bᵀ·X sum walks each port's
-// incidence rows in ascending order from zero, skipping B's zeros —
-// the operations of the dense matmul_transA(B, X).
-CMat exact_z(const SMat& ports, Complex scale, const CSMat& pencil,
+// Z reads X only at B's nonzero rows, so each panel of kPortPanel port
+// columns goes through the row-restricted solve: B's entries go straight
+// into the solve's permuted N × kPortPanel workspace, its forward sweep
+// visits only the supernodes the panel's port rows reach, and its
+// diagonal and backward phases only the ancestors of all port rows
+// (`reach`, whose rows are B's row indices in CSC order, so result row q
+// belongs to B's entry q). On the seed-1 benchmark pencils that is about
+// 35 % of the panel entries forward and 72 % backward on the 256-port
+// 16k-unknown grid, and 29 % on the 16-port 147k-unknown grid. Several
+// panels run in parallel, one serial solve per worker; a single panel
+// (p ≤ kPortPanel) runs on the caller. The `panels` of B and the reach
+// come from the caller (the engine keeps both), so a worker allocates
+// only its solve's workspace and result block. Every entry keeps the
+// bits of the full solve, and the Bᵀ·X sum walks each port's incidence
+// rows in ascending order from zero — the operations of the dense
+// matmul_transA(B, X) — so Z keeps its bits. `reach` null: resolve the
+// port rows against the analysis the chain made.
+CMat exact_z(const SMat& ports, const std::vector<SMat>& panels,
+             const LdltRowReach* reach, Complex scale, const CSMat& pencil,
              std::shared_ptr<const LdltSymbolic> symbolic) {
   const FactorChainZ chain(pencil, std::move(symbolic));
   if (chain.used_fallback())
     obs::instant("ac.lu_fallback", {obs::arg("n", pencil.rows())});
-  const Index n = ports.rows();
+  const LdltRowReach own =
+      reach == nullptr ? chain.row_reach(ports.rowind()) : LdltRowReach{};
+  if (reach == nullptr) reach = &own;
   const Index p = ports.cols();
   const auto& colptr = ports.colptr();
-  const auto& rowind = ports.rowind();
   const auto& bval = ports.values();
   CMat z(p, p);
   const auto solve_panel = [&](Index k) {
     const Index c0 = k * kPortPanel;
-    const Index w = std::min(kPortPanel, p - c0);
-    CMat b(n, w);
-    for (Index c = 0; c < w; ++c)
-      for (Index q = colptr[static_cast<size_t>(c0 + c)];
-           q < colptr[static_cast<size_t>(c0 + c) + 1]; ++q)
-        b(rowind[static_cast<size_t>(q)], c) =
-            Complex(bval[static_cast<size_t>(q)], 0.0);
-    const CMat x = chain.solve(b);
+    const Index w = panels[static_cast<size_t>(k)].cols();
+    const CMat x = chain.solve_rows(panels[static_cast<size_t>(k)], *reach);
     for (Index a = 0; a < p; ++a) {
       Complex* zrow = z.data() + a * p + c0;
       for (Index q = colptr[static_cast<size_t>(a)];
            q < colptr[static_cast<size_t>(a) + 1]; ++q) {
         const double bq = bval[static_cast<size_t>(q)];
-        const Complex* xrow = x.data() + rowind[static_cast<size_t>(q)] * w;
+        const Complex* xrow = x.data() + q * w;
         for (Index c = 0; c < w; ++c) zrow[c] += bq * xrow[c];
       }
     }
   };
-  parallel_for(Index(0), (p + kPortPanel - 1) / kPortPanel, solve_panel);
+  parallel_for(Index(0), static_cast<Index>(panels.size()), solve_panel);
   z *= scale;
   return z;
 }
@@ -86,7 +111,8 @@ CMat exact_z(const SMat& ports, Complex scale, const CSMat& pencil,
 
 CMat ac_z_matrix(const MnaSystem& sys, Complex s) {
   require(sys.port_count() > 0, "ac_z_matrix: system has no ports");
-  return exact_z(port_incidence(sys.B), sys.prefactor(s),
+  const SMat ports = port_incidence(sys.B);
+  return exact_z(ports, port_panels(ports), nullptr, sys.prefactor(s),
                  pencil_combine(sys.G, sys.C, sys.map_s(s)), nullptr);
 }
 
@@ -115,18 +141,22 @@ Vec log_frequency_grid(double f_min, double f_max, Index count) {
 
 struct AcSweepEngine::Impl {
   // Only what z_at reads of the swept system: G's and C's values, placed
-  // in the union pattern by the slot maps, the port incidence, and the
+  // in the union pattern by the slot maps, the port incidence and its
+  // solve panels, and the
   // Laplace-variable map (`form`: the system's variable and prefactor,
   // without its matrices).
   Index n = 0;
   MnaSystem form;
   Vec g_values, c_values;
   SMat ports;
+  std::vector<SMat> panels;
   // Union pattern of G and C (template CSMat whose values get rewritten
   // per frequency) and slot maps from each G/C entry into that pattern.
   std::vector<Index> pat_colptr, pat_rowind;
   std::vector<Index> g_slot, c_slot;
   std::shared_ptr<const LdltSymbolic> symbolic;
+  // The port rows resolved against `symbolic` once, for every point.
+  LdltRowReach reach;
 
   CSMat assemble(Complex fs) const {
     CVec values(pat_rowind.size(), Complex(0.0, 0.0));
@@ -150,6 +180,7 @@ AcSweepEngine::AcSweepEngine(const MnaSystem& sys, FactorCache* cache)
   impl_->g_values = sys.G.values();
   impl_->c_values = sys.C.values();
   impl_->ports = port_incidence(sys.B);
+  impl_->panels = port_panels(impl_->ports);
   // Union pattern of G and C: each column's ascending G and C rows merged
   // once, every G and C entry's slot in the union written in the same pass.
   const auto& gp = sys.G.colptr();
@@ -186,6 +217,7 @@ AcSweepEngine::AcSweepEngine(const MnaSystem& sys, FactorCache* cache)
   // has analyzed it already: share that analysis.
   impl_->symbolic = (cache != nullptr ? *cache : FactorCache::global())
                         .symbolic(pattern, kDefaultOrdering);
+  impl_->reach = impl_->symbolic->row_reach(impl_->ports.rowind());
 }
 
 AcSweepEngine::~AcSweepEngine() = default;
@@ -201,8 +233,8 @@ CMat AcSweepEngine::z_at(Complex s) const {
   // thread refactorizes its own frequency points against the shared
   // read-only symbolic analysis, and the factor is freed on return.
   const Impl& e = *impl_;
-  return exact_z(e.ports, e.form.prefactor(s), e.assemble(e.form.map_s(s)),
-                 e.symbolic);
+  return exact_z(e.ports, e.panels, &e.reach, e.form.prefactor(s),
+                 e.assemble(e.form.map_s(s)), e.symbolic);
 }
 
 Index AcSweepEngine::size() const { return impl_->n; }

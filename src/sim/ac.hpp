@@ -38,8 +38,10 @@ Vec linear_frequency_grid(double f_min, double f_max, Index count);
 /// from the FactorCache, so it shares the analysis of a reduction (or of
 /// another engine) of the same pattern. Each frequency point then costs
 /// only a numeric refactorization — the standard way production circuit
-/// simulators run AC sweeps. Falls back to the pivoted sparse LU at points
-/// where the unpivoted path hits a zero pivot.
+/// simulators run AC sweeps. The engine also resolves the port rows
+/// against that analysis once (their elimination-tree reach), so every
+/// point solves back only to the port rows. Falls back to the pivoted
+/// sparse LU at points where the unpivoted path hits a zero pivot.
 ///
 /// `cache` (nullptr = the process-global FactorCache) is consulted once,
 /// in the constructor, for the shared symbolic analysis. Point factors

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault.hpp"
 #include "gen/random_circuit.hpp"
 #include "linalg/dense_factor.hpp"
 #include "linalg/factor_chain.hpp"
@@ -214,7 +215,9 @@ TEST(Ac, SweepEngineHandlesStructuralFallbackPoints) {
 }
 
 // More ports than one solve panel: Z(s) equals the one-block solve of all
-// p columns, entry for entry, bits included.
+// p columns, entry for entry, bits included — through ac_z_matrix and the
+// engine's z_at (row-restricted panel solves over the ports' reach), on
+// the LDLᵀ rung and on the LU rung the factor.ldlt fault site forces.
 TEST(Ac, PortPanelsMatchOneBlockSolve) {
   const MnaSystem sys =
       build_mna(random_rc({.nodes = 120, .ports = 70, .seed = 9}));
@@ -223,13 +226,27 @@ TEST(Ac, PortPanelsMatchOneBlockSolve) {
   CMat b(sys.size(), sys.port_count());
   for (Index i = 0; i < sys.size(); ++i)
     for (Index j = 0; j < sys.port_count(); ++j) b(i, j) = sys.B(i, j);
-  const FactorChainZ chain(pencil_combine(sys.G, sys.C, sys.map_s(s)));
-  CMat ref = matmul_transA(sys.B, chain.solve(b));
-  ref *= sys.prefactor(s);
-  const CMat z = ac_z_matrix(sys, s);
-  for (Index a = 0; a < z.rows(); ++a)
-    for (Index c = 0; c < z.cols(); ++c) EXPECT_EQ(z(a, c), ref(a, c));
-  EXPECT_LT(max_rel_diff(AcSweepEngine(sys).z_at(s), dense_z(sys, s)), 1e-9);
+  const AcSweepEngine engine(sys);
+  for (const bool lu : {false, true}) {
+    SCOPED_TRACE(lu ? "LU rung" : "LDLT rung");
+    if (lu) fault::arm("factor.ldlt@*");
+    const FactorChainZ chain(pencil_combine(sys.G, sys.C, sys.map_s(s)));
+    CMat ref = matmul_transA(sys.B, chain.solve(b));
+    ref *= sys.prefactor(s);
+    const CMat z = ac_z_matrix(sys, s);
+    const CMat ze = engine.z_at(s);
+    if (lu) {
+      EXPECT_EQ(fault::fire_count("factor.ldlt"), 3);
+      fault::disarm();
+    }
+    ASSERT_EQ(chain.used_fallback(), lu);
+    for (Index a = 0; a < z.rows(); ++a)
+      for (Index c = 0; c < z.cols(); ++c) {
+        EXPECT_EQ(z(a, c), ref(a, c));
+        EXPECT_EQ(ze(a, c), ref(a, c));
+      }
+  }
+  EXPECT_LT(max_rel_diff(engine.z_at(s), dense_z(sys, s)), 1e-9);
 }
 
 TEST(Ac, FrequencyGrids) {

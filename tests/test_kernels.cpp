@@ -442,6 +442,7 @@ TEST(Kernels, AnalysisStoresRowListsAndFactorStoresValuesOnly) {
       + 3 * (s + 1)             // super_start, panel_offset, row_ptr
       + ref.row_entries         // the row lists: Σ rₛ
       + (s + 1) + 3 * ref.segments  // update segments
+      + s                       // supernode parents
       + (ref.levels + 1) + s;   // level schedule
   EXPECT_EQ(sym->bytes(),
             static_cast<std::int64_t>(index_entries * sizeof(Index) +

@@ -14,6 +14,7 @@
 #include "gen/random_circuit.hpp"
 #include "linalg/factor_cache.hpp"
 #include "linalg/factorized_pencil.hpp"
+#include "linalg/sparse_ldlt.hpp"
 #include "mor/lanczos.hpp"
 #include "mor/pencil.hpp"
 #include "mor/reduce.hpp"
@@ -101,6 +102,68 @@ TEST(Obs, SpansInstantsAndCounters) {
   const std::string summary = obs::stats_summary();
   EXPECT_NE(summary.find("test.span"), std::string::npos);
   EXPECT_NE(summary.find("test.counter"), std::string::npos);
+}
+
+// The forward kernel.trsm span counts only the panels it visits. On one
+// factor, a port right-hand side (one nonzero row) reports fewer flops and
+// supernodes than a dense one, which visits them all; the row-restricted
+// solve of the same row visits the same panels at one column, and its
+// ldlt.solve span carries the row count.
+TEST(Obs, PortSolveForwardSpanCountsOnlyItsReach) {
+  const Index g = 30, n = g * g;
+  TripletBuilder<double> t(n, n);
+  for (Index r = 0; r < g; ++r)
+    for (Index c = 0; c < g; ++c) {
+      const Index i = r * g + c;
+      t.add(i, i, 4.5);
+      if (c + 1 < g) t.add_symmetric(i, i + 1, -1.0);
+      if (r + 1 < g) t.add_symmetric(i, i + g, -1.0);
+    }
+  const LDLT f(t.compress(), Ordering::kNestedDissection);
+  const Index port = n / 3;
+  const Mat dense(n, 4, 1.0);
+  Mat ports(n, 4);
+  ports(port, 0) = 1.0;
+  SMat incidence(n, 1);
+  incidence.set_raw({0, 1}, {port}, {1.0});
+
+  ObsGuard guard(true);
+  (void)f.solve(dense);
+  (void)f.solve(ports);
+  (void)f.solve_rows(incidence, f.symbolic().row_reach({port}));
+  const auto events = obs::snapshot_events();
+
+  std::vector<double> flops, supernodes;
+  double backward_rows_supernodes = -1.0, rows_arg = -1.0;
+  for (const auto& e : events) {
+    if (e.phase != 'X') continue;
+    if (std::strcmp(e.name, "ldlt.solve") == 0 && find_arg(e, "rows") != nullptr)
+      rows_arg = find_arg(e, "rows")->num;
+    if (std::strcmp(e.name, "kernel.trsm") != 0) continue;
+    const obs::Arg* phase = find_arg(e, "phase");
+    ASSERT_NE(phase, nullptr);
+    ASSERT_NE(find_arg(e, "flops"), nullptr);
+    ASSERT_NE(find_arg(e, "supernodes"), nullptr);
+    ASSERT_NE(find_arg(e, "nrhs"), nullptr);
+    if (std::strcmp(phase->str, "forward") == 0) {
+      flops.push_back(find_arg(e, "flops")->num);
+      supernodes.push_back(find_arg(e, "supernodes")->num);
+    } else if (find_arg(e, "nrhs")->num == 1.0) {  // solve_rows' backward
+      backward_rows_supernodes = find_arg(e, "supernodes")->num;
+    }
+  }
+  ASSERT_EQ(flops.size(), 3u);
+  const double all = static_cast<double>(f.supernode_count());
+  EXPECT_EQ(flops[0], 2.0 * static_cast<double>(f.symbolic().panel_entries()) * 4.0);
+  EXPECT_EQ(supernodes[0], all);
+  EXPECT_GT(flops[1], 0.0);
+  EXPECT_LT(flops[1], flops[0]);
+  EXPECT_LT(supernodes[1], all);
+  EXPECT_EQ(flops[1], 4.0 * flops[2]);
+  EXPECT_EQ(supernodes[2], supernodes[1]);
+  EXPECT_GT(backward_rows_supernodes, 0.0);
+  EXPECT_LT(backward_rows_supernodes, all);
+  EXPECT_EQ(rows_arg, 1.0);
 }
 
 TEST(Obs, DisabledRecordsNothing) {

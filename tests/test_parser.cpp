@@ -1220,6 +1220,7 @@ TEST(ParserOracle, MutationsMatchTheOracle) {
 
 // ---- Memory -------------------------------------------------------------------
 
+#ifndef SYMPVL_PARSER_SANITIZED
 /// Bytes the Netlist holds: its element arrays and any name on the heap.
 std::int64_t netlist_bytes(const Netlist& nl) {
   std::int64_t bytes = 0;
@@ -1236,6 +1237,7 @@ std::int64_t netlist_bytes(const Netlist& nl) {
   add(nl.ports());
   return bytes;
 }
+#endif
 
 TEST(Parser, HighWaterUnderTwiceTheNetlist) {
 #ifdef SYMPVL_PARSER_SANITIZED
