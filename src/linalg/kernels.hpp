@@ -170,34 +170,53 @@ struct PanelKernels {
 template <typename T>
 const PanelKernels<T>& panel_kernels(SimdLevel level);
 
+/// Columns per block of panel_ldlt.
+inline constexpr Index kPanelBlock = 32;
+
 /// Dense in-panel LDLᵀ over a column-major h×w panel (ld = h): the top
 /// w×w triangle is factored in place (unit lower L, pivots left on the
 /// diagonal) and the trailing (h-w)×w block becomes the below-panel L
-/// rows. Right-looking with fused column AXPYs dispatched through `K`.
-/// Returns the flop count. Pivot acceptance is the caller's job: `pivot`
-/// is invoked with (local_column, pivot_value) before the column is used
-/// for scaling and may throw.
-template <typename T, typename PivotFn>
+/// rows. Right-looking with fused column AXPYs dispatched through `K`,
+/// blocked by kPanelBlock columns: a block's columns are factored, then
+/// `trailing(k0, k1, apply)` runs apply(c0, c1) over column ranges that
+/// cover the trailing columns [k0, k1) — on the caller, or split across
+/// threads (the columns are independent). apply(c0, c1) gives each of
+/// those columns the block's updates, j ascending, so every entry takes
+/// the updates of the unblocked loop in its order, one fused AXPY step
+/// each: the blocking changes no bit. Returns the flop count. Pivot
+/// acceptance is the caller's job: `pivot` is invoked with
+/// (local_column, pivot_value) before the column is used for scaling and
+/// may throw.
+template <typename T, typename PivotFn, typename TrailingFn>
 double panel_ldlt(const PanelKernels<T>& K, Index h, Index w, T* panel,
-                  const PivotFn& pivot) {
+                  const PivotFn& pivot, const TrailingFn& trailing) {
+  // P(i,k) -= L(i,j)·d_j·L(k,j) for i ≥ k: only the lower triangle of
+  // the panel is stored, so the multiplier L(k,j) reads from the freshly
+  // scaled column j, and d_j stays on its diagonal.
+  const auto update = [&](Index j, Index k) {
+    const T* colj = panel + j * h;
+    const T mult = colj[k] * colj[j];
+    K.axpy(h - k, -mult, colj + k, panel + k * h + k);
+  };
   double flops = 0.0;
-  for (Index j = 0; j < w; ++j) {
-    T* colj = panel + j * h;
-    const T dj = colj[j];
-    pivot(j, dj);
-    const Index below = h - j - 1;
-    // Scale column j below the diagonal: L(i,j) = P(i,j) / d_j.
-    K.scale(below, T(1) / dj, colj + j + 1);
-    // Trailing update: P(i,k) -= L(i,j)·d_j·L(k,j) for i ≥ k > j. Only the
-    // lower triangle of the panel is stored, so the multiplier L(k,j)
-    // reads from the freshly scaled column j.
-    for (Index k = j + 1; k < w; ++k) {
-      T* colk = panel + k * h;
-      const T mult = colj[k] * dj;
-      K.axpy(h - k, -mult, colj + k, colk + k);
+  for (Index j0 = 0; j0 < w; j0 += kPanelBlock) {
+    const Index j1 = std::min(w, j0 + kPanelBlock);
+    for (Index j = j0; j < j1; ++j) {
+      T* colj = panel + j * h;
+      const T dj = colj[j];
+      pivot(j, dj);
+      const Index below = h - j - 1;
+      // Scale column j below the diagonal: L(i,j) = P(i,j) / d_j.
+      K.scale(below, T(1) / dj, colj + j + 1);
+      for (Index k = j + 1; k < j1; ++k) update(j, k);
+      flops += static_cast<double>(below) +
+               2.0 * static_cast<double>(below) * static_cast<double>(w - j - 1);
     }
-    flops += static_cast<double>(below) +
-             2.0 * static_cast<double>(below) * static_cast<double>(w - j - 1);
+    if (j1 < w)
+      trailing(j1, w, [&](Index c0, Index c1) {
+        for (Index k = c0; k < c1; ++k)
+          for (Index j = j0; j < j1; ++j) update(j, k);
+      });
   }
   return flops;
 }

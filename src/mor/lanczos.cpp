@@ -175,14 +175,26 @@ void BandLanczos::form_pending() {
     }
     out = op_->apply_block(std::move(block));
   }
+  // The row-major block goes to the candidates eight columns at a time,
+  // one pass over each row's run of k doubles, as take_basis() copies.
+  constexpr Index kBlock = 8;
+  for (Index c = 0; c < k; ++c) first[c].v.assign(static_cast<size_t>(big_n_), 0.0);
+  for (Index c0 = 0; c0 < k; c0 += kBlock) {
+    const Index nb = std::min(kBlock, k - c0);
+    double* w[kBlock];
+    for (Index b = 0; b < nb; ++b) w[b] = first[c0 + b].v.data();
+    for (Index i = 0; i < big_n_; ++i) {
+      const double* row = out.data() + i * k + c0;
+      for (Index b = 0; b < nb; ++b) w[b][i] = row[b];
+    }
+  }
+  out = Mat();
   std::vector<Candidate*> batch;
   for (Index c = 0; c < k; ++c) {
     Candidate& cand = first[c];
-    cand.v = out.col(c);
     cand.ref_norm = norm2(cand.v);
     batch.push_back(&cand);
   }
-  out = Mat();
   std::vector<Candidate*> owed;
   for (Index cl = 0; cl + 1 < static_cast<Index>(clusters_.size()); ++cl) {
     owed.clear();

@@ -23,6 +23,7 @@
 #include "mor/sympvl.hpp"
 #include "mor/sypvl.hpp"
 #include "obs/json.hpp"
+#include "parallel/thread_pool.hpp"
 #include "serve/daemon.hpp"
 #include "sim/ac.hpp"
 #include "sim/sensitivity.hpp"
@@ -248,6 +249,37 @@ TEST_F(FaultTest, PivotFaultFiresOnceAtItsColumn) {
     EXPECT_EQ(e.context().index, 17);
   }
   EXPECT_EQ(fault::fire_count("ldlt.pivot"), 1);
+}
+
+TEST_F(FaultTest, PivotFaultFiresOnceOnAPoolSizedFactorAtAnyWidth) {
+  // A 110×110 grid is large enough for the pooled factor, but while a
+  // fault site is armed every factor runs on the caller alone: at 1 and
+  // at 4 threads the injected pivot fault fires once, at its column.
+  const Index g = 110;
+  TripletBuilder<double> t(g * g, g * g);
+  for (Index r = 0; r < g; ++r)
+    for (Index c = 0; c < g; ++c) {
+      const Index i = r * g + c;
+      t.add(i, i, 4.5);
+      if (c + 1 < g) t.add_symmetric(i, i + 1, -1.0);
+      if (r + 1 < g) t.add_symmetric(i, i + g, -1.0);
+    }
+  const SMat a = t.compress();
+  const Index previous = num_threads();
+  for (const Index threads : {1, 4}) {
+    set_num_threads(threads);
+    fault::arm("ldlt.pivot@4321");
+    try {
+      const LDLT f(a, Ordering::kNestedDissection, 0.0);
+      ADD_FAILURE() << "expected injected fault at " << threads << " threads";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kFaultInjected) << threads;
+      EXPECT_EQ(e.context().index, 4321) << threads;
+    }
+    EXPECT_EQ(fault::fire_count("ldlt.pivot"), 1) << threads;
+    fault::disarm();
+  }
+  set_num_threads(previous);
 }
 
 // ---- Unified sweep: throw_on_failure rethrows the first failed point. ----

@@ -423,8 +423,9 @@ ReferenceLayout reference_layout(const SMat& a, const std::vector<Index>& perm) 
 
 TEST(Kernels, AnalysisStoresRowListsAndFactorStoresValuesOnly) {
   // A small nested-dissection grid: the analysis keeps one below-row list
-  // per supernode (Σ rₛ entries, far fewer than nnz(L)), and a numeric
-  // factor holds only its panel entries, D and √|D|.
+  // per supernode (Σ rₛ entries, far fewer than nnz(L)) and one subtree
+  // work estimate per supernode, and a numeric factor holds only its
+  // panel entries, D and √|D|.
   const SMat a = grid_laplacian(12);
   const Index n = a.rows();
   const auto sym = std::make_shared<const LdltSymbolic>(a, Ordering::kNestedDissection);
@@ -446,7 +447,7 @@ TEST(Kernels, AnalysisStoresRowListsAndFactorStoresValuesOnly) {
       + (ref.levels + 1) + s;   // level schedule
   EXPECT_EQ(sym->bytes(),
             static_cast<std::int64_t>(index_entries * sizeof(Index) +
-                                      ref.levels * sizeof(double)));
+                                      (ref.levels + s) * sizeof(double)));
   EXPECT_EQ(f.factor_bytes(),
             static_cast<std::int64_t>((ref.panel_entries + 2 * n) * sizeof(double)));
 }
@@ -554,12 +555,15 @@ TEST(Kernels, TinyAndWideBlockShapesFactorSupernodally) {
   }
 }
 
-// ---- the serial numeric factor ---------------------------------------------
+// ---- the pooled numeric factor ---------------------------------------------
 
-TEST(Kernels, SerialFactorTracesOnePanelSpanOnCallerLane) {
-  // Min-degree on a 110×110 grid gives a bushy elimination tree with wide
-  // levels; with a 4-thread pool the numeric factor must still run as one
-  // sweep on the calling thread, with the bits of a 1-thread factor.
+TEST(Kernels, PooledFactorTracesOnePanelSpanOnCallerLane) {
+  // Min-degree on a 110×110 grid gives a bushy elimination tree, and its
+  // work passes the factor's pool gate: with a 4-thread pool the numeric
+  // factor runs whole subtrees on the workers, then the top set on the
+  // caller. It records one kernel.panel_update span on the calling thread
+  // with threads = 4, the pool's parallel.chunk spans on worker lanes,
+  // and the bits of a 1-thread factor.
   const SMat a = grid_laplacian(110);
   const Index previous = num_threads();
   set_num_threads(1);
@@ -576,19 +580,34 @@ TEST(Kernels, SerialFactorTracesOnePanelSpanOnCallerLane) {
   set_num_threads(previous);
 
   int caller_tid = -1;
-  std::vector<const obs::Event*> panel_spans;
+  std::vector<const obs::Event*> panel_spans, chunk_spans;
   for (const obs::Event& e : events) {
     if (std::strcmp(e.name, "test.caller_lane") == 0) caller_tid = e.tid;
-    if (e.phase == 'X' && std::strcmp(e.name, "kernel.panel_update") == 0)
-      panel_spans.push_back(&e);
+    if (e.phase != 'X') continue;
+    if (std::strcmp(e.name, "kernel.panel_update") == 0) panel_spans.push_back(&e);
+    if (std::strcmp(e.name, "parallel.chunk") == 0) chunk_spans.push_back(&e);
   }
   ASSERT_GE(caller_tid, 0);
   ASSERT_EQ(panel_spans.size(), 1u);
   EXPECT_EQ(panel_spans[0]->tid, caller_tid);
+  double threads = 0.0;
+  for (int k = 0; k < panel_spans[0]->nargs; ++k)
+    if (std::strcmp(panel_spans[0]->args[k].key, "threads") == 0)
+      threads = panel_spans[0]->args[k].num;
+  EXPECT_EQ(threads, 4.0);
+  const auto on_worker = [&](const obs::Event* e) { return e->tid != caller_tid; };
+  EXPECT_TRUE(std::any_of(chunk_spans.begin(), chunk_spans.end(), on_worker))
+      << "no parallel.chunk span on a worker lane";
 
   ASSERT_EQ(serial.d().size(), pooled.d().size());
   for (size_t i = 0; i < serial.d().size(); ++i)
     ASSERT_EQ(serial.d()[i], pooled.d()[i]) << "d[" << i << "]";
+  const SMat l1 = serial.l_matrix();
+  const SMat l4 = pooled.l_matrix();
+  ASSERT_EQ(l1.rowind(), l4.rowind());
+  EXPECT_EQ(std::memcmp(l1.values().data(), l4.values().data(),
+                        l1.values().size() * sizeof(double)),
+            0);
 }
 
 TEST(Kernels, SerialSolveSpansCarrySimdThreadsFlops) {
@@ -661,6 +680,68 @@ TEST(Kernels, ZeroPivotErrorIdenticalAcrossPaths) {
     EXPECT_EQ(e.context().stage, "ldlt.factor");
     EXPECT_EQ(e.context().index, n - 1);
   }
+}
+
+TEST(Kernels, ZeroPivotsInTwoSubtreesRaiseTheLowerColumnAtAnyWidth) {
+  // A grounded 100×100 grid beside two ungrounded 20×20 grids: each small
+  // Laplacian is singular, so each has a zero pivot at its last column,
+  // and at 4 threads the two small components factor as separate worker
+  // subtrees. The error is the 1-thread factor's, code, message and
+  // context: the lower of the two failing columns.
+  const Index big = 100 * 100, small = 20 * 20;
+  const Index n = big + 2 * small;
+  TripletBuilder<double> t(n, n);
+  const auto add_mesh = [&](Index g, Index offset, double ground) {
+    for (Index r = 0; r < g; ++r)
+      for (Index c = 0; c < g; ++c) {
+        const Index i = offset + r * g + c;
+        t.add(i, i, ground);
+        if (c + 1 < g) {
+          t.add_symmetric(i, i + 1, -1.0);
+          t.add(i, i, 1.0);
+          t.add(i + 1, i + 1, 1.0);
+        }
+        if (r + 1 < g) {
+          t.add_symmetric(i, i + g, -1.0);
+          t.add(i, i, 1.0);
+          t.add(i + g, i + g, 1.0);
+        }
+      }
+  };
+  add_mesh(100, 0, 0.5);
+  add_mesh(20, big, 0.0);
+  add_mesh(20, big + small, 0.0);
+  const SMat a = t.compress();
+
+  // The permuted column of each small component's last elimination.
+  const LdltSymbolic sym(a, Ordering::kNestedDissection);
+  Index last[2] = {-1, -1};
+  for (Index k = 0; k < n; ++k) {
+    const Index old = sym.permutation()[static_cast<size_t>(k)];
+    if (old >= big) last[(old - big) / small] = k;
+  }
+
+  const Index previous = num_threads();
+  const auto factor_error = [&](Index threads) {
+    set_num_threads(threads);
+    try {
+      const LDLT f(a, Ordering::kNestedDissection, 1e-8);
+    } catch (const Error& e) {
+      return e;
+    }
+    return Error(ErrorCode::kUnknown, "no error");
+  };
+  const Error serial = factor_error(1);
+  const Error pooled = factor_error(4);
+  set_num_threads(previous);
+
+  EXPECT_EQ(serial.code(), ErrorCode::kZeroPivot);
+  EXPECT_EQ(serial.context().index, std::min(last[0], last[1]));
+  EXPECT_EQ(pooled.code(), serial.code());
+  EXPECT_STREQ(pooled.what(), serial.what());
+  EXPECT_EQ(pooled.context().stage, serial.context().stage);
+  EXPECT_EQ(pooled.context().index, serial.context().index);
+  EXPECT_EQ(pooled.context().value, serial.context().value);
 }
 
 // ---- the pencil's blocked operator ------------------------------------------

@@ -145,8 +145,8 @@ int main() {
   // A 2-D grid Laplacian is large enough that several elimination-tree
   // levels pass the solve grain gate, so the blocked TRSMs fan out across
   // the pool; their per-chunk spans must then land on the workers' lanes,
-  // each carrying its simd/threads/flops args. The numeric factor is one
-  // serial sweep: its kernel.panel_update span carries simd/flops.
+  // each carrying its simd/threads/flops args. The numeric factor records
+  // one kernel.panel_update span on the caller, carrying simd/flops.
   {
     const Index g = 110;
     const Index n = g * g;
